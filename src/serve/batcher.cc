@@ -493,17 +493,6 @@ ContinuousBatcher::takePreempted()
     return out;
 }
 
-std::vector<int>
-ContinuousBatcher::takePreemptedClasses()
-{
-    std::vector<int> out;
-    out.reserve(preemptedLog_.size());
-    for (const PreemptionRecord &p : preemptedLog_)
-        out.push_back(p.sloClass);
-    preemptedLog_.clear();
-    return out;
-}
-
 bool
 ContinuousBatcher::canAdmitContext(TokenCount context) const
 {

@@ -220,13 +220,6 @@ class ContinuousBatcher
     std::vector<PreemptionRecord> takePreempted();
 
     /**
-     * Drain the SLO classes of preemptions since the last call, in
-     * eviction order (one entry per event).
-     * @return class ids of the preempted requests.
-     */
-    std::vector<int> takePreemptedClasses();
-
-    /**
      * Pause or resume the admission of waiting requests. While paused
      * nextBatch() still schedules running sequences (decode and
      * prefill continuations) but admits nothing new — the back-pressure
@@ -305,8 +298,7 @@ class ContinuousBatcher
 
     /** Evictions since construction, per SLO class (indexed by class
      * id, always numSloClasses long). Unlike the drained preemption
-     * log these survive until the batcher itself is destroyed, so the
-     * simulator can carry them across engine rebuilds. */
+     * log these are never reset; they sum to totalPreemptions(). */
     const std::vector<std::int64_t> &preemptionsByClass() const
     {
         return preemptionsByClass_;

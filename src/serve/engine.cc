@@ -259,39 +259,22 @@ ServingEngine::updateLayouts(const std::vector<RoutingMatrix> &routing,
             stepIndex_ % config_.retunePeriod == 0) {
             const auto wall_start =
                 std::chrono::steady_clock::now();
-            // Per-layer solver wall times land in their own slots so
-            // the fan-out stays race-free; the registry (not
-            // thread-safe) is fed serially afterwards.
-            std::vector<double> layerWallMs(
-                static_cast<std::size_t>(config_.simulatedLayers), 0.0);
             runLayers([&](int l) {
-                const LayoutDecision decision = tuneExpertLayout(
-                    slice_.topo, aggRouting_[l], config_.tuner);
-                layouts_[l] = decision.layout;
-                layerWallMs[static_cast<std::size_t>(l)] =
-                    decision.wallMs;
+                layouts_[l] = tuneExpertLayout(slice_.topo, aggRouting_[l],
+                                               config_.tuner)
+                                  .layout;
                 aggRouting_[l] = RoutingMatrix(
                     slice_.numDevices(), config_.model.numExperts);
                 indexDirty_[static_cast<std::size_t>(l)] = 1;
             });
-            RetuneWallSample sample;
-            sample.simTime = result.start;
-            sample.wallMs =
+            lastRetune_.simTime = result.start;
+            lastRetune_.wallMs =
                 std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - wall_start)
                     .count();
-            sample.overBudget = config_.tunerBudgetMs > 0.0 &&
-                                sample.wallMs > config_.tunerBudgetMs;
-            retuneWall_.push_back(sample);
-            if (config_.metrics != nullptr) {
-                for (const double ms : layerWallMs)
-                    config_.metrics->histogram("planner.retune_wall_ms")
-                        .observe(ms);
-                if (sample.overBudget)
-                    config_.metrics
-                        ->counter("planner.retune_over_budget")
-                        .add(1);
-            }
+            lastRetune_.overBudget =
+                config_.tunerBudgetMs > 0.0 &&
+                lastRetune_.wallMs > config_.tunerBudgetMs;
             result.retuned = true;
             ++retunes_;
         }

@@ -144,15 +144,8 @@ struct EngineConfig
      * serially. Results are identical for any thread count. */
     ThreadPool *pool = nullptr;
     /** Wall-clock budget per LAER retune in milliseconds; 0 disables
-     * the check. Overruns are recorded per retune (retuneWall()) and
-     * surfaced in ServingReport. */
+     * the check. Each retune's overrun is flagged in lastRetune(). */
     double tunerBudgetMs = 0.0;
-    /** Optional metrics registry (obs/metrics.hh): retunes observe the
-     * per-layer solver wall time into "planner.retune_wall_ms" and
-     * budget overruns bump "planner.retune_over_budget". Non-owning;
-     * null records nothing. Write-only — never read back, so attaching
-     * a registry cannot change simulation results. */
-    MetricsRegistry *metrics = nullptr;
 };
 
 /** Wall-clock record of one LAER retune (all layers of one engine). */
@@ -243,12 +236,6 @@ class ServingEngine
         return batcher_.takePreempted();
     }
 
-    /** Drain SLO classes of preemptions since the last call. */
-    std::vector<int> takePreemptedClasses()
-    {
-        return batcher_.takePreemptedClasses();
-    }
-
     /** Current life-cycle state (Active unless the control plane is
      * reconfiguring this pool). */
     EngineState state() const { return state_; }
@@ -307,11 +294,9 @@ class ServingEngine
     /** LAER re-tunes applied so far. */
     int retunes() const { return retunes_; }
 
-    /** Wall-clock samples of every retune so far, in step order. */
-    const std::vector<RetuneWallSample> &retuneWall() const
-    {
-        return retuneWall_;
-    }
+    /** Wall-clock record of the most recent retune (meaningful once
+     * a step came back with `retuned` set). */
+    const RetuneWallSample &lastRetune() const { return lastRetune_; }
 
     const EngineConfig &config() const { return config_; }
 
@@ -351,7 +336,7 @@ class ServingEngine
     std::vector<Seconds> layerDispatch_;
     std::vector<Seconds> layerCombine_;
     std::vector<double> layerImbalance_;
-    std::vector<RetuneWallSample> retuneWall_;
+    RetuneWallSample lastRetune_;
 };
 
 } // namespace laer

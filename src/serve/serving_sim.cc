@@ -142,12 +142,10 @@ ServingSimulator::ServingSimulator(const Cluster &cluster,
             engineConfigFor(slices_[i], static_cast<int>(i))));
     freeAt_.assign(engines_.size(), 0.0);
     poolStats_.resize(engines_.size());
-    retuneSeen_.assign(engines_.size(), 0);
     drainStart_.assign(engines_.size(), -1.0);
     nextSnapshot_ = config_.snapshotInterval;
     desParallel_ = config_.desParallel;
     barrier_ = kNever;
-    retuneReplayed_.assign(engines_.size(), 0);
     // Calendar handles: one per engine (keyed by index) plus the two
     // singleton streams. Nothing is scheduled yet — every engine is
     // free at t = 0 and the first arrival is unknown until the first
@@ -212,12 +210,6 @@ ServingSimulator::engineConfigFor(const DevicePoolSlice &slice,
     ec.tuner.pool = threadPool_.get();
     ec.pool = threadPool_.get();
     ec.tunerBudgetMs = config_.tunerBudgetMs;
-    // Windowed runs advance engines on worker threads; the registry is
-    // not thread-safe, so the engines run detached and the simulator
-    // replays their retune wall samples serially at each merge
-    // (replayRetuneMetrics).
-    ec.metrics =
-        config_.desParallel ? nullptr : config_.metricsRegistry;
     ec.flexMaxMoves = config_.flexMaxMoves;
     ec.hostLinkBw = config_.hostLinkBw;
     // Engines draw from disjoint seed streams; pool 0 keeps the run's
@@ -441,7 +433,6 @@ ServingSimulator::requestReplicas(int target)
                                 live + spun < target; ++i) {
             if (engines_[i]->state() != EngineState::Stopped)
                 continue;
-            retireEngineCounters(i);
             if (faultsEnabled_) {
                 // A rebuilt slice comes back whole, exactly like a
                 // scripted repair (applyRepair); when this slot died
@@ -607,29 +598,6 @@ ServingSimulator::controlTrack()
 }
 
 void
-ServingSimulator::emitRetuneSpans(std::size_t i)
-{
-    const std::vector<RetuneWallSample> &samples =
-        engines_[i]->retuneWall();
-    if (config_.trace != nullptr) {
-        for (std::size_t s = retuneSeen_[i]; s < samples.size(); ++s) {
-            const RetuneWallSample &sample = samples[s];
-            // Solver wall time drawn on the simulated timeline: the
-            // span starts at the retuning step and is wallMs long, so
-            // a budget overrun is visible at a glance even though the
-            // solver runs off the simulated clock.
-            config_.trace->span(
-                plannerTrack(i), "retune", "planner", sample.simTime,
-                sample.wallMs * 1e-3,
-                {TraceArg{"wall_ms", sample.wallMs},
-                 TraceArg{"budget_ms", config_.tunerBudgetMs},
-                 TraceArg{"over_budget", sample.overBudget}});
-        }
-    }
-    retuneSeen_[i] = samples.size();
-}
-
-void
 ServingSimulator::emitScalingEvent(const ScalingEvent &event)
 {
     LAER_METRIC_COUNT(config_.metricsRegistry, "ctrl.scaling_events",
@@ -648,17 +616,12 @@ ServingSimulator::updateRegistryGauges()
     MetricsRegistry *reg = config_.metricsRegistry;
     if (reg == nullptr)
         return;
-    replayRetuneMetrics();
-    std::int64_t admissions = admissionsBase_;
-    int retunes = retiredRetunes_;
     int waiting = 0;
     int running = 0;
     double kv_util = 0.0;
     Bytes kv_reserved = 0;
     Bytes kv_budget = 0;
     for (const auto &engine : engines_) {
-        admissions += engine->batcher().totalAdmissions();
-        retunes += engine->retunes();
         waiting += engine->batcher().waitingCount();
         running += engine->batcher().runningCount();
         kv_reserved += engine->batcher().kvReservedBytes();
@@ -674,7 +637,7 @@ ServingSimulator::updateRegistryGauges()
     // set(), so engine rebuilds (replica spin-up, split) never lose
     // counts.
     reg->counter("serve.offered").set(offered_);
-    reg->counter("serve.admissions").set(admissions);
+    reg->counter("serve.admissions").set(admissions_);
     reg->counter("serve.completed").set(metrics_.completed());
     reg->counter("serve.slo_met").set(metrics_.sloMet());
     reg->counter("serve.decoded_tokens").set(metrics_.decodedTokens());
@@ -684,7 +647,8 @@ ServingSimulator::updateRegistryGauges()
         .set(static_cast<std::int64_t>(steps_.size()));
     reg->counter("serve.migrated").set(migrated_);
     reg->counter("serve.kv_transfer_bytes").set(kvTransferBytes_);
-    reg->counter("planner.retunes").set(retunes);
+    reg->counter("planner.retunes")
+        .set(static_cast<std::int64_t>(retuneWall_.size()));
     reg->gauge("serve.active_replicas").set(activeReplicas());
     reg->gauge("serve.queue_depth").set(waiting);
     reg->gauge("serve.running").set(running);
@@ -742,31 +706,6 @@ ServingSimulator::maybeSnapshot()
 }
 
 void
-ServingSimulator::retireEngineCounters(std::size_t i)
-{
-    emitRetuneSpans(i);
-    replayRetuneMetrics(); // flush before the sample vector vanishes
-    admissionsBase_ += engines_[i]->batcher().totalAdmissions();
-    retiredRetunes_ += engines_[i]->retunes();
-    // Preemption counters follow the same carry: the batcher's
-    // per-class totals die with the engine, so fold them into the
-    // retired base before the rebuild (a down-then-up replica cycle
-    // with preemptions in flight must lose nothing).
-    retiredPreemptions_ += engines_[i]->batcher().totalPreemptions();
-    const std::vector<std::int64_t> &preempts =
-        engines_[i]->batcher().preemptionsByClass();
-    if (preempts.size() > retiredPreemptionsByClass_.size())
-        retiredPreemptionsByClass_.resize(preempts.size(), 0);
-    for (std::size_t c = 0; c < preempts.size(); ++c)
-        retiredPreemptionsByClass_[c] += preempts[c];
-    for (const RetuneWallSample &sample : engines_[i]->retuneWall())
-        retiredRetuneWall_.push_back(sample);
-    retuneSeen_[i] = 0;
-    retuneReplayed_[i] = 0;
-    drainStart_[i] = -1.0;
-}
-
-void
 ServingSimulator::applyReconfig()
 {
     // Promote engines whose model shards have landed.
@@ -799,10 +738,8 @@ ServingSimulator::applyReconfig()
         if (engines_[i]->state() != EngineState::Draining ||
             freeAt_[i] > now_)
             continue;
-        harvestFinished(static_cast<int>(i));
         accruePower(now_);
         std::vector<Request> evicted = engines_[i]->drain();
-        emitRetuneSpans(i);
         if (config_.trace != nullptr && drainStart_[i] >= 0.0)
             config_.trace->span(
                 poolTrack(i), "drain", "ctrl", drainStart_[i],
@@ -858,7 +795,6 @@ ServingSimulator::applyReconfig()
             {"prefill", "decode"});
         Seconds delay = 0.0;
         for (int i = 0; i < 2; ++i) {
-            retireEngineCounters(static_cast<std::size_t>(i));
             engines_[i] = std::make_unique<ServingEngine>(
                 slices_[i], engineConfigFor(slices_[i], i),
                 EngineState::Loading);
@@ -1077,10 +1013,11 @@ ServingSimulator::retireSampledRequest(const Request &done)
 }
 
 void
-ServingSimulator::harvestFinished(int pool_index)
+ServingSimulator::harvestFinished(int pool_index,
+                                  std::vector<Request> finished)
 {
     const bool disagg = config_.policy == ServingPolicy::Disaggregated;
-    for (Request r : engines_[pool_index]->takeFinished()) {
+    for (Request &r : finished) {
         if (!disagg || pool_index == 1) {
             recordCompletion(r);
             continue;
@@ -1445,13 +1382,12 @@ void
 ServingSimulator::applyKill(std::size_t i)
 {
     pendingKill_[i] = 0;
-    // The dying engine's completed work is real (its last step
-    // committed at the step boundary we deferred to); only the live
-    // queue is lost.
-    harvestFinished(static_cast<int>(i));
+    // The dying engine's completed work is real and was already
+    // routed when its last step was applied; only the live queue is
+    // lost. A drain the kill interrupts never completes.
+    drainStart_[i] = -1.0;
     accruePower(now_);
     std::vector<Request> evicted = engines_[i]->drain();
-    emitRetuneSpans(i);
     LAER_TRACE_INSTANT(config_.trace, faultTrack(), "replica_dead",
                        "fault", now_,
                        {TraceArg{"pool", static_cast<int>(i)},
@@ -1473,7 +1409,6 @@ ServingSimulator::applyRepair(std::size_t i)
     // A rebuilt slice comes back whole: stragglers and dead devices
     // do not survive the reimage.
     accruePower(now_);
-    retireEngineCounters(i);
     deadDevices_[i] = 0;
     stragglerFactor_[i] = 1.0;
     engines_[i] = std::make_unique<ServingEngine>(
@@ -1702,104 +1637,140 @@ ServingSimulator::scheduleRetryWake()
 bool
 ServingSimulator::runDueEngines()
 {
-    const bool shared_layout =
-        config_.policy == ServingPolicy::Disaggregated &&
-        config_.disagg.sharedLayout;
     bool ran = false;
     for (std::size_t i = 0; i < engines_.size(); ++i) {
         if (engines_[i]->state() != EngineState::Active)
             continue; // loading, draining or parked
         if (freeAt_[i] > now_ || !engines_[i]->hasWork())
             continue;
-        ServingEngine &engine = *engines_[i];
-        const BatchPlan plan = engine.planStep();
-        // Planning is where KV preemption happens; account for it even
-        // when the plan comes back empty.
-        const std::vector<PreemptionRecord> preempted =
-            engine.takePreempted();
-        for (const PreemptionRecord &p : preempted) {
-            metrics_.recordPreemption(p.sloClass);
-            LAER_TRACE_INSTANT(config_.trace, poolTrack(i), "preempt",
-                               "serve", now_,
-                               {TraceArg{"class", p.sloClass},
-                                TraceArg{"id", p.requestId}});
-        }
-        replayStepTrace(preempted, now_, {});
-        poolStats_[i].preemptions +=
-            static_cast<std::int64_t>(preempted.size());
-        if (plan.empty()) {
-            // Admission paused by back-pressure with nothing running:
-            // the pool waits for the decode side to drain.
-            LAER_ASSERT(engine.batcher().admissionPaused(),
-                        "engine idle while holding live requests");
-            scheduleEngineWake(i);
-            continue;
-        }
-
-        ServingStepResult res;
-        if (config_.selfProfile) {
-            const auto exec_start = std::chrono::steady_clock::now();
-            res = engine.executeStep(plan, now_);
-            profExecMs_ +=
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - exec_start)
-                    .count();
-        } else {
-            res = engine.executeStep(plan, now_);
-        }
-        if (faultsEnabled_ && stragglerFactor_[i] != 1.0)
-            // A transient straggler stretches the whole step on the
-            // timeline; the token counts are untouched.
-            res.duration *= stragglerFactor_[i];
-        res.pool = static_cast<int>(i);
-        res.preemptions = static_cast<int>(preempted.size());
-        if (engine.batcher().kvEnabled()) {
-            // Post-plan reservation peak of this step.
-            res.kvUtilization = engine.batcher().kvUtilization();
-            metrics_.recordKvUtilization(res.kvUtilization);
-            poolStats_[i].kvUtil.add(res.kvUtilization);
-        }
-        std::vector<ReqStepShare> shares;
-        captureStepShares(engine, plan, res, static_cast<int>(i),
-                          shares);
-        freeAt_[i] = now_ + res.duration;
-        engine.commitStep(plan, freeAt_[i]);
-        replayStepTrace({}, now_, shares);
-        ++poolStats_[i].steps;
-        if (config_.trace != nullptr) {
-            const char *kind =
-                res.prefill > 0 && res.decode > 0 ? "mixed_step"
-                : res.prefill > 0                 ? "prefill_step"
-                                                  : "decode_step";
-            config_.trace->span(
-                poolTrack(i), kind, "serve", now_, res.duration,
-                {TraceArg{"tokens", res.tokens},
-                 TraceArg{"prefill", res.prefill},
-                 TraceArg{"decode", res.decode},
-                 TraceArg{"kv_util", res.kvUtilization},
-                 TraceArg{"retuned", res.retuned}});
-        }
-        if (config_.metricsRegistry != nullptr)
-            config_.metricsRegistry->histogram("serve.step_time_s")
-                .observe(res.duration);
-        if (res.retuned)
-            emitRetuneSpans(i);
-        harvestFinished(static_cast<int>(i));
-        scheduleEngineWake(i);
-
-        if (shared_layout) {
-            // The decode pool (leader) tunes from combined traffic;
-            // the prefill pool adopts each fresh layout.
-            if (i == 1 && res.retuned)
-                engines_[0]->setLayouts(engines_[1]->layouts());
-            if (i == 0)
-                engines_[1]->addExternalRouting(
-                    engines_[0]->lastRouting());
-        }
-        steps_.push_back(res);
-        ran = true;
+        StepRecord rec = produceStep(i, now_);
+        ran = ran || !rec.idle;
+        applyStep(i, std::move(rec));
     }
     return ran;
+}
+
+ServingSimulator::StepRecord
+ServingSimulator::produceStep(std::size_t i, Seconds t)
+{
+    ServingEngine &engine = *engines_[i];
+    StepRecord rec;
+    rec.result.start = t;
+    rec.result.pool = static_cast<int>(i);
+    const std::int64_t admitted = engine.batcher().totalAdmissions();
+    const BatchPlan plan = engine.planStep();
+    // Planning is where KV preemption and admission happen; both are
+    // accounted for even when the plan comes back empty.
+    rec.preempted = engine.takePreempted();
+    rec.admissions = engine.batcher().totalAdmissions() - admitted;
+    if (plan.empty()) {
+        // Admission paused by back-pressure with nothing running: the
+        // pool waits for the decode side to drain.
+        LAER_ASSERT(engine.batcher().admissionPaused(),
+                    "engine idle while holding live requests");
+        rec.idle = true;
+        return rec;
+    }
+
+    const auto exec_start = std::chrono::steady_clock::now();
+    ServingStepResult res = engine.executeStep(plan, t);
+    if (config_.selfProfile)
+        rec.execMs = std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - exec_start)
+                         .count();
+    if (faultsEnabled_ && stragglerFactor_[i] != 1.0)
+        // A transient straggler stretches the whole step on the
+        // timeline; the token counts are untouched.
+        res.duration *= stragglerFactor_[i];
+    res.pool = static_cast<int>(i);
+    res.preemptions = static_cast<int>(rec.preempted.size());
+    if (engine.batcher().kvEnabled())
+        // Post-plan reservation peak of this step.
+        res.kvUtilization = engine.batcher().kvUtilization();
+    captureStepShares(engine, plan, res, static_cast<int>(i),
+                      rec.shares);
+    engine.commitStep(plan, t + res.duration);
+    if (res.retuned)
+        rec.retune = engine.lastRetune();
+    rec.completions = engine.takeFinished();
+    rec.result = res;
+    return rec;
+}
+
+void
+ServingSimulator::applyStep(std::size_t i, StepRecord rec)
+{
+    const ServingStepResult &res = rec.result;
+    admissions_ += rec.admissions;
+    for (const PreemptionRecord &p : rec.preempted) {
+        metrics_.recordPreemption(p.sloClass);
+        LAER_TRACE_INSTANT(config_.trace, poolTrack(i), "preempt",
+                           "serve", res.start,
+                           {TraceArg{"class", p.sloClass},
+                            TraceArg{"id", p.requestId}});
+    }
+    poolStats_[i].preemptions +=
+        static_cast<std::int64_t>(rec.preempted.size());
+    replayStepTrace(rec.preempted, res.start, rec.shares);
+    if (rec.idle) {
+        scheduleEngineWake(i);
+        return;
+    }
+
+    freeAt_[i] = res.start + res.duration;
+    if (engines_[i]->batcher().kvEnabled()) {
+        metrics_.recordKvUtilization(res.kvUtilization);
+        poolStats_[i].kvUtil.add(res.kvUtilization);
+    }
+    ++poolStats_[i].steps;
+    profExecMs_ += rec.execMs;
+    if (config_.trace != nullptr) {
+        const char *kind = res.prefill > 0 && res.decode > 0
+                               ? "mixed_step"
+                           : res.prefill > 0 ? "prefill_step"
+                                             : "decode_step";
+        config_.trace->span(poolTrack(i), kind, "serve", res.start,
+                            res.duration,
+                            {TraceArg{"tokens", res.tokens},
+                             TraceArg{"prefill", res.prefill},
+                             TraceArg{"decode", res.decode},
+                             TraceArg{"kv_util", res.kvUtilization},
+                             TraceArg{"retuned", res.retuned}});
+    }
+    if (config_.metricsRegistry != nullptr)
+        config_.metricsRegistry->histogram("serve.step_time_s")
+            .observe(res.duration);
+    if (res.retuned) {
+        const RetuneWallSample &sample = rec.retune;
+        retuneWall_.push_back(sample);
+        // Solver wall time drawn on the simulated timeline: the span
+        // starts at the retuning step and is wallMs long, so a budget
+        // overrun is visible at a glance even though the solver runs
+        // off the simulated clock.
+        LAER_TRACE_SPAN(config_.trace, plannerTrack(i), "retune",
+                        "planner", sample.simTime, sample.wallMs * 1e-3,
+                        {TraceArg{"wall_ms", sample.wallMs},
+                         TraceArg{"budget_ms", config_.tunerBudgetMs},
+                         TraceArg{"over_budget", sample.overBudget}});
+        LAER_METRIC_OBSERVE(config_.metricsRegistry,
+                            "planner.retune_wall_ms", sample.wallMs);
+        if (sample.overBudget)
+            LAER_METRIC_COUNT(config_.metricsRegistry,
+                              "planner.retune_over_budget", 1);
+    }
+    harvestFinished(static_cast<int>(i), std::move(rec.completions));
+    scheduleEngineWake(i);
+
+    if (config_.policy == ServingPolicy::Disaggregated &&
+        config_.disagg.sharedLayout) {
+        // The decode pool (leader) tunes from combined traffic; the
+        // prefill pool adopts each fresh layout.
+        if (i == 1 && res.retuned)
+            engines_[0]->setLayouts(engines_[1]->layouts());
+        if (i == 0)
+            engines_[1]->addExternalRouting(engines_[0]->lastRouting());
+    }
+    steps_.push_back(res);
 }
 
 void
@@ -1961,10 +1932,10 @@ ServingSimulator::stepOnce()
 // Between barriers the engines are share-nothing partitions: requests
 // never move engine-to-engine outside a reconfiguration, and arrivals
 // are pre-binned before the fan-out. Each worker advances one engine's
-// private state (batcher, KV pool, RNG stream — disjoint since PR 5)
-// and buffers everything it would have emitted; the merge replays the
-// buffers in the order a serial sweep would have produced. Any thread
-// count therefore yields bit-identical results (difftest lane
+// private state (batcher, KV pool, RNG stream — disjoint per engine)
+// and buffers the records produceStep() returns; the merge hands them
+// to applyStep() in the order a serial sweep would have produced. Any
+// thread count therefore yields bit-identical results (difftest lane
 // serial-vs-parallel-des).
 
 bool
@@ -2049,8 +2020,8 @@ ServingSimulator::stepWindow()
         Seconds span_end = window_end;
         if (span_end == kNever) {
             span_end = now_;
-            for (const WindowBuffer &buf : buffers)
-                span_end = std::max(span_end, buf.freeAt);
+            for (const Seconds free_at : freeAt_)
+                span_end = std::max(span_end, free_at);
         }
         const Seconds dur = std::max(0.0, span_end - now_);
         config_.trace->span(
@@ -2157,7 +2128,6 @@ ServingSimulator::runEngineWindow(std::size_t i, Seconds window_end,
 {
     ServingEngine &engine = *engines_[i];
     const auto wall_start = std::chrono::steady_clock::now();
-    buf.kvEnabled = engine.batcher().kvEnabled();
     Seconds free_at = freeAt_[i];
     // Earliest instant the engine can act; never before the window.
     Seconds clock = std::max(now_, free_at);
@@ -2186,45 +2156,12 @@ ServingSimulator::runEngineWindow(std::size_t i, Seconds window_end,
         }
         if (clock >= window_end)
             break;
-        // One engine step at `clock` — the serial runDueEngines body
-        // with every emission buffered instead of recorded.
-        WindowStepRecord rec;
-        const BatchPlan plan = engine.planStep();
-        rec.preempted = engine.takePreempted();
-        if (plan.empty()) {
-            // Only back-pressure pauses admission, and back-pressure
-            // is disaggregation-only — which the windowed core
-            // rejects — so an idle engine holding work is a bug.
-            LAER_ASSERT(engine.batcher().admissionPaused(),
-                        "engine idle while holding live requests");
-            break;
-        }
-        ServingStepResult res;
-        if (config_.selfProfile) {
-            const auto exec_start = std::chrono::steady_clock::now();
-            res = engine.executeStep(plan, clock);
-            buf.execMs +=
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - exec_start)
-                    .count();
-        } else {
-            res = engine.executeStep(plan, clock);
-        }
-        res.pool = static_cast<int>(i);
-        res.preemptions = static_cast<int>(rec.preempted.size());
-        if (buf.kvEnabled)
-            res.kvUtilization = engine.batcher().kvUtilization();
-        free_at = clock + res.duration;
-        // Share capture reads only this engine's pre-commit state and
-        // the recorder's pure sampling predicate, so it is safe on the
-        // worker; the merge replays the shares on the simulator
-        // thread.
-        captureStepShares(engine, plan, res, static_cast<int>(i),
-                          rec.shares);
-        engine.commitStep(plan, free_at);
-        rec.result = res;
-        rec.completions = engine.takeFinished();
-        buf.steps.push_back(std::move(rec));
+        // Only back-pressure pauses admission, and back-pressure is
+        // disaggregation-only — which the windowed core rejects — so
+        // produceStep() never comes back idle here.
+        buf.steps.push_back(produceStep(i, clock));
+        const ServingStepResult &res = buf.steps.back().result;
+        free_at = res.start + res.duration;
         clock = free_at;
     }
     // Arrivals the loop did not reach (engine loading past the window
@@ -2232,7 +2169,6 @@ ServingSimulator::runEngineWindow(std::size_t i, Seconds window_end,
     // enqueues on arrival regardless of engine readiness.
     while (next < arrivals.size())
         engine.enqueue(arrivals[next++]);
-    buf.freeAt = free_at;
     buf.wallMs = std::chrono::duration<double, std::milli>(
                      std::chrono::steady_clock::now() - wall_start)
                      .count();
@@ -2241,7 +2177,7 @@ ServingSimulator::runEngineWindow(std::size_t i, Seconds window_end,
 void
 ServingSimulator::mergeWindowBuffers(std::vector<WindowBuffer> &buffers)
 {
-    // Replay in (step start, engine index) order — exactly how a
+    // Apply in (step start, engine index) order — exactly how a
     // serial sweep would have interleaved the engines (each engine's
     // step starts are strictly increasing, so a k-way front merge
     // suffices). The latency collector's streaming percentiles are
@@ -2263,78 +2199,11 @@ ServingSimulator::mergeWindowBuffers(std::vector<WindowBuffer> &buffers)
         }
         if (b == buffers.size())
             break;
-        const WindowStepRecord &rec = buffers[b].steps[cursor[b]++];
-        const ServingStepResult &res = rec.result;
-        for (const PreemptionRecord &p : rec.preempted) {
-            metrics_.recordPreemption(p.sloClass);
-            LAER_TRACE_INSTANT(config_.trace, poolTrack(b), "preempt",
-                               "serve", res.start,
-                               {TraceArg{"class", p.sloClass},
-                                TraceArg{"id", p.requestId}});
-        }
-        poolStats_[b].preemptions +=
-            static_cast<std::int64_t>(rec.preempted.size());
-        replayStepTrace(rec.preempted, res.start, rec.shares);
-        if (buffers[b].kvEnabled) {
-            metrics_.recordKvUtilization(res.kvUtilization);
-            poolStats_[b].kvUtil.add(res.kvUtilization);
-        }
-        ++poolStats_[b].steps;
-        if (config_.trace != nullptr) {
-            const char *kind =
-                res.prefill > 0 && res.decode > 0 ? "mixed_step"
-                : res.prefill > 0                 ? "prefill_step"
-                                                  : "decode_step";
-            config_.trace->span(
-                poolTrack(b), kind, "serve", res.start, res.duration,
-                {TraceArg{"tokens", res.tokens},
-                 TraceArg{"prefill", res.prefill},
-                 TraceArg{"decode", res.decode},
-                 TraceArg{"kv_util", res.kvUtilization},
-                 TraceArg{"retuned", res.retuned}});
-        }
-        if (config_.metricsRegistry != nullptr)
-            config_.metricsRegistry->histogram("serve.step_time_s")
-                .observe(res.duration);
-        for (const Request &done : rec.completions)
-            recordCompletion(done);
-        steps_.push_back(res);
+        applyStep(b, std::move(buffers[b].steps[cursor[b]++]));
     }
-    for (std::size_t i = 0; i < engines_.size(); ++i) {
-        freeAt_[i] = buffers[i].freeAt;
+    // Binned arrivals and shard landings change engines' wakes too.
+    for (std::size_t i = 0; i < engines_.size(); ++i)
         scheduleEngineWake(i);
-        profExecMs_ += buffers[i].execMs;
-        emitRetuneSpans(i);
-    }
-    replayRetuneMetrics();
-}
-
-void
-ServingSimulator::replayRetuneMetrics()
-{
-    // Windowed engines run with EngineConfig::metrics detached (the
-    // registry is not thread-safe); their retune wall samples reach
-    // the registry here, serially. The serial core records per-layer
-    // solver times at the retuning step instead — both land before
-    // the next snapshot, and the planner.retune_wall_ms family is
-    // wall-clock noise the difftest layer already ignores.
-    if (!desParallel_ || config_.metricsRegistry == nullptr)
-        return;
-    for (std::size_t i = 0; i < engines_.size(); ++i) {
-        const std::vector<RetuneWallSample> &samples =
-            engines_[i]->retuneWall();
-        for (std::size_t s = retuneReplayed_[i]; s < samples.size();
-             ++s) {
-            config_.metricsRegistry
-                ->histogram("planner.retune_wall_ms")
-                .observe(samples[s].wallMs);
-            if (samples[s].overBudget)
-                config_.metricsRegistry
-                    ->counter("planner.retune_over_budget")
-                    .add(1);
-        }
-        retuneReplayed_[i] = samples.size();
-    }
 }
 
 ServingReport
@@ -2355,18 +2224,12 @@ ServingSimulator::finish()
         if (engines_[i]->state() != EngineState::Loading)
             now_ = std::max(now_, freeAt_[i]);
     accruePower(now_);
-    if (config_.trace != nullptr)
-        for (std::size_t i = 0; i < engines_.size(); ++i)
-            emitRetuneSpans(i);
     if (config_.metricsRegistry != nullptr) {
         updateRegistryGauges();
         if (config_.selfProfile) {
             double retune_ms = 0.0;
-            for (const RetuneWallSample &s : retiredRetuneWall_)
+            for (const RetuneWallSample &s : retuneWall_)
                 retune_ms += s.wallMs;
-            for (const auto &engine : engines_)
-                for (const RetuneWallSample &s : engine->retuneWall())
-                    retune_ms += s.wallMs;
             config_.metricsRegistry->gauge("profile.retune_ms")
                 .set(retune_ms);
             config_.metricsRegistry->gauge("profile.step_pricing_ms")
@@ -2407,12 +2270,7 @@ ServingSimulator::buildReport() const
     report.completed = metrics_.completed();
     report.sloMet = metrics_.sloMet();
     report.steps = static_cast<int>(steps_.size());
-    // Rebuilt engines (replica spin-up, split re-partition) retire
-    // their monotone counters into the carry-over fields; summing only
-    // the live engines would silently drop them.
-    report.retunes = retiredRetunes_;
-    for (const auto &engine : engines_)
-        report.retunes += engine->retunes();
+    report.retunes = static_cast<int>(retuneWall_.size());
     report.elapsed = now_;
     report.ttftP50 = metrics_.ttftPercentile(50.0);
     report.ttftP90 = metrics_.ttftPercentile(90.0);
@@ -2438,39 +2296,9 @@ ServingSimulator::buildReport() const
 
     for (const auto &engine : engines_)
         report.kvBudgetBytes += engine->batcher().kvBudgetBytes();
-    // Preemption counts are engine-authoritative: live batcher
-    // counters plus the carry-over of rebuilt engines, the same carry
-    // discipline as report.retunes above. The latency collector sees
-    // the same events through the per-step drain, so the two paths
-    // must agree — the debug assert pins that identity (and with it,
-    // byte-identical reports).
-    std::int64_t preemptions = retiredPreemptions_;
-    std::vector<std::int64_t> by_class = retiredPreemptionsByClass_;
-    if (static_cast<int>(by_class.size()) <
-        config_.batcher.numSloClasses)
-        by_class.resize(config_.batcher.numSloClasses, 0);
-    for (const auto &engine : engines_) {
-        preemptions += engine->batcher().totalPreemptions();
-        const std::vector<std::int64_t> &pc =
-            engine->batcher().preemptionsByClass();
-        if (pc.size() > by_class.size())
-            by_class.resize(pc.size(), 0);
-        for (std::size_t c = 0; c < pc.size(); ++c)
-            by_class[c] += pc[c];
-    }
-#ifndef NDEBUG
-    LAER_ASSERT(preemptions == metrics_.totalPreemptions(),
-                "engine preemption counters disagree with the latency "
-                "collector");
-    for (std::size_t c = 0; c < by_class.size(); ++c)
-        LAER_ASSERT(by_class[c] ==
-                        metrics_.preemptions(static_cast<int>(c)),
-                    "per-class preemption counters disagree with the "
-                    "latency collector for class "
-                        << c);
-#endif
-    report.preemptions = preemptions;
-    report.preemptionsByClass = std::move(by_class);
+    report.preemptions = metrics_.totalPreemptions();
+    for (int c = 0; c < config_.batcher.numSloClasses; ++c)
+        report.preemptionsByClass.push_back(metrics_.preemptions(c));
     report.meanKvUtilization = metrics_.meanKvUtilization();
     report.peakKvUtilization = metrics_.peakKvUtilization();
     report.attributionByClass = metrics_.attributionByClass();
@@ -2486,14 +2314,10 @@ ServingSimulator::buildReport() const
         pool.peakKvUtilization = poolStats_[i].kvUtil.max();
         report.pools.push_back(pool);
     }
-    // Planner wall-time accounting: every engine's retune samples —
-    // retired engines' first, then the live ones in engine order
-    // (sample times are simulated; wall times are real).
+    // Planner wall-time accounting, one sample per retune in applied
+    // step order (sample times are simulated; wall times are real).
     report.tunerBudgetMs = config_.tunerBudgetMs;
-    report.retuneWall = retiredRetuneWall_;
-    for (const auto &engine : engines_)
-        for (const RetuneWallSample &sample : engine->retuneWall())
-            report.retuneWall.push_back(sample);
+    report.retuneWall = retuneWall_;
     for (const RetuneWallSample &sample : report.retuneWall) {
         report.retuneWallMaxMs =
             std::max(report.retuneWallMaxMs, sample.wallMs);

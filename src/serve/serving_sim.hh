@@ -157,12 +157,13 @@ struct ServingConfig
     /** Windowed share-nothing event core (docs/PERF.md): between
      * control barriers (setBarrier()) and snapshot boundaries, the
      * engines advance independently over `threads` workers against
-     * per-window pre-binned arrivals; metrics/trace emission is
-     * buffered per engine and merged in deterministic (time, engine)
-     * order at the window end. Results are bit-identical for ANY
-     * thread count (the serial-vs-parallel-des difftest lane), but NOT
-     * to the default per-event core: arrivals dispatch against
-     * window-start replica loads instead of per-arrival live loads.
+     * per-window pre-binned arrivals; each worker buffers its engine's
+     * produced steps, and the window end applies them through the
+     * serial core's own step body in deterministic (time, engine)
+     * order. Results are bit-identical for ANY thread count (the
+     * serial-vs-parallel-des difftest lane), but NOT to the default
+     * per-event core: arrivals dispatch against window-start replica
+     * loads instead of per-arrival live loads.
      * While a reconfiguration is in flight the simulator falls back to
      * the per-event path, so autoscaled runs stay exact. Requires a
      * non-disaggregated policy. Default off — the default path stays
@@ -304,7 +305,7 @@ struct ServingReport
     double retuneWallMaxMs = 0.0;  //!< slowest retune
     int retuneBudgetOverruns = 0;  //!< retunes exceeding the budget
     std::vector<RetuneWallSample> retuneWall; //!< per retune, in
-                                              //!< engine/step order
+                                              //!< applied-step order
 
     // Control-plane accounting. Static runs carry no events or
     // windows and deviceSeconds = numDevices * elapsed.
@@ -535,7 +536,7 @@ class ServingSimulator
     void pumpMigrations();
 
     /** Route one pool's finished requests: metrics, or migration. */
-    void harvestFinished(int pool_index);
+    void harvestFinished(int pool_index, std::vector<Request> finished);
 
     /** Record one completed request: latency collector + histograms. */
     void recordCompletion(const Request &done);
@@ -543,6 +544,37 @@ class ServingSimulator
     /** Run every free engine with schedulable work at now_.
      * @return true when at least one engine executed a step. */
     bool runDueEngines();
+
+    /** Everything one engine step produced, handed from produceStep()
+     * to applyStep(). The windowed core buffers these on its workers
+     * and applies them in deterministic order at the window merge. */
+    struct StepRecord
+    {
+        ServingStepResult result; //!< start and pool set even when idle
+        bool idle = false;        //!< empty plan: nothing executed
+        std::vector<PreemptionRecord> preempted; //!< planStep() evictions
+        std::int64_t admissions = 0;       //!< admitted by planStep()
+        std::vector<Request> completions;  //!< finished at commit
+        /** Sampled requests' residency shares of this step (empty
+         * unless a ReqTraceRecorder is attached). */
+        std::vector<ReqStepShare> shares;
+        RetuneWallSample retune;  //!< valid when result.retuned
+        double execMs = 0.0;      //!< wall inside executeStep (selfProfile)
+    };
+
+    /** Plan, execute (straggler factor applied), capture request
+     * shares, commit and collect the finished requests of one step of
+     * engine `i` starting at `t`. Touches only engine `i`, so the
+     * windowed core runs it on worker threads. */
+    StepRecord produceStep(std::size_t i, Seconds t);
+
+    /** Account for and emit one produced step on the simulator thread:
+     * preemptions, KV utilization, pool stats, trace spans, registry
+     * samples, completions, the shared-layout hand-off and the run's
+     * own counters (steps, admissions, retunes). Every step of every
+     * engine instance passes through here, so engine rebuilds cannot
+     * drop a count. */
+    void applyStep(std::size_t i, StepRecord rec);
 
     /** step() body (step() wraps it with snapshots + profiling). */
     bool stepOnce();
@@ -618,28 +650,12 @@ class ServingSimulator
 
     // ---- windowed event core (ServingConfig::desParallel) ----------
 
-    /** One engine step recorded off the simulator thread, replayed in
-     * deterministic order at the window merge. */
-    struct WindowStepRecord
-    {
-        ServingStepResult result;
-        std::vector<PreemptionRecord> preempted; //!< planStep() evictions
-        std::vector<Request> completions;  //!< harvested at commit
-        /** Sampled requests' residency shares of this step (empty
-         * unless a ReqTraceRecorder is attached); the merge replays
-         * them so the recorder only ever runs on the simulator
-         * thread. */
-        std::vector<ReqStepShare> shares;
-    };
-
-    /** Everything one engine emits while advancing through a window. */
+    /** Everything one engine produces while advancing through a
+     * window. */
     struct WindowBuffer
     {
-        std::vector<WindowStepRecord> steps;
-        Seconds freeAt = 0.0;  //!< engine busy-until at window end
-        double execMs = 0.0;   //!< wall inside executeStep (selfProfile)
+        std::vector<StepRecord> steps;
         double wallMs = 0.0;   //!< worker wall inside runEngineWindow
-        bool kvEnabled = false;
     };
 
     /** Windowed step(): advance every engine to the next barrier /
@@ -652,23 +668,17 @@ class ServingSimulator
     std::vector<std::vector<Request>> binWindowArrivals(Seconds window_end);
 
     /** Advance engine `i` through [now_, window_end): admit its binned
-     * arrivals, promote it when its shards land, and run its steps,
-     * buffering all emission. Runs on a worker thread: touches only
-     * the engine and `buf`. */
+     * arrivals, promote it when its shards land, and produce its
+     * steps into `buf`. Runs on a worker thread: touches only the
+     * engine and `buf`. */
     void runEngineWindow(std::size_t i, Seconds window_end,
                          const std::vector<Request> &arrivals,
                          WindowBuffer &buf);
 
-    /** Replay the window's buffered per-engine emission in (step
-     * start, engine index) order — the interleaving a serial sweep of
-     * the same windows would have produced — then refresh freeAt_ and
-     * the calendar. */
+    /** Apply the window's buffered steps in (step start, engine
+     * index) order — the interleaving a serial sweep of the same
+     * windows would have produced — then refresh the calendar. */
     void mergeWindowBuffers(std::vector<WindowBuffer> &buffers);
-
-    /** Feed retune wall samples into the registry (windowed runs keep
-     * EngineConfig::metrics detached so workers never race on it; the
-     * samples land here, serially, instead). */
-    void replayRetuneMetrics();
 
     // ---- event calendar (core/event_calendar.hh) -------------------
 
@@ -701,10 +711,6 @@ class ServingSimulator
     /** Get-or-create the shared faults track. */
     int faultTrack();
 
-    /** Emit retune spans for engine `i`'s wall samples recorded since
-     * the last call (tracked by retuneSeen_). */
-    void emitRetuneSpans(std::size_t i);
-
     /** Emit a ScalingEvent instant on the control track. */
     void emitScalingEvent(const ScalingEvent &event);
 
@@ -715,17 +721,13 @@ class ServingSimulator
     /** Record due periodic CounterSnapshots (simulated cadence). */
     void maybeSnapshot();
 
-    /** Accumulate a to-be-rebuilt engine's monotone counters so they
-     * survive the rebuild, and reset its per-engine cursors. */
-    void retireEngineCounters(std::size_t i);
-
     // ---- per-request lifecycle tracing (obs/req_trace.hh) ----------
 
     /** Collect the sampled requests' residency shares of one priced
      * step (pre-commit batcher state decides replay vs fresh prefill
      * and the first-token step). Touches only `engine` and the
-     * recorder's pure sampling predicate, so windowed-core workers
-     * may call it; no-op (empty out) when no recorder is attached. */
+     * recorder's pure sampling predicate, so produceStep() may call it
+     * on a worker; no-op (empty out) when no recorder is attached. */
     void captureStepShares(const ServingEngine &engine,
                            const BatchPlan &plan,
                            const ServingStepResult &result,
@@ -834,28 +836,19 @@ class ServingSimulator
     bool desParallel_ = false;   //!< resolved config_.desParallel
     Seconds barrier_ = 0.0;      //!< next control barrier (set in ctor
                                  //!< to +inf; setBarrier() caps it)
-    std::vector<std::size_t> retuneReplayed_; //!< replayRetuneMetrics
-                                              //!< per-engine cursor
     std::int64_t offered_ = 0;
     std::int64_t migrated_ = 0;
     Bytes kvTransferBytes_ = 0;
     Seconds kvTransferSeconds_ = 0.0;
     Seconds transferStallSeconds_ = 0.0;
+    // Run totals kept by applyStep(); they outlive engine rebuilds.
     std::vector<ServingStepResult> steps_;
+    std::vector<RetuneWallSample> retuneWall_; //!< one per retune
+    std::int64_t admissions_ = 0;
 
     // Observability state (inert when no recorder/registry attached).
-    std::vector<std::size_t> retuneSeen_; //!< retune spans emitted
     std::vector<Seconds> drainStart_;     //!< beginDrain time, or < 0
     Seconds nextSnapshot_ = 0.0;          //!< next periodic boundary
-    std::int64_t admissionsBase_ = 0;     //!< from rebuilt engines
-    int retiredRetunes_ = 0;              //!< retunes, rebuilt engines
-    std::vector<RetuneWallSample> retiredRetuneWall_; //!< wall samples
-                                          //!< of rebuilt engines
-    // Preemption counters carried across engine rebuilds (same
-    // pattern as retiredRetunes_): buildReport sums retired + live
-    // batcher counters, so a down-then-up cycle loses nothing.
-    std::int64_t retiredPreemptions_ = 0;
-    std::vector<std::int64_t> retiredPreemptionsByClass_;
     // Self-profiling accumulators (real milliseconds).
     double profExecMs_ = 0.0; //!< wall inside executeStep()
     double profStepMs_ = 0.0; //!< wall inside step()

@@ -355,6 +355,8 @@ TEST(CounterCarryOver, RetunesAndWallSamplesSurviveRebuilds)
     cfg.replicas.initialReplicas = 2;
     cfg.horizon = 4.0;
     cfg.seed = 11;
+    MetricsRegistry registry;
+    cfg.metricsRegistry = &registry;
 
     ServingSimulator sim(cluster, cfg);
     while (sim.now() < 1.0 && sim.step()) {
@@ -384,6 +386,13 @@ TEST(CounterCarryOver, RetunesAndWallSamplesSurviveRebuilds)
     // Every retune — retired or live — keeps its wall sample.
     EXPECT_EQ(static_cast<int>(report.retuneWall.size()),
               report.retunes);
+    // The registry's run counters survive the rebuild too: every
+    // completed request was admitted at least once, whichever engine
+    // instance admitted it.
+    EXPECT_EQ(registry.counter("planner.retunes").value(),
+              report.retunes);
+    EXPECT_GE(registry.counter("serve.admissions").value(),
+              report.completed);
 }
 
 TEST(CounterCarryOver, PreemptionCountsSurviveRebuilds)

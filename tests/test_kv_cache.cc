@@ -245,8 +245,8 @@ TEST(KvBatcher, LowerPriorityClassEvictedBeforeYoungerHighPriority)
         const BatchPlan plan = batcher.nextBatch();
         ASSERT_FALSE(plan.empty());
         EXPECT_LE(batcher.kvReservedBytes(), batcher.kvBudgetBytes());
-        for (const int c : batcher.takePreemptedClasses())
-            preempted_classes.push_back(c);
+        for (const PreemptionRecord &p : batcher.takePreempted())
+            preempted_classes.push_back(p.sloClass);
         t += 0.1;
         batcher.applyStep(plan, t);
     }
@@ -255,6 +255,15 @@ TEST(KvBatcher, LowerPriorityClassEvictedBeforeYoungerHighPriority)
     // The first request to yield is the class-1 one, despite the
     // younger class-0 request also holding pool space.
     EXPECT_EQ(preempted_classes.front(), 1);
+    // The drained records are the whole story: they re-sum to the
+    // batcher's lifetime counters, in total and per class.
+    EXPECT_EQ(static_cast<std::int64_t>(preempted_classes.size()),
+              batcher.totalPreemptions());
+    for (int c = 0; c < cfg.numSloClasses; ++c)
+        EXPECT_EQ(std::count(preempted_classes.begin(),
+                             preempted_classes.end(), c),
+                  batcher.preemptionsByClass()[c])
+            << "class " << c;
 
     std::vector<Request> done = batcher.takeFinished();
     ASSERT_EQ(done.size(), 3u);
@@ -287,7 +296,7 @@ TEST(KvBatcher, SwapModePrefersVictimWithFewestRemainingDecodeTokens)
 
     const BatchPlan plan = batcher.nextBatch(); // growth evicts one
     (void)plan;
-    ASSERT_EQ(batcher.takePreemptedClasses().size(), 1u);
+    ASSERT_EQ(batcher.takePreempted().size(), 1u);
     const Request *victim = batcher.find(1);
     ASSERT_NE(victim, nullptr);
     EXPECT_EQ(victim->preemptions, 1);
@@ -309,7 +318,7 @@ TEST(KvBatcher, RecomputeModeStillEvictsTheYoungest)
     batcher.applyStep(batcher.nextBatch(), 0.1);
     const BatchPlan plan = batcher.nextBatch();
     (void)plan;
-    ASSERT_EQ(batcher.takePreemptedClasses().size(), 1u);
+    ASSERT_EQ(batcher.takePreempted().size(), 1u);
     const Request *victim = batcher.find(2);
     ASSERT_NE(victim, nullptr);
     EXPECT_EQ(victim->preemptions, 1);
@@ -338,8 +347,8 @@ TEST(KvBatcher, LowPriorityGrowerYieldsInsteadOfEvictingHigherClass)
         const BatchPlan plan = batcher.nextBatch();
         ASSERT_FALSE(plan.empty());
         EXPECT_LE(batcher.kvReservedBytes(), batcher.kvBudgetBytes());
-        for (const int c : batcher.takePreemptedClasses())
-            preempted_classes.push_back(c);
+        for (const PreemptionRecord &p : batcher.takePreempted())
+            preempted_classes.push_back(p.sloClass);
         t += 0.1;
         batcher.applyStep(plan, t);
     }
@@ -404,7 +413,7 @@ TEST(KvBatcher, PreemptedRequestsResumeAheadOfFreshArrivals)
         const BatchPlan plan = batcher.nextBatch();
         ASSERT_FALSE(plan.empty());
         EXPECT_LE(batcher.kvReservedBytes(), batcher.kvBudgetBytes());
-        if (!batcher.takePreemptedClasses().empty() && !preempted_yet) {
+        if (!batcher.takePreempted().empty() && !preempted_yet) {
             preempted_yet = true;
             // Inject a fresh arrival the moment pressure appears: it
             // must queue BEHIND the preempted requests.
@@ -466,7 +475,7 @@ TEST(KvBatcher, RestoreReplaysGeneratedTokensWithoutReEmittingThem)
         ASSERT_LT(++steps, 200);
         const BatchPlan plan = batcher.nextBatch();
         ASSERT_FALSE(plan.empty());
-        if (!batcher.takePreemptedClasses().empty() &&
+        if (!batcher.takePreempted().empty() &&
             decode_done_at_preempt < 0) {
             const Request *r1 = batcher.find(1);
             ASSERT_NE(r1, nullptr);

@@ -480,6 +480,32 @@ TEST(ServingSim, RetuneWallTimesAndBudgetOverrunsAreReported)
               free_report.retunes);
 }
 
+TEST(ServingSim, RetuneMetricsCountOneSamplePerRetuneOnBothCores)
+{
+    // planner.retune_wall_ms holds one solver sample per retune (not
+    // per layer), and the over-budget counter matches the report, on
+    // the serial core and on the windowed core alike.
+    const Cluster cluster(2, 4, 300e9, 12.5e9, 212e12);
+    for (const bool windowed : {false, true}) {
+        ServingConfig cfg = smallServingConfig(ServingPolicy::LaerServe);
+        cfg.replicas.replicaDevices = 4; // 2 replica engines
+        cfg.desParallel = windowed;
+        cfg.tunerBudgetMs = 1e-9; // every retune overruns
+        MetricsRegistry registry;
+        cfg.metricsRegistry = &registry;
+        ServingSimulator sim(cluster, cfg);
+        const ServingReport report = sim.run();
+        ASSERT_GT(report.retunes, 0) << "windowed=" << windowed;
+        EXPECT_EQ(registry.histogram("planner.retune_wall_ms").count(),
+                  report.retunes)
+            << "windowed=" << windowed;
+        EXPECT_EQ(registry.counter("planner.retune_over_budget").value(),
+                  report.retuneBudgetOverruns)
+            << "windowed=" << windowed;
+        EXPECT_EQ(report.retuneBudgetOverruns, report.retunes);
+    }
+}
+
 TEST(ServingSim, RejectsOversubscribedCluster)
 {
     const Cluster tiny(1, 2, 300e9, 12.5e9, 212e12);
