@@ -30,7 +30,9 @@
  *
  * --compare-serial re-runs the identical scenario on the classic
  * per-event serial core and records the windowed core's speedup —
- * the number quoted in docs/PERF.md. --trace-out writes one
+ * the number quoted in docs/PERF.md. Every arm that runs must drain
+ * the whole day (completed == offered) or the bench exits non-zero.
+ * --trace-out writes one
  * Chrome/Perfetto trace of the run(s), tracks keyed by arm
  * ("windowed/", "serial/"); --metrics-out appends each arm's 1 s
  * counter snapshots as JSONL keyed the same way.
@@ -268,6 +270,12 @@ try {
     if (windowed.completed != windowed.offered) {
         std::cerr << "FAIL: day did not drain ("
                   << windowed.completed << "/" << windowed.offered
+                  << " completed)\n";
+        rc = 1;
+    }
+    if (compare_serial && serial.completed != serial.offered) {
+        std::cerr << "FAIL: serial core did not drain ("
+                  << serial.completed << "/" << serial.offered
                   << " completed)\n";
         rc = 1;
     }

@@ -17,8 +17,9 @@
  *    function of (seed, engine count, horizon), so a chaos campaign
  *    is replayed from its seed alone.
  *
- * expandFaultPlan() resolves both into one time-sorted event list the
- * simulator walks against its event calendar. The fault kinds:
+ * expandFaultPlan() resolves both into one time-sorted event list; its
+ * next event is one of the simulator's wake sources, so each fault
+ * lands exactly on its own time. The fault kinds:
  *
  *  - ReplicaFail / ReplicaRepair: fail-stop of one engine slice and
  *    its rebuild (spin-up priced over the host link, like any scale

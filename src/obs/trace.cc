@@ -145,7 +145,6 @@ TraceRecorder::span(int track_id, const std::string &name,
     e.category = category;
     e.argsJson = encodeArgs(args);
     events_.push_back(std::move(e));
-    ++spans_;
 }
 
 void
@@ -183,7 +182,6 @@ TraceRecorder::flow(int track_id, char phase, const std::string &name,
     e.name = name;
     e.category = category;
     events_.push_back(std::move(e));
-    ++flows_;
 }
 
 void

@@ -105,15 +105,6 @@ class TraceRecorder
     /** Events recorded so far (spans + instants + flow events). */
     std::size_t eventCount() const { return events_.size(); }
 
-    /** Spans recorded so far. */
-    std::size_t spanCount() const { return spans_; }
-
-    /** Flow events recorded so far. */
-    std::size_t flowCount() const { return flows_; }
-
-    /** Tracks created so far. */
-    int trackCount() const { return static_cast<int>(names_.size()); }
-
     /**
      * Write the full trace as JSON: thread_name metadata first, then
      * every event stable-sorted by timestamp (per-track monotone).
@@ -143,8 +134,6 @@ class TraceRecorder
     std::vector<std::string> names_; //!< track id -> display name
     std::unordered_map<std::string, int> ids_;
     std::vector<Event> events_;
-    std::size_t spans_ = 0;
-    std::size_t flows_ = 0;
 };
 
 } // namespace laer

@@ -288,9 +288,6 @@ class ServingEngine
         return lastRouting_;
     }
 
-    /** Steps executed by this engine so far. */
-    int stepsExecuted() const { return stepIndex_; }
-
     /** LAER re-tunes applied so far. */
     int retunes() const { return retunes_; }
 

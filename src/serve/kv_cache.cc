@@ -1,7 +1,5 @@
 #include "serve/kv_cache.hh"
 
-#include <algorithm>
-
 #include "core/error.hh"
 
 namespace laer
@@ -85,7 +83,6 @@ KvCachePool::grow(int id, TokenCount context)
                    << " B are free");
     it->second = target;
     reserved_ += delta;
-    peakReserved_ = std::max(peakReserved_, reserved_);
     ++growOps_;
 }
 

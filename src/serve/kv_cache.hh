@@ -158,9 +158,6 @@ class KvCachePool
     /** Number of sequences holding a reservation. */
     int sequences() const { return static_cast<int>(perSeq_.size()); }
 
-    /** High-water mark of reservedBytes() over the pool's lifetime. */
-    Bytes peakReservedBytes() const { return peakReserved_; }
-
     /** grow() calls that actually extended a reservation. */
     std::int64_t growOps() const { return growOps_; }
 
@@ -172,7 +169,6 @@ class KvCachePool
     Bytes bytesPerToken_;
     TokenCount blockTokens_;
     Bytes reserved_ = 0;
-    Bytes peakReserved_ = 0;
     std::int64_t growOps_ = 0;
     std::int64_t releaseOps_ = 0;
     std::unordered_map<int, Bytes> perSeq_;

@@ -146,21 +146,6 @@ ServingSimulator::ServingSimulator(const Cluster &cluster,
     nextSnapshot_ = config_.snapshotInterval;
     desParallel_ = config_.desParallel;
     barrier_ = kNever;
-    // Calendar handles: one per engine (keyed by index) plus the two
-    // singleton streams. Nothing is scheduled yet — every engine is
-    // free at t = 0 and the first arrival is unknown until the first
-    // pump.
-    for (std::size_t i = 0; i < engines_.size(); ++i)
-        engineWake_.push_back(
-            calendar_.makeHandle(static_cast<int>(i)));
-    arrivalWake_ =
-        calendar_.makeHandle(static_cast<int>(engines_.size()));
-    migrationWake_ =
-        calendar_.makeHandle(static_cast<int>(engines_.size()) + 1);
-    faultWake_ =
-        calendar_.makeHandle(static_cast<int>(engines_.size()) + 2);
-    retryWake_ =
-        calendar_.makeHandle(static_cast<int>(engines_.size()) + 3);
     // Fault injection is strictly opt-in: with the plan empty every
     // hook below stays behind one bool and the run is byte-for-byte
     // with its fault-free history.
@@ -447,7 +432,6 @@ ServingSimulator::requestReplicas(int target)
                 EngineState::Loading);
             const Seconds d = loadDelayFor(slices_[i]);
             freeAt_[i] = now_ + d;
-            scheduleEngineWake(i);
             delay = std::max(delay, d);
             ++spun;
         }
@@ -479,7 +463,6 @@ ServingSimulator::requestReplicas(int target)
                 freeAt_[i] = now_; // no step in flight: drain at once
             engines_[i]->beginDrain();
             drainStart_[static_cast<std::size_t>(i)] = now_;
-            scheduleEngineWake(static_cast<std::size_t>(i));
             --to_drain;
         }
         applyReconfig();
@@ -548,7 +531,6 @@ ServingSimulator::requestSplit(int prefill_devices)
             freeAt_[i] = now_; // no step in flight: drain at once
         engines_[i]->beginDrain();
         drainStart_[static_cast<std::size_t>(i)] = now_;
-        scheduleEngineWake(static_cast<std::size_t>(i));
     }
     applyReconfig();
     return true;
@@ -728,7 +710,6 @@ ServingSimulator::applyReconfig()
                 faultDownSince_[i] = -1.0;
                 updateDegraded();
             }
-            scheduleEngineWake(i);
         }
 
     // Complete due drains. A Draining engine with freeAt_ <= now_ has
@@ -772,11 +753,9 @@ ServingSimulator::applyReconfig()
                     LAER_REQ_EVENT(config_.reqTrace,
                                    onRehome(r.id, now_,
                                             static_cast<int>(target)));
-                scheduleEngineWake(target);
             }
             pending_.rehomed += static_cast<int>(evicted.size());
         }
-        scheduleEngineWake(i);
     }
 
     if (!pending_.active)
@@ -809,7 +788,6 @@ ServingSimulator::applyReconfig()
             }
             pending_.rehomed +=
                 static_cast<int>(pending_.held[i].size());
-            scheduleEngineWake(static_cast<std::size_t>(i));
         }
         ScalingEvent event;
         event.requested = pending_.requestedAt;
@@ -895,7 +873,6 @@ ServingSimulator::pumpArrivals()
         } else {
             engines_[0]->enqueue(lookahead_);
         }
-        scheduleEngineWake(target);
         ++offered_;
         LAER_TRACE_INSTANT(config_.trace, poolTrack(target), "admit",
                            "serve", lookahead_.arrival,
@@ -912,7 +889,6 @@ ServingSimulator::pumpArrivals()
                                    static_cast<int>(target)));
         lookaheadValid_ = false;
     }
-    scheduleArrivalWake();
 }
 
 void
@@ -1082,7 +1058,6 @@ ServingSimulator::harvestFinished(int pool_index,
         kvTransferSeconds_ += wire;
         ++migrated_;
     }
-    scheduleMigrationWake();
 }
 
 void
@@ -1108,9 +1083,7 @@ ServingSimulator::pumpMigrations()
                                            now_));
         decode.enqueue(m.request);
         migrations_.pop_front();
-        scheduleEngineWake(1);
     }
-    scheduleMigrationWake();
     // Back-pressure: a transferred context stuck at the decode pool's
     // door closes prefill admission until the decode pool drains. A
     // draining prefill pool keeps its admission shut regardless.
@@ -1188,7 +1161,6 @@ ServingSimulator::applyFaults()
     for (std::size_t i = 0; i < engines_.size(); ++i)
         if (pendingKill_[i] && freeAt_[i] <= now_)
             applyKill(i);
-    scheduleFaultWake();
 }
 
 void
@@ -1260,7 +1232,6 @@ ServingSimulator::applyFaultEvent(const FaultEvent &event)
             abortTransfer(std::move(m.request), decode_target,
                           m.readyAt);
         }
-        scheduleMigrationWake();
         updateDegraded();
         break;
     }
@@ -1375,7 +1346,6 @@ ServingSimulator::resizePoolKv(std::size_t i)
         engines_[i]->resizeKvBudget(budget);
     for (const Request &r : unservable)
         failRequest(r);
-    scheduleEngineWake(i);
 }
 
 void
@@ -1398,7 +1368,6 @@ ServingSimulator::applyKill(std::size_t i)
     // cleared); the retry queue re-admits them after backoff.
     for (Request &r : evicted)
         scheduleRetry(std::move(r), now_);
-    scheduleEngineWake(i); // cancels: a dead engine never wakes
 }
 
 void
@@ -1416,7 +1385,6 @@ ServingSimulator::applyRepair(std::size_t i)
         EngineState::Loading);
     const Seconds delay = loadDelayFor(slices_[i]);
     freeAt_[i] = now_ + delay;
-    scheduleEngineWake(i);
     ScalingEvent event;
     event.requested = now_;
     event.applied = now_ + delay;
@@ -1488,7 +1456,6 @@ ServingSimulator::scheduleRetry(Request request, Seconds killed_at)
                              return a.readyAt < b.readyAt;
                          }),
         std::move(retry));
-    scheduleRetryWake();
 }
 
 void
@@ -1592,46 +1559,7 @@ ServingSimulator::pumpRetries()
         // its failure and must not queue behind the backlog again.
         engines_[static_cast<std::size_t>(target)]->enqueueFront(
             retry.request);
-        scheduleEngineWake(static_cast<std::size_t>(target));
     }
-    scheduleRetryWake();
-}
-
-void
-ServingSimulator::scheduleFaultWake()
-{
-    Seconds t = kNever;
-    if (nextFault_ < faultPlan_.size() &&
-        faultPlan_[nextFault_].time > now_)
-        t = faultPlan_[nextFault_].time;
-    for (std::size_t i = 0; i < engines_.size(); ++i)
-        if (pendingKill_[i] && freeAt_[i] > now_)
-            t = std::min(t, freeAt_[i]);
-    if (t == kNever) {
-        calendar_.cancel(faultWake_);
-        return;
-    }
-    if (calendar_.scheduled(faultWake_) &&
-        calendar_.timeOf(faultWake_) == t)
-        return;
-    calendar_.schedule(faultWake_, t);
-}
-
-void
-ServingSimulator::scheduleRetryWake()
-{
-    // A due-but-blocked retry front is not an event (the arrival-door
-    // idiom): pumpRetries re-evaluates it each step, and the revival
-    // it waits on has its own wake.
-    if (retryQueue_.empty() || retryQueue_.front().readyAt <= now_) {
-        calendar_.cancel(retryWake_);
-        return;
-    }
-    const Seconds ready = retryQueue_.front().readyAt;
-    if (calendar_.scheduled(retryWake_) &&
-        calendar_.timeOf(retryWake_) == ready)
-        return;
-    calendar_.schedule(retryWake_, ready);
 }
 
 bool
@@ -1712,10 +1640,8 @@ ServingSimulator::applyStep(std::size_t i, StepRecord rec)
     poolStats_[i].preemptions +=
         static_cast<std::int64_t>(rec.preempted.size());
     replayStepTrace(rec.preempted, res.start, rec.shares);
-    if (rec.idle) {
-        scheduleEngineWake(i);
+    if (rec.idle)
         return;
-    }
 
     freeAt_[i] = res.start + res.duration;
     if (engines_[i]->batcher().kvEnabled()) {
@@ -1759,7 +1685,6 @@ ServingSimulator::applyStep(std::size_t i, StepRecord rec)
                               "planner.retune_over_budget", 1);
     }
     harvestFinished(static_cast<int>(i), std::move(rec.completions));
-    scheduleEngineWake(i);
 
     if (config_.policy == ServingPolicy::Disaggregated &&
         config_.disagg.sharedLayout) {
@@ -1773,66 +1698,20 @@ ServingSimulator::applyStep(std::size_t i, StepRecord rec)
     steps_.push_back(res);
 }
 
-void
-ServingSimulator::scheduleEngineWake(std::size_t i)
-{
-    // Busy engines with work wake at their finish; Loading and
-    // Draining engines wake regardless — the ready/idle moment is
-    // itself the event the control plane is waiting on. Past times
-    // are not events: the pumps re-evaluate every source each step,
-    // so a due-but-unserviceable wake never wedges the clock.
-    const EngineState state = engines_[i]->state();
-    const bool wakes = (engines_[i]->hasWork() ||
-                        state == EngineState::Loading ||
-                        state == EngineState::Draining) &&
-                       freeAt_[i] > now_;
-    const EventCalendar::Handle h = engineWake_[i];
-    if (!wakes) {
-        calendar_.cancel(h);
-        return;
-    }
-    if (calendar_.scheduled(h) && calendar_.timeOf(h) == freeAt_[i])
-        return; // unchanged: keep the live heap entry
-    calendar_.schedule(h, freeAt_[i]);
-}
-
-void
-ServingSimulator::scheduleArrivalWake()
-{
-    // A due-but-held arrival (front door closed during a
-    // reconfiguration) is not a future event; the drain/load wake-ups
-    // drive the clock until the door reopens.
-    if (!lookaheadValid_ || lookahead_.arrival <= now_) {
-        calendar_.cancel(arrivalWake_);
-        return;
-    }
-    if (calendar_.scheduled(arrivalWake_) &&
-        calendar_.timeOf(arrivalWake_) == lookahead_.arrival)
-        return;
-    calendar_.schedule(arrivalWake_, lookahead_.arrival);
-}
-
-void
-ServingSimulator::scheduleMigrationWake()
-{
-    if (migrations_.empty() || migrations_.front().readyAt <= now_) {
-        calendar_.cancel(migrationWake_);
-        return;
-    }
-    const Seconds ready = migrations_.front().readyAt;
-    if (calendar_.scheduled(migrationWake_) &&
-        calendar_.timeOf(migrationWake_) == ready)
-        return;
-    calendar_.schedule(migrationWake_, ready);
-}
-
 Seconds
-ServingSimulator::legacyNextEventTime() const
+ServingSimulator::nextEventTime() const
 {
+    // An engine wakes at its finish when it has work, when it is
+    // Loading or Draining (the ready / idle moment is itself the event
+    // the control plane waits on), or when a deferred fail-stop lands
+    // there. Past times are not events: the pumps re-evaluate every
+    // source each step, so a due-but-unserviceable source (an arrival
+    // held at a closed door, a blocked retry front) never wedges the
+    // clock; the revival it waits on has its own wake.
     Seconds t = kNever;
     for (std::size_t i = 0; i < engines_.size(); ++i) {
         const EngineState state = engines_[i]->state();
-        const bool wakes = engines_[i]->hasWork() ||
+        const bool wakes = engines_[i]->hasWork() || pendingKill_[i] ||
                            state == EngineState::Loading ||
                            state == EngineState::Draining;
         if (wakes && freeAt_[i] > now_)
@@ -1843,34 +1722,13 @@ ServingSimulator::legacyNextEventTime() const
     if (!migrations_.empty() && migrations_.front().readyAt > now_)
         t = std::min(t, migrations_.front().readyAt);
     if (faultsEnabled_) {
-        // Mirror of scheduleFaultWake()/scheduleRetryWake(): the next
-        // scripted event, any deferred kill boundary, and the retry
-        // front. Due-but-blocked retries are not events (pumpRetries
-        // re-evaluates them; a revival's own wake drives the clock).
         if (nextFault_ < faultPlan_.size() &&
             faultPlan_[nextFault_].time > now_)
             t = std::min(t, faultPlan_[nextFault_].time);
-        for (std::size_t i = 0; i < engines_.size(); ++i)
-            if (pendingKill_[i] && freeAt_[i] > now_)
-                t = std::min(t, freeAt_[i]);
         if (!retryQueue_.empty() &&
             retryQueue_.front().readyAt > now_)
             t = std::min(t, retryQueue_.front().readyAt);
     }
-    return t;
-}
-
-Seconds
-ServingSimulator::nextEventTime()
-{
-    const Seconds t = calendar_.peekTime();
-#ifndef NDEBUG
-    // Debug oracle: the calendar must agree with the exhaustive scan
-    // it replaced. Release builds skip the O(engines) walk — that
-    // walk being gone is the point of the calendar.
-    LAER_ASSERT(t == legacyNextEventTime(),
-                "event calendar disagrees with the legacy event scan");
-#endif
     return t;
 }
 
@@ -1912,9 +1770,12 @@ ServingSimulator::stepOnce()
     if (t == kNever) {
         // Fully drained — nothing in any pool or in flight between
         // them.
-        for (const auto &engine : engines_)
-            LAER_ASSERT(!engine->hasWork(),
+        for (std::size_t i = 0; i < engines_.size(); ++i) {
+            LAER_ASSERT(!engines_[i]->hasWork(),
                         "run ended while a pool holds live requests");
+            LAER_ASSERT(!pendingKill_[i],
+                        "run ended with a fail-stop still deferred");
+        }
         LAER_ASSERT(migrations_.empty(),
                     "run ended with contexts in flight");
         LAER_ASSERT(!pending_.active,
@@ -1952,7 +1813,7 @@ ServingSimulator::stepWindow()
 
     // The window runs to the next control barrier or snapshot
     // boundary, whichever comes first. Both are time grids, not
-    // calendar events: the serial core's clock lands ON events, the
+    // events: the serial core's clock lands ON events, the
     // windowed core's clock walks the grid.
     Seconds window_end = barrier_;
     if (config_.metricsRegistry != nullptr &&
@@ -2116,8 +1977,6 @@ ServingSimulator::binWindowArrivals(Seconds window_end)
                                    static_cast<int>(target)));
         lookaheadValid_ = false;
     }
-    // Keep the calendar coherent for a later serial fallback.
-    scheduleArrivalWake();
     return bins;
 }
 
@@ -2201,9 +2060,6 @@ ServingSimulator::mergeWindowBuffers(std::vector<WindowBuffer> &buffers)
             break;
         applyStep(b, std::move(buffers[b].steps[cursor[b]++]));
     }
-    // Binned arrivals and shard landings change engines' wakes too.
-    for (std::size_t i = 0; i < engines_.size(); ++i)
-        scheduleEngineWake(i);
 }
 
 ServingReport

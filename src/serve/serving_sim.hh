@@ -52,7 +52,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/event_calendar.hh"
 #include "core/stats.hh"
 #include "fault/fault.hh"
 #include "model/config.hh"
@@ -582,7 +581,9 @@ class ServingSimulator
     // ---- fault injection (src/fault/; all no-ops when disabled) ----
 
     /** Apply fault-plan events due at now_, then any deferred
-     * fail-stop whose engine has reached its busy-until. */
+     * fail-stop whose engine has reached its busy-until. The next
+     * scripted event and every deferred kill's step end are wakes of
+     * nextEventTime(), so each lands exactly on its own time. */
     void applyFaults();
 
     /** Apply one fault event at now_ (idempotent per kind). */
@@ -613,7 +614,7 @@ class ServingSimulator
      * work has already been attributed (the prefill finish for a
      * handover that never touched the wire, the wire's would-be end
      * for one cut in flight) — the retry dead time starts there, not
-     * at the calendar event that noticed the cut, so the per-request
+     * at the event that noticed the cut, so the per-request
      * attribution stays exact. */
     void abortTransfer(Request request, TokenCount decode_target,
                        Seconds killed_at);
@@ -633,13 +634,6 @@ class ServingSimulator
     /** True while a currently-unservable retry should keep waiting:
      * an engine is Loading, or the plan still holds a repair. */
     bool reviveExpected() const;
-
-    /** Refresh the fault-plan calendar entry (next scripted event or
-     * deferred-kill boundary). */
-    void scheduleFaultWake();
-
-    /** Refresh the retry-front calendar entry. */
-    void scheduleRetryWake();
 
     /** Re-evaluate the degraded predicate after any fault-state
      * transition; accrues degraded time and its goodput window. */
@@ -677,21 +671,9 @@ class ServingSimulator
 
     /** Apply the window's buffered steps in (step start, engine
      * index) order — the interleaving a serial sweep of the same
-     * windows would have produced — then refresh the calendar. */
+     * windows would have produced. The serial core needs no
+     * hand-off: its next event is re-derived from the state. */
     void mergeWindowBuffers(std::vector<WindowBuffer> &buffers);
-
-    // ---- event calendar (core/event_calendar.hh) -------------------
-
-    /** Refresh engine `i`'s calendar entry from its state/freeAt_;
-     * call after every mutation that can change when (or whether) the
-     * engine wakes. */
-    void scheduleEngineWake(std::size_t i);
-
-    /** Refresh the next-arrival singleton entry from the lookahead. */
-    void scheduleArrivalWake();
-
-    /** Refresh the migration-front singleton entry. */
-    void scheduleMigrationWake();
 
     // ---- observability plumbing (no-ops when nothing is attached) --
 
@@ -744,13 +726,13 @@ class ServingSimulator
      * check, per-class aggregation, Perfetto emission. */
     void retireSampledRequest(const Request &done);
 
-    /** Earliest future event (engine finish, arrival, transfer);
-     * +infinity when the run has fully drained. O(log sources) off
-     * the calendar; debug builds cross-check the legacy scan. */
-    Seconds nextEventTime();
-
-    /** The pre-calendar O(engines) scan, kept as the debug oracle. */
-    Seconds legacyNextEventTime() const;
+    /** Earliest future event: an engine's step end, load or drain
+     * (or its deferred fail-stop), the next arrival, the migration
+     * front, and with faults on the next scripted fault and the retry
+     * front. +infinity when the run has fully drained. One O(engines)
+     * scan re-derived from the state on every call, so no mutation
+     * has to keep a second copy of the wake sources up to date. */
+    Seconds nextEventTime() const;
 
     /** Build the report from the current state (run()/finish()). */
     ServingReport buildReport() const;
@@ -791,16 +773,6 @@ class ServingSimulator
     bool lookaheadValid_ = false;
     bool offeringClosed_ = false;
     Seconds now_ = 0.0;
-
-    // Event calendar: one wake handle per engine (keyed by index, so
-    // simultaneous wakes pop in engine order) plus singleton streams.
-    // Entries always lie strictly in the future of now_.
-    EventCalendar calendar_;
-    std::vector<EventCalendar::Handle> engineWake_;
-    EventCalendar::Handle arrivalWake_ = EventCalendar::kInvalidHandle;
-    EventCalendar::Handle migrationWake_ = EventCalendar::kInvalidHandle;
-    EventCalendar::Handle faultWake_ = EventCalendar::kInvalidHandle;
-    EventCalendar::Handle retryWake_ = EventCalendar::kInvalidHandle;
 
     // Fault-injection state (src/fault/; untouched when disabled).
     struct PendingRetry

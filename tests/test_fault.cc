@@ -4,8 +4,8 @@
  * serve-layer recovery semantics: plan expansion/parsing, request
  * conservation across replica death, retry-budget exhaustion, KV-loss
  * recompute accounting under exact attribution, dead-link transfer
- * aborts, degraded-pool admission shrink, and determinism of a
- * faulted run.
+ * aborts, degraded-pool admission shrink, a deferred fail-stop landing
+ * at its victim's step end, and determinism of a faulted run.
  */
 
 #include <cstdio>
@@ -178,6 +178,37 @@ TEST(FaultRecovery, AllReplicasDeadFailsFastInsteadOfHanging)
     EXPECT_GT(report.availability.requestsFailed, 0);
     EXPECT_EQ(report.offered,
               report.completed + report.availability.requestsFailed);
+}
+
+TEST(FaultRecovery, DeferredKillLandsAtTheVictimsStepEnd)
+{
+    const Cluster cluster(2, 4, 300e9, 12.5e9, 212e12);
+    ServingConfig cfg = faultReplicaConfig(30.0);
+    ServingSimulator clean(cluster, cfg);
+    clean.run();
+    const ServingStepResult *last = nullptr;
+    for (const ServingStepResult &r : clean.stepResults())
+        if (r.pool == 1)
+            last = &r;
+    ASSERT_NE(last, nullptr);
+    const Seconds step_end = last->start + last->duration;
+
+    // Fail replica 1 mid-way through its last step, with no repair:
+    // the in-flight step finishes, and the kill must land exactly at
+    // its end even though the engine has no work left to wake it.
+    cfg.faults.events.push_back({last->start + 0.5 * last->duration,
+                                 FaultKind::ReplicaFail, 1, 1.0});
+    ServingSimulator sim(cluster, cfg);
+    const ServingReport report = sim.run();
+
+    EXPECT_EQ(sim.engine(1).state(), EngineState::Stopped);
+    EXPECT_EQ(report.availability.faultsInjected, 1);
+    EXPECT_EQ(report.offered,
+              report.completed + report.availability.requestsFailed);
+    // Both 4-device replicas are powered until the kill, replica 0
+    // alone after it: deviceSeconds = 4 * elapsed + 4 * kill time.
+    const Seconds killed_at = report.deviceSeconds / 4.0 - report.elapsed;
+    EXPECT_NEAR(killed_at, step_end, 1e-9);
 }
 
 TEST(FaultRecovery, KvLossRecomputeKeepsAttributionExact)
