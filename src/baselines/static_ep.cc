@@ -62,14 +62,20 @@ staticEpLayout(const Cluster &cluster, int n_experts,
     return layout;
 }
 
-RoutingPlan
-staticEpRouting(const RoutingMatrix &routing, const EpGrouping &grouping,
-                const ExpertLayout &layout)
+namespace
+{
+
+/** Walk the vanilla EP rule: visit(i, j, target, tokens) for every
+ * non-zero R[i][j], in (source, expert) order. */
+template <typename Visit>
+void
+forEachStaticEpRoute(const RoutingMatrix &routing,
+                     const EpGrouping &grouping,
+                     const ExpertLayout &layout, Visit visit)
 {
     const int n = routing.numDevices();
     const int e = routing.numExperts();
     const int capacity = e / grouping.epDegree();
-    RoutingPlan plan(n, e);
     for (DeviceId i = 0; i < n; ++i) {
         const int group = grouping.groupOf(i);
         for (ExpertId j = 0; j < e; ++j) {
@@ -80,10 +86,37 @@ staticEpRouting(const RoutingMatrix &routing, const EpGrouping &grouping,
                 grouping.deviceAt(group, j / capacity);
             LAER_ASSERT(layout.at(target, j) > 0,
                         "static layout misses the target expert");
-            plan.at(i, j, target) += tokens;
+            visit(i, j, target, tokens);
         }
     }
+}
+
+} // namespace
+
+RoutingPlan
+staticEpRouting(const RoutingMatrix &routing, const EpGrouping &grouping,
+                const ExpertLayout &layout)
+{
+    RoutingPlan plan(routing.numDevices(), routing.numExperts());
+    forEachStaticEpRoute(routing, grouping, layout,
+                         [&](DeviceId i, ExpertId j, DeviceId target,
+                             TokenCount tokens) {
+                             plan.at(i, j, target) += tokens;
+                         });
     return plan;
+}
+
+void
+staticEpRoutingSparse(const RoutingMatrix &routing,
+                      const EpGrouping &grouping,
+                      const ExpertLayout &layout, RoutingPlanSparse &plan)
+{
+    plan.clear(routing.numDevices(), routing.numExperts());
+    forEachStaticEpRoute(routing, grouping, layout,
+                         [&](DeviceId i, ExpertId j, DeviceId target,
+                             TokenCount tokens) {
+                             plan.add(i, j, target, tokens);
+                         });
 }
 
 } // namespace laer

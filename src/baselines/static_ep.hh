@@ -19,6 +19,7 @@
 #ifndef LAER_BASELINES_STATIC_EP_HH
 #define LAER_BASELINES_STATIC_EP_HH
 
+#include "planner/routing_plan_sparse.hh"
 #include "planner/types.hh"
 #include "topo/cluster.hh"
 
@@ -70,6 +71,17 @@ ExpertLayout staticEpLayout(const Cluster &cluster, int n_experts,
 RoutingPlan staticEpRouting(const RoutingMatrix &routing,
                             const EpGrouping &grouping,
                             const ExpertLayout &layout);
+
+/**
+ * staticEpRouting straight into sparse form, one triple per non-zero
+ * R[i][j]: exactly the dense plan compressed, with no N x E x N
+ * materialisation (the serving step pricer's hot path).
+ * @param plan  Output; cleared and filled (storage reused).
+ */
+void staticEpRoutingSparse(const RoutingMatrix &routing,
+                           const EpGrouping &grouping,
+                           const ExpertLayout &layout,
+                           RoutingPlanSparse &plan);
 
 } // namespace laer
 

@@ -203,20 +203,22 @@ generateScenario(std::uint64_t seed)
 
     // Optional fault plan (~25% of the scenarios that can survive
     // one): a mid-run fail-stop with a scripted repair on replica
-    // topologies, a boundary-link flap under Disaggregated. Every
-    // plan heals well before the horizon, so the equivalence lanes
-    // compare recovered runs, not wedged ones.
+    // topologies; under Disaggregated either a boundary-link flap or
+    // a fail-stop plus repair of a uniformly drawn pool. Every plan
+    // heals well before the horizon, so the equivalence lanes compare
+    // recovered runs, not wedged ones.
     const bool replicated = cfg.replicas.initialReplicas >= 2;
     if ((replicated || cfg.policy == ServingPolicy::Disaggregated) &&
         rng.uniform() < 0.25) {
         const Seconds down = rng.uniform(0.25, 0.45) * cfg.horizon;
         const Seconds up =
             down + rng.uniform(0.15, 0.30) * cfg.horizon;
-        if (replicated) {
+        if (replicated || rng.uniform() < 0.5) {
+            const int victim = replicated ? 1 : rng.uniformInt(0, 1);
             cfg.faults.events.push_back(
-                {down, FaultKind::ReplicaFail, 1, 1.0});
+                {down, FaultKind::ReplicaFail, victim, 1.0});
             cfg.faults.events.push_back(
-                {up, FaultKind::ReplicaRepair, 1, 1.0});
+                {up, FaultKind::ReplicaRepair, victim, 1.0});
         } else {
             cfg.faults.events.push_back(
                 {down, FaultKind::LinkDown, 0, 1.0});

@@ -29,8 +29,10 @@
  *  - topology: ~35% of LaerServe scenarios run two half-cluster
  *    replica slices instead of one whole-cluster engine;
  *  - faults: ~25% of replica/Disaggregated scenarios carry a fault
- *    plan (a mid-run replica fail-stop with a scripted repair, or a
- *    boundary-link down/up flap) that heals before the horizon.
+ *    plan that heals before the horizon: a mid-run replica fail-stop
+ *    with a scripted repair, or under Disaggregated either a
+ *    boundary-link down/up flap or a fail-stop plus repair of a
+ *    uniformly drawn pool.
  *
  * shrinkScenario() turns a failing (lane, scenario) pair into a
  * minimal reproducer by bisecting the knobs toward their floors —

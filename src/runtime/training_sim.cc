@@ -78,7 +78,6 @@ TrainingSimulator::TrainingSimulator(const Cluster &cluster,
     if (config_.system == SystemKind::FlexMoe) {
         FlexMoeConfig fc;
         fc.capacity = config_.capacity;
-        fc.maxMovesPerStep = config_.flexMaxMoves;
         fc.expertBytes = config_.model.expertParamBytes();
         fc.cost.commBytesPerToken = config_.model.tokenBytes();
         fc.cost.compFlopsPerToken = config_.model.expertFlopsPerToken();

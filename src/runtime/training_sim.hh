@@ -54,7 +54,6 @@ struct SimulatorConfig
                                   //!< DES (timing scales to model.layers)
     RoutingModel routing;         //!< synthetic router parameters
     TunerConfig tuner;            //!< LAER planner knobs
-    int flexMaxMoves = 2;         //!< FlexMoE adjustments per step
     int smartPeriod = 100;        //!< SmartMoE re-layout period
     std::uint64_t seed = 42;
 };

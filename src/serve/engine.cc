@@ -51,6 +51,9 @@ servingPolicyName(ServingPolicy policy)
 namespace
 {
 
+/** Scheduler + kernel-launch cost charged per engine step. */
+constexpr Seconds kStepOverhead = 2e-3;
+
 /** EP group structure (only meaningful for the StaticEp policy). */
 EpGrouping
 makeGrouping(const Cluster &topo, const EngineConfig &config)
@@ -76,18 +79,6 @@ evenStartLayout(const Cluster &topo, int n_experts, int capacity)
         capacity);
 }
 
-/** Transpose a volume matrix (combine reverses dispatch). */
-VolumeMatrix
-transposeVolume(const VolumeMatrix &volume)
-{
-    const std::size_t n = volume.size();
-    VolumeMatrix out(n, std::vector<Bytes>(n, 0));
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t k = 0; k < n; ++k)
-            out[k][i] = volume[i][k];
-    return out;
-}
-
 } // namespace
 
 ServingEngine::ServingEngine(const DevicePoolSlice &slice,
@@ -107,8 +98,6 @@ ServingEngine::ServingEngine(const DevicePoolSlice &slice,
                "batcher sized for " << config_.batcher.numDevices
                                     << " devices but the pool holds "
                                     << slice_.numDevices());
-    LAER_CHECK(config_.hostLinkBw > 0,
-               "host-link bandwidth must be positive");
     const int experts = config_.model.numExperts;
     for (int l = 0; l < config_.simulatedLayers; ++l) {
         RoutingModel m = config_.routing;
@@ -143,7 +132,6 @@ ServingEngine::ServingEngine(const DevicePoolSlice &slice,
       case ServingPolicy::FlexMoe: {
         FlexMoeConfig fc;
         fc.capacity = config_.capacity;
-        fc.maxMovesPerStep = config_.flexMaxMoves;
         fc.expertBytes = config_.model.expertParamBytes();
         fc.cost = config_.tuner.cost;
         for (int l = 0; l < config_.simulatedLayers; ++l) {
@@ -172,10 +160,8 @@ ServingEngine::setReady()
 void
 ServingEngine::beginDrain()
 {
-    LAER_CHECK(state_ == EngineState::Active ||
-                   state_ == EngineState::Loading,
-               "beginDrain on a " << engineStateName(state_)
-                                  << " engine");
+    LAER_CHECK(accepting(), "beginDrain on a " << engineStateName(state_)
+                                               << " engine");
     state_ = EngineState::Draining;
     batcher_.setAdmissionPaused(true);
 }
@@ -338,24 +324,16 @@ ServingEngine::executeStep(const BatchPlan &plan, Seconds start)
     res.migration = updateLayouts(routing, res);
 
     // Per-layer route + price fan-out into the reusable scratch
-    // slots. The lite-routed policies go through the sparse plan (the
-    // dense S and volume matrices never exist); StaticEp routes its
-    // grouped dense plan and is folded to the same port loads. All
-    // sums are exact integers, so the priced times are bit-identical
-    // to the dense formulation.
+    // slots. Every policy routes into the sparse plan (the dense S and
+    // volume matrices never exist): lite routing against the layout's
+    // replica index, or StaticEp's fixed in-group rule. All sums are
+    // exact integers, so the priced times are bit-identical to the
+    // dense formulation.
     runLayers([&](int l) {
         const auto li = static_cast<std::size_t>(l);
         if (config_.policy == ServingPolicy::StaticEp) {
-            const RoutingPlan plan = staticEpRouting(
-                routing[li], grouping_, layouts_[li]);
-            const VolumeMatrix vol =
-                plan.dispatchVolume(model.tokenBytes());
-            layerDispatch_[li] =
-                kCollectiveAlpha + a2aBottleneckTime(topo, vol);
-            layerCombine_[li] =
-                kCollectiveAlpha +
-                a2aBottleneckTime(topo, transposeVolume(vol));
-            recvTokens_[li] = plan.receivedTokens();
+            staticEpRoutingSparse(routing[li], grouping_, layouts_[li],
+                                  sparsePlans_[li]);
         } else {
             if (indexDirty_[li]) {
                 replicaIndex_[li].rebuild(topo, layouts_[li]);
@@ -363,17 +341,17 @@ ServingEngine::executeStep(const BatchPlan &plan, Seconds start)
             }
             liteRoutingSparse(topo, routing[li], replicaIndex_[li],
                               sparsePlans_[li]);
-            sparsePlans_[li].portLoads(topo, model.tokenBytes(),
-                                       portLoads_[li]);
-            layerDispatch_[li] =
-                kCollectiveAlpha +
-                a2aBottleneckTimeFromLoads(topo, portLoads_[li]);
-            layerCombine_[li] =
-                kCollectiveAlpha +
-                a2aBottleneckTimeFromLoads(topo, portLoads_[li],
-                                           /*transpose=*/true);
-            sparsePlans_[li].receivedTokens(recvTokens_[li]);
         }
+        sparsePlans_[li].portLoads(topo, model.tokenBytes(),
+                                   portLoads_[li]);
+        layerDispatch_[li] =
+            kCollectiveAlpha +
+            a2aBottleneckTimeFromLoads(topo, portLoads_[li]);
+        layerCombine_[li] =
+            kCollectiveAlpha +
+            a2aBottleneckTimeFromLoads(topo, portLoads_[li],
+                                       /*transpose=*/true);
+        sparsePlans_[li].receivedTokens(recvTokens_[li]);
         recvDouble_[li].assign(recvTokens_[li].begin(),
                                recvTokens_[li].end());
         layerImbalance_[li] = imbalanceFactor(recvDouble_[li]);
@@ -450,7 +428,7 @@ ServingEngine::executeStep(const BatchPlan &plan, Seconds start)
     const Seconds head = lmHeadForwardTime(model, sampled, 1,
                                            topo.computeFlops());
     res.duration = eng.makespan() * layer_scale + head +
-                   config_.stepOverhead + res.migration;
+                   kStepOverhead + res.migration;
 
     // Swap-style preemption traffic recorded while planning this step
     // drains over the host link and serialises with the step.
@@ -458,7 +436,7 @@ ServingEngine::executeStep(const BatchPlan &plan, Seconds start)
     res.swapInBytes = batcher_.takeSwapInBytes();
     res.swapTime = static_cast<double>(res.swapOutBytes +
                                        res.swapInBytes) /
-                   config_.hostLinkBw;
+                   kHostLinkBw;
     res.duration += res.swapTime;
 
     const auto busy = eng.categoryBusyPerDevice();

@@ -20,12 +20,13 @@
  * step's finish time). Swap-style preemption traffic recorded by the
  * batcher is charged here at the host-link bandwidth.
  *
- * Step pricing for the lite-routed policies runs on the sparse hot
- * path: per-layer `RoutingPlanSparse` built against a cached
- * `ReplicaIndex` (rebuilt only when the layout changes) with scratch
- * buffers reused across steps, so neither the dense N x E x N plan
- * nor the dense volume matrices exist at any point — the priced times
- * are bit-identical to the dense formulation. Per-layer tune/route
+ * Step pricing for every policy runs on the sparse hot path: a
+ * per-layer `RoutingPlanSparse`, built against a cached
+ * `ReplicaIndex` (rebuilt only when the layout changes) for the
+ * lite-routed policies or by StaticEp's fixed in-group rule, with
+ * scratch buffers reused across steps, so neither the dense N x E x N
+ * plan nor the dense volume matrices exist at any point — the priced
+ * times are bit-identical to the dense formulation. Per-layer tune/route
  * work fans out over an optional `ThreadPool`; LAER retunes are
  * wall-clock timed against `tunerBudgetMs`.
  */
@@ -126,19 +127,16 @@ struct EngineConfig
                                 //!< of this pool (not Disaggregated)
     int capacity = 2;           //!< C, expert slots per device
     int simulatedLayers = 4;    //!< MoE layers carried through the DES
-    Seconds stepOverhead = 2e-3; //!< scheduler + launch cost per step
     BatcherConfig batcher;      //!< resolved for the pool (numDevices,
                                 //!< KV budget, token budget)
     RoutingModel routing;       //!< resolved for the pool's device count
     int retunePeriod = 16;      //!< LAER re-tune cadence, in steps
     TunerConfig tuner;          //!< LAER planner knobs
-    int flexMaxMoves = 2;       //!< FlexMoE adjustments per step
     std::uint64_t seed = 42;    //!< routing-generator seed base
     /** False for the follower pool of a shared-layout disaggregated
      * run: the engine never re-tunes on its own and expects layouts
      * via setLayouts(). */
     bool tuningEnabled = true;
-    double hostLinkBw = kHostLinkBw; //!< PCIe rate for swap charging
     /** Optional worker pool for the per-layer tune/route fan-out (and,
      * via tuner.pool, the tuner's scheme set). Non-owning; null runs
      * serially. Results are identical for any thread count. */
@@ -200,6 +198,13 @@ class ServingEngine
     /** True while any request is waiting or running in this pool. */
     bool hasWork() const { return batcher_.hasWork(); }
 
+    /** Requests waiting or running: the load the front door ranks
+     * engines by. */
+    int load() const
+    {
+        return batcher_.waitingCount() + batcher_.runningCount();
+    }
+
     /**
      * Plan the next engine step (KV preemption resolves here). May be
      * empty while admission is paused by back-pressure.
@@ -239,6 +244,14 @@ class ServingEngine
     /** Current life-cycle state (Active unless the control plane is
      * reconfiguring this pool). */
     EngineState state() const { return state_; }
+
+    /** True while the engine accepts new work (Active, or Loading: its
+     * queue serves the moment the shards land). */
+    bool accepting() const
+    {
+        return state_ == EngineState::Active ||
+               state_ == EngineState::Loading;
+    }
 
     /** Loading -> Active: the model's shards have landed. */
     void setReady();

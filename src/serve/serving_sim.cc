@@ -17,6 +17,19 @@ namespace
 
 constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
 
+/** Insert `item` into a queue kept sorted by readyAt. Ties keep
+ * insertion order (stable), so the walk order is a pure function of
+ * the push history. */
+template <typename T>
+void
+insertByReadyAt(std::deque<T> &queue, T item)
+{
+    const auto pos = std::upper_bound(
+        queue.begin(), queue.end(), item.readyAt,
+        [](Seconds t, const T &queued) { return t < queued.readyAt; });
+    queue.insert(pos, std::move(item));
+}
+
 /** Validate and fill the derived fields of the configuration. */
 ServingConfig
 normalizeConfig(const Cluster &cluster, ServingConfig config)
@@ -33,8 +46,6 @@ normalizeConfig(const Cluster &cluster, ServingConfig config)
     LAER_CHECK(config.horizon > 0.0, "horizon must be positive");
     LAER_CHECK(config.retunePeriod >= 1,
                "retune period must be positive");
-    LAER_CHECK(config.hostLinkBw > 0,
-               "host-link bandwidth must be positive");
 
     config.batcher.numDevices = n;
     config.batcher.numSloClasses = config.arrival.numSloClasses;
@@ -71,19 +82,10 @@ normalizeConfig(const Cluster &cluster, ServingConfig config)
         LAER_CHECK(prefill * config.capacity >= experts &&
                        decode * config.capacity >= experts,
                    "each pool must be able to host every expert");
-        LAER_CHECK(config.disagg.poolPolicy !=
-                       ServingPolicy::Disaggregated,
-                   "pool policy cannot itself be Disaggregated");
-        if (config.disagg.sharedLayout) {
+        if (config.disagg.sharedLayout)
             LAER_CHECK(prefill == decode,
                        "shared-layout disaggregation needs equal pools "
                        "(" << prefill << " vs " << decode << ")");
-            LAER_CHECK(config.disagg.poolPolicy ==
-                           ServingPolicy::LaerServe,
-                       "shared-layout disaggregation needs LaerServe "
-                       "pools (only the LAER tuner supports the "
-                       "leader/follower split)");
-        }
         LAER_CHECK(config.replicas.replicaDevices == 0,
                    "replica slicing and disaggregation are exclusive "
                    "simulator topologies");
@@ -181,11 +183,10 @@ ServingSimulator::engineConfigFor(const DevicePoolSlice &slice,
     EngineConfig ec;
     ec.model = config_.model;
     ec.policy = config_.policy == ServingPolicy::Disaggregated
-                    ? config_.disagg.poolPolicy
+                    ? ServingPolicy::LaerServe
                     : config_.policy;
     ec.capacity = config_.capacity;
     ec.simulatedLayers = config_.simulatedLayers;
-    ec.stepOverhead = config_.stepOverhead;
     ec.retunePeriod = config_.retunePeriod;
     ec.tuner = config_.tuner;
     // The engine only adopts decision.layout; the dense winner plan
@@ -195,8 +196,6 @@ ServingSimulator::engineConfigFor(const DevicePoolSlice &slice,
     ec.tuner.pool = threadPool_.get();
     ec.pool = threadPool_.get();
     ec.tunerBudgetMs = config_.tunerBudgetMs;
-    ec.flexMaxMoves = config_.flexMaxMoves;
-    ec.hostLinkBw = config_.hostLinkBw;
     // Engines draw from disjoint seed streams; pool 0 keeps the run's
     // base seed so single-engine runs reproduce PR 1-2 bit-for-bit.
     ec.seed = config_.seed +
@@ -248,7 +247,7 @@ ServingSimulator::loadDelayFor(const DevicePoolSlice &slice) const
         inferenceModelState(config_.model, slice.numDevices(),
                             config_.capacity)
             .total();
-    return static_cast<double>(per_device) / config_.hostLinkBw;
+    return static_cast<double>(per_device) / kHostLinkBw;
 }
 
 bool
@@ -373,25 +372,46 @@ ServingSimulator::reconfigPending() const
 }
 
 int
-ServingSimulator::pickEngineForArrival() const
+ServingSimulator::leastLoadedLive(const std::vector<int> &load) const
 {
-    // Least-loaded live replica; Loading counts (its queue serves the
-    // moment the shards land), ties go to the lowest slot.
     int best = -1;
     int best_load = 0;
     for (std::size_t i = 0; i < engines_.size(); ++i) {
-        const EngineState state = engines_[i]->state();
-        if (state != EngineState::Active && state != EngineState::Loading)
+        if (!engines_[i]->accepting())
             continue;
-        const int load = engines_[i]->batcher().waitingCount() +
-                         engines_[i]->batcher().runningCount();
-        if (best < 0 || load < best_load) {
+        const int l = load.empty() ? engines_[i]->load() : load[i];
+        if (best < 0 || l < best_load) {
             best = static_cast<int>(i);
-            best_load = load;
+            best_load = l;
         }
     }
-    LAER_ASSERT(best >= 0, "no live replica to dispatch to");
     return best;
+}
+
+Seconds
+ServingSimulator::rebuildEngine(std::size_t i)
+{
+    engines_[i] = std::make_unique<ServingEngine>(
+        slices_[i], engineConfigFor(slices_[i], static_cast<int>(i)),
+        EngineState::Loading);
+    const Seconds delay = loadDelayFor(slices_[i]);
+    freeAt_[i] = now_ + delay;
+    // The reset may close the degraded window; a fault-killed slot
+    // stays degraded until its Active promote in applyReconfig()
+    // closes its MTTR clock.
+    stragglerFactor_[i] = 1.0;
+    deadDevices_[i] = 0;
+    updateDegraded();
+    return delay;
+}
+
+void
+ServingSimulator::beginEngineDrain(std::size_t i)
+{
+    if (engines_[i]->state() == EngineState::Loading)
+        freeAt_[i] = now_; // no step in flight: drain at once
+    engines_[i]->beginDrain();
+    drainStart_[i] = now_;
 }
 
 bool
@@ -418,21 +438,7 @@ ServingSimulator::requestReplicas(int target)
                                 live + spun < target; ++i) {
             if (engines_[i]->state() != EngineState::Stopped)
                 continue;
-            if (faultsEnabled_) {
-                // A rebuilt slice comes back whole, exactly like a
-                // scripted repair (applyRepair); when this slot died
-                // of a fault, its MTTR clock closes at the Active
-                // promote in applyReconfig().
-                deadDevices_[i] = 0;
-                stragglerFactor_[i] = 1.0;
-            }
-            engines_[i] = std::make_unique<ServingEngine>(
-                slices_[i],
-                engineConfigFor(slices_[i], static_cast<int>(i)),
-                EngineState::Loading);
-            const Seconds d = loadDelayFor(slices_[i]);
-            freeAt_[i] = now_ + d;
-            delay = std::max(delay, d);
+            delay = std::max(delay, rebuildEngine(i));
             ++spun;
         }
         ScalingEvent event;
@@ -442,8 +448,7 @@ ServingSimulator::requestReplicas(int target)
         event.before = live;
         event.after = target;
         event.loadDelay = delay;
-        scalingEvents_.push_back(event);
-        emitScalingEvent(event);
+        recordScaling(event);
     } else {
         // Scale down: close admission on the highest live slots; the
         // drain itself completes in applyReconfig() at each victim's
@@ -455,14 +460,9 @@ ServingSimulator::requestReplicas(int target)
         pending_.before = live;
         int to_drain = live - target;
         for (int i = slots - 1; i >= 0 && to_drain > 0; --i) {
-            const EngineState state = engines_[i]->state();
-            if (state != EngineState::Active &&
-                state != EngineState::Loading)
+            if (!engines_[i]->accepting())
                 continue;
-            if (state == EngineState::Loading)
-                freeAt_[i] = now_; // no step in flight: drain at once
-            engines_[i]->beginDrain();
-            drainStart_[static_cast<std::size_t>(i)] = now_;
+            beginEngineDrain(static_cast<std::size_t>(i));
             --to_drain;
         }
         applyReconfig();
@@ -485,6 +485,9 @@ ServingSimulator::requestSplit(int prefill_devices)
     // never fail inside the post-drain engine rebuild.
     const int min_pool = minPoolDevices();
     if (reconfigPending())
+        return false;
+    // A dead pool has nothing to drain: its repair comes first.
+    if (!engines_[0]->accepting() || !engines_[1]->accepting())
         return false;
     if (prefill_devices == slices_[0].numDevices())
         return false;
@@ -526,12 +529,8 @@ ServingSimulator::requestSplit(int prefill_devices)
     pending_.requestedAt = now_;
     pending_.before = slices_[0].numDevices();
     pending_.held.assign(2, {});
-    for (int i = 0; i < 2; ++i) {
-        if (engines_[i]->state() == EngineState::Loading)
-            freeAt_[i] = now_; // no step in flight: drain at once
-        engines_[i]->beginDrain();
-        drainStart_[static_cast<std::size_t>(i)] = now_;
-    }
+    for (std::size_t i = 0; i < 2; ++i)
+        beginEngineDrain(i);
     applyReconfig();
     return true;
 }
@@ -580,8 +579,9 @@ ServingSimulator::controlTrack()
 }
 
 void
-ServingSimulator::emitScalingEvent(const ScalingEvent &event)
+ServingSimulator::recordScaling(const ScalingEvent &event)
 {
+    scalingEvents_.push_back(event);
     LAER_METRIC_COUNT(config_.metricsRegistry, "ctrl.scaling_events",
                       1);
     LAER_TRACE_INSTANT(config_.trace, controlTrack(), event.action,
@@ -737,11 +737,8 @@ ServingSimulator::applyReconfig()
         } else {
             for (const Request &r : evicted) {
                 // Under faults the survivors may all be dead too: the
-                // eviction then takes the retry path instead of
-                // asserting on an empty replica set.
-                const int live =
-                    faultsEnabled_ ? pickRetryTarget(r)
-                                   : pickEngineForArrival();
+                // eviction then takes the retry path.
+                const int live = leastLoadedLive();
                 if (live < 0) {
                     scheduleRetry(r, now_);
                     continue;
@@ -773,18 +770,14 @@ ServingSimulator::applyReconfig()
             cluster_, {pending_.target, n - pending_.target},
             {"prefill", "decode"});
         Seconds delay = 0.0;
-        for (int i = 0; i < 2; ++i) {
-            engines_[i] = std::make_unique<ServingEngine>(
-                slices_[i], engineConfigFor(slices_[i], i),
-                EngineState::Loading);
-            const Seconds d = loadDelayFor(slices_[i]);
-            freeAt_[i] = now_ + d;
-            delay = std::max(delay, d);
+        for (std::size_t i = 0; i < 2; ++i) {
+            delay = std::max(delay, rebuildEngine(i));
             for (const Request &r : pending_.held[i]) {
                 engines_[i]->enqueue(r);
                 if (LAER_REQ_SAMPLED(config_.reqTrace, r.id))
                     LAER_REQ_EVENT(config_.reqTrace,
-                                   onRehome(r.id, now_, i));
+                                   onRehome(r.id, now_,
+                                            static_cast<int>(i)));
             }
             pending_.rehomed +=
                 static_cast<int>(pending_.held[i].size());
@@ -797,8 +790,7 @@ ServingSimulator::applyReconfig()
         event.after = pending_.target;
         event.loadDelay = delay;
         event.rehomed = pending_.rehomed;
-        scalingEvents_.push_back(event);
-        emitScalingEvent(event);
+        recordScaling(event);
         pending_ = PendingReconfig{};
     } else {
         for (const auto &engine : engines_)
@@ -811,83 +803,75 @@ ServingSimulator::applyReconfig()
         event.before = pending_.before;
         event.after = pending_.target;
         event.rehomed = pending_.rehomed;
-        scalingEvents_.push_back(event);
-        emitScalingEvent(event);
+        recordScaling(event);
         pending_ = PendingReconfig{};
     }
+}
+
+const Request *
+ServingSimulator::peekArrival()
+{
+    if (offeringClosed_)
+        return nullptr;
+    if (!lookaheadValid_) {
+        lookahead_ = arrivals_.next();
+        lookaheadValid_ = true;
+    }
+    if (lookahead_.arrival >= config_.horizon) {
+        // The stream stops offering at the horizon; the run then
+        // drains whatever is in flight.
+        offeringClosed_ = true;
+        lookaheadValid_ = false;
+        return nullptr;
+    }
+    return &lookahead_;
+}
+
+Request
+ServingSimulator::admitArrival(std::size_t target)
+{
+    ++offered_;
+    LAER_TRACE_INSTANT(config_.trace, poolTrack(target), "admit",
+                       "serve", lookahead_.arrival,
+                       {TraceArg{"id", lookahead_.id},
+                        TraceArg{"prefill", lookahead_.prefillTokens},
+                        TraceArg{"decode", lookahead_.decodeTokens},
+                        TraceArg{"class", lookahead_.sloClass}});
+    if (LAER_REQ_SAMPLED(config_.reqTrace, lookahead_.id))
+        LAER_REQ_EVENT(config_.reqTrace,
+                       onAdmit(lookahead_.id, lookahead_.sloClass,
+                               lookahead_.arrival, lookahead_.arrival,
+                               static_cast<int>(target)));
+    lookaheadValid_ = false;
+    return lookahead_;
 }
 
 void
 ServingSimulator::pumpArrivals()
 {
-    while (!offeringClosed_) {
-        if (!lookaheadValid_) {
-            lookahead_ = arrivals_.next();
-            lookaheadValid_ = true;
-        }
-        if (lookahead_.arrival >= config_.horizon) {
-            // The stream stops offering at the horizon; the run then
-            // drains whatever is in flight.
-            offeringClosed_ = true;
-            lookaheadValid_ = false;
+    const bool disagg = config_.policy == ServingPolicy::Disaggregated;
+    for (const Request *next = peekArrival();
+         next != nullptr && next->arrival <= now_; next = peekArrival()) {
+        // Arrivals enter the prefill pool, or the least-loaded
+        // accepting replica. With no accepting target (a prefill pool
+        // mid-reconfiguration, a total outage) the front door buffers
+        // the due arrival until one exists: its queueing delay lands
+        // in TTFT as usual, and the revival it waits on has its own
+        // wake.
+        const int target = disagg ? (engines_[0]->accepting() ? 0 : -1)
+                                  : leastLoadedLive();
+        if (target < 0)
             break;
-        }
-        if (lookahead_.arrival > now_)
-            break;
-        if (faultsEnabled_) {
-            // Under a total outage the front door closes: the due
-            // arrival holds until a repair brings an engine back (the
-            // repair's own wake drives the clock meanwhile, the
-            // drain-door idiom below).
-            bool any_live = false;
-            for (const auto &engine : engines_) {
-                const EngineState state = engine->state();
-                if (state == EngineState::Active ||
-                    state == EngineState::Loading) {
-                    any_live = true;
-                    break;
-                }
-            }
-            if (!any_live)
-                break;
-        }
-        if (config_.policy == ServingPolicy::Disaggregated &&
-            engines_[0]->state() != EngineState::Active &&
-            engines_[0]->state() != EngineState::Loading)
-            // The prefill pool is mid-reconfiguration: the front door
-            // buffers the due arrival until the new pool exists (its
-            // queueing delay lands in TTFT as usual).
-            break;
-        std::size_t target = 0;
-        if (config_.policy == ServingPolicy::Disaggregated) {
+        const auto i = static_cast<std::size_t>(target);
+        Request request = admitArrival(i);
+        if (disagg) {
             // The prefill pool runs the request only up to its first
             // token; the requested decode length is restored when the
             // context migrates to the decode pool.
-            decodeTargets_[lookahead_.id] = lookahead_.decodeTokens;
-            Request prefill_only = lookahead_;
-            prefill_only.decodeTokens = 1;
-            engines_[0]->enqueue(prefill_only);
-        } else if (config_.replicas.replicaDevices > 0) {
-            target = static_cast<std::size_t>(pickEngineForArrival());
-            engines_[target]->enqueue(lookahead_);
-        } else {
-            engines_[0]->enqueue(lookahead_);
+            decodeTargets_[request.id] = request.decodeTokens;
+            request.decodeTokens = 1;
         }
-        ++offered_;
-        LAER_TRACE_INSTANT(config_.trace, poolTrack(target), "admit",
-                           "serve", lookahead_.arrival,
-                           {TraceArg{"id", lookahead_.id},
-                            TraceArg{"prefill",
-                                     lookahead_.prefillTokens},
-                            TraceArg{"decode", lookahead_.decodeTokens},
-                            TraceArg{"class", lookahead_.sloClass}});
-        if (LAER_REQ_SAMPLED(config_.reqTrace, lookahead_.id))
-            LAER_REQ_EVENT(config_.reqTrace,
-                           onAdmit(lookahead_.id, lookahead_.sloClass,
-                                   lookahead_.arrival,
-                                   lookahead_.arrival,
-                                   static_cast<int>(target)));
-        lookaheadValid_ = false;
+        engines_[i]->enqueue(request);
     }
 }
 
@@ -1045,15 +1029,8 @@ ServingSimulator::harvestFinished(int pool_index,
         m.request = r;
         // Keep the queue ordered by arrival at the decode pool:
         // per-context wire times differ, so a short context finishing
-        // later can still land first. Ties keep push order (stable).
-        migrations_.insert(
-            std::upper_bound(migrations_.begin(), migrations_.end(),
-                             m,
-                             [](const PendingMigration &a,
-                                const PendingMigration &b) {
-                                 return a.readyAt < b.readyAt;
-                             }),
-            m);
+        // later can still land first.
+        insertByReadyAt(migrations_, std::move(m));
         kvTransferBytes_ += bytes;
         kvTransferSeconds_ += wire;
         ++migrated_;
@@ -1066,13 +1043,17 @@ ServingSimulator::pumpMigrations()
     if (config_.policy != ServingPolicy::Disaggregated)
         return;
     ServingEngine &decode = *engines_[1];
-    const bool decode_open =
-        decode.state() == EngineState::Active ||
-        decode.state() == EngineState::Loading;
-    while (decode_open && !migrations_.empty()) {
+    while (!migrations_.empty() && migrations_.front().readyAt <= now_) {
         const PendingMigration &m = migrations_.front();
-        if (m.readyAt > now_)
-            break;
+        if (!decode.accepting()) {
+            if (reviveExpected())
+                break; // a revival is coming: the context waits
+            // Nothing will ever serve this context again: fail it now
+            // rather than hang the drain (the pumpRetries rule).
+            failRequest(m.request);
+            migrations_.pop_front();
+            continue;
+        }
         if (!decode.batcher().canAdmitContext(
                 m.request.contextLength()))
             break; // decode pool full: the context waits at the door
@@ -1089,8 +1070,7 @@ ServingSimulator::pumpMigrations()
     // draining prefill pool keeps its admission shut regardless.
     const bool blocked =
         !migrations_.empty() && migrations_.front().readyAt <= now_;
-    if (engines_[0]->state() == EngineState::Active ||
-        engines_[0]->state() == EngineState::Loading)
+    if (engines_[0]->accepting())
         engines_[0]->batcher().setAdmissionPaused(blocked);
 }
 
@@ -1373,18 +1353,8 @@ ServingSimulator::applyKill(std::size_t i)
 void
 ServingSimulator::applyRepair(std::size_t i)
 {
-    // The rebuild is the requestReplicas() spin-up idiom: a fresh
-    // engine behind its model-load delay, priced over the host link.
-    // A rebuilt slice comes back whole: stragglers and dead devices
-    // do not survive the reimage.
     accruePower(now_);
-    deadDevices_[i] = 0;
-    stragglerFactor_[i] = 1.0;
-    engines_[i] = std::make_unique<ServingEngine>(
-        slices_[i], engineConfigFor(slices_[i], static_cast<int>(i)),
-        EngineState::Loading);
-    const Seconds delay = loadDelayFor(slices_[i]);
-    freeAt_[i] = now_ + delay;
+    const Seconds delay = rebuildEngine(i);
     ScalingEvent event;
     event.requested = now_;
     event.applied = now_ + delay;
@@ -1392,8 +1362,7 @@ ServingSimulator::applyRepair(std::size_t i)
     event.before = activeReplicas();
     event.after = event.before + 1;
     event.loadDelay = delay;
-    scalingEvents_.push_back(event);
-    emitScalingEvent(event);
+    recordScaling(event);
 }
 
 void
@@ -1446,16 +1415,7 @@ ServingSimulator::scheduleRetry(Request request, Seconds killed_at)
     retry.killedAt = killed_at;
     retry.readyAt = now_ + backoff;
     retry.request = std::move(request);
-    // Sorted by readyAt; ties keep insertion order (stable), so the
-    // walk order is a pure function of the fault history.
-    retryQueue_.insert(
-        std::upper_bound(retryQueue_.begin(), retryQueue_.end(),
-                         retry,
-                         [](const PendingRetry &a,
-                            const PendingRetry &b) {
-                             return a.readyAt < b.readyAt;
-                         }),
-        std::move(retry));
+    insertByReadyAt(retryQueue_, std::move(retry));
 }
 
 void
@@ -1483,43 +1443,27 @@ ServingSimulator::failRequest(const Request &request)
 int
 ServingSimulator::pickRetryTarget(const Request &request) const
 {
-    if (config_.policy == ServingPolicy::Disaggregated) {
-        // Phase affinity: a context still owed its prefill goes back
-        // to the prefill pool, a decode-resident one to the decode
-        // pool. While the boundary link is down a prefill-side retry
-        // holds — re-running its prefill would only reach the same
-        // dead boundary and burn the retry budget; the LinkUp event
-        // is the revival it waits on.
-        const int pool =
-            decodeTargets_.count(request.id) != 0 ? 0 : 1;
-        if (pool == 0 && linkDown_)
-            return -1;
-        const EngineState state = engines_[pool]->state();
-        return state == EngineState::Active ||
-                       state == EngineState::Loading
-                   ? pool
-                   : -1;
-    }
-    int best = -1;
-    int best_load = 0;
-    for (std::size_t i = 0; i < engines_.size(); ++i) {
-        const EngineState state = engines_[i]->state();
-        if (state != EngineState::Active &&
-            state != EngineState::Loading)
-            continue;
-        const int load = engines_[i]->batcher().waitingCount() +
-                         engines_[i]->batcher().runningCount();
-        if (best < 0 || load < best_load) {
-            best = static_cast<int>(i);
-            best_load = load;
-        }
-    }
-    return best;
+    if (config_.policy != ServingPolicy::Disaggregated)
+        return leastLoadedLive();
+    // Phase affinity: a context still owed its prefill goes back to
+    // the prefill pool, a decode-resident one to the decode pool.
+    // While the boundary link is down a prefill-side retry holds —
+    // re-running its prefill would only reach the same dead boundary
+    // and burn the retry budget; the LinkUp event is the revival it
+    // waits on.
+    const int pool = decodeTargets_.count(request.id) != 0 ? 0 : 1;
+    if (pool == 0 && linkDown_)
+        return -1;
+    return engines_[pool]->accepting() ? pool : -1;
 }
 
 bool
 ServingSimulator::reviveExpected() const
 {
+    // A pending reconfiguration is itself a revival: a split's rebuilt
+    // pools accept again once both drains land.
+    if (pending_.active)
+        return true;
     for (const auto &engine : engines_)
         if (engine->state() == EngineState::Loading)
             return true;
@@ -1927,55 +1871,15 @@ ServingSimulator::binWindowArrivals(Seconds window_end)
     // windowed core's one documented semantic deviation (docs/PERF.md).
     std::vector<int> load(engines_.size(), 0);
     for (std::size_t i = 0; i < engines_.size(); ++i)
-        load[i] = engines_[i]->batcher().waitingCount() +
-                  engines_[i]->batcher().runningCount();
-    const bool replicas = config_.replicas.replicaDevices > 0;
-    while (!offeringClosed_) {
-        if (!lookaheadValid_) {
-            lookahead_ = arrivals_.next();
-            lookaheadValid_ = true;
-        }
-        if (lookahead_.arrival >= config_.horizon) {
-            offeringClosed_ = true;
-            lookaheadValid_ = false;
-            break;
-        }
-        if (lookahead_.arrival >= window_end)
-            break;
-        std::size_t target = 0;
-        if (replicas) {
-            int best = -1;
-            int best_load = 0;
-            for (std::size_t i = 0; i < engines_.size(); ++i) {
-                const EngineState state = engines_[i]->state();
-                if (state != EngineState::Active &&
-                    state != EngineState::Loading)
-                    continue;
-                if (best < 0 || load[i] < best_load) {
-                    best = static_cast<int>(i);
-                    best_load = load[i];
-                }
-            }
-            LAER_ASSERT(best >= 0, "no live replica to dispatch to");
-            target = static_cast<std::size_t>(best);
-        }
-        bins[target].push_back(lookahead_);
-        ++load[target];
-        ++offered_;
-        LAER_TRACE_INSTANT(config_.trace, poolTrack(target), "admit",
-                           "serve", lookahead_.arrival,
-                           {TraceArg{"id", lookahead_.id},
-                            TraceArg{"prefill",
-                                     lookahead_.prefillTokens},
-                            TraceArg{"decode", lookahead_.decodeTokens},
-                            TraceArg{"class", lookahead_.sloClass}});
-        if (LAER_REQ_SAMPLED(config_.reqTrace, lookahead_.id))
-            LAER_REQ_EVENT(config_.reqTrace,
-                           onAdmit(lookahead_.id, lookahead_.sloClass,
-                                   lookahead_.arrival,
-                                   lookahead_.arrival,
-                                   static_cast<int>(target)));
-        lookaheadValid_ = false;
+        load[i] = engines_[i]->load();
+    for (const Request *next = peekArrival();
+         next != nullptr && next->arrival < window_end;
+         next = peekArrival()) {
+        const int target = leastLoadedLive(load);
+        LAER_ASSERT(target >= 0, "no live replica to dispatch to");
+        const auto i = static_cast<std::size_t>(target);
+        bins[i].push_back(admitArrival(i));
+        ++load[i];
     }
     return bins;
 }
@@ -1991,8 +1895,7 @@ ServingSimulator::runEngineWindow(std::size_t i, Seconds window_end,
     // Earliest instant the engine can act; never before the window.
     Seconds clock = std::max(now_, free_at);
     std::size_t next = 0;
-    const bool open = engine.state() == EngineState::Active ||
-                      engine.state() == EngineState::Loading;
+    const bool open = engine.accepting();
     LAER_ASSERT(open || arrivals.empty(),
                 "arrivals binned to a parked engine");
     while (open) {

@@ -69,7 +69,8 @@
 namespace laer
 {
 
-/** Prefill/decode disaggregation knobs (policy == Disaggregated). */
+/** Prefill/decode disaggregation knobs (policy == Disaggregated).
+ * Both pools run LaerServe placement. */
 struct DisaggConfig
 {
     /** Devices in the prefill pool; 0 picks half the cluster. The
@@ -82,9 +83,6 @@ struct DisaggConfig
      * prefill + decode routing and the prefill pool adopts it
      * (requires equal pool sizes). */
     bool sharedLayout = false;
-
-    /** Expert-placement policy inside each pool. */
-    ServingPolicy poolPolicy = ServingPolicy::LaerServe;
 };
 
 /**
@@ -115,7 +113,6 @@ struct ServingConfig
     int capacity = 2;          //!< C, expert slots per device
     int simulatedLayers = 4;   //!< MoE layers carried through the DES
                                //!< (timing scales to model.layers)
-    Seconds stepOverhead = 2e-3; //!< scheduler + launch cost per step
     /** Per-device HBM in bytes. When > 0 the simulator derives each
      * pool's KV-cache pool from it (servingMemoryBudget): model
      * state + activation reserve come off the top, the rest is KV,
@@ -131,15 +128,12 @@ struct ServingConfig
                                //!< filled in by the simulator
     int retunePeriod = 16;     //!< LAER re-tune cadence, in steps
     TunerConfig tuner;         //!< LAER planner knobs
-    int flexMaxMoves = 2;      //!< FlexMoE adjustments per step
     DisaggConfig disagg;       //!< pool split (Disaggregated only)
     ReplicaConfig replicas;    //!< replica slicing (aggregated only)
     /** Fault-injection plan (src/fault/). Strictly opt-in: with
      * `faults.enabled()` false (the default) no fault code path runs
      * and the simulation stays byte-for-byte with its history. */
     FaultConfig faults;
-    double hostLinkBw = kHostLinkBw; //!< PCIe rate for swap preemption
-                               //!< and control-plane model loads
     Seconds sloTtft = 0.5;     //!< TTFT target for goodput accounting
     Seconds horizon = 30.0;    //!< seconds of offered traffic
     std::uint64_t seed = 42;   //!< routing-generator seed base
@@ -225,7 +219,7 @@ struct ScalingEvent
     std::string action;      //!< "replicas" or "split"
     int before = 0;          //!< replica count, or prefill devices
     int after = 0;
-    Seconds loadDelay = 0.0; //!< model (re)shard time over hostLinkBw
+    Seconds loadDelay = 0.0; //!< model (re)shard time over kHostLinkBw
     int rehomed = 0;         //!< live requests drained + re-enqueued
 };
 
@@ -399,7 +393,8 @@ class ServingSimulator
      *                         must be node-regular and leave each pool
      *                         room for every expert.
      * @return true when initiated; false if already at the target, a
-     *         reconfiguration is pending, or the split is infeasible.
+     *         reconfiguration is pending, a pool is dead (its repair
+     *         comes first), or the split is infeasible.
      */
     bool requestSplit(int prefill_devices);
 
@@ -519,8 +514,35 @@ class ServingSimulator
     /** Devices of engines not Stopped. */
     int poweredDevices() const;
 
-    /** Least-loaded live engine for a fresh arrival (replica mode). */
-    int pickEngineForArrival() const;
+    /** Least-loaded accepting engine (ties to the lowest slot), or -1
+     * when none accepts. Ranks by each engine's live load(), or by
+     * `load[i]` when a load picture is given (the windowed core's
+     * window-start loads plus its binned arrivals). */
+    int leastLoadedLive(const std::vector<int> &load = {}) const;
+
+    /** Replace slot `i` with a fresh Loading engine on its slice behind
+     * the model-load delay (freeAt_ set): scale-up, fault repair and
+     * the split re-partition all rebuild through here. A rebuilt slot
+     * comes back whole: its stragglers and masked devices belong to
+     * the old incarnation and are reset.
+     * @return the load delay. */
+    Seconds rebuildEngine(std::size_t i);
+
+    /** Close admission on accepting engine `i` (scale-down victims and
+     * both pools of a split); the drain completes in applyReconfig()
+     * at the engine's next idle moment. */
+    void beginEngineDrain(std::size_t i);
+
+    /** Next not-yet-admitted arrival, drawn into the lookahead on
+     * demand; null once the stream reaches the horizon (the offering
+     * then closes and the run drains what is in flight). */
+    const Request *peekArrival();
+
+    /** Admit the peeked arrival to engine `target`: count it offered,
+     * record its admit instant and request-trace admission, and
+     * consume the lookahead.
+     * @return the admitted request, for the caller to enqueue. */
+    Request admitArrival(std::size_t target);
 
     /** Apply due reconfigurations: promote loaded engines, drain due
      * Draining engines (re-homing their requests), and re-partition
@@ -631,8 +653,10 @@ class ServingSimulator
      * (Disaggregated retries go back to their phase's pool). */
     int pickRetryTarget(const Request &request) const;
 
-    /** True while a currently-unservable retry should keep waiting:
-     * an engine is Loading, or the plan still holds a repair. */
+    /** True while currently-unservable work (a retry, a context at a
+     * closed decode door) should keep waiting: a reconfiguration is
+     * pending, an engine is Loading, or the plan still holds a repair
+     * (or a LinkUp while the boundary link is down). */
     bool reviveExpected() const;
 
     /** Re-evaluate the degraded predicate after any fault-state
@@ -693,8 +717,9 @@ class ServingSimulator
     /** Get-or-create the shared faults track. */
     int faultTrack();
 
-    /** Emit a ScalingEvent instant on the control track. */
-    void emitScalingEvent(const ScalingEvent &event);
+    /** Append a ScalingEvent to the run's record and emit its instant
+     * on the control track. */
+    void recordScaling(const ScalingEvent &event);
 
     /** Fold the run's authoritative counters/gauges into the attached
      * registry (called before every snapshot). */

@@ -118,9 +118,10 @@ TEST(AttributionBuilder, FinalizeSolvesRoundToEvenParityTraps)
         EXPECT_EQ(b.canonicalSum(), c.measured) << formatBreakdown(b);
         // A component redistribution moves a component by at most one
         // of its own ULPs — never more.
-        if (c.prefill > 0.0)
+        if (c.prefill > 0.0) {
             EXPECT_NEAR(b.components[kPrefill], c.prefill,
                         2.0 * c.prefill * 1e-15);
+        }
     }
 }
 

@@ -5,7 +5,10 @@
  * conservation across replica death, retry-budget exhaustion, KV-loss
  * recompute accounting under exact attribution, dead-link transfer
  * aborts, degraded-pool admission shrink, a deferred fail-stop landing
- * at its victim's step end, and determinism of a faulted run.
+ * at its victim's step end, determinism of a faulted run, and the
+ * engine-lifecycle rules under faults: a split refused while a pool is
+ * dead, stranded contexts failed at a dead decode pool, and a split
+ * rebuild that comes back whole.
  */
 
 #include <cstdio>
@@ -267,6 +270,111 @@ TEST(FaultRecovery, DeadBoundaryLinkAbortsTransfersAndRetries)
               report.completed + report.availability.requestsFailed);
     EXPECT_EQ(report.availability.requestsFailed, 0);
     EXPECT_GT(report.availability.requestsRetried, 0);
+}
+
+/** Disaggregated 4/4 split on 8 devices with byte-accounted KV pools;
+ * the HBM leaves room for a 2/6 re-split. */
+ServingConfig
+faultDisaggConfig()
+{
+    ServingConfig cfg;
+    cfg.model = mixtral8x7bE8K2();
+    cfg.policy = ServingPolicy::Disaggregated;
+    cfg.capacity = 4;
+    cfg.simulatedLayers = 2;
+    cfg.horizon = 3.0;
+    cfg.arrival.kind = ArrivalKind::Poisson;
+    cfg.arrival.ratePerSec = 25.0;
+    cfg.arrival.meanPrefillTokens = 128;
+    cfg.arrival.meanDecodeTokens = 16;
+    cfg.arrival.seed = 9;
+    cfg.batcher.tokenBudget = 8192;
+    cfg.batcher.prefillChunk = 512;
+    cfg.hbmPerDevice = 64LL << 30;
+    cfg.seed = 13;
+    return cfg;
+}
+
+/** Step `sim` until its clock reaches `t` (or the run drains). */
+void
+stepUntil(ServingSimulator &sim, Seconds t)
+{
+    while (sim.now() < t && sim.step()) {
+    }
+}
+
+TEST(FaultRecovery, SplitIsRefusedWhileAPoolIsDead)
+{
+    const Cluster cluster(4, 2, 300e9, 12.5e9, 212e12);
+    ServingConfig cfg = faultDisaggConfig();
+
+    // The same split is accepted while both pools live.
+    ServingSimulator healthy(cluster, cfg);
+    stepUntil(healthy, 1.5);
+    EXPECT_TRUE(healthy.requestSplit(2));
+
+    // Kill the decode pool for good: a dead pool has nothing to drain,
+    // so the split is refused instead of aborting the run.
+    cfg.faults.events.push_back({1.0, FaultKind::ReplicaFail, 1, 1.0});
+    ServingSimulator sim(cluster, cfg);
+    stepUntil(sim, 1.5);
+    ASSERT_EQ(sim.engine(1).state(), EngineState::Stopped);
+    bool accepted = true;
+    EXPECT_NO_THROW(accepted = sim.requestSplit(2));
+    EXPECT_FALSE(accepted);
+    EXPECT_FALSE(sim.reconfigPending());
+
+    while (sim.step()) {
+    }
+    const ServingReport report = sim.finish();
+    EXPECT_EQ(report.offered,
+              report.completed + report.availability.requestsFailed);
+}
+
+TEST(FaultRecovery, DeadDecodePoolFailsStrandedContexts)
+{
+    // The disaggregated twin of AllReplicasDeadFailsFastInsteadOfHanging:
+    // with no repair coming, contexts reaching the dead decode pool's
+    // door fail instead of back-pressuring the prefill pool forever.
+    const Cluster cluster(4, 2, 300e9, 12.5e9, 212e12);
+    ServingConfig cfg = faultDisaggConfig();
+    cfg.faults.events.push_back({1.0, FaultKind::ReplicaFail, 1, 1.0});
+    ServingSimulator sim(cluster, cfg);
+    const ServingReport report = sim.run(); // must terminate
+
+    EXPECT_GT(report.availability.requestsFailed, 0);
+    EXPECT_EQ(report.offered,
+              report.completed + report.availability.requestsFailed);
+}
+
+TEST(FaultRecovery, SplitRebuildComesBackWhole)
+{
+    // A straggler with no end on the prefill pool, then a re-split:
+    // the rebuilt pools come back whole, so the degraded window closes
+    // at the rebuild instead of running to the end of the run.
+    const Cluster cluster(4, 2, 300e9, 12.5e9, 212e12);
+    ServingConfig cfg = faultDisaggConfig();
+    const Seconds straggle_at = 0.5;
+    cfg.faults.events.push_back(
+        {straggle_at, FaultKind::StragglerStart, 0, 2.0});
+    ServingSimulator sim(cluster, cfg);
+    stepUntil(sim, 1.0);
+    ASSERT_TRUE(sim.requestSplit(2));
+    while (sim.step()) {
+    }
+    const ServingReport report = sim.finish();
+
+    const ScalingEvent *split = nullptr;
+    for (const ScalingEvent &e : report.scalingEvents)
+        if (e.action == "split")
+            split = &e;
+    ASSERT_NE(split, nullptr);
+    const Seconds rebuilt_at = split->applied - split->loadDelay;
+    EXPECT_NEAR(report.availability.degradedSeconds,
+                rebuilt_at - straggle_at, 1e-9);
+    EXPECT_LT(rebuilt_at, report.elapsed);
+    EXPECT_EQ(report.offered,
+              report.completed + report.availability.requestsFailed);
 }
 
 TEST(FaultRecovery, DeviceFailureShrinksPoolInsteadOfAborting)

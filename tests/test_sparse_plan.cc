@@ -1,12 +1,13 @@
 /**
  * @file
  * Tests for RoutingPlanSparse and the sparse step-pricing path:
- * dense round-trips, lite-routing equivalence, and bit-identical
- * All-to-All pricing from port loads.
+ * dense round-trips, lite-routing and StaticEP-routing equivalence,
+ * and bit-identical All-to-All pricing from port loads.
  */
 
 #include <gtest/gtest.h>
 
+#include "baselines/static_ep.hh"
 #include "core/rng.hh"
 #include "difftest/diff.hh"
 #include "planner/lite_routing.hh"
@@ -101,6 +102,37 @@ TEST(RoutingPlanSparse, LiteRoutingSparseMatchesDense)
         EXPECT_TRUE(densePlansEqual(sparse.toDense(), dense))
             << "seed " << seed;
         EXPECT_TRUE(sparse.toDense().conservesTokens(r, layout));
+    }
+}
+
+TEST(RoutingPlanSparse, StaticEpRoutingSparseMatchesDense)
+{
+    // The sparse StaticEP plan is exactly the dense plan compressed:
+    // the same triples, row by row and in order, so the serving step
+    // prices it through the port-load fold bit-for-bit.
+    const Cluster c = cluster24();
+    const EpGrouping grouping(c, 4, true);
+    const ExpertLayout layout = staticEpLayout(c, 8, grouping);
+    RoutingPlanSparse sparse; // reused across seeds, like the engine
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        const RoutingMatrix r =
+            randomRouting(c.numDevices(), 8, seed + 29, 500);
+        staticEpRoutingSparse(r, grouping, layout, sparse);
+        const RoutingPlanSparse expected = RoutingPlanSparse::fromDense(
+            staticEpRouting(r, grouping, layout));
+        ASSERT_EQ(sparse.nnz(), expected.nnz()) << "seed " << seed;
+        for (DeviceId i = 0; i < c.numDevices(); ++i) {
+            std::size_t got_n = 0, want_n = 0;
+            const RoutingPlanSparse::Entry *got = sparse.row(i, got_n);
+            const RoutingPlanSparse::Entry *want =
+                expected.row(i, want_n);
+            ASSERT_EQ(got_n, want_n) << "seed " << seed << " row " << i;
+            for (std::size_t t = 0; t < got_n; ++t) {
+                EXPECT_EQ(got[t].expert, want[t].expert);
+                EXPECT_EQ(got[t].dst, want[t].dst);
+                EXPECT_EQ(got[t].tokens, want[t].tokens);
+            }
+        }
     }
 }
 
