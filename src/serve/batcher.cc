@@ -294,6 +294,30 @@ ContinuousBatcher::secureDecodeGrowth()
     }
 }
 
+BatchEntry
+ContinuousBatcher::entryFor(int slot, TokenCount budget) const
+{
+    const Request &r = running_[slot];
+    BatchEntry e;
+    e.requestId = r.id;
+    e.slot = slot;
+    if (r.prefillDone >= r.prefillTarget()) {
+        e.decodeTokens = 1;
+        e.context = r.contextLength();
+        e.emitsToken = true;
+        return e;
+    }
+    e.context = r.prefillTarget();
+    e.prefillTokens =
+        std::min({e.context - r.prefillDone, config_.prefillChunk, budget});
+    e.restoring = r.restoring;
+    // The chunk completing the prefill emits the first output token,
+    // unless an earlier prefill already did.
+    e.emitsToken = r.prefillDone + e.prefillTokens == e.context &&
+                   r.firstTokenTime < 0.0;
+    return e;
+}
+
 BatchPlan
 ContinuousBatcher::nextBatch()
 {
@@ -310,32 +334,22 @@ ContinuousBatcher::nextBatch()
     // Decode first: one token per running sequence past prefill, in
     // admission order, so generation latency never queues behind
     // prompt processing.
-    for (const Request &r : running_) {
-        if (budget < 1)
-            break;
-        if (r.phase() != RequestPhase::Decode)
+    const int running = runningCount();
+    for (int slot = 0; slot < running && budget >= 1; ++slot) {
+        if (running_[slot].phase() != RequestPhase::Decode)
             continue;
-        BatchEntry e;
-        e.requestId = r.id;
-        e.decodeTokens = 1;
-        plan.entries.push_back(e);
+        plan.entries.push_back(entryFor(slot, budget));
         budget -= 1;
     }
 
     // Continue chunked prefills of already-running requests (after a
     // preemption the target also covers recomputing generated tokens).
-    for (const Request &r : running_) {
-        if (budget < 1)
-            break;
-        const TokenCount remaining = r.prefillTarget() - r.prefillDone;
-        if (remaining <= 0)
+    for (int slot = 0; slot < running && budget >= 1; ++slot) {
+        const Request &r = running_[slot];
+        if (r.prefillDone >= r.prefillTarget())
             continue;
-        BatchEntry e;
-        e.requestId = r.id;
-        e.prefillTokens =
-            std::min({remaining, config_.prefillChunk, budget});
-        plan.entries.push_back(e);
-        budget -= e.prefillTokens;
+        plan.entries.push_back(entryFor(slot, budget));
+        budget -= plan.entries.back().prefillTokens;
     }
 
     // Admit waiting requests: class order, FIFO within a class. With
@@ -371,24 +385,14 @@ ContinuousBatcher::nextBatch()
                 r.swappedBytes = 0;
                 r.swapped = false;
             }
-            BatchEntry e;
-            e.requestId = r.id;
-            const TokenCount remaining =
-                r.prefillTarget() - r.prefillDone;
-            if (remaining > 0) {
-                e.prefillTokens =
-                    std::min({remaining, config_.prefillChunk, budget});
-                budget -= e.prefillTokens;
-            } else {
-                // A context entering with its prefill already done (a
-                // swapped-in decoder, or a sequence migrated from a
-                // prefill pool) resumes decoding immediately.
-                e.decodeTokens = 1;
-                budget -= 1;
-            }
-            plan.entries.push_back(e);
             running_.push_back(r);
             ++totalAdmissions_;
+            // A context entering with its prefill already done (a
+            // swapped-in decoder, or a sequence migrated from a
+            // prefill pool) resumes decoding immediately.
+            const BatchEntry e = entryFor(runningCount() - 1, budget);
+            budget -= e.prefillTokens + e.decodeTokens;
+            plan.entries.push_back(e);
         }
     }
     return plan;
@@ -398,30 +402,24 @@ void
 ContinuousBatcher::applyStep(const BatchPlan &plan, Seconds finish_time)
 {
     for (const BatchEntry &e : plan.entries) {
-        auto it = std::find_if(running_.begin(), running_.end(),
-                               [&](const Request &r) {
-                                   return r.id == e.requestId;
-                               });
-        LAER_CHECK(it != running_.end(),
-                   "batch entry references unknown request "
-                       << e.requestId);
-        Request &r = *it;
+        LAER_CHECK(e.slot >= 0 && e.slot < runningCount() &&
+                       running_[e.slot].id == e.requestId,
+                   "stale slot " << e.slot << " for request "
+                                 << e.requestId);
+        Request &r = running_[e.slot];
         if (e.prefillTokens > 0) {
             LAER_ASSERT(e.decodeTokens == 0,
                         "a step schedules prefill or decode, not both");
             r.prefillDone += e.prefillTokens;
             LAER_ASSERT(r.prefillDone <= r.prefillTarget(),
                         "prefill overran its target");
-            if (r.prefillDone == r.prefillTarget()) {
-                if (r.firstTokenTime < 0.0) {
-                    // The step completing the prefill emits the first
-                    // output token.
-                    r.firstTokenTime = finish_time;
-                    r.decodeDone = 1;
-                }
-                // A KV recompute after preemption ends here; the
-                // tokens it replayed were already delivered.
+            // A KV recompute after preemption ends here; the tokens
+            // it replayed were already delivered.
+            if (r.prefillDone == r.prefillTarget())
                 r.restoring = false;
+            if (e.emitsToken) {
+                r.firstTokenTime = finish_time;
+                r.decodeDone = 1;
             }
         } else if (e.decodeTokens > 0) {
             LAER_ASSERT(r.phase() == RequestPhase::Decode,

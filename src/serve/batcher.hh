@@ -97,12 +97,17 @@ struct BatcherConfig
     PreemptionMode preemptionMode = PreemptionMode::Recompute;
 };
 
-/** Work scheduled for one request in one engine step. */
+/** Work scheduled for one request in one engine step. nextBatch()
+ * decides every field; pricing, tracing and the commit only read. */
 struct BatchEntry
 {
     int requestId = 0;
     TokenCount prefillTokens = 0; //!< prompt tokens processed this step
     TokenCount decodeTokens = 0;  //!< output tokens produced (0 or 1)
+    int slot = 0;            //!< index in the running queue
+    TokenCount context = 0;  //!< prefill target, or decode's context
+    bool emitsToken = false; //!< a decode, or a first prefill's end
+    bool restoring = false;  //!< the prefill is a KV recompute
 };
 
 /** One eviction event, in eviction order. */
@@ -176,6 +181,9 @@ class ContinuousBatcher
      * Plan the next engine step. With the KV model enabled this is
      * also where preemption happens: decode growth that no longer
      * fits the pool evicts victims before the plan is assembled.
+     * Entries name their requests by slot: a plan is valid only until
+     * its own applyStep(), with nothing touching the running queue in
+     * between.
      * @return the planned step; empty when nothing can run.
      */
     BatchPlan nextBatch();
@@ -184,7 +192,8 @@ class ContinuousBatcher
      * Commit a planned step that finished at `finish_time`: advance
      * prefill/decode progress, stamp first-token and finish times, and
      * retire completed requests (releasing their KV reservation).
-     * @param plan         The plan returned by the last nextBatch().
+     * @param plan         The plan returned by the last nextBatch();
+     *                     a stale slot is a FatalError.
      * @param finish_time  Simulated time the step completed.
      */
     void applyStep(const BatchPlan &plan, Seconds finish_time);
@@ -332,6 +341,10 @@ class ContinuousBatcher
      * the reservation to host) and re-queue it at the front of its
      * class. */
     void preempt(int index);
+
+    /** The plan entry for running_[slot]: a prefill chunk of at most
+     * `budget` tokens while its prefill is unfinished, else a decode. */
+    BatchEntry entryFor(int slot, TokenCount budget) const;
 
     BatcherConfig config_;
     std::optional<KvCachePool> kv_;

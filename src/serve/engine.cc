@@ -358,30 +358,17 @@ ServingEngine::executeStep(const BatchPlan &plan, Seconds start)
     });
 
     // Attention + gate work of the step, sharded evenly (the batch is
-    // data parallel; only expert work is layout dependent). Prefill
-    // tokens attend over their prompt, decode tokens over the full
-    // running context. Sequences emitting a token this step also pay
-    // one LM-head forward.
+    // data parallel; only expert work is layout dependent). Each
+    // scheduled token attends over its entry's context: the prompt
+    // for prefill, the full running context for decode. Sequences
+    // emitting a token this step also pay one LM-head forward.
     Flops attn_flops = 0.0;
     TokenCount sampled = 0;
     for (const BatchEntry &e : plan.entries) {
-        const Request *r = batcher_.find(e.requestId);
-        LAER_ASSERT(r != nullptr, "planned request vanished");
-        if (e.prefillTokens > 0) {
-            attn_flops += static_cast<double>(e.prefillTokens) *
-                          model.attnFlopsPerToken(
-                              static_cast<int>(r->prefillTarget()));
-            // Completing the (re)prefill emits a token only when the
-            // first token has not been produced yet; a KV recompute
-            // after preemption replays tokens already delivered.
-            if (r->prefillDone + e.prefillTokens >= r->prefillTarget() &&
-                r->firstTokenTime < 0.0)
-                ++sampled;
-        } else {
-            attn_flops += model.attnFlopsPerToken(
-                static_cast<int>(r->contextLength()));
-            ++sampled;
-        }
+        attn_flops +=
+            static_cast<double>(e.prefillTokens + e.decodeTokens) *
+            model.attnFlopsPerToken(static_cast<int>(e.context));
+        sampled += e.emitsToken ? 1 : 0;
     }
     attn_flops += static_cast<double>(res.tokens) * 2.0 *
                   model.numExperts * model.hiddenDim;

@@ -890,8 +890,7 @@ ServingSimulator::recordCompletion(const Request &done)
 }
 
 void
-ServingSimulator::captureStepShares(const ServingEngine &engine,
-                                    const BatchPlan &plan,
+ServingSimulator::captureStepShares(const BatchPlan &plan,
                                     const ServingStepResult &result,
                                     int pool_index,
                                     std::vector<ReqStepShare> &out) const
@@ -902,12 +901,6 @@ ServingSimulator::captureStepShares(const ServingEngine &engine,
     for (const BatchEntry &entry : plan.entries) {
         if (!LAER_REQ_SAMPLED(rt, entry.requestId))
             continue;
-        // Pre-commit state: prefill progress, the restoring flag and
-        // an unset first-token time still describe the step being
-        // priced, not its outcome.
-        const Request *r = engine.batcher().find(entry.requestId);
-        if (r == nullptr)
-            continue;
         ReqStepShare share;
         share.requestId = entry.requestId;
         share.pool = pool_index;
@@ -916,14 +909,12 @@ ServingSimulator::captureStepShares(const ServingEngine &engine,
         share.retunePause = result.migration;
         share.swapOverhead = result.swapTime;
         if (entry.prefillTokens > 0)
-            share.computeAs = r->restoring
+            share.computeAs = entry.restoring
                                   ? AttrComponent::PreemptRecovery
                                   : AttrComponent::PrefillCompute;
         else
             share.computeAs = AttrComponent::DecodeResidency;
-        share.firstToken =
-            entry.prefillTokens > 0 && r->firstTokenTime < 0.0 &&
-            r->prefillDone + entry.prefillTokens >= r->prefillTarget();
+        share.firstToken = entry.prefillTokens > 0 && entry.emitsToken;
         out.push_back(share);
     }
 }
@@ -1559,8 +1550,7 @@ ServingSimulator::produceStep(std::size_t i, Seconds t)
     if (engine.batcher().kvEnabled())
         // Post-plan reservation peak of this step.
         res.kvUtilization = engine.batcher().kvUtilization();
-    captureStepShares(engine, plan, res, static_cast<int>(i),
-                      rec.shares);
+    captureStepShares(plan, res, static_cast<int>(i), rec.shares);
     engine.commitStep(plan, t + res.duration);
     if (res.retuned)
         rec.retune = engine.lastRetune();

@@ -731,12 +731,12 @@ class ServingSimulator
     // ---- per-request lifecycle tracing (obs/req_trace.hh) ----------
 
     /** Collect the sampled requests' residency shares of one priced
-     * step (pre-commit batcher state decides replay vs fresh prefill
-     * and the first-token step). Touches only `engine` and the
-     * recorder's pure sampling predicate, so produceStep() may call it
-     * on a worker; no-op (empty out) when no recorder is attached. */
-    void captureStepShares(const ServingEngine &engine,
-                           const BatchPlan &plan,
+     * step (each plan entry says whether it replays a preempted
+     * context and whether it emits the first token). Reads only its
+     * arguments and the recorder's pure sampling predicate, so
+     * produceStep() may call it on a worker; no-op (empty out) when
+     * no recorder is attached. */
+    void captureStepShares(const BatchPlan &plan,
                            const ServingStepResult &result,
                            int pool_index,
                            std::vector<ReqStepShare> &out) const;

@@ -180,6 +180,57 @@ TEST(KvBatcher, HeadOfLineWaitsWhenPoolIsFull)
     EXPECT_EQ(batcher.kvReservedBytes(), 8);
 }
 
+/** Check each planned entry, before its commit, against the request
+ * it names: the plan must say what the queue says. */
+void
+expectEntriesMatchQueue(const ContinuousBatcher &batcher,
+                        const BatchPlan &plan)
+{
+    for (const BatchEntry &e : plan.entries) {
+        const Request *r = batcher.find(e.requestId);
+        ASSERT_NE(r, nullptr) << "request " << e.requestId;
+        EXPECT_GE(e.slot, 0);
+        EXPECT_LT(e.slot, batcher.runningCount());
+        if (e.prefillTokens == 0) {
+            EXPECT_EQ(e.decodeTokens, 1);
+            EXPECT_EQ(e.context, r->contextLength());
+            EXPECT_TRUE(e.emitsToken);
+            EXPECT_FALSE(e.restoring);
+            continue;
+        }
+        EXPECT_EQ(e.context, r->prefillTarget());
+        EXPECT_EQ(e.restoring, r->restoring);
+        EXPECT_EQ(e.emitsToken,
+                  r->prefillDone + e.prefillTokens == r->prefillTarget() &&
+                      r->firstTokenTime < 0.0);
+    }
+}
+
+TEST(KvBatcher, ContextAdmittedPastPrefillDecodesAtOnce)
+{
+    // A context whose prefill is already done (one migrated from a
+    // prefill pool) enters as a decode entry that emits a token.
+    ContinuousBatcher batcher(kvBatcherConfig(32));
+    Request r = makeRequest(0, 0.0, 8, 4);
+    r.prefillDone = 8;
+    r.decodeDone = 1;
+    r.firstTokenTime = 0.5;
+    batcher.enqueue(r);
+    const BatchPlan plan = batcher.nextBatch();
+    ASSERT_EQ(plan.entries.size(), 1u);
+    const BatchEntry &e = plan.entries[0];
+    EXPECT_EQ(e.slot, 0);
+    EXPECT_EQ(e.prefillTokens, 0);
+    EXPECT_EQ(e.decodeTokens, 1);
+    EXPECT_EQ(e.context, 9);
+    EXPECT_TRUE(e.emitsToken);
+    EXPECT_FALSE(e.restoring);
+    expectEntriesMatchQueue(batcher, plan);
+    batcher.applyStep(plan, 1.0);
+    EXPECT_EQ(batcher.find(0)->decodeDone, 2);
+    EXPECT_DOUBLE_EQ(batcher.find(0)->firstTokenTime, 0.5);
+}
+
 // ---- preemption ------------------------------------------------------------
 
 TEST(KvBatcher, DecodeGrowthPreemptsTheYoungest)
@@ -199,6 +250,7 @@ TEST(KvBatcher, DecodeGrowthPreemptsTheYoungest)
         ASSERT_FALSE(plan.empty());
         // Conservation: reserved KV bytes never exceed the budget.
         EXPECT_LE(batcher.kvReservedBytes(), batcher.kvBudgetBytes());
+        expectEntriesMatchQueue(batcher, plan);
         t += 0.1;
         batcher.applyStep(plan, t);
     }
@@ -413,6 +465,7 @@ TEST(KvBatcher, PreemptedRequestsResumeAheadOfFreshArrivals)
         const BatchPlan plan = batcher.nextBatch();
         ASSERT_FALSE(plan.empty());
         EXPECT_LE(batcher.kvReservedBytes(), batcher.kvBudgetBytes());
+        expectEntriesMatchQueue(batcher, plan);
         if (!batcher.takePreempted().empty() && !preempted_yet) {
             preempted_yet = true;
             // Inject a fresh arrival the moment pressure appears: it
@@ -471,10 +524,21 @@ TEST(KvBatcher, RestoreReplaysGeneratedTokensWithoutReEmittingThem)
     int steps = 0;
     Seconds first_token_of_1 = -1.0;
     TokenCount decode_done_at_preempt = -1;
+    int restore_chunks = 0;
     while (batcher.hasWork()) {
         ASSERT_LT(++steps, 200);
         const BatchPlan plan = batcher.nextBatch();
         ASSERT_FALSE(plan.empty());
+        expectEntriesMatchQueue(batcher, plan);
+        for (const BatchEntry &e : plan.entries) {
+            if (e.requestId != 1 || !batcher.find(1)->restoring)
+                continue;
+            // The restore chunk replays the context without emitting.
+            EXPECT_TRUE(e.restoring);
+            EXPECT_FALSE(e.emitsToken);
+            EXPECT_EQ(e.context, batcher.find(1)->prefillTarget());
+            ++restore_chunks;
+        }
         if (!batcher.takePreempted().empty() &&
             decode_done_at_preempt < 0) {
             const Request *r1 = batcher.find(1);
@@ -493,6 +557,7 @@ TEST(KvBatcher, RestoreReplaysGeneratedTokensWithoutReEmittingThem)
     }
 
     ASSERT_GE(decode_done_at_preempt, 0) << "no preemption happened";
+    EXPECT_GE(restore_chunks, 1);
     std::vector<Request> done = batcher.takeFinished();
     ASSERT_EQ(done.size(), 2u);
     for (const Request &r : done) {
@@ -504,6 +569,78 @@ TEST(KvBatcher, RestoreReplaysGeneratedTokensWithoutReEmittingThem)
         EXPECT_DOUBLE_EQ(r.firstTokenTime, first_token_of_1);
         EXPECT_GE(r.preemptions, 1);
     }
+}
+
+TEST(KvBatcher, SwapVictimsResumeAsDecodeEntries)
+{
+    // PreemptedRequestsResumeAheadOfFreshArrivals' pool under swap:
+    // every victim is evicted past its prefill, so its re-admission is
+    // a decode entry that emits a token, and no entry replays a
+    // prefill.
+    BatcherConfig cfg = kvBatcherConfig(20);
+    cfg.preemptionMode = PreemptionMode::Swap;
+    ContinuousBatcher batcher(cfg);
+    batcher.enqueue(makeRequest(0, 0.0, 4, 16));
+    batcher.enqueue(makeRequest(1, 0.1, 4, 12));
+    batcher.enqueue(makeRequest(2, 0.2, 4, 12));
+
+    Seconds t = 0.0;
+    int steps = 0;
+    std::vector<int> parked; // swapped out, not yet re-admitted
+    int resumed = 0;
+    while (batcher.hasWork()) {
+        ASSERT_LT(++steps, 300) << "batcher failed to drain";
+        const BatchPlan plan = batcher.nextBatch();
+        ASSERT_FALSE(plan.empty());
+        EXPECT_LE(batcher.kvReservedBytes(), batcher.kvBudgetBytes());
+        expectEntriesMatchQueue(batcher, plan);
+        for (const BatchEntry &e : plan.entries) {
+            EXPECT_FALSE(e.restoring);
+            const auto it =
+                std::find(parked.begin(), parked.end(), e.requestId);
+            if (it == parked.end())
+                continue;
+            EXPECT_EQ(e.prefillTokens, 0);
+            EXPECT_TRUE(e.emitsToken);
+            parked.erase(it);
+            ++resumed;
+        }
+        for (const PreemptionRecord &p : batcher.takePreempted())
+            parked.push_back(p.requestId);
+        t += 0.1;
+        batcher.applyStep(plan, t);
+    }
+
+    EXPECT_GE(resumed, 1) << "scenario produced no swap-in";
+    EXPECT_TRUE(parked.empty());
+    EXPECT_EQ(batcher.takeFinished().size(), 3u);
+    EXPECT_EQ(batcher.kvReservedBytes(), 0);
+}
+
+TEST(ContinuousBatcher, ApplyStepRejectsAStaleSlot)
+{
+    // A plan addresses its requests by slot in the running queue; an
+    // entry whose slot does not hold its request is refused. Only the
+    // first entry is tampered with, so nothing is committed before
+    // the refusal.
+    ContinuousBatcher batcher(kvBatcherConfig(32));
+    batcher.enqueue(makeRequest(0, 0.0, 4, 4));
+    batcher.enqueue(makeRequest(1, 0.0, 4, 4));
+    const BatchPlan plan = batcher.nextBatch();
+    ASSERT_EQ(plan.entries.size(), 2u);
+    ASSERT_EQ(plan.entries[0].slot, 0);
+
+    for (const int stale : {1, 2, -1}) {
+        BatchPlan tampered = plan;
+        tampered.entries[0].slot = stale;
+        EXPECT_THROW(batcher.applyStep(tampered, 1.0), FatalError)
+            << "slot " << stale;
+    }
+
+    // The untampered plan still commits.
+    batcher.applyStep(plan, 1.0);
+    EXPECT_EQ(batcher.find(0)->decodeDone, 1);
+    EXPECT_EQ(batcher.find(1)->decodeDone, 1);
 }
 
 } // namespace
