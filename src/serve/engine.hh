@@ -15,8 +15,8 @@
  * One engine step is: plan (batcher schedules under the pool's token
  * budget, resolving KV pressure), execute (gate the step's tokens,
  * refresh the pool's expert layout per policy, price attention /
- * All-to-All / expert FFN on the pool's sub-cluster with the
- * discrete-event engine), commit (advance request progress at the
+ * All-to-All / expert FFN on the pool's sub-cluster as a barrier
+ * timeline), commit (advance request progress at the
  * step's finish time). Swap-style preemption traffic recorded by the
  * batcher is charged here at the host-link bandwidth.
  *
@@ -102,9 +102,6 @@ struct ServingStepResult
     TokenCount tokens = 0;     //!< scheduled tokens (prefill + decode)
     TokenCount prefill = 0;
     TokenCount decode = 0;
-    Seconds a2aBusy = 0.0;     //!< dispatch+combine busy per device
-    Seconds expertBusy = 0.0;  //!< expert FFN busy per device (mean)
-    Seconds othersBusy = 0.0;  //!< attention/gate busy per device
     Seconds migration = 0.0;   //!< baseline re-layout overhead
     double maxRelTokens = 0.0; //!< mean over layers of max/mean recv
     bool retuned = false;      //!< LAER applied a fresh layout
@@ -117,6 +114,18 @@ struct ServingStepResult
     Seconds swapTime = 0.0;     //!< host-link seconds in `duration`
 };
 
+/**
+ * Makespan of a forward step's simulated layers: per layer the clock
+ * adds attention, the dispatch barrier, the slowest device's expert
+ * time (recv x flops per token / flop rate) and the combine barrier.
+ * @throws FatalError on a negative or NaN duration.
+ */
+Seconds stepTimelineMakespan(
+    Seconds attn, const std::vector<Seconds> &dispatch,
+    const std::vector<Seconds> &combine,
+    const std::vector<std::vector<TokenCount>> &recv,
+    Flops expert_flops_per_token, double compute_flops);
+
 /** Fully resolved configuration of one engine (the simulator derives
  * it from ServingConfig per pool: counts, budgets and seeds are the
  * pool's own). */
@@ -126,7 +135,7 @@ struct EngineConfig
     ServingPolicy policy = ServingPolicy::LaerServe; //!< layout policy
                                 //!< of this pool (not Disaggregated)
     int capacity = 2;           //!< C, expert slots per device
-    int simulatedLayers = 4;    //!< MoE layers carried through the DES
+    int simulatedLayers = 4;    //!< MoE layers priced per step
     BatcherConfig batcher;      //!< resolved for the pool (numDevices,
                                 //!< KV budget, token budget)
     RoutingModel routing;       //!< resolved for the pool's device count
@@ -213,9 +222,9 @@ class ServingEngine
 
     /**
      * Price a planned step on the pool's sub-cluster: gate the tokens,
-     * refresh the pool's layouts per the policy, lay the step out on
-     * the discrete-event engine, and charge swap traffic at the
-     * host-link bandwidth.
+     * refresh the pool's layouts per the policy, price the step's
+     * barrier timeline (stepTimelineMakespan), and charge swap traffic
+     * at the host-link bandwidth.
      * @param plan   Non-empty plan from the last planStep().
      * @param start  Simulated step start time.
      * @return the step's timing/accounting (pool index not yet set).

@@ -111,7 +111,7 @@ struct ServingConfig
     ModelConfig model;         //!< required; validate()d on start
     ServingPolicy policy = ServingPolicy::LaerServe;
     int capacity = 2;          //!< C, expert slots per device
-    int simulatedLayers = 4;   //!< MoE layers carried through the DES
+    int simulatedLayers = 4;   //!< MoE layers priced per step
                                //!< (timing scales to model.layers)
     /** Per-device HBM in bytes. When > 0 the simulator derives each
      * pool's KV-cache pool from it (servingMemoryBudget): model

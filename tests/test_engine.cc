@@ -4,18 +4,25 @@
  * partitioning (conservation, disjointness, sub-topology geometry),
  * inter-pool KV transfer costs against the cluster bandwidths,
  * admission pause (back-pressure), swap-style preemption mechanics
- * and its cost ordering against recompute, and the disaggregated
- * policy end to end.
+ * and its cost ordering against recompute, the disaggregated
+ * policy end to end, and the closed-form step timeline against the
+ * SimEngine graph it replaces.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "comm/collectives.hh"
 #include "core/error.hh"
+#include "core/rng.hh"
 #include "serve/batcher.hh"
 #include "serve/device_pool.hh"
+#include "serve/engine.hh"
 #include "serve/kv_cache.hh"
 #include "serve/serving_sim.hh"
+#include "sim/engine.hh"
 #include "topo/cluster.hh"
 
 namespace laer
@@ -472,6 +479,114 @@ TEST(ServingSim, DisaggregatedRejectsImpossiblePools)
     ServingConfig uneven = disaggConfig(true);
     uneven.disagg.prefillDevices = 6;
     EXPECT_THROW(ServingSimulator(cluster, uneven), FatalError);
+}
+
+// ---- step timeline ---------------------------------------------------------
+
+/** The step as a general task graph: per layer and device, attention
+ * on the compute stream, a dispatch barrier, the expert FFN and a
+ * combine barrier. */
+Seconds
+stepOnSimEngine(Seconds attn, const std::vector<Seconds> &dispatch,
+                const std::vector<Seconds> &combine,
+                const std::vector<std::vector<TokenCount>> &recv,
+                Flops flops_per_token, double compute_flops)
+{
+    const int n = static_cast<int>(recv.front().size());
+    SimEngine eng(n);
+    std::vector<TaskId> prev(n, -1);
+    for (std::size_t l = 0; l < recv.size(); ++l) {
+        std::vector<TaskId> attn_ids(n), disp_ids(n), expert_ids(n);
+        for (DeviceId d = 0; d < n; ++d) {
+            const std::vector<TaskId> deps =
+                prev[d] < 0 ? std::vector<TaskId>{}
+                            : std::vector<TaskId>{prev[d]};
+            attn_ids[d] = eng.addTask("attn", d, StreamKind::Compute,
+                                      attn, deps, "attn");
+        }
+        for (DeviceId d = 0; d < n; ++d)
+            disp_ids[d] = eng.addTask("dispatch", d, StreamKind::Dispatch,
+                                      dispatch[l], attn_ids, "a2a");
+        for (DeviceId d = 0; d < n; ++d) {
+            const Seconds dur = static_cast<double>(recv[l][d]) *
+                                flops_per_token / compute_flops;
+            expert_ids[d] = eng.addTask("expert", d, StreamKind::Compute,
+                                        dur, {disp_ids[d]}, "expert");
+        }
+        for (DeviceId d = 0; d < n; ++d)
+            prev[d] = eng.addTask("combine", d, StreamKind::Dispatch,
+                                  combine[l], expert_ids, "a2a");
+    }
+    eng.run();
+    return eng.makespan();
+}
+
+/** A duration of random magnitude; zero a third of the time. */
+Seconds
+randomDuration(Rng &rng)
+{
+    if (rng.uniformInt(0, 2) == 0)
+        return 0.0;
+    return rng.uniform() * std::pow(10.0, rng.uniformInt(-7, 0));
+}
+
+TEST(StepTimeline, ClosedFormMatchesSimEngine)
+{
+    for (std::uint64_t seed = 1; seed <= 500; ++seed) {
+        Rng rng(seed);
+        const int n = rng.uniformInt(1, 64);
+        const int layers = rng.uniformInt(1, 8);
+        const Flops flops = 6.0 * rng.uniformInt(1, 8192) *
+                            rng.uniformInt(1, 16384);
+        const double rate = rng.uniform(1e12, 1e15);
+        const Seconds attn = randomDuration(rng);
+        std::vector<Seconds> dispatch, combine;
+        std::vector<std::vector<TokenCount>> recv(layers);
+        for (auto &layer : recv) {
+            dispatch.push_back(randomDuration(rng));
+            combine.push_back(randomDuration(rng));
+            const bool idle = rng.uniformInt(0, 9) == 0;
+            for (int d = 0; d < n; ++d)
+                layer.push_back(idle || rng.uniformInt(0, 4) == 0
+                                    ? 0
+                                    : rng.uniformInt(1, 50000));
+        }
+        EXPECT_EQ(stepTimelineMakespan(attn, dispatch, combine, recv,
+                                       flops, rate),
+                  stepOnSimEngine(attn, dispatch, combine, recv, flops,
+                                  rate))
+            << "seed " << seed;
+    }
+}
+
+TEST(StepTimeline, RejectsNegativeAndNanDurations)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<Seconds> ok{1e-4, 2e-4};
+    const std::vector<std::vector<TokenCount>> recv{{3, 0}, {1, 7}};
+    EXPECT_GT(stepTimelineMakespan(1e-3, ok, ok, recv, 1e9, 1e12), 0.0);
+
+    EXPECT_THROW(stepTimelineMakespan(-1e-3, ok, ok, recv, 1e9, 1e12),
+                 FatalError);
+    EXPECT_THROW(stepTimelineMakespan(nan, ok, ok, recv, 1e9, 1e12),
+                 FatalError);
+    EXPECT_THROW(stepTimelineMakespan(1e-3, {1e-4, -2e-4}, ok, recv,
+                                      1e9, 1e12),
+                 FatalError);
+    EXPECT_THROW(stepTimelineMakespan(1e-3, ok, {nan, 2e-4}, recv, 1e9,
+                                      1e12),
+                 FatalError);
+    // A negative or NaN expert time on a device that is not the
+    // slowest must not be dropped by the max: -7 tokens, and 0 x inf
+    // flops beside a device at 3 x inf.
+    EXPECT_THROW(stepTimelineMakespan(1e-3, ok, ok, {{3, 0}, {1, -7}},
+                                      1e9, 1e12),
+                 FatalError);
+    EXPECT_THROW(stepTimelineMakespan(1e-3, ok, ok, recv, inf, 1e12),
+                 FatalError);
+    EXPECT_THROW(stepTimelineMakespan(1e-3, ok, ok, recv, 1e9, nan),
+                 FatalError);
 }
 
 } // namespace
