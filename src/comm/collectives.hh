@@ -66,6 +66,22 @@ struct A2aPortLoads
 
     /** Resize to n devices and zero every counter (storage reused). */
     void reset(int n_devices);
+
+    /** Charge `bytes` sent from src to dst (src != dst) to the port
+     * class their node membership selects. */
+    void add(const Cluster &cluster, DeviceId src, DeviceId dst,
+             Bytes bytes)
+    {
+        const auto i = static_cast<std::size_t>(src);
+        const auto k = static_cast<std::size_t>(dst);
+        if (cluster.sameNode(src, dst)) {
+            sendIntra[i] += bytes;
+            recvIntra[k] += bytes;
+        } else {
+            sendInter[i] += bytes;
+            recvInter[k] += bytes;
+        }
+    }
 };
 
 /**

@@ -105,20 +105,11 @@ RoutingPlanSparse::portLoads(const Cluster &cluster,
     for (DeviceId i = 0; i < numDevices_; ++i) {
         std::size_t count = 0;
         const Entry *entries = row(i, count);
-        const auto src = static_cast<std::size_t>(i);
         for (std::size_t t = 0; t < count; ++t) {
-            const DeviceId k = entries[t].dst;
-            if (k == i)
-                continue; // local tokens never touch the wire
-            const Bytes bytes = entries[t].tokens * bytes_per_token;
-            const auto dst = static_cast<std::size_t>(k);
-            if (cluster.sameNode(i, k)) {
-                out.sendIntra[src] += bytes;
-                out.recvIntra[dst] += bytes;
-            } else {
-                out.sendInter[src] += bytes;
-                out.recvInter[dst] += bytes;
-            }
+            // Local tokens never touch the wire.
+            if (entries[t].dst != i)
+                out.add(cluster, i, entries[t].dst,
+                        entries[t].tokens * bytes_per_token);
         }
     }
 }

@@ -59,19 +59,40 @@ allDevices(const Cluster &cluster)
     return group;
 }
 
-/** Transpose a volume matrix (combine is the reverse of dispatch). */
-VolumeMatrix
-transpose(const VolumeMatrix &volume)
-{
-    const std::size_t n = volume.size();
-    VolumeMatrix out(n, std::vector<Bytes>(n, 0));
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t k = 0; k < n; ++k)
-            out[k][i] = volume[i][k];
-    return out;
-}
-
 } // namespace
+
+void
+expertTpPortLoads(const Cluster &cluster, const RoutingPlanSparse &plan,
+                  Bytes bytes_per_token, int etp, A2aPortLoads &out)
+{
+    const int n = plan.numDevices();
+    LAER_ASSERT(etp >= 1 && n % etp == 0 && cluster.numDevices() == n,
+                "expert TP blocks do not tile the cluster");
+    out.reset(n);
+    std::vector<Bytes> to(static_cast<std::size_t>(n), 0);
+    for (DeviceId i = 0; i < n; ++i) {
+        std::size_t count = 0;
+        const RoutingPlanSparse::Entry *entries = plan.row(i, count);
+        // Bytes this source sends each destination, over all experts.
+        for (std::size_t t = 0; t < count; ++t)
+            to[static_cast<std::size_t>(entries[t].dst)] +=
+                entries[t].tokens * bytes_per_token;
+        // Split each destination's sum over its block once, at its
+        // first entry, and zero it for the next row.
+        for (std::size_t t = 0; t < count; ++t) {
+            const DeviceId k = entries[t].dst;
+            Bytes &sum = to[static_cast<std::size_t>(k)];
+            if (sum == 0)
+                continue;
+            const Bytes share = sum / etp;
+            sum = 0;
+            const DeviceId base = (k / etp) * etp;
+            for (DeviceId peer = base; peer < base + etp; ++peer)
+                if (peer != i)
+                    out.add(cluster, i, peer, share);
+        }
+    }
+}
 
 Seconds
 lmHeadForwardTime(const ModelConfig &model, TokenCount tokens,
@@ -95,10 +116,20 @@ MicroBatchResult
 simulateMicroBatch(const Cluster &cluster, const IterationSpec &spec)
 {
     LAER_CHECK(spec.model != nullptr, "spec needs a model");
-    LAER_CHECK(!spec.layerPlans.empty(), "spec needs layer plans");
+    LAER_CHECK(spec.layerSparse.empty() != spec.layerPlans.empty(),
+               "spec needs layer plans, sparse or dense");
+    std::vector<RoutingPlanSparse> compressed;
+    std::vector<const RoutingPlanSparse *> plans = spec.layerSparse;
+    if (plans.empty()) {
+        compressed.reserve(spec.layerPlans.size());
+        for (const RoutingPlan *dense : spec.layerPlans) {
+            compressed.push_back(RoutingPlanSparse::fromDense(*dense));
+            plans.push_back(&compressed.back());
+        }
+    }
     const ModelConfig &model = *spec.model;
     const int n = cluster.numDevices();
-    const int layers = static_cast<int>(spec.layerPlans.size());
+    const int layers = static_cast<int>(plans.size());
     const double bcomp = cluster.computeFlops();
     const TokenCount s = spec.tokensPerDevice;
     const bool fsep = usesFsep(spec.system);
@@ -188,39 +219,29 @@ simulateMicroBatch(const Cluster &cluster, const IterationSpec &spec)
                               model.bytesPerParam / tp);
     }
 
-    // ---- Per-layer volumes and expert compute ---------------------------
+    // ---- Per-layer traffic and expert compute --------------------------
+    // Expert TP shares each expert's GEMMs across the contiguous
+    // intra-node block of etp devices: the block's combined token load
+    // is computed jointly, and its receive buffer is striped over the
+    // block, spreading the hotspot.
+    const int etp = is_megatron ? std::max(1, spec.expertTpDegree) : 1;
+    LAER_CHECK(n % etp == 0,
+               "expert TP degree must divide the device count");
     const Flops expert_flops = model.expertFlopsPerToken();
     std::vector<Seconds> dispatch_dur(layers), combine_dur(layers);
     std::vector<std::vector<Seconds>> expert_fwd(layers);
-    const int etp_blur =
-        is_megatron ? std::max(1, spec.expertTpDegree) : 1;
+    A2aPortLoads loads;
+    std::vector<TokenCount> recv;
     for (int l = 0; l < layers; ++l) {
-        const RoutingPlan &plan = *spec.layerPlans[l];
-        VolumeMatrix volume = plan.dispatchVolume(model.tokenBytes());
-        if (etp_blur > 1) {
-            // Expert TP stripes each destination's token buffer over
-            // its intra-node block, spreading the receive hotspot.
-            VolumeMatrix blurred = zeroVolume(n);
-            for (DeviceId i = 0; i < n; ++i)
-                for (DeviceId k = 0; k < n; ++k) {
-                    const DeviceId base = (k / etp_blur) * etp_blur;
-                    for (int p = 0; p < etp_blur; ++p)
-                        blurred[i][base + p] +=
-                            volume[i][k] / etp_blur;
-                }
-            volume = std::move(blurred);
-        }
+        const RoutingPlanSparse &plan = *plans[l];
+        expertTpPortLoads(cluster, plan, model.tokenBytes(), etp, loads);
         dispatch_dur[l] =
-            a2aBottleneckTime(cluster, volume) * contention;
-        combine_dur[l] = a2aBottleneckTime(cluster, transpose(volume));
-        const std::vector<TokenCount> recv = plan.receivedTokens();
-        const int etp =
-            is_megatron ? std::max(1, spec.expertTpDegree) : 1;
+            a2aBottleneckTimeFromLoads(cluster, loads) * contention;
+        combine_dur[l] = a2aBottleneckTimeFromLoads(cluster, loads,
+                                                    /*transpose=*/true);
+        plan.receivedTokens(recv);
         expert_fwd[l].resize(n);
         for (DeviceId d = 0; d < n; ++d) {
-            // Expert TP shares each expert's GEMMs across the
-            // contiguous intra-node block of etp devices: the block's
-            // combined token load is computed jointly.
             TokenCount block = 0;
             const DeviceId base = (d / etp) * etp;
             for (int p = 0; p < etp; ++p)

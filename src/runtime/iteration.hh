@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "model/config.hh"
+#include "planner/routing_plan_sparse.hh"
 #include "planner/types.hh"
 #include "runtime/system.hh"
 #include "sim/engine.hh"
@@ -66,7 +67,12 @@ struct IterationSpec
     int expertTpDegree = 1;
     int capacityHint = 2;               //!< C, expert slots per device
     bool withGradSync = true;           //!< last micro-batch of the step
-    /** Per-MoE-layer token routing plans (already decided). */
+    /** Per-MoE-layer token routing plans (already decided). Give
+     * these or layerPlans, not both. */
+    std::vector<const RoutingPlanSparse *> layerSparse;
+    /** The same plans in dense form, compressed once on entry so one
+     * pricing path remains. Kept only until a paired [benchmark]
+     * change moves perfbench, which sets it, onto layerSparse. */
     std::vector<const RoutingPlan *> layerPlans;
 };
 
@@ -80,6 +86,25 @@ struct MicroBatchResult
     Seconds exposedPrefetch = 0.0;
     Seconds exposedGradSync = 0.0;
 };
+
+/**
+ * Port loads of one layer's token dispatch with Megatron's expert-TP
+ * receive blur: the bytes a source sends each destination (summed
+ * over experts, local traffic included) split evenly, by integer
+ * division, over the destination's contiguous block of `etp` devices.
+ * The share that lands back on the source stays off the wire, so
+ * `etp == 1` gives exactly RoutingPlanSparse::portLoads.
+ *
+ * @param cluster          Topology (node membership).
+ * @param plan             The layer's routing plan.
+ * @param bytes_per_token  Per-token payload.
+ * @param etp              Expert TP degree; must divide the devices.
+ * @param out              Filled loads (reset to the plan's size).
+ */
+void expertTpPortLoads(const Cluster &cluster,
+                       const RoutingPlanSparse &plan,
+                       Bytes bytes_per_token, int etp,
+                       A2aPortLoads &out);
 
 /**
  * Build the full forward+backward timeline of one micro-batch on the

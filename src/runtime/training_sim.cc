@@ -154,20 +154,23 @@ TrainingSimulator::step()
             currentLayouts_[l] = staticLayout_;
     }
 
-    // 3. Token dispatch on the current iteration's routing.
-    std::vector<RoutingPlan> plans;
-    plans.reserve(sim_layers);
+    // 3. Token dispatch on the current iteration's routing, straight
+    // into the sparse plan: the dense N x E x N plan never exists.
+    replicaIndex_.resize(sim_layers);
+    plans_.resize(sim_layers);
     std::vector<double> layer_imbalance(sim_layers);
+    std::vector<TokenCount> recv;
     for (int l = 0; l < sim_layers; ++l) {
         if (config_.system == SystemKind::FsdpEp ||
             config_.system == SystemKind::Megatron) {
-            plans.push_back(staticEpRouting(routing[l], grouping_,
-                                            currentLayouts_[l]));
+            staticEpRoutingSparse(routing[l], grouping_,
+                                  currentLayouts_[l], plans_[l]);
         } else {
-            plans.push_back(liteRouting(cluster_, routing[l],
-                                        currentLayouts_[l]));
+            replicaIndex_[l].rebuild(cluster_, currentLayouts_[l]);
+            liteRoutingSparse(cluster_, routing[l], replicaIndex_[l],
+                              plans_[l]);
         }
-        const std::vector<TokenCount> recv = plans[l].receivedTokens();
+        plans_[l].receivedTokens(recv);
         std::vector<double> loads(recv.begin(), recv.end());
         layer_imbalance[l] = imbalanceFactor(loads);
     }
@@ -185,8 +188,8 @@ TrainingSimulator::step()
     spec.tpDegree = config_.tpDegree;
     spec.expertTpDegree = config_.megatronExpertTp;
     spec.capacityHint = config_.capacity;
-    for (int l = 0; l < sim_layers; ++l)
-        spec.layerPlans.push_back(&plans[l]);
+    for (const RoutingPlanSparse &plan : plans_)
+        spec.layerSparse.push_back(&plan);
 
     spec.withGradSync = false;
     const MicroBatchResult plain = simulateMicroBatch(cluster_, spec);

@@ -141,16 +141,20 @@ SimEngine::exposedTime(const std::string &category) const
             merged.push_back(iv);
     }
 
+    // Busy intervals of every device's compute stream, bucketed in
+    // one pass; each bucket keeps task order, so the sort below sees
+    // the same input a per-device scan of the task list would give.
+    std::vector<std::vector<Interval>> busy(
+        static_cast<std::size_t>(numDevices_));
+    for (const auto &task : tasks_)
+        if (task.stream == StreamKind::Compute && task.duration > 0)
+            busy[static_cast<std::size_t>(task.device)].push_back(
+                {task.start, task.finish});
+
     const Seconds end = makespan();
     Seconds exposed_total = 0.0;
-    for (DeviceId d = 0; d < numDevices_; ++d) {
-        // Busy intervals of this device's compute stream.
-        std::vector<Interval> busy;
-        for (const auto &task : tasks_)
-            if (task.device == d && task.stream == StreamKind::Compute &&
-                task.duration > 0)
-                busy.push_back({task.start, task.finish});
-        std::sort(busy.begin(), busy.end(),
+    for (auto &device_busy : busy) {
+        std::sort(device_busy.begin(), device_busy.end(),
                   [](const Interval &a, const Interval &b) {
                       return a.lo < b.lo;
                   });
@@ -158,7 +162,7 @@ SimEngine::exposedTime(const std::string &category) const
         // overlap.
         for (const auto &iv : merged) {
             Seconds uncovered = std::min(iv.hi, end) - iv.lo;
-            for (const auto &b : busy) {
+            for (const auto &b : device_busy) {
                 const Seconds lo = std::max(iv.lo, b.lo);
                 const Seconds hi = std::min(iv.hi, b.hi);
                 if (hi > lo)

@@ -5,12 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
+#include "comm/collectives.hh"
 #include "core/error.hh"
+#include "core/rng.hh"
 #include "model/config.hh"
 #include "planner/lite_routing.hh"
 #include "planner/relocation.hh"
 #include "planner/replica_alloc.hh"
 #include "runtime/iteration.hh"
+#include "runtime/training_sim.hh"
 #include "topo/cluster.hh"
 
 namespace laer
@@ -240,6 +246,195 @@ TEST(Iteration, SpecValidation)
     const Cluster c = smallCluster();
     IterationSpec spec;
     EXPECT_THROW(simulateMicroBatch(c, spec), FatalError);
+}
+
+/** Random sparse plan: a few entries per source row, with local
+ * (diagonal) traffic, repeated (expert, destination) cells and the
+ * odd zero-token entry. */
+RoutingPlanSparse
+randomSparsePlan(int n, int e, Rng &rng)
+{
+    RoutingPlanSparse plan(n, e);
+    for (DeviceId i = 0; i < n; ++i) {
+        for (int t = rng.uniformInt(0, 2 * e); t > 0; --t) {
+            const DeviceId dst = rng.uniformInt(0, 3) == 0
+                                     ? i
+                                     : rng.uniformInt(0, n - 1);
+            plan.add(i, rng.uniformInt(0, e - 1), dst,
+                     rng.uniformInt(0, 9) == 0 ? 0
+                                               : rng.uniformInt(1, 5000));
+        }
+    }
+    return plan;
+}
+
+/** The dense formula the micro-batch timeline priced a layer with
+ * before it moved onto port loads: dispatch volume, expert-TP blur,
+ * then the bottleneck fold of the volume and of its transpose. */
+struct DenseLayerTraffic
+{
+    Seconds dispatch = 0.0;
+    Seconds combine = 0.0;
+};
+
+DenseLayerTraffic
+denseLayerTraffic(const Cluster &c, const RoutingPlan &plan,
+                  Bytes bytes_per_token, int blur)
+{
+    const int n = c.numDevices();
+    VolumeMatrix volume = plan.dispatchVolume(bytes_per_token);
+    if (blur > 1) {
+        VolumeMatrix blurred = zeroVolume(n);
+        for (DeviceId i = 0; i < n; ++i)
+            for (DeviceId k = 0; k < n; ++k) {
+                const DeviceId base = (k / blur) * blur;
+                for (int p = 0; p < blur; ++p)
+                    blurred[i][base + p] += volume[i][k] / blur;
+            }
+        volume = std::move(blurred);
+    }
+    VolumeMatrix reverse = zeroVolume(n);
+    for (DeviceId i = 0; i < n; ++i)
+        for (DeviceId k = 0; k < n; ++k)
+            reverse[k][i] = volume[i][k];
+    return {a2aBottleneckTime(c, volume), a2aBottleneckTime(c, reverse)};
+}
+
+TEST(Iteration, PortLoadTrafficMatchesDenseFormula)
+{
+    const Bytes bytes_per_token = mixtral8x7bE8K2().tokenBytes();
+    Rng rng(4242);
+    for (const int nodes : {2, 4}) {
+        for (const int per_node : {4, 8}) {
+            const Cluster c(nodes, per_node, 300e9, 12.5e9, 140e12);
+            const int n = c.numDevices();
+            for (int trial = 0; trial < 20; ++trial) {
+                const RoutingPlanSparse sparse =
+                    randomSparsePlan(n, 8, rng);
+                const RoutingPlan dense = sparse.toDense();
+                EXPECT_EQ(sparse.receivedTokens(),
+                          dense.receivedTokens());
+                for (const int blur : {1, 2, 4, 8}) {
+                    A2aPortLoads loads;
+                    expertTpPortLoads(c, sparse, bytes_per_token, blur,
+                                      loads);
+                    const DenseLayerTraffic want = denseLayerTraffic(
+                        c, dense, bytes_per_token, blur);
+                    EXPECT_EQ(a2aBottleneckTimeFromLoads(c, loads),
+                              want.dispatch)
+                        << nodes << "x" << per_node << " blur " << blur;
+                    EXPECT_EQ(a2aBottleneckTimeFromLoads(c, loads, true),
+                              want.combine)
+                        << nodes << "x" << per_node << " blur " << blur;
+                }
+            }
+        }
+    }
+}
+
+TEST(Iteration, DenseAndSparseSpecsPriceIdentically)
+{
+    const Cluster c(2, 8, 300e9, 12.5e9, 140e12);
+    const ModelConfig model = mixtral8x7bE8K2();
+    Rng rng(77);
+    std::vector<RoutingPlanSparse> sparse;
+    std::vector<RoutingPlan> dense;
+    for (int l = 0; l < 3; ++l) {
+        sparse.push_back(randomSparsePlan(c.numDevices(), 8, rng));
+        dense.push_back(sparse.back().toDense());
+    }
+    for (const SystemKind system :
+         {SystemKind::Laer, SystemKind::FsdpEp, SystemKind::Megatron}) {
+        for (const int etp : {1, 2, 4}) {
+            IterationSpec spec = baseSpec(model, {});
+            spec.system = system;
+            spec.tpDegree = 2;
+            spec.expertTpDegree = etp;
+            for (const RoutingPlan &p : dense)
+                spec.layerPlans.push_back(&p);
+            const MicroBatchResult from_dense =
+                simulateMicroBatch(c, spec);
+            spec.layerPlans.clear();
+            for (const RoutingPlanSparse &p : sparse)
+                spec.layerSparse.push_back(&p);
+            const MicroBatchResult from_sparse =
+                simulateMicroBatch(c, spec);
+            EXPECT_EQ(from_dense.makespan, from_sparse.makespan);
+            EXPECT_EQ(from_dense.a2aBusy, from_sparse.a2aBusy);
+            EXPECT_EQ(from_dense.expertBusy, from_sparse.expertBusy);
+            EXPECT_EQ(from_dense.othersBusy, from_sparse.othersBusy);
+            EXPECT_EQ(from_dense.exposedPrefetch,
+                      from_sparse.exposedPrefetch);
+            EXPECT_EQ(from_dense.exposedGradSync,
+                      from_sparse.exposedGradSync);
+            // Both forms at once are ambiguous.
+            spec.layerPlans.push_back(&dense[0]);
+            EXPECT_THROW(simulateMicroBatch(c, spec), FatalError);
+        }
+    }
+}
+
+/** `%.17g` of the per-field sums of a run: equal strings mean every
+ * summed quantity is bit-identical, which a table rounded to 0.1 ms
+ * cannot show. */
+std::string
+trainingDigest(SystemKind system)
+{
+    const Cluster c = Cluster::a100(2, 8);
+    SimulatorConfig cfg;
+    cfg.model = mixtral8x7bE16K4();
+    cfg.system = system;
+    cfg.capacity = 4;
+    cfg.seqLen = 4096;
+    cfg.tokensPerDevice = 4096;
+    cfg.globalBatchTokens = 2 * 4096 * c.numDevices();
+    cfg.tpDegree = 2;
+    cfg.megatronExpertTp = 2;
+    cfg.simulatedLayers = 4;
+    cfg.smartPeriod = 2;
+    cfg.routing = RoutingModel::wikitext(c.numDevices(),
+                                         cfg.model.numExperts,
+                                         cfg.model.topK,
+                                         cfg.tokensPerDevice);
+    cfg.seed = 7;
+    TrainingSimulator sim(c, cfg);
+    double time = 0.0, a2a = 0.0, expert = 0.0, prefetch = 0.0,
+           gradsync = 0.0, imbalance = 0.0;
+    for (const IterationResult &r : sim.run(4)) {
+        time += r.time;
+        a2a += r.a2a;
+        expert += r.expert;
+        prefetch += r.exposedPrefetch;
+        gradsync += r.exposedGradSync;
+        imbalance += r.maxRelTokens;
+    }
+    char buf[256];
+    std::snprintf(buf, sizeof buf, "%.17g %.17g %.17g %.17g %.17g %.17g",
+                  time, a2a, expert, prefetch, gradsync, imbalance);
+    return buf;
+}
+
+TEST(TrainingSimulator, PinnedDigestPerSystem)
+{
+    // Recorded before training moved onto the sparse routing plan; a
+    // change that alters any priced time must re-record these on
+    // purpose.
+    EXPECT_EQ(trainingDigest(SystemKind::Laer),
+              "18.94324604172742 1.3263481758870577 10.447848046740276 "
+              "3.472874062583891 1.7746485988720369 5.1896209716796875");
+    EXPECT_EQ(trainingDigest(SystemKind::FsdpEp),
+              "25.01478059475982 11.317973922111129 10.447848046740271 "
+              "0.0033815106258823571 1.324049957638376 "
+              "6.269744873046875");
+    EXPECT_EQ(trainingDigest(SystemKind::Megatron),
+              "23.960838286748384 9.5385253777259731 10.447848046740273 "
+              "0 2.0089566026830799 6.269744873046875");
+    EXPECT_EQ(trainingDigest(SystemKind::FlexMoe),
+              "21.226067959520723 2.3647511197857014 10.447848046740273 "
+              "3.6169887993947509 2.7903956673158379 6.2389373779296875");
+    EXPECT_EQ(trainingDigest(SystemKind::SmartMoe),
+              "20.622684181175021 1.6761760165762891 10.447848046740273 "
+              "3.4834645268850677 2.0155645331692296 5.4921722412109375");
 }
 
 } // namespace

@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/error.hh"
+#include "core/rng.hh"
 #include "sim/engine.hh"
 
 namespace laer
@@ -155,6 +160,94 @@ TEST(SimEngine, ZeroDurationTasksAreInstant)
     eng.run();
     EXPECT_DOUBLE_EQ(eng.task(b).start, 0.0);
     EXPECT_EQ(eng.taskCount(), 2);
+}
+
+/** The per-device scan exposedTime used before it bucketed the
+ * compute intervals in one pass: every device walks the whole task
+ * list. */
+Seconds
+exposedTimeByDeviceScan(const SimEngine &eng, int n_devices,
+                        const std::string &category)
+{
+    struct Interval
+    {
+        Seconds lo, hi;
+    };
+    const auto by_lo = [](const Interval &a, const Interval &b) {
+        return a.lo < b.lo;
+    };
+    std::vector<Interval> cat;
+    for (TaskId t = 0; t < eng.taskCount(); ++t)
+        if (eng.task(t).category == category && eng.task(t).duration > 0)
+            cat.push_back({eng.task(t).start, eng.task(t).finish});
+    if (cat.empty())
+        return 0.0;
+    std::sort(cat.begin(), cat.end(), by_lo);
+    std::vector<Interval> merged;
+    for (const auto &iv : cat) {
+        if (!merged.empty() && iv.lo <= merged.back().hi)
+            merged.back().hi = std::max(merged.back().hi, iv.hi);
+        else
+            merged.push_back(iv);
+    }
+    const Seconds end = eng.makespan();
+    Seconds exposed_total = 0.0;
+    for (DeviceId d = 0; d < n_devices; ++d) {
+        std::vector<Interval> busy;
+        for (TaskId t = 0; t < eng.taskCount(); ++t) {
+            const SimTask &task = eng.task(t);
+            if (task.device == d && task.stream == StreamKind::Compute &&
+                task.duration > 0)
+                busy.push_back({task.start, task.finish});
+        }
+        std::sort(busy.begin(), busy.end(), by_lo);
+        for (const auto &iv : merged) {
+            Seconds uncovered = std::min(iv.hi, end) - iv.lo;
+            for (const auto &b : busy) {
+                const Seconds lo = std::max(iv.lo, b.lo);
+                const Seconds hi = std::min(iv.hi, b.hi);
+                if (hi > lo)
+                    uncovered -= (hi - lo);
+            }
+            if (uncovered > 0)
+                exposed_total += uncovered;
+        }
+    }
+    return exposed_total / n_devices;
+}
+
+TEST(SimEngine, ExposedTimeMatchesPerDeviceScanOnRandomGraphs)
+{
+    const StreamKind streams[] = {StreamKind::Compute,
+                                  StreamKind::Prefetch,
+                                  StreamKind::Dispatch,
+                                  StreamKind::GradSync};
+    const char *categories[] = {"prefetch", "gradsync", "expert",
+                                "others", ""};
+    Rng rng(20261017);
+    for (int trial = 0; trial < 300; ++trial) {
+        const int n = rng.uniformInt(1, 6);
+        SimEngine eng(n);
+        const int tasks = rng.uniformInt(1, 120);
+        for (int t = 0; t < tasks; ++t) {
+            std::vector<TaskId> deps;
+            for (int k = rng.uniformInt(0, 3); k > 0 && t > 0; --k)
+                deps.push_back(rng.uniformInt(0, t - 1));
+            // Some zero durations and some shared start times, so
+            // empty and tied intervals reach the sort.
+            const Seconds dur = rng.uniformInt(0, 4) == 0
+                                    ? 0.0
+                                    : 0.25 * rng.uniformInt(1, 12);
+            eng.addTask("t", rng.uniformInt(0, n - 1),
+                        streams[rng.uniformInt(0, 3)], dur, deps,
+                        categories[rng.uniformInt(0, 4)]);
+        }
+        eng.run();
+        for (const char *cat : {"prefetch", "gradsync", "expert"})
+            EXPECT_EQ(eng.exposedTime(cat),
+                      exposedTimeByDeviceScan(eng, n, cat))
+                << "trial " << trial << " category " << cat;
+    }
 }
 
 } // namespace
