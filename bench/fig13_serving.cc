@@ -35,18 +35,13 @@
  *
  * Flags: `--policy=NAME[,NAME...]` restricts every sweep to the named
  * policies (StaticEP, FlexMoE, LAER, Disagg, DisaggShared); `--csv`
- * emits the tables as CSV for machine consumption; `--trace-out=FILE`
- * records every run into one Perfetto trace (tracks labelled
- * sweep/policy@point); `--metrics-out=FILE` appends per-run JSONL
- * counter snapshots; `--slo-report-out=FILE` writes one SLO-miss
- * attribution report per sweep point (JSON array, see
- * docs/OBSERVABILITY.md).
+ * emits the tables as CSV for machine consumption; the obs flags
+ * (serve/obs_sinks.hh) record every sweep point under a
+ * sweep/policy@point label.
  */
 
 #include <algorithm>
-#include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -54,8 +49,8 @@
 #include "core/cli.hh"
 #include "core/error.hh"
 #include "core/table.hh"
-#include "obs/obs.hh"
 #include "serve/kv_cache.hh"
+#include "serve/obs_sinks.hh"
 #include "serve/serving_sim.hh"
 
 namespace
@@ -85,40 +80,6 @@ bool csv_output = false;
 std::vector<std::string> policy_filter;
 bool seed_overridden = false;
 std::uint64_t seed_override = 0;
-laer::TraceRecorder *trace_recorder = nullptr; //!< shared across runs
-std::string metrics_path;                      //!< "" = metrics off
-laer::SloReportSink *slo_sink = nullptr;       //!< --slo-report-out
-
-/** Attach the shared trace recorder and the run's registry to one
- * sweep point; `label` prefixes its trace tracks and tags its JSONL
- * snapshots (e.g. "13b/LAER@10GiB"). No-op without the obs flags. */
-void
-attachObs(laer::ServingConfig &cfg, laer::MetricsRegistry &registry,
-          const std::string &label)
-{
-    if (trace_recorder != nullptr) {
-        cfg.trace = trace_recorder;
-        cfg.obsLabel = label;
-    }
-    if (!metrics_path.empty()) {
-        cfg.metricsRegistry = &registry;
-        cfg.snapshotInterval = 1.0;
-    }
-    if (slo_sink != nullptr)
-        cfg.reqTrace = slo_sink->begin();
-}
-
-/** Append the run's snapshots to --metrics-out and fold its SLO-miss
- * report into --slo-report-out (when either was given). */
-void
-flushObs(const laer::MetricsRegistry &registry, const std::string &label)
-{
-    if (!metrics_path.empty())
-        registry.appendJsonlFile(metrics_path, label);
-    if (slo_sink != nullptr)
-        slo_sink->end(label);
-}
-
 /** True when the variant survives the --policy filter. */
 bool
 selected(const PolicyVariant &v)
@@ -175,7 +136,7 @@ servingConfig(const PolicyVariant &variant, double rate)
 
 /** Part 2 — fixed near-knee load, per-device HBM on the x-axis. */
 void
-kvBudgetSweep(const laer::Cluster &cluster)
+kvBudgetSweep(const laer::Cluster &cluster, laer::ObsSinks &sinks)
 {
     const double hbm_gib[] = {7.2, 8.0, 10.0, 14.0};
     const PolicyVariant policies[] = {kStaticEp, kFlexMoe, kLaer};
@@ -199,10 +160,10 @@ kvBudgetSweep(const laer::Cluster &cluster)
             std::ostringstream label;
             label << "13b/" << policy.label << "@" << gib << "GiB";
             laer::MetricsRegistry registry;
-            attachObs(cfg, registry, label.str());
+            sinks.attach(cfg, registry, label.str());
             laer::ServingSimulator sim(cluster, cfg);
             const laer::ServingReport r = sim.run();
-            flushObs(registry, label.str());
+            sinks.end(registry, label.str());
             table.startRow();
             table.cell(gib, 1);
             table.cell(static_cast<double>(r.kvBudgetBytes) /
@@ -226,7 +187,7 @@ kvBudgetSweep(const laer::Cluster &cluster)
  * per-pool LAER tuning vs one shared layout, under a fixed HBM
  * budget. */
 void
-disaggSweep(const laer::Cluster &cluster)
+disaggSweep(const laer::Cluster &cluster, laer::ObsSinks &sinks)
 {
     const double rates[] = {40.0, 60.0};
     const PolicyVariant policies[] = {kLaer, kDisagg, kDisaggShared};
@@ -252,10 +213,10 @@ disaggSweep(const laer::Cluster &cluster)
             std::ostringstream label;
             label << "13c/" << policy.label << "@" << rate;
             laer::MetricsRegistry registry;
-            attachObs(cfg, registry, label.str());
+            sinks.attach(cfg, registry, label.str());
             laer::ServingSimulator sim(cluster, cfg);
             const laer::ServingReport r = sim.run();
-            flushObs(registry, label.str());
+            sinks.end(registry, label.str());
             table.startRow();
             table.cell(rate, 0);
             table.cell(policy.label);
@@ -300,56 +261,30 @@ disaggSweep(const laer::Cluster &cluster)
 int
 main(int argc, char **argv)
 try {
-    const laer::CliArgs args(argc, argv,
-                             {"policy", "csv", "seed", "trace-out",
-                              "metrics-out", "slo-report-out", "help"});
+    const laer::CliArgs args(
+        argc, argv,
+        laer::ObsSinks::flags({"policy", "csv", "seed", "help"}));
     if (args.has("help")) {
         std::cout
             << "usage: fig13_serving [--policy=NAME[,NAME...]] [--csv] "
-               "[--seed=N] [--trace-out=FILE] [--metrics-out=FILE] "
-               "[--slo-report-out=FILE]\n"
+               "[--seed=N] [obs flags]\n"
                "  --policy      run only the named policies; names: "
                "StaticEP, FlexMoE, LAER, Disagg, DisaggShared\n"
                "  --csv         emit tables as CSV\n"
                "  --seed        routing/arrival seed base (default: "
                "the paper sweep's 7/2024)\n"
-               "  --trace-out   write a Chrome/Perfetto trace of every "
-               "sweep point\n"
-               "  --metrics-out append per-run JSONL counter "
-               "snapshots (1 s cadence)\n"
-               "  --slo-report-out write one SLO-miss attribution "
-               "report per sweep point (JSON array)\n";
+            << laer::ObsSinks::help();
         return 0;
     }
     csv_output = args.has("csv");
-    policy_filter = args.getList("policy");
+    policy_filter = args.getChoices(
+        "policy", {kStaticEp.label, kFlexMoe.label, kLaer.label,
+                   kDisagg.label, kDisaggShared.label});
     if (args.has("seed")) {
         seed_overridden = true;
         seed_override = args.getUint("seed", 0);
     }
-    const std::string trace_out = args.get("trace-out");
-    const std::string metrics_out = args.get("metrics-out");
-    std::unique_ptr<laer::TraceRecorder> recorder;
-    if (!trace_out.empty()) {
-        recorder = std::make_unique<laer::TraceRecorder>();
-        trace_recorder = recorder.get();
-    }
-    metrics_path = metrics_out;
-    if (!metrics_path.empty())
-        std::ofstream(metrics_path, std::ios::trunc);
-    laer::SloReportSink slo(args.get("slo-report-out"));
-    if (slo.enabled())
-        slo_sink = &slo;
-    for (const std::string &name : policy_filter) {
-        const bool known =
-            name == kStaticEp.label || name == kFlexMoe.label ||
-            name == kLaer.label || name == kDisagg.label ||
-            name == kDisaggShared.label;
-        LAER_CHECK(known, "unknown policy '"
-                              << name
-                              << "' (expected StaticEP, FlexMoE, "
-                                 "LAER, Disagg or DisaggShared)");
-    }
+    laer::ObsSinks sinks(args);
 
     const laer::Cluster cluster = laer::Cluster::a100(2);
     const double rates[] = {20.0, 40.0, 60.0, 80.0, 100.0};
@@ -374,10 +309,10 @@ try {
             std::ostringstream label;
             label << "13a/" << policy.label << "@" << rate;
             laer::MetricsRegistry registry;
-            attachObs(cfg, registry, label.str());
+            sinks.attach(cfg, registry, label.str());
             laer::ServingSimulator sim(cluster, cfg);
             const laer::ServingReport r = sim.run();
-            flushObs(registry, label.str());
+            sinks.end(registry, label.str());
             table.startRow();
             table.cell(rate, 0);
             table.cell(policy.label);
@@ -402,11 +337,9 @@ try {
     if (table.rowCount() > 0)
         emit(table);
 
-    kvBudgetSweep(cluster);
-    disaggSweep(cluster);
-    if (recorder)
-        recorder->writeFile(trace_out);
-    slo.write();
+    kvBudgetSweep(cluster, sinks);
+    disaggSweep(cluster, sinks);
+    sinks.write();
 
     // The LAER-vs-StaticEP gate only applies when both policies ran.
     if (!selected(kLaer) || !selected(kStaticEp))

@@ -29,16 +29,12 @@
  *
  * Flags: `--policy=NAME[,NAME...]` (Static8/8, AutoSplit,
  * AutoReplica), `--csv`, `--seed=N`, `--quick` (tiny sweep for CI
- * smoke), `--trace-out=FILE` (Perfetto trace of every run),
- * `--metrics-out=FILE` (JSONL counter snapshots, 1 s cadence),
- * `--slo-report-out=FILE` (one SLO-miss attribution report per run,
- * JSON array — see docs/OBSERVABILITY.md), `--help`.
+ * smoke), `--fault-plan=FILE`, the obs flags (serve/obs_sinks.hh;
+ * runs labelled config@rate), `--help`.
  */
 
 #include <algorithm>
-#include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -48,7 +44,7 @@
 #include "core/table.hh"
 #include "ctrl/control_loop.hh"
 #include "fault/fault.hh"
-#include "obs/obs.hh"
+#include "serve/obs_sinks.hh"
 #include "serve/serving_sim.hh"
 #include "topo/cluster.hh"
 
@@ -239,58 +235,38 @@ printWindows(Variant variant, double rate,
 int
 main(int argc, char **argv)
 try {
-    const laer::CliArgs args(argc, argv,
-                             {"policy", "csv", "seed", "quick",
-                              "trace-out", "metrics-out",
-                              "slo-report-out", "fault-plan", "help"});
+    const laer::CliArgs args(
+        argc, argv,
+        laer::ObsSinks::flags(
+            {"policy", "csv", "seed", "quick", "fault-plan", "help"}));
     if (args.has("help")) {
         std::cout
             << "usage: fig14_autoscale [--policy=NAME[,NAME...]] "
-               "[--csv] [--seed=N] [--quick] [--trace-out=FILE] "
-               "[--metrics-out=FILE] [--slo-report-out=FILE] "
-               "[--fault-plan=FILE]\n"
+               "[--csv] [--seed=N] [--quick] [--fault-plan=FILE] "
+               "[obs flags]\n"
                "  --policy      run only the named configurations; "
                "names: Static8/8, AutoSplit, AutoReplica\n"
                "  --csv         emit tables as CSV\n"
                "  --seed        routing/arrival seed base (default 7)\n"
                "  --quick       one rate, one diurnal period (CI "
                "smoke; skips the acceptance gate)\n"
-               "  --trace-out   write a Chrome/Perfetto trace of every "
-               "run (tracks labelled config@rate)\n"
-               "  --metrics-out append one JSONL counter snapshot per "
-               "simulated second per run\n"
-               "  --slo-report-out write one SLO-miss attribution "
-               "report per run (JSON array)\n"
                "  --fault-plan  inject a parsed fault plan into every "
-               "run (docs/ROBUSTNESS.md; skips the acceptance gate)\n";
+               "run (docs/ROBUSTNESS.md; skips the acceptance gate)\n"
+            << laer::ObsSinks::help();
         return 0;
     }
     csv_output = args.has("csv");
     quick = args.has("quick");
-    policy_filter = args.getList("policy");
+    policy_filter = args.getChoices(
+        "policy", {variantName(Variant::StaticSplit),
+                   variantName(Variant::AutoSplit),
+                   variantName(Variant::AutoReplica)});
     seed = args.getUint("seed", seed);
-    const std::string trace_out = args.get("trace-out");
-    const std::string metrics_out = args.get("metrics-out");
-    std::unique_ptr<laer::TraceRecorder> recorder;
-    if (!trace_out.empty())
-        recorder = std::make_unique<laer::TraceRecorder>();
-    if (!metrics_out.empty())
-        std::ofstream(metrics_out, std::ios::trunc);
-    laer::SloReportSink slo(args.get("slo-report-out"));
     laer::FaultConfig fault_plan;
     const bool faulted = !args.get("fault-plan").empty();
     if (faulted)
         fault_plan = laer::parseFaultPlanFile(args.get("fault-plan"));
-    for (const std::string &name : policy_filter) {
-        const bool known = name == variantName(Variant::StaticSplit) ||
-                           name == variantName(Variant::AutoSplit) ||
-                           name == variantName(Variant::AutoReplica);
-        LAER_CHECK(known,
-                   "unknown configuration '"
-                       << name
-                       << "' (expected Static8/8, AutoSplit or "
-                          "AutoReplica)");
-    }
+    laer::ObsSinks sinks(args);
 
     const laer::Cluster cluster(8, 2, 300e9, 12.5e9, 0.68 * 312e12);
     const std::vector<double> rates =
@@ -325,21 +301,11 @@ try {
             std::ostringstream label;
             label << variantName(variant) << "@" << rate;
             laer::MetricsRegistry registry;
-            if (recorder) {
-                cfg.trace = recorder.get();
-                cfg.obsLabel = label.str();
-            }
-            if (!metrics_out.empty()) {
-                cfg.metricsRegistry = &registry;
-                cfg.snapshotInterval = 1.0;
-            }
-            cfg.reqTrace = slo.begin();
+            sinks.attach(cfg, registry, label.str());
             laer::ServingSimulator sim(cluster, cfg);
             laer::ControlLoop loop(sim, loopConfig(variant));
             const laer::ServingReport r = loop.run();
-            slo.end(label.str());
-            if (!metrics_out.empty())
-                registry.appendJsonlFile(metrics_out, label.str());
+            sinks.end(registry, label.str());
 
             table.startRow();
             table.cell(rate, 0);
@@ -380,9 +346,7 @@ try {
         printWindows(variant, top_rate, report);
     }
 
-    if (recorder)
-        recorder->writeFile(trace_out);
-    slo.write();
+    sinks.write();
 
     // The peak/off-peak acceptance claim is a fault-free statement —
     // under an injected plan the interesting output is the table.

@@ -29,19 +29,17 @@
  *       [--metrics-out=FILE]
  *
  * --compare-serial re-runs the identical scenario on the classic
- * per-event serial core and records the windowed core's speedup —
- * the number quoted in docs/PERF.md. Every arm that runs must drain
- * the whole day (completed == offered) or the bench exits non-zero.
- * --trace-out writes one
- * Chrome/Perfetto trace of the run(s), tracks keyed by arm
- * ("windowed/", "serial/"); --metrics-out appends each arm's 1 s
- * counter snapshots as JSONL keyed the same way.
+ * per-event serial core, pinned to one thread, and records the
+ * windowed core's speedup — the number quoted in docs/PERF.md. Every
+ * arm that runs must drain the whole day (completed == offered) or
+ * the bench exits non-zero. The trace and metrics flags
+ * (serve/obs_sinks.hh) key each arm's tracks and 1 s snapshots by
+ * arm ("windowed", "serial").
  */
 
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -49,8 +47,7 @@
 #include "core/cli.hh"
 #include "core/error.hh"
 #include "model/config.hh"
-#include "obs/metrics.hh"
-#include "obs/trace.hh"
+#include "serve/obs_sinks.hh"
 #include "serve/serving_sim.hh"
 #include "topo/cluster.hh"
 
@@ -58,11 +55,6 @@ namespace
 {
 
 using Clock = std::chrono::steady_clock;
-
-/** Shared obs sinks (set from --trace-out/--metrics-out; both off by
- * default so the perf-gated run stays untouched). */
-laer::TraceRecorder *trace_recorder = nullptr;
-std::string metrics_path;
 
 /** Committed full-mode floors: measured ~82 sim-s/wall-s and ~145k
  * req/wall-s on the 1-core reference box, committed at roughly a
@@ -128,7 +120,8 @@ dayConfig(bool quick, int threads, bool windowed)
 
 ArmResult
 runArm(const laer::Cluster &cluster, laer::ServingConfig cfg,
-       laer::MetricsRegistry &registry, const std::string &label)
+       laer::MetricsRegistry &registry, laer::ObsSinks &sinks,
+       const std::string &label)
 {
     // Streaming metrics mode: bounded sample memory over a
     // million-request day, snapshotted at a coarse cadence (the
@@ -136,10 +129,7 @@ runArm(const laer::Cluster &cluster, laer::ServingConfig cfg,
     cfg.metricsRegistry = &registry;
     cfg.metricsMode = laer::MetricsMemoryMode::Streaming;
     cfg.snapshotInterval = 1.0;
-    if (trace_recorder != nullptr) {
-        cfg.trace = trace_recorder;
-        cfg.obsLabel = label;
-    }
+    sinks.attach(cfg, registry, label);
 
     const Clock::time_point t0 = Clock::now();
     laer::ServingSimulator sim(cluster, cfg);
@@ -150,8 +140,7 @@ runArm(const laer::Cluster &cluster, laer::ServingConfig cfg,
     res.offered = report.offered;
     res.completed = report.completed;
     res.simSeconds = report.elapsed;
-    if (!metrics_path.empty())
-        registry.appendJsonlFile(metrics_path, label);
+    sinks.end(registry, label);
     return res;
 }
 
@@ -163,20 +152,20 @@ try {
     using namespace laer;
 
     const CliArgs args(argc, argv,
-                       {"quick", "threads", "compare-serial", "out",
-                        "trace-out", "metrics-out", "help"});
+                       ObsSinks::flags({"quick", "threads",
+                                        "compare-serial", "out", "help"},
+                                       /*slo_report=*/false));
     if (args.has("help")) {
         std::cout << "usage: fig15_million_requests [--quick] "
                      "[--threads=N] [--compare-serial] [--out=PATH] "
-                     "[--trace-out=FILE] [--metrics-out=FILE]\n"
+                     "[obs flags]\n"
                      "  full mode runs the >= 1M-request day and "
                      "enforces the committed rate floors;\n"
                      "  --quick shrinks the day for CI smoke "
                      "(floors skipped).\n"
-                     "  --trace-out   write a Chrome/Perfetto trace "
-                     "of the run(s), tracks keyed by arm\n"
-                     "  --metrics-out append per-arm JSONL counter "
-                     "snapshots (1 s cadence)\n";
+                     "  --compare-serial also runs the serial core "
+                     "on 1 thread and records the speedup.\n"
+                  << ObsSinks::help(/*slo_report=*/false);
         return 0;
     }
     const bool quick = args.has("quick");
@@ -184,15 +173,7 @@ try {
     const int threads =
         static_cast<int>(args.getUint("threads", 0)); // 0 = hardware
     const std::string out_path = args.get("out", "BENCH_fig15.json");
-    const std::string trace_out = args.get("trace-out");
-    std::unique_ptr<TraceRecorder> recorder;
-    if (!trace_out.empty()) {
-        recorder = std::make_unique<TraceRecorder>();
-        trace_recorder = recorder.get();
-    }
-    metrics_path = args.get("metrics-out");
-    if (!metrics_path.empty())
-        std::ofstream(metrics_path, std::ios::trunc);
+    ObsSinks sinks(args);
 
     const int nodes = 8;
     const Cluster cluster = Cluster::a100(nodes, 8);
@@ -204,7 +185,7 @@ try {
     MetricsRegistry registry;
     const ArmResult windowed =
         runArm(cluster, dayConfig(quick, threads, /*windowed=*/true),
-               registry, "windowed");
+               registry, sinks, "windowed");
 
     std::cout << "windowed core: " << windowed.completed << "/"
               << windowed.offered << " requests over "
@@ -219,9 +200,12 @@ try {
     double speedup = 0.0;
     if (compare_serial) {
         MetricsRegistry serial_registry;
+        // The serial core on one thread: the decision number of the
+        // windowed core's keep-or-delete call (docs/PERF.md).
         serial = runArm(cluster,
-                        dayConfig(quick, threads, /*windowed=*/false),
-                        serial_registry, "serial");
+                        dayConfig(quick, /*threads=*/1,
+                                  /*windowed=*/false),
+                        serial_registry, sinks, "serial");
         speedup = serial.wallSeconds / windowed.wallSeconds;
         std::cout << "serial core:   " << serial.completed << "/"
                   << serial.offered << " requests in "
@@ -260,10 +244,7 @@ try {
         out << json.str();
         std::cout << "wrote " << out_path << "\n";
     }
-    if (recorder) {
-        recorder->writeFile(trace_out);
-        std::cout << "wrote " << trace_out << "\n";
-    }
+    sinks.write();
 
     // ---- acceptance gates ----------------------------------------------
     int rc = 0;

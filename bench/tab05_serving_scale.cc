@@ -31,7 +31,8 @@
  * The serving runs self-profile: a per-scale wall-time breakdown
  * (step pricing vs retune solver vs event loop) prints at exit and
  * lands in the JSON, answering "where does the wall time go at 1024
- * devices". `--trace-out` / `--metrics-out` record the serving runs.
+ * devices". The trace and metrics flags (serve/obs_sinks.hh) record
+ * the serving runs, snapshotted every 0.5 s.
  *
  *   ./tab05_serving_scale [--quick] [--devices=128,256,...]
  *       [--threads=N] [--tuner-budget-ms=MS] [--out=PATH] [--csv]
@@ -41,14 +42,12 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "comm/collectives.hh"
 #include "core/cli.hh"
-#include "obs/obs.hh"
 #include "core/error.hh"
 #include "core/rng.hh"
 #include "core/table.hh"
@@ -61,6 +60,7 @@
 #include "planner/relocation.hh"
 #include "planner/replica_alloc.hh"
 #include "planner/routing_plan_sparse.hh"
+#include "serve/obs_sinks.hh"
 #include "serve/serving_sim.hh"
 #include "topo/cluster.hh"
 
@@ -232,19 +232,19 @@ try {
     using namespace laer;
 
     const CliArgs args(argc, argv,
-                       {"quick", "devices", "threads",
-                        "tuner-budget-ms", "out", "csv", "trace-out",
-                        "metrics-out", "help"});
+                       ObsSinks::flags({"quick", "devices", "threads",
+                                        "tuner-budget-ms", "out", "csv",
+                                        "help"},
+                                       /*slo_report=*/false));
     if (args.has("help")) {
         std::cout
             << "usage: tab05_serving_scale [--quick] "
                "[--devices=128,256,...] [--threads=N] "
                "[--tuner-budget-ms=MS] [--out=PATH] [--csv] "
-               "[--trace-out=FILE] [--metrics-out=FILE]\n"
+               "[obs flags]\n"
                "  --threads defaults to the hardware concurrency;\n"
                "  results are identical for any thread count.\n"
-               "  --trace-out / --metrics-out record the serving runs "
-               "(Perfetto trace / JSONL snapshots).\n";
+            << ObsSinks::help(/*slo_report=*/false);
         return 0;
     }
     const bool quick = args.has("quick");
@@ -253,13 +253,7 @@ try {
         args.getUint("threads", 0)); // 0 = hardware concurrency
     const double budget_ms = args.getDouble("tuner-budget-ms", 30.0);
     const std::string out_path = args.get("out", "BENCH_tab04.json");
-    const std::string trace_out = args.get("trace-out");
-    const std::string metrics_out = args.get("metrics-out");
-    std::unique_ptr<TraceRecorder> recorder;
-    if (!trace_out.empty())
-        recorder = std::make_unique<TraceRecorder>();
-    if (!metrics_out.empty())
-        std::ofstream(metrics_out, std::ios::trunc);
+    ObsSinks sinks(args);
 
     std::vector<int> scales;
     if (args.has("devices")) {
@@ -421,18 +415,12 @@ try {
             std::ostringstream label;
             label << "tab05@" << gpus;
             MetricsRegistry registry;
-            if (recorder) {
-                cfg.trace = recorder.get();
-                cfg.obsLabel = label.str();
-            }
-            if (!metrics_out.empty()) {
-                cfg.metricsRegistry = &registry;
-                cfg.snapshotInterval = 0.5;
-            }
+            sinks.attach(cfg, registry, label.str());
+            if (cfg.metricsRegistry != nullptr)
+                cfg.snapshotInterval = 0.5; // runs last only 1-2 s
             ServingSimulator sim(cluster, cfg);
             const ServingReport report = sim.run();
-            if (!metrics_out.empty())
-                registry.appendJsonlFile(metrics_out, label.str());
+            sinks.end(registry, label.str());
             res.serveSteps = report.steps;
             res.serveRetunes = report.retunes;
             res.serveRetuneMeanMs = report.retuneWallMeanMs;
@@ -510,8 +498,7 @@ try {
         std::cout << "\nwrote " << out_path << "\n";
     }
 
-    if (recorder)
-        recorder->writeFile(trace_out);
+    sinks.write();
 
     // Where the serving run's wall time went, per scale: step pricing
     // (engine executeStep minus the solver), the retune solver, and

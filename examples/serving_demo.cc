@@ -10,20 +10,14 @@
  * between them.
  *
  *   ./examples/serving_demo [--policy=NAME[,NAME...]] [--csv]
- *                           [--trace-out=FILE] [--metrics-out=FILE]
- *                           [--slo-report-out=FILE]
+ *                           [obs flags]
  *
- * Policy names: StaticEP, FlexMoE, LAER, Disagg. The obs flags record
- * every policy's run into one Perfetto trace / JSONL snapshot file;
- * --slo-report-out writes a JSON array with one SLO-miss report per
- * policy (top-K worst requests with exact latency attribution, see
- * docs/OBSERVABILITY.md).
+ * Policy names: StaticEP, FlexMoE, LAER, Disagg. The obs flags
+ * (serve/obs_sinks.hh) record every policy's run under its name.
  */
 
 #include <algorithm>
-#include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,7 +25,7 @@
 #include "core/cli.hh"
 #include "core/error.hh"
 #include "core/table.hh"
-#include "obs/obs.hh"
+#include "serve/obs_sinks.hh"
 #include "serve/serving_sim.hh"
 
 namespace
@@ -91,22 +85,18 @@ try {
     using namespace laer;
 
     const CliArgs args(argc, argv,
-                       {"policy", "csv", "seed", "threads",
-                        "tuner-budget-ms", "trace-out", "metrics-out",
-                        "slo-report-out", "help"});
+                       ObsSinks::flags({"policy", "csv", "seed",
+                                        "threads", "tuner-budget-ms",
+                                        "help"}));
     if (args.has("help")) {
         std::cout << "usage: serving_demo [--policy=NAME[,NAME...]] "
                      "[--csv] [--seed=N] [--threads=N] "
-                     "[--tuner-budget-ms=MS] [--trace-out=FILE] "
-                     "[--metrics-out=FILE] [--slo-report-out=FILE]\n"
+                     "[--tuner-budget-ms=MS] [obs flags]\n"
                      "  names: StaticEP, "
                      "FlexMoE, LAER, Disagg\n  --threads=0 uses the "
                      "hardware concurrency (results are identical "
-                     "for any value)\n  --trace-out writes a "
-                     "Chrome/Perfetto trace; --metrics-out appends "
-                     "JSONL counter snapshots\n  --slo-report-out "
-                     "writes one SLO-miss attribution report per "
-                     "policy (JSON array)\n";
+                     "for any value)\n"
+                  << ObsSinks::help();
         return 0;
     }
     const bool csv = args.has("csv");
@@ -117,15 +107,6 @@ try {
     threads_flag = static_cast<int>(args.getUint("threads", 0));
     tuner_budget_ms =
         static_cast<double>(args.getUint("tuner-budget-ms", 0));
-    const std::vector<std::string> filter = args.getList("policy");
-    const std::string trace_out = args.get("trace-out");
-    const std::string metrics_out = args.get("metrics-out");
-    std::unique_ptr<TraceRecorder> recorder;
-    if (!trace_out.empty())
-        recorder = std::make_unique<TraceRecorder>();
-    if (!metrics_out.empty())
-        std::ofstream(metrics_out, std::ios::trunc);
-    SloReportSink slo(args.get("slo-report-out"));
 
     const std::pair<const char *, ServingPolicy> policies[] = {
         {"StaticEP", ServingPolicy::StaticEp},
@@ -133,15 +114,9 @@ try {
         {"LAER", ServingPolicy::LaerServe},
         {"Disagg", ServingPolicy::Disaggregated},
     };
-    for (const std::string &name : filter) {
-        bool known = false;
-        for (const auto &[label, policy] : policies)
-            known |= name == label;
-        LAER_CHECK(known, "unknown policy '"
-                              << name
-                              << "' (expected StaticEP, FlexMoE, "
-                                 "LAER or Disagg)");
-    }
+    const std::vector<std::string> filter = args.getChoices(
+        "policy", {"StaticEP", "FlexMoE", "LAER", "Disagg"});
+    ObsSinks sinks(args);
     const auto selected = [&filter](const std::string &label) {
         return filter.empty() ||
                std::find(filter.begin(), filter.end(), label) !=
@@ -164,20 +139,10 @@ try {
             continue;
         ServingConfig cfg = demoConfig(policy);
         MetricsRegistry registry;
-        if (recorder) {
-            cfg.trace = recorder.get();
-            cfg.obsLabel = label;
-        }
-        if (!metrics_out.empty()) {
-            cfg.metricsRegistry = &registry;
-            cfg.snapshotInterval = 1.0;
-        }
-        cfg.reqTrace = slo.begin();
+        sinks.attach(cfg, registry, label);
         ServingSimulator sim(cluster, cfg);
         const ServingReport r = sim.run();
-        slo.end(label);
-        if (!metrics_out.empty())
-            registry.appendJsonlFile(metrics_out, label);
+        sinks.end(registry, label);
         summary.startRow();
         summary.cell(label);
         summary.cell(r.completed);
@@ -239,9 +204,7 @@ try {
         else
             steps.print(std::cout);
     }
-    if (recorder)
-        recorder->writeFile(trace_out);
-    slo.write();
+    sinks.write();
     return 0;
 } catch (const laer::FatalError &err) {
     std::cerr << "serving_demo: " << err.what() << "\n";

@@ -111,4 +111,23 @@ CliArgs::getList(const std::string &name) const
     return out;
 }
 
+std::vector<std::string>
+CliArgs::getChoices(const std::string &name,
+                    const std::vector<std::string> &allowed) const
+{
+    const std::vector<std::string> items = getList(name);
+    for (const std::string &item : items) {
+        if (std::find(allowed.begin(), allowed.end(), item) !=
+            allowed.end())
+            continue;
+        std::string names;
+        for (const std::string &choice : allowed)
+            names += (names.empty() ? "" : ", ") + choice;
+        LAER_CHECK(false, "unknown --" << name << " value '" << item
+                                       << "' (expected one of " << names
+                                       << ")");
+    }
+    return items;
+}
+
 } // namespace laer

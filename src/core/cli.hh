@@ -53,6 +53,15 @@ class CliArgs
     std::vector<std::string> getList(const std::string &name) const;
 
     /**
+     * getList() of `--name` with every item checked against `allowed`
+     * (e.g. the policy names a bench knows); an unknown item throws
+     * FatalError listing the allowed names.
+     */
+    std::vector<std::string>
+    getChoices(const std::string &name,
+               const std::vector<std::string> &allowed) const;
+
+    /**
      * Unsigned-integer value of `--name` (e.g. `--seed=42`), or
      * `fallback` when absent. A malformed or out-of-range value
      * throws FatalError so the binary fails with a usage message

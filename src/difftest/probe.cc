@@ -5,6 +5,7 @@
 
 #include "core/error.hh"
 #include "obs/req_trace.hh"
+#include "serve/obs_sinks.hh"
 
 namespace laer
 {
@@ -33,15 +34,15 @@ SnapshotStream::has(std::size_t index, const std::string &name) const
 namespace
 {
 
-/** difftest_main's campaign sinks; inert until set (see probe.hh). */
-CaptureObservability g_capture_obs;
+/** difftest_main's campaign sinks; null until set (see probe.hh). */
+ObsSinks *g_capture_sinks = nullptr;
 
 } // namespace
 
 void
-setCaptureObservability(CaptureObservability sinks)
+setCaptureObsSinks(ObsSinks *sinks)
 {
-    g_capture_obs = std::move(sinks);
+    g_capture_sinks = sinks;
 }
 
 RunCapture
@@ -54,10 +55,9 @@ captureServingRun(const Cluster &cluster, ServingConfig config,
     MetricsRegistry registry;
     config.metricsRegistry = &registry;
     config.snapshotInterval = interval;
-    if (g_capture_obs.trace != nullptr && !label.empty()) {
-        config.trace = g_capture_obs.trace;
-        config.obsLabel = label;
-    }
+    const bool observed = g_capture_sinks != nullptr && !label.empty();
+    if (observed)
+        g_capture_sinks->attach(config, registry, label);
 
     // Sample every request, so each retirement's additive latency
     // decomposition is checked against the measured TTFT/E2E and any
@@ -77,8 +77,8 @@ captureServingRun(const Cluster &cluster, ServingConfig config,
     }
     capture.stream.snapshots = registry.snapshots();
     capture.traceViolations = req_trace.violations();
-    if (!g_capture_obs.metricsPath.empty() && !label.empty())
-        registry.appendJsonlFile(g_capture_obs.metricsPath, label);
+    if (observed)
+        g_capture_sinks->end(registry, label);
     return capture;
 }
 

@@ -112,20 +112,17 @@ RunCapture captureServingRun(const Cluster &cluster,
 
 /**
  * Process-global observability sinks for captured serving runs
- * (difftest_main `--trace-out` / `--metrics-out`). When `trace` is
- * non-null, every labelled capture emits its Perfetto tracks under
- * "<label>/"; when `metricsPath` is non-empty, every labelled capture
- * appends its checkpoint snapshots to that file as JSONL keyed by the
- * label. Observability stays write-only by contract, so the captured
- * streams and reports are bit-identical with or without sinks. Set
- * once before the campaign; not thread-safe.
+ * (difftest_main `--trace-out` / `--metrics-out`). Every labelled
+ * capture attaches to them under its label, so its Perfetto tracks
+ * land under "<label>/" and its checkpoint snapshots append as JSONL
+ * keyed by the label; the capture keeps its own registry and
+ * every-request recorder. Observability stays write-only by contract,
+ * so the captured streams and reports are bit-identical with or
+ * without sinks. Null (the default) turns them off. Set once before
+ * the campaign; not thread-safe.
  */
-struct CaptureObservability
-{
-    TraceRecorder *trace = nullptr; //!< shared recorder; null = off
-    std::string metricsPath;        //!< JSONL sink; empty = off
-};
-void setCaptureObservability(CaptureObservability sinks);
+class ObsSinks;
+void setCaptureObsSinks(ObsSinks *sinks);
 
 /** Facts the invariant checker needs about the run's topology. */
 struct InvariantContext

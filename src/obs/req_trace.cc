@@ -5,8 +5,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <fstream>
-#include <iostream>
 #include <ostream>
 #include <sstream>
 
@@ -517,41 +515,6 @@ ReqTraceRecorder::writeSloJson(std::ostream &os,
         writeRecordJson(os, tpot[i]);
     }
     os << "]}";
-}
-
-ReqTraceRecorder *
-SloReportSink::begin()
-{
-    if (!enabled())
-        return nullptr;
-    // Every request, so the report's violation count and worst-K are
-    // exact over the run, not a sample.
-    ReqTraceConfig cfg;
-    cfg.sampleEvery = 1;
-    current_ = std::make_unique<ReqTraceRecorder>(cfg);
-    return current_.get();
-}
-
-void
-SloReportSink::end(const std::string &label)
-{
-    if (!current_)
-        return;
-    if (count_++ > 0)
-        runs_ << ",\n";
-    current_->writeSloJson(runs_, label);
-    current_.reset();
-}
-
-void
-SloReportSink::write()
-{
-    if (!enabled())
-        return;
-    std::ofstream out(path_);
-    LAER_CHECK(out.good(), "cannot write " << path_);
-    out << "[\n" << runs_.str() << "\n]\n";
-    std::cout << "wrote " << path_ << "\n";
 }
 
 } // namespace laer

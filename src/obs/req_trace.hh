@@ -37,8 +37,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
-#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -264,48 +262,6 @@ class ReqTraceRecorder
     std::int64_t violationCount_ = 0;
     std::int64_t retries_ = 0;
     std::int64_t failedCount_ = 0;
-};
-
-/**
- * `--slo-report-out` plumbing shared by the serving binaries: hands
- * out one every-request ReqTraceRecorder per labelled run and writes
- * the collected writeSloJson() objects as one JSON array at the end.
- * Inert when constructed with an empty path (the flag absent), so
- * callers wire it unconditionally:
- *
- *   SloReportSink slo(args.get("slo-report-out"));
- *   ...per run: cfg.reqTrace = slo.begin();
- *   ...after the run: slo.end(label);
- *   ...once at exit: slo.write();   // "wrote FILE" on stdout
- */
-class SloReportSink
-{
-  public:
-    explicit SloReportSink(std::string path) : path_(std::move(path))
-    {
-    }
-
-    /** True when a report was requested. */
-    bool enabled() const { return !path_.empty(); }
-
-    /**
-     * Start recording one run; null when disabled (ServingConfig
-     * takes the null pointer as "no request tracing").
-     */
-    ReqTraceRecorder *begin();
-
-    /** Finish the current run, folding its report under `label`. */
-    void end(const std::string &label);
-
-    /** Write the JSON array of all recorded runs. No-op when
-     * disabled; discards an un-end()ed run. */
-    void write();
-
-  private:
-    std::string path_;
-    std::unique_ptr<ReqTraceRecorder> current_;
-    std::ostringstream runs_;
-    int count_ = 0;
 };
 
 } // namespace laer

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/cli.hh"
@@ -298,6 +299,28 @@ TEST(Cli, GetUintParsesAndRejectsGarbage)
     EXPECT_THROW(args.getUint("bad", 0), FatalError);
     EXPECT_THROW(args.getUint("junk", 0), FatalError);
     EXPECT_THROW(args.getUint("huge", 0), FatalError);
+}
+
+TEST(Cli, GetChoicesRejectsUnknownNamesListingTheAllowedOnes)
+{
+    const char *argv[] = {"bin", "--policy=LAER,StaticEP",
+                          "--bad=LAER,Lear"};
+    const CliArgs args(3, argv, {"policy", "bad"});
+    const std::vector<std::string> allowed = {"StaticEP", "FlexMoE",
+                                              "LAER"};
+    EXPECT_EQ(args.getChoices("policy", allowed),
+              (std::vector<std::string>{"LAER", "StaticEP"}));
+    EXPECT_TRUE(args.getChoices("absent", allowed).empty());
+    try {
+        args.getChoices("bad", allowed);
+        FAIL() << "an unknown name must throw";
+    } catch (const FatalError &err) {
+        const std::string what = err.what();
+        EXPECT_NE(what.find("'Lear'"), std::string::npos) << what;
+        EXPECT_NE(what.find("StaticEP, FlexMoE, LAER"),
+                  std::string::npos)
+            << what;
+    }
 }
 
 } // namespace

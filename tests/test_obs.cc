@@ -13,6 +13,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <fstream>
+#include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "difftest/diff.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "serve/obs_sinks.hh"
 #include "serve/serving_sim.hh"
 #include "topo/cluster.hh"
 
@@ -289,6 +292,149 @@ TEST(ServingMetricsModes, StreamingNeverChangesCountersAndTracksP95)
     EXPECT_FALSE(exact.metrics().ttftSamples().empty());
     EXPECT_EQ(streaming.metrics().memoryMode(),
               MetricsMemoryMode::Streaming);
+}
+
+// ------------------------------------------------------------ ObsSinks
+
+/** Parse `flags` as a binary taking every obs flag would. */
+CliArgs
+obsArgs(const std::vector<std::string> &flags)
+{
+    std::vector<const char *> argv = {"bin"};
+    for (const std::string &flag : flags)
+        argv.push_back(flag.c_str());
+    return CliArgs(static_cast<int>(argv.size()), argv.data(),
+                   ObsSinks::flags({}));
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
+
+/** A one-second serving run, small enough to run twice per test. */
+ServingConfig
+tinyConfig()
+{
+    ServingConfig cfg = e2eConfig(MetricsMemoryMode::Exact);
+    cfg.horizon = 1.0;
+    return cfg;
+}
+
+TEST(ObsSinks, NoFlagsAttachNothingAndWriteNoFile)
+{
+    ObsSinks sinks(obsArgs({}));
+    ServingConfig cfg = tinyConfig();
+    MetricsRegistry registry;
+    sinks.attach(cfg, registry, "run");
+    EXPECT_EQ(cfg.trace, nullptr);
+    EXPECT_EQ(cfg.metricsRegistry, nullptr);
+    EXPECT_EQ(cfg.reqTrace, nullptr);
+    EXPECT_TRUE(cfg.obsLabel.empty());
+    sinks.end(registry, "run");
+    std::ostringstream stdout_capture;
+    std::streambuf *saved = std::cout.rdbuf(stdout_capture.rdbuf());
+    sinks.write();
+    std::cout.rdbuf(saved);
+    EXPECT_TRUE(stdout_capture.str().empty());
+}
+
+TEST(ObsSinks, AllFlagsRecordEveryLabelledRunInOrder)
+{
+    const std::string dir = ::testing::TempDir();
+    const std::string trace = dir + "obs_sinks_trace.json";
+    const std::string metrics = dir + "obs_sinks_metrics.jsonl";
+    const std::string slo = dir + "obs_sinks_slo.json";
+    {
+        // A metrics file left by an earlier run must be truncated.
+        std::ofstream stale(metrics);
+        stale << "{\"run\":\"stale\"}\n";
+    }
+    ObsSinks sinks(obsArgs({"--trace-out=" + trace,
+                            "--metrics-out=" + metrics,
+                            "--slo-report-out=" + slo}));
+    const Cluster cluster(2, 4, 300e9, 12.5e9, 212e12);
+    for (const std::string label : {"first", "second"}) {
+        ServingConfig cfg = tinyConfig();
+        MetricsRegistry registry;
+        sinks.attach(cfg, registry, label);
+        EXPECT_NE(cfg.trace, nullptr);
+        EXPECT_EQ(cfg.obsLabel, label);
+        EXPECT_EQ(cfg.metricsRegistry, &registry);
+        EXPECT_DOUBLE_EQ(cfg.snapshotInterval, 1.0);
+        EXPECT_NE(cfg.reqTrace, nullptr);
+        ServingSimulator(cluster, cfg).run();
+        sinks.end(registry, label);
+    }
+    std::ostringstream stdout_capture;
+    std::streambuf *saved = std::cout.rdbuf(stdout_capture.rdbuf());
+    sinks.write();
+    std::cout.rdbuf(saved);
+    EXPECT_EQ(stdout_capture.str(),
+              "wrote " + trace + "\nwrote " + slo + "\n");
+
+    // Trace: tracks under both labels.
+    const std::string trace_json = slurp(trace);
+    EXPECT_NE(trace_json.find("\"first/"), std::string::npos);
+    EXPECT_NE(trace_json.find("\"second/"), std::string::npos);
+
+    // Metrics: the stale line is gone, and every snapshot carries its
+    // run's label, first run before second.
+    std::istringstream lines(slurp(metrics));
+    std::vector<std::string> runs;
+    for (std::string line; std::getline(lines, line);) {
+        const std::size_t at = line.find("\"run\":\"");
+        ASSERT_NE(at, std::string::npos) << line;
+        const std::size_t from = at + 7;
+        runs.push_back(line.substr(from, line.find('"', from) - from));
+    }
+    const auto second = std::find(runs.begin(), runs.end(), "second");
+    EXPECT_NE(second, runs.begin());
+    EXPECT_NE(second, runs.end());
+    EXPECT_EQ(std::count(runs.begin(), second, "first"),
+              second - runs.begin());
+    EXPECT_EQ(std::count(second, runs.end(), "second"),
+              runs.end() - second);
+
+    // SLO report: a JSON array of one object per run, in run order.
+    std::istringstream slo_lines(slurp(slo));
+    std::vector<std::string> objects;
+    for (std::string line; std::getline(slo_lines, line);)
+        objects.push_back(line);
+    ASSERT_EQ(objects.size(), 4u);
+    EXPECT_EQ(objects[0], "[");
+    EXPECT_EQ(objects[1].rfind("{\"run\":\"first\"", 0), 0u);
+    EXPECT_EQ(objects[1].back(), ',');
+    EXPECT_EQ(objects[2].rfind("{\"run\":\"second\"", 0), 0u);
+    EXPECT_EQ(objects[3], "]");
+}
+
+TEST(ObsSinks, UnwritablePathThrowsAtConstruction)
+{
+    const std::string missing =
+        ::testing::TempDir() + "obs_sinks_no_such_dir/out";
+    for (const char *flag : {"--trace-out=", "--metrics-out=",
+                             "--slo-report-out="})
+        EXPECT_THROW(ObsSinks(obsArgs({flag + missing})), FatalError)
+            << flag;
+}
+
+TEST(ObsSinks, LeavesTheCallersRegistryAlone)
+{
+    const std::string metrics =
+        ::testing::TempDir() + "obs_sinks_own_registry.jsonl";
+    ObsSinks sinks(obsArgs({"--metrics-out=" + metrics}));
+    ServingConfig cfg = tinyConfig();
+    MetricsRegistry own, offered;
+    cfg.metricsRegistry = &own;
+    cfg.snapshotInterval = 0.5;
+    sinks.attach(cfg, offered, "run");
+    EXPECT_EQ(cfg.metricsRegistry, &own);
+    EXPECT_DOUBLE_EQ(cfg.snapshotInterval, 0.5);
 }
 
 } // namespace

@@ -37,15 +37,15 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/cli.hh"
+#include "core/error.hh"
 #include "difftest/golden.hh"
 #include "difftest/lanes.hh"
 #include "difftest/scenario_gen.hh"
-#include "obs/trace.hh"
+#include "serve/obs_sinks.hh"
 
 using namespace laer;
 
@@ -101,29 +101,14 @@ writeOutcomeJson(std::ostream &os, const Failure &failure)
 
 int
 main(int argc, char **argv)
-{
+try {
     const CliArgs args(argc, argv,
-                       {"seed", "runs", "lane", "report-out",
-                        "no-shrink", "list-lanes", "record-golden",
-                        "check-golden", "golden-scenario", "trace-out",
-                        "metrics-out"});
-
-    // Campaign observability: every captured serving run shares one
-    // trace recorder and one JSONL sink, keyed by scenario seed and
-    // lane side. Write-only, so replay verdicts are unaffected.
-    const std::string trace_out = args.get("trace-out");
-    const std::string metrics_out = args.get("metrics-out");
-    std::unique_ptr<TraceRecorder> trace;
-    CaptureObservability sinks;
-    if (!trace_out.empty()) {
-        trace = std::make_unique<TraceRecorder>();
-        sinks.trace = trace.get();
-    }
-    if (!metrics_out.empty()) {
-        std::ofstream(metrics_out, std::ios::trunc);
-        sinks.metricsPath = metrics_out;
-    }
-    setCaptureObservability(sinks);
+                       ObsSinks::flags({"seed", "runs", "lane",
+                                        "report-out", "no-shrink",
+                                        "list-lanes", "record-golden",
+                                        "check-golden",
+                                        "golden-scenario"},
+                                       /*slo_report=*/false));
 
     std::string family = args.get("golden-scenario");
     if (family.empty())
@@ -184,6 +169,12 @@ main(int argc, char **argv)
     } else {
         lanes = equivalenceLanes();
     }
+
+    // Campaign observability: every captured serving run shares one
+    // trace recorder and one JSONL sink, keyed by scenario seed and
+    // lane side. Write-only, so replay verdicts are unaffected.
+    ObsSinks sinks(args);
+    setCaptureObsSinks(&sinks);
 
     std::vector<Failure> failures;
     std::size_t replays = 0;
@@ -252,9 +243,9 @@ main(int argc, char **argv)
         }
         out << "]}\n";
     }
-    if (trace) {
-        trace->writeFile(trace_out);
-        std::cout << "wrote " << trace_out << "\n";
-    }
+    sinks.write();
     return failures.empty() ? 0 : 1;
+} catch (const FatalError &err) {
+    std::cerr << "difftest_main: " << err.what() << "\n";
+    return 2;
 }
