@@ -16,7 +16,6 @@
 #include "planner/layout_tuner.hh"
 #include "planner/lite_routing.hh"
 #include "planner/relocation.hh"
-#include "planner/replica_alloc.hh"
 #include "trace/routing_generator.hh"
 #include "topo/cluster.hh"
 
@@ -73,11 +72,7 @@ main()
     layout.print(std::cout);
 
     // Compare with a load-oblivious even placement.
-    const std::vector<TokenCount> flat(experts, 1);
-    const ExpertLayout even = expertRelocation(
-        cluster,
-        evenAllocation(flat, cluster.numDevices(), capacity), flat,
-        capacity);
+    const ExpertLayout even = evenLayout(cluster, experts, capacity);
     const RoutingPlan even_plan = liteRouting(cluster, routing, even);
     const CostBreakdown even_cost =
         timeCost(cluster, cfg.cost, even_plan);

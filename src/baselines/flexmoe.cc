@@ -7,7 +7,6 @@
 #include "core/error.hh"
 #include "planner/lite_routing.hh"
 #include "planner/relocation.hh"
-#include "planner/replica_alloc.hh"
 
 namespace laer
 {
@@ -20,11 +19,7 @@ FlexMoePlanner::FlexMoePlanner(const Cluster &cluster, int n_experts,
     LAER_CHECK(config_.expertBytes > 0,
                "FlexMoE needs the expert size for its penalty term");
     // Start from the even static placement every EP system starts at.
-    const std::vector<TokenCount> flat(n_experts, 1);
-    layout_ = expertRelocation(
-        cluster_, evenAllocation(flat, cluster_.numDevices(),
-                                 config_.capacity),
-        flat, config_.capacity);
+    layout_ = evenLayout(cluster_, n_experts, config_.capacity);
 }
 
 Seconds

@@ -16,11 +16,7 @@ SmartMoePlanner::SmartMoePlanner(const Cluster &cluster, int n_experts,
       loadHistory_(n_experts, 0.0)
 {
     LAER_CHECK(config_.period >= 1, "period must be positive");
-    const std::vector<TokenCount> flat(n_experts, 1);
-    layout_ = expertRelocation(
-        cluster_, evenAllocation(flat, cluster_.numDevices(),
-                                 config_.capacity),
-        flat, config_.capacity);
+    layout_ = evenLayout(cluster_, n_experts, config_.capacity);
 }
 
 SmartMoeStep

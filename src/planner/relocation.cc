@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <functional>
-#include <limits>
-#include <queue>
 #include <tuple>
 #include <utility>
 
 #include "core/error.hh"
+#include "planner/replica_alloc.hh"
 
 namespace laer
 {
@@ -29,121 +28,122 @@ expertRelocation(const Cluster &cluster, const std::vector<int> &expert_rep,
                "replica budget " << total_rep << " != slots "
                                  << n * capacity);
 
-    // Alg. 1 lines 3-5: one list entry per replica, carrying the
-    // expected average load, sorted descending.
-    struct Item
-    {
-        ExpertId expert;
-        double load;
-    };
-    std::vector<Item> list;
-    list.reserve(total_rep);
+    // Alg. 1 lines 3-5: replicas in descending order of their expected
+    // average load. Every replica of an expert carries the same
+    // average, so a stable sort of the experts lists each expert's
+    // replicas contiguously, exactly as a stable sort of all N*C
+    // replicas would.
+    std::vector<double> avg(e);
+    std::vector<ExpertId> order(e);
     for (ExpertId j = 0; j < e; ++j) {
-        const double avg = static_cast<double>(expert_loads[j]) /
-                           expert_rep[j];
-        for (int r = 0; r < expert_rep[j]; ++r)
-            list.push_back({j, avg});
+        avg[j] = static_cast<double>(expert_loads[j]) / expert_rep[j];
+        order[j] = j;
     }
-    std::stable_sort(list.begin(), list.end(),
-                     [](const Item &a, const Item &b) {
-                         return a.load > b.load;
+    std::stable_sort(order.begin(), order.end(),
+                     [&avg](ExpertId a, ExpertId b) {
+                         return avg[a] > avg[b];
                      });
 
+    const int nodes = cluster.numNodes();
+    const int per_node = cluster.devicesPerNode();
     ExpertLayout layout(n, e);
-    std::vector<int> expert_count(n, 0);   // slots used per device
+    std::vector<int> used(n, 0); // slots taken per device
     std::vector<double> device_loads(n, 0.0);
-    std::vector<std::vector<int>> node_cnt(
-        e, std::vector<int>(cluster.numNodes(), 0));
-    std::vector<int> node_free(cluster.numNodes(),
-                               cluster.devicesPerNode() * capacity);
+    std::vector<int> cnt(nodes, 0); // current expert's replicas per node
+    const std::greater<> min_heap;
 
-    // Per-node lazy min-heaps over (load, device). Entries go stale
-    // when a device's load changes; stale or full entries are
-    // discarded on pop. This keeps the placement loop at
-    // O(N*C * (#nodes + log N)) instead of the naive O(N^2 * C) scan,
-    // which is what lets the solver stay inside the per-layer budget
-    // at 1024 devices (Fig. 11).
-    using HeapEntry = std::pair<double, DeviceId>;
-    std::vector<std::priority_queue<HeapEntry,
-                                    std::vector<HeapEntry>,
-                                    std::greater<HeapEntry>>>
-        heaps(cluster.numNodes());
+    // Node nd's min-heap of (load, device) over its eligible devices
+    // (a free slot, and not hosting the current expert unless a
+    // duplicate is forced) lives in dev_heap[nd * per_node, +
+    // heap_size[nd]). Devices are numbered node-major, so device d
+    // starts in its node's range, and equal loads in ascending id
+    // order are already a heap.
+    using DeviceKey = std::pair<double, DeviceId>;
+    std::vector<DeviceKey> dev_heap(n);
     for (DeviceId d = 0; d < n; ++d)
-        heaps[cluster.node(d)].emplace(0.0, d);
-
-    // Drop stale/full entries and return the node's best device, or
-    // -1 when the node has no free slot.
-    auto clean_top = [&](NodeId nd) -> DeviceId {
-        auto &heap = heaps[nd];
-        while (!heap.empty()) {
-            const auto [load, d] = heap.top();
-            if (expert_count[d] >= capacity) {
-                heap.pop();
-                continue;
-            }
-            if (load != device_loads[d]) {
-                heap.pop();
-                heap.emplace(device_loads[d], d);
-                continue;
-            }
-            return d;
-        }
-        return -1;
+        dev_heap[d] = {0.0, d};
+    std::vector<int> heap_size(nodes, per_node);
+    auto push_device = [&](DeviceId d) {
+        const NodeId nd = cluster.node(d);
+        const auto first = dev_heap.begin() + nd * per_node;
+        first[heap_size[nd]++] = {device_loads[d], d};
+        std::push_heap(first, first + heap_size[nd], min_heap);
     };
 
-    for (const Item &item : list) {
-        // Alg. 1 lines 7-9: among nodes with free slots, those with
-        // the fewest replicas of this expert.
-        int min_cnt = std::numeric_limits<int>::max();
-        for (NodeId nd = 0; nd < cluster.numNodes(); ++nd)
-            if (node_free[nd] > 0)
-                min_cnt = std::min(min_cnt, node_cnt[item.expert][nd]);
-        LAER_ASSERT(min_cnt != std::numeric_limits<int>::max(),
-                    "no device has a free expert slot");
+    // Min-heap of (count, load, device) holding each node's eligible
+    // device with the least (load, device). Only the node just placed
+    // on changes key, so it is the one popped and pushed back.
+    using NodeKey = std::tuple<int, double, DeviceId>;
+    std::vector<NodeKey> node_heap;
+    node_heap.reserve(nodes);
+    auto node_key = [&](NodeId nd) {
+        const DeviceKey &top = dev_heap[nd * per_node];
+        return NodeKey{cnt[nd], top.first, top.second};
+    };
+    auto rebuild_nodes = [&] {
+        node_heap.clear();
+        for (NodeId nd = 0; nd < nodes; ++nd)
+            if (heap_size[nd] > 0)
+                node_heap.push_back(node_key(nd));
+        std::make_heap(node_heap.begin(), node_heap.end(), min_heap);
+    };
 
-        // Alg. 1 line 10: least-loaded free device within those nodes.
-        DeviceId best = -1;
-        for (NodeId nd = 0; nd < cluster.numNodes(); ++nd) {
-            if (node_free[nd] == 0 ||
-                node_cnt[item.expert][nd] != min_cnt)
-                continue;
-            const DeviceId d = clean_top(nd);
-            if (d >= 0 && (best < 0 ||
-                           device_loads[d] < device_loads[best]))
-                best = d;
-        }
-        LAER_ASSERT(best >= 0, "relocation found no placement");
-
-        // A duplicate replica on one device adds no balancing power;
-        // if the heap pick already hosts this expert, fall back to a
-        // scan for the cheapest non-duplicate placement (rare).
-        if (layout.at(best, item.expert) > 0) {
-            DeviceId alt = -1;
-            auto key = [&](DeviceId d) {
-                return std::make_pair(
-                    node_cnt[item.expert][cluster.node(d)],
-                    device_loads[d]);
-            };
-            for (DeviceId d = 0; d < n; ++d) {
-                if (expert_count[d] >= capacity ||
-                    layout.at(d, item.expert) > 0)
-                    continue;
-                if (alt < 0 || key(d) < key(alt))
-                    alt = d;
+    std::vector<DeviceId> hosts; // devices given the current expert
+    for (const ExpertId x : order) {
+        hosts.clear();
+        bool duplicates = false;
+        rebuild_nodes();
+        for (int r = 0; r < expert_rep[x]; ++r) {
+            if (node_heap.empty()) {
+                // Every free device already hosts x: a duplicate is
+                // forced, so the hosts become eligible again.
+                LAER_ASSERT(!duplicates, "no device has a free expert slot");
+                duplicates = true;
+                for (DeviceId d : hosts)
+                    if (used[d] < capacity)
+                        push_device(d);
+                rebuild_nodes();
             }
-            if (alt >= 0)
-                best = alt;
-        }
+            // Alg. 1 lines 7-10: the least-loaded device among the
+            // nodes with the fewest replicas of x.
+            std::pop_heap(node_heap.begin(), node_heap.end(), min_heap);
+            const DeviceId best = std::get<2>(node_heap.back());
+            node_heap.pop_back();
+            const NodeId nd = cluster.node(best);
+            const auto first = dev_heap.begin() + nd * per_node;
+            std::pop_heap(first, first + heap_size[nd], min_heap);
+            --heap_size[nd];
 
-        // Alg. 1 lines 11-13: commit the placement.
-        ++layout.at(best, item.expert);
-        device_loads[best] += item.load;
-        ++expert_count[best];
-        ++node_cnt[item.expert][cluster.node(best)];
-        --node_free[cluster.node(best)];
-        heaps[cluster.node(best)].emplace(device_loads[best], best);
+            // Alg. 1 lines 11-13: commit the placement.
+            ++layout.at(best, x);
+            device_loads[best] += avg[x];
+            ++used[best];
+            ++cnt[nd];
+            if (!duplicates)
+                hosts.push_back(best);
+            else if (used[best] < capacity)
+                push_device(best);
+            if (heap_size[nd] > 0) {
+                node_heap.push_back(node_key(nd));
+                std::push_heap(node_heap.begin(), node_heap.end(), min_heap);
+            }
+        }
+        for (DeviceId d : hosts) {
+            cnt[cluster.node(d)] = 0;
+            if (!duplicates && used[d] < capacity)
+                push_device(d);
+        }
     }
     return layout;
+}
+
+ExpertLayout
+evenLayout(const Cluster &cluster, int n_experts, int capacity)
+{
+    const std::vector<TokenCount> flat(n_experts, 1);
+    return expertRelocation(
+        cluster, evenAllocation(flat, cluster.numDevices(), capacity), flat,
+        capacity);
 }
 
 } // namespace laer

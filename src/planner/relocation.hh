@@ -25,6 +25,24 @@ namespace laer
 /**
  * Place replicas onto devices.
  *
+ * Replicas go in descending order of their expert's average load
+ * (load / replicas), ties in ascending expert order, so all replicas
+ * of one expert are placed back to back. Each replica of expert e goes
+ * to the free device d (fewer than `capacity` replicas placed) with
+ * the lexicographically least key
+ *
+ *     (replicas of e already on node(d), accumulated load of d, d),
+ *
+ * taken over the free devices that do not host e yet. Only when every
+ * free device already hosts e is a duplicate forced, and then the key
+ * is taken over all free devices. Because devices are numbered
+ * node-major, the trailing d breaks ties to the lower node first and
+ * then to the lower device within it.
+ *
+ * Cost: O(N·C·log N + E·nodes + E·log E). Per-node heaps of
+ * (load, device) sit under one heap of nodes keyed by (count, best
+ * device), and a placement changes the key of its own node only.
+ *
  * @param cluster       Topology (node(i) is what the algorithm needs).
  * @param expert_rep    Replicas per expert; must sum to N * capacity.
  * @param expert_loads  Total tokens per expert.
@@ -35,6 +53,17 @@ ExpertLayout expertRelocation(const Cluster &cluster,
                               const std::vector<int> &expert_rep,
                               const std::vector<TokenCount> &expert_loads,
                               int capacity);
+
+/**
+ * The load-oblivious even layout every EP system starts from:
+ * `evenAllocation` of equal loads, placed by `expertRelocation`.
+ *
+ * @param cluster    Topology.
+ * @param n_experts  Experts per layer (E).
+ * @param capacity   Expert slots per device (C).
+ * @return feasible layout A.
+ */
+ExpertLayout evenLayout(const Cluster &cluster, int n_experts, int capacity);
 
 } // namespace laer
 

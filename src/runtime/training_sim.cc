@@ -7,25 +7,9 @@
 #include "core/stats.hh"
 #include "planner/lite_routing.hh"
 #include "planner/relocation.hh"
-#include "planner/replica_alloc.hh"
 
 namespace laer
 {
-
-namespace
-{
-
-/** Even layout used before any load information exists. */
-ExpertLayout
-initialEvenLayout(const Cluster &cluster, int n_experts, int capacity)
-{
-    const std::vector<TokenCount> flat(n_experts, 1);
-    return expertRelocation(
-        cluster, evenAllocation(flat, cluster.numDevices(), capacity),
-        flat, capacity);
-}
-
-} // namespace
 
 namespace
 {
@@ -71,7 +55,7 @@ TrainingSimulator::TrainingSimulator(const Cluster &cluster,
         rm.tokensPerDevice = config_.tokensPerDevice;
         rm.seed = config_.seed + 1000003ULL * l;
         generators_.emplace_back(rm);
-        currentLayouts_.push_back(initialEvenLayout(
+        currentLayouts_.push_back(evenLayout(
             cluster_, config_.model.numExperts, config_.capacity));
     }
 

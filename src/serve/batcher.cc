@@ -1,6 +1,7 @@
 #include "serve/batcher.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/error.hh"
 
@@ -430,17 +431,21 @@ ContinuousBatcher::applyStep(const BatchPlan &plan, Seconds finish_time)
             r.finishTime = finish_time;
     }
 
-    // Retire finished requests while preserving admission order.
-    for (auto it = running_.begin(); it != running_.end();) {
+    // Retire finished requests in one stable pass: the survivors keep
+    // their admission order, the finished keep theirs in finished_.
+    auto keep = running_.begin();
+    for (auto it = running_.begin(); it != running_.end(); ++it) {
         if (it->phase() == RequestPhase::Finished) {
             if (kv_)
                 kv_->release(it->id);
-            finished_.push_back(*it);
-            it = running_.erase(it);
+            finished_.push_back(std::move(*it));
         } else {
-            ++it;
+            if (keep != it)
+                *keep = std::move(*it);
+            ++keep;
         }
     }
+    running_.erase(keep, running_.end());
 }
 
 std::vector<Request>

@@ -9,7 +9,6 @@
 #include "core/thread_pool.hh"
 #include "planner/lite_routing.hh"
 #include "planner/relocation.hh"
-#include "planner/replica_alloc.hh"
 #include "runtime/iteration.hh"
 
 namespace laer
@@ -93,16 +92,6 @@ makeGrouping(const Cluster &topo, const EngineConfig &config)
     return EpGrouping(topo, ep_degree, true);
 }
 
-/** Load-oblivious even starting layout for the dynamic policies. */
-ExpertLayout
-evenStartLayout(const Cluster &topo, int n_experts, int capacity)
-{
-    const std::vector<TokenCount> flat(n_experts, 1);
-    return expertRelocation(
-        topo, evenAllocation(flat, topo.numDevices(), capacity), flat,
-        capacity);
-}
-
 } // namespace
 
 ServingEngine::ServingEngine(const DevicePoolSlice &slice,
@@ -150,8 +139,8 @@ ServingEngine::ServingEngine(const DevicePoolSlice &slice,
         break;
       case ServingPolicy::LaerServe:
         layouts_.assign(config_.simulatedLayers,
-                        evenStartLayout(slice_.topo, experts,
-                                        config_.capacity));
+                        evenLayout(slice_.topo, experts,
+                                   config_.capacity));
         break;
       case ServingPolicy::FlexMoe: {
         FlexMoeConfig fc;

@@ -5,13 +5,136 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <iostream>
+#include <limits>
+#include <queue>
+#include <utility>
+
 #include "core/error.hh"
+#include "core/rng.hh"
 #include "planner/relocation.hh"
+#include "planner/replica_alloc.hh"
 
 namespace laer
 {
 namespace
 {
+
+/**
+ * Alg. 1 as two node scans per placement plus an all-device scan for
+ * the duplicate fallback, O(N^2 * C): the oracle expertRelocation must
+ * match layout for layout. `fallbacks` counts placements where the
+ * least-loaded device of the least-count nodes already hosted the
+ * expert and the fallback scan moved the replica elsewhere.
+ */
+ExpertLayout
+referenceRelocation(const Cluster &cluster,
+                    const std::vector<int> &expert_rep,
+                    const std::vector<TokenCount> &expert_loads,
+                    int capacity, int &fallbacks)
+{
+    const int n = cluster.numDevices();
+    const int e = static_cast<int>(expert_rep.size());
+    struct Item
+    {
+        ExpertId expert;
+        double load;
+    };
+    std::vector<Item> list;
+    for (ExpertId j = 0; j < e; ++j) {
+        const double avg = static_cast<double>(expert_loads[j]) /
+                           expert_rep[j];
+        for (int r = 0; r < expert_rep[j]; ++r)
+            list.push_back({j, avg});
+    }
+    std::stable_sort(list.begin(), list.end(),
+                     [](const Item &a, const Item &b) {
+                         return a.load > b.load;
+                     });
+
+    ExpertLayout layout(n, e);
+    std::vector<int> expert_count(n, 0);
+    std::vector<double> device_loads(n, 0.0);
+    std::vector<std::vector<int>> node_cnt(
+        e, std::vector<int>(cluster.numNodes(), 0));
+    std::vector<int> node_free(cluster.numNodes(),
+                               cluster.devicesPerNode() * capacity);
+
+    using HeapEntry = std::pair<double, DeviceId>;
+    std::vector<std::priority_queue<HeapEntry,
+                                    std::vector<HeapEntry>,
+                                    std::greater<HeapEntry>>>
+        heaps(cluster.numNodes());
+    for (DeviceId d = 0; d < n; ++d)
+        heaps[cluster.node(d)].emplace(0.0, d);
+
+    auto clean_top = [&](NodeId nd) -> DeviceId {
+        auto &heap = heaps[nd];
+        while (!heap.empty()) {
+            const auto [load, d] = heap.top();
+            if (expert_count[d] >= capacity) {
+                heap.pop();
+                continue;
+            }
+            if (load != device_loads[d]) {
+                heap.pop();
+                heap.emplace(device_loads[d], d);
+                continue;
+            }
+            return d;
+        }
+        return -1;
+    };
+
+    for (const Item &item : list) {
+        int min_cnt = std::numeric_limits<int>::max();
+        for (NodeId nd = 0; nd < cluster.numNodes(); ++nd)
+            if (node_free[nd] > 0)
+                min_cnt = std::min(min_cnt, node_cnt[item.expert][nd]);
+
+        DeviceId best = -1;
+        for (NodeId nd = 0; nd < cluster.numNodes(); ++nd) {
+            if (node_free[nd] == 0 ||
+                node_cnt[item.expert][nd] != min_cnt)
+                continue;
+            const DeviceId d = clean_top(nd);
+            if (d >= 0 && (best < 0 ||
+                           device_loads[d] < device_loads[best]))
+                best = d;
+        }
+
+        if (layout.at(best, item.expert) > 0) {
+            DeviceId alt = -1;
+            auto key = [&](DeviceId d) {
+                return std::make_pair(
+                    node_cnt[item.expert][cluster.node(d)],
+                    device_loads[d]);
+            };
+            for (DeviceId d = 0; d < n; ++d) {
+                if (expert_count[d] >= capacity ||
+                    layout.at(d, item.expert) > 0)
+                    continue;
+                if (alt < 0 || key(d) < key(alt))
+                    alt = d;
+            }
+            if (alt >= 0) {
+                best = alt;
+                ++fallbacks;
+            }
+        }
+
+        ++layout.at(best, item.expert);
+        device_loads[best] += item.load;
+        ++expert_count[best];
+        ++node_cnt[item.expert][cluster.node(best)];
+        --node_free[cluster.node(best)];
+        heaps[cluster.node(best)].emplace(device_loads[best], best);
+    }
+    return layout;
+}
 
 Cluster
 cluster24()
@@ -71,8 +194,6 @@ TEST(Relocation, BalancesDeviceLoads)
         mx = std::max(mx, v);
         mn = std::min(mn, v);
     }
-    const double total = 2700.0 + 400.0 - 400.0; // sum of loads
-    (void)total;
     // Greedy LPT-style placement keeps max within 1.6x of min here.
     EXPECT_LT(mx, 1.6 * mn);
 }
@@ -124,6 +245,67 @@ TEST(Relocation, HeavyReplicasPlacedFirstOntoEmptyDevices)
                       rep[j];
     // The companion replica on the host must be one of the lightest.
     EXPECT_LE(other_load, 110.0);
+}
+
+TEST(Relocation, MatchesReferenceOnFuzzedInputs)
+{
+    Rng rng(20261018);
+    int cases = 0, fallbacks = 0, duplicates = 0;
+    for (; cases < 6000; ++cases) {
+        const int nodes = rng.uniformInt(1, 16);
+        const int per_node = cases % 8 == 0 ? 1 : rng.uniformInt(1, 8);
+        const Cluster c(nodes, per_node, 100e9, 10e9, 1e12);
+        const int n = c.numDevices();
+        const int capacity = rng.uniformInt(1, 4);
+        const int slots = n * capacity;
+        const int experts = rng.uniformInt(capacity,
+                                           std::min(slots, 3 * n + 1));
+
+        // Loads: all zero, all equal, tiny (many ties) or Zipf.
+        std::vector<TokenCount> loads(experts, 0);
+        const int load_kind = cases % 4;
+        const double s = rng.uniform(0.5, 2.0);
+        const std::vector<int> perm = rng.permutation(experts);
+        for (ExpertId j = 0; j < experts; ++j) {
+            if (load_kind == 1)
+                loads[j] = 100;
+            else if (load_kind == 2)
+                loads[j] = rng.uniformInt(0, 4);
+            else if (load_kind == 3)
+                loads[perm[j]] = std::llround(1e5 / std::pow(j + 1, s));
+        }
+
+        // Schemes: even, proportional, or a perturbed walk from either
+        // whose per-expert cap lets an expert outnumber the devices.
+        std::vector<int> rep = (cases / 4) % 2 == 0
+                                   ? evenAllocation(loads, n, capacity)
+                                   : replicaAllocation(loads, n, capacity);
+        if ((cases / 8) % 2 == 1) {
+            const int cap = rng.uniformInt(0, 1) == 0 ? n : slots;
+            for (int k = rng.uniformInt(1, 2 * experts); k > 0; --k)
+                rep = perturbAllocation(rep, rng, cap);
+        }
+
+        int case_fallbacks = 0;
+        const ExpertLayout want =
+            referenceRelocation(c, rep, loads, capacity, case_fallbacks);
+        const ExpertLayout got = expertRelocation(c, rep, loads, capacity);
+        ASSERT_TRUE(got == want)
+            << "case " << cases << ": " << nodes << "x" << per_node
+            << " C=" << capacity << " E=" << experts;
+        ASSERT_TRUE(got.feasible(capacity));
+        fallbacks += case_fallbacks;
+        for (DeviceId d = 0; d < n; ++d)
+            for (ExpertId j = 0; j < experts; ++j)
+                duplicates += std::max(0, got.at(d, j) - 1);
+    }
+    // Both of the reference's exceptional paths ran: the fallback scan
+    // that moved a replica off a host, and duplicates that were forced.
+    EXPECT_GT(fallbacks, 0);
+    EXPECT_GT(duplicates, 0);
+    std::cout << "[          ] " << cases << " cases, " << fallbacks
+              << " fallback moves, " << duplicates
+              << " forced duplicates\n";
 }
 
 } // namespace

@@ -29,6 +29,16 @@ TEST(Cluster, NodeAssignmentIsNodeMajor)
     EXPECT_EQ(c.node(8), 1);
     EXPECT_EQ(c.node(31), 3);
     EXPECT_EQ(c.firstDeviceOf(2), 16);
+
+    // expertRelocation breaks load ties by device id and relies on
+    // that being the same as breaking them by node first.
+    for (int nodes = 1; nodes <= 16; ++nodes)
+        for (int per_node = 1; per_node <= 8; ++per_node) {
+            const Cluster s(nodes, per_node, 100e9, 10e9, 1e12);
+            for (DeviceId d = 0; d < s.numDevices(); ++d)
+                ASSERT_EQ(s.node(d), d / s.devicesPerNode())
+                    << nodes << "x" << per_node << " device " << d;
+        }
 }
 
 TEST(Cluster, SameNodePredicate)
