@@ -2,8 +2,7 @@
 # Documentation lint, run by the CI docs job and locally:
 #   1. every relative markdown link in README.md and docs/*.md must
 #      resolve to an existing file (anchors are stripped first);
-#   2. every public header in src/serve/, src/ctrl/, src/obs/,
-#      src/fault/ and src/difftest/ must carry a file-level Doxygen
+#   2. every public header in src/*/ must carry a file-level Doxygen
 #      `@file` comment.
 set -u
 cd "$(dirname "$0")/.."
@@ -33,8 +32,7 @@ for md in README.md docs/*.md; do
     check_links "$md"
 done
 
-for hh in src/serve/*.hh src/ctrl/*.hh src/obs/*.hh \
-          src/fault/*.hh src/difftest/*.hh; do
+for hh in src/*/*.hh; do
     if ! grep -q '@file' "$hh"; then
         echo "MISSING @file COMMENT: $hh"
         status=1

@@ -5,6 +5,7 @@
 #include "comm/collectives.hh"
 #include "core/error.hh"
 #include "model/memory.hh"
+#include "sim/engine.hh"
 
 namespace laer
 {
@@ -251,87 +252,94 @@ simulateMicroBatch(const Cluster &cluster, const IterationSpec &spec)
         }
     }
 
-    // ---- Build the task graph --------------------------------------------
-    SimEngine engine(n);
-    auto barrier = [&](const std::string &name, StreamKind stream,
-                       Seconds dur, const std::vector<TaskId> &deps,
-                       const std::string &cat) {
-        std::vector<TaskId> ids(n);
+    // ---- Replay the launch order on per-stream clocks -------------------
+    // Each device runs in-order streams (Fig. 5): a task starts at
+    // max(latest dependency, its stream's tail) and its finish becomes
+    // the tail. Every device enters and leaves each All-to-All barrier
+    // together, so one clock is the dispatch stream of all of them.
+    // Busy sums add one term per task in launch order, n per barrier,
+    // so they round exactly as a per-task sum does.
+    std::vector<Seconds> compute(n, 0.0), prefetch(n, 0.0),
+        gradsync(n, 0.0);
+    Seconds a2a = 0.0;
+    Seconds a2a_sum = 0.0, expert_sum = 0.0, others_sum = 0.0;
+    std::vector<std::vector<BusyInterval>> compute_busy(n);
+    std::vector<BusyInterval> prefetch_busy, gradsync_busy;
+    auto launch = [](Seconds &tail, Seconds ready, Seconds dur) {
+        LAER_CHECK(dur >= 0.0, "negative task duration");
+        const Seconds start = std::max(ready, tail);
+        tail = start + dur;
+        return BusyInterval{start, tail};
+    };
+    auto run_compute = [&](DeviceId d, Seconds ready, Seconds dur) {
+        const BusyInterval iv = launch(compute[d], ready, dur);
+        if (dur > 0.0)
+            compute_busy[d].push_back(iv);
+        return iv.hi;
+    };
+    auto run_prefetch = [&](DeviceId d, Seconds ready) {
+        prefetch_busy.push_back(launch(prefetch[d], ready, prefetch_dur));
+        return prefetch_busy.back().hi;
+    };
+    // An All-to-All on every device once the last of them is ready.
+    auto barrier = [&](Seconds ready, Seconds dur) {
+        launch(a2a, ready, dur);
         for (DeviceId d = 0; d < n; ++d)
-            ids[d] = engine.addTask(name, d, stream, dur, deps, cat);
-        return ids;
+            a2a_sum += dur;
+        return a2a;
     };
 
-    std::vector<std::vector<TaskId>> attn(layers), dispatch(layers),
-        expert(layers), combine(layers), pf(layers);
-
-    // Forward pass.
+    // Forward pass. `pf` stays 0 without prefetch, which no task
+    // waits on.
+    std::vector<Seconds> attn(n), pf(n, 0.0);
+    Seconds dispatch = 0.0, combine = 0.0;
     for (int l = 0; l < layers; ++l) {
         // Expert parameter prefetch for this layer.
         if (prefetch_dur > 0.0) {
-            pf[l].resize(n);
             for (DeviceId d = 0; d < n; ++d) {
-                std::vector<TaskId> deps;
+                Seconds ready = 0.0;
                 if (l > 0) {
                     if (spec.flags.relaxedPrefetch &&
                         spec.flags.prefetchAfterA2A)
-                        deps.push_back(dispatch[l - 1][d]);
+                        ready = dispatch;
                     else if (spec.flags.relaxedPrefetch)
-                        deps.push_back(attn[l - 1][d]);
+                        ready = attn[d];
                     else
-                        deps.push_back(combine[l - 1][d]);
+                        ready = combine;
                 }
-                pf[l][d] = engine.addTask("pf_fwd", d,
-                                          StreamKind::Prefetch,
-                                          prefetch_dur, deps,
-                                          "prefetch");
+                pf[d] = run_prefetch(d, ready);
             }
         }
 
-        attn[l].resize(n);
+        Seconds ready = 0.0;
         for (DeviceId d = 0; d < n; ++d) {
-            std::vector<TaskId> deps;
-            if (l > 0)
-                deps.push_back(combine[l - 1][d]);
-            attn[l][d] = engine.addTask("attn_fwd", d,
-                                        StreamKind::Compute, attn_fwd,
-                                        deps, "others");
+            attn[d] = run_compute(d, combine, attn_fwd);
+            others_sum += attn_fwd;
+            ready = std::max(ready, attn[d]);
         }
+        dispatch = barrier(ready, dispatch_dur[l]);
 
-        std::vector<TaskId> a2a_deps;
-        for (DeviceId d = 0; d < n; ++d)
-            a2a_deps.push_back(attn[l][d]);
-        dispatch[l] = barrier("dispatch_fwd", StreamKind::Dispatch,
-                              dispatch_dur[l], a2a_deps, "a2a");
-
-        expert[l].resize(n);
+        ready = 0.0;
         for (DeviceId d = 0; d < n; ++d) {
-            std::vector<TaskId> deps{dispatch[l][d]};
-            if (!pf[l].empty())
-                deps.push_back(pf[l][d]);
-            expert[l][d] = engine.addTask("expert_fwd", d,
-                                          StreamKind::Compute,
-                                          expert_fwd[l][d], deps,
-                                          "expert");
+            ready = std::max(ready,
+                             run_compute(d, std::max(dispatch, pf[d]),
+                                         expert_fwd[l][d]));
+            expert_sum += expert_fwd[l][d];
         }
-
-        std::vector<TaskId> comb_deps;
-        for (DeviceId d = 0; d < n; ++d)
-            comb_deps.push_back(expert[l][d]);
-        combine[l] = barrier("combine_fwd", StreamKind::Dispatch,
-                             combine_dur[l], comb_deps, "a2a");
+        combine = barrier(ready, combine_dur[l]);
     }
 
-    // LM head forward + backward (the turnaround point).
-    std::vector<TaskId> head_fwd_ids(n), head_bwd_ids(n);
-    for (DeviceId d = 0; d < n; ++d)
-        head_fwd_ids[d] =
-            engine.addTask("head_fwd", d, StreamKind::Compute, head_fwd,
-                           {combine[layers - 1][d]}, "others");
-    for (DeviceId d = 0; d < n; ++d)
-        head_bwd_ids[d] =
-            engine.addTask("head_bwd", d, StreamKind::Compute,
-                           2.0 * head_fwd, {head_fwd_ids[d]}, "others");
+    // LM head forward + backward (the turnaround point). From here
+    // `done` holds each device's latest compute finish.
+    std::vector<Seconds> done(n);
+    for (DeviceId d = 0; d < n; ++d) {
+        done[d] = run_compute(d, combine, head_fwd);
+        others_sum += head_fwd;
+    }
+    for (DeviceId d = 0; d < n; ++d) {
+        done[d] = run_compute(d, done[d], 2.0 * head_fwd);
+        others_sum += 2.0 * head_fwd;
+    }
 
     // Backward pass (layer order reversed). Recompute granularity
     // (Sec. 4): expert-only re-runs the expert GEMMs using the tokens
@@ -348,95 +356,77 @@ simulateMicroBatch(const Cluster &cluster, const IterationSpec &spec)
          spec.recompute == RecomputeMode::Full);
     const bool recompute_a2a =
         spec.checkpointing && spec.recompute == RecomputeMode::Full;
+    // Expert backward: 2x forward, +1x when experts recompute.
+    const double bwd_factor = 2.0 + (recompute_expert ? 1.0 : 0.0);
+    const double attn_bwd_factor = 2.0 + (recompute_attn ? 1.0 : 0.0);
 
-    std::vector<TaskId> prev_attn_bwd = head_bwd_ids;
-    std::vector<std::vector<TaskId>> bwd_dispatch(layers),
-        bwd_pf(layers);
+    Seconds bwd_dispatch = 0.0;
     for (int l = layers - 1; l >= 0; --l) {
         // Backward unshard prefetch for this layer's experts.
         if (prefetch_dur > 0.0) {
-            bwd_pf[l].resize(n);
             for (DeviceId d = 0; d < n; ++d) {
-                std::vector<TaskId> deps;
-                if (l < layers - 1) {
-                    if (spec.flags.relaxedPrefetch)
-                        deps.push_back(bwd_dispatch[l + 1][d]);
-                    else
-                        deps.push_back(prev_attn_bwd[d]);
-                }
-                bwd_pf[l][d] = engine.addTask("pf_bwd", d,
-                                              StreamKind::Prefetch,
-                                              prefetch_dur, deps,
-                                              "prefetch");
+                Seconds ready = 0.0;
+                if (l < layers - 1)
+                    ready = spec.flags.relaxedPrefetch ? bwd_dispatch
+                                                       : done[d];
+                pf[d] = run_prefetch(d, ready);
             }
         }
 
-        std::vector<TaskId> grad_in_deps = prev_attn_bwd;
-        bwd_dispatch[l] = barrier("dispatch_bwd", StreamKind::Dispatch,
-                                  combine_dur[l], grad_in_deps, "a2a");
+        Seconds ready = 0.0;
+        for (DeviceId d = 0; d < n; ++d)
+            ready = std::max(ready, done[d]);
+        bwd_dispatch = barrier(ready, combine_dur[l]);
 
         // Full recompute re-dispatches the forward tokens before the
         // expert pass can be replayed.
-        std::vector<TaskId> expert_ready = bwd_dispatch[l];
+        Seconds expert_ready = bwd_dispatch;
         if (recompute_a2a)
-            expert_ready = barrier("recomp_dispatch",
-                                   StreamKind::Dispatch,
-                                   dispatch_dur[l], expert_ready,
-                                   "a2a");
+            expert_ready = barrier(expert_ready, dispatch_dur[l]);
 
-        // Expert backward: 2x forward, +1x when experts recompute.
-        const double bwd_factor = 2.0 + (recompute_expert ? 1.0 : 0.0);
-        std::vector<TaskId> expert_bwd(n);
+        ready = 0.0;
         for (DeviceId d = 0; d < n; ++d) {
-            std::vector<TaskId> deps{expert_ready[d]};
-            if (!bwd_pf[l].empty())
-                deps.push_back(bwd_pf[l][d]);
-            expert_bwd[d] = engine.addTask(
-                "expert_bwd", d, StreamKind::Compute,
-                bwd_factor * expert_fwd[l][d], deps, "expert");
+            const Seconds dur = bwd_factor * expert_fwd[l][d];
+            done[d] = run_compute(d, std::max(expert_ready, pf[d]), dur);
+            expert_sum += dur;
+            ready = std::max(ready, done[d]);
         }
 
-        // Gradient resharding / synchronisation.
+        // Gradient resharding / synchronisation: delayed, on its own
+        // stream; otherwise it holds up the compute stream.
+        const bool own_stream = spec.flags.delayedGradSync;
         if (spec.withGradSync && gradsync_dur > 0.0) {
             for (DeviceId d = 0; d < n; ++d) {
-                const StreamKind stream = spec.flags.delayedGradSync
-                                              ? StreamKind::GradSync
-                                              : StreamKind::Compute;
-                engine.addTask("gradsync", d, stream, gradsync_dur,
-                               {expert_bwd[d]}, "gradsync");
+                gradsync_busy.push_back(
+                    launch(own_stream ? gradsync[d] : compute[d], done[d],
+                           gradsync_dur));
+                if (!own_stream)
+                    compute_busy[d].push_back(gradsync_busy.back());
             }
         }
 
-        std::vector<TaskId> comb_deps = expert_bwd;
-        const std::vector<TaskId> bwd_combine =
-            barrier("combine_bwd", StreamKind::Dispatch,
-                    dispatch_dur[l], comb_deps, "a2a");
-
-        const double attn_bwd_factor =
-            2.0 + (recompute_attn ? 1.0 : 0.0);
-        std::vector<TaskId> attn_bwd(n);
-        for (DeviceId d = 0; d < n; ++d)
-            attn_bwd[d] = engine.addTask("attn_bwd", d,
-                                         StreamKind::Compute,
-                                         attn_bwd_factor * attn_fwd,
-                                         {bwd_combine[d]}, "others");
-        prev_attn_bwd = attn_bwd;
+        const Seconds bwd_combine = barrier(ready, dispatch_dur[l]);
+        for (DeviceId d = 0; d < n; ++d) {
+            done[d] = run_compute(d, bwd_combine,
+                                  attn_bwd_factor * attn_fwd);
+            others_sum += attn_bwd_factor * attn_fwd;
+        }
     }
 
-    engine.run();
+    // Each stream's tail is its latest finish.
+    Seconds end = a2a;
+    for (DeviceId d = 0; d < n; ++d)
+        end = std::max({end, compute[d], prefetch[d], gradsync[d]});
 
     MicroBatchResult result;
-    result.makespan = engine.makespan();
-    const auto busy = engine.categoryBusyPerDevice();
-    auto get = [&](const char *key) {
-        const auto it = busy.find(key);
-        return it == busy.end() ? 0.0 : it->second;
-    };
-    result.a2aBusy = get("a2a");
-    result.expertBusy = get("expert");
-    result.othersBusy = get("others");
-    result.exposedPrefetch = engine.exposedTime("prefetch");
-    result.exposedGradSync = engine.exposedTime("gradsync");
+    result.makespan = end;
+    result.a2aBusy = a2a_sum / n;
+    result.expertBusy = expert_sum / n;
+    result.othersBusy = others_sum / n;
+    result.exposedPrefetch =
+        foldExposedTime(prefetch_busy, compute_busy, end);
+    result.exposedGradSync =
+        foldExposedTime(gradsync_busy, compute_busy, end);
     return result;
 }
 

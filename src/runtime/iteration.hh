@@ -1,8 +1,8 @@
 /**
  * @file
- * Iteration graph builder: turns per-layer routing plans into the
- * stream/task timeline of Fig. 5 / Fig. 7 and measures it on the
- * discrete-event engine.
+ * Micro-batch timeline: turns per-layer routing plans into the
+ * stream/task schedule of Fig. 5 / Fig. 7 and prices it on one clock
+ * per (device, stream).
  */
 
 #ifndef LAER_RUNTIME_ITERATION_HH
@@ -14,7 +14,6 @@
 #include "planner/routing_plan_sparse.hh"
 #include "planner/types.hh"
 #include "runtime/system.hh"
-#include "sim/engine.hh"
 #include "topo/cluster.hh"
 
 namespace laer
@@ -107,8 +106,10 @@ void expertTpPortLoads(const Cluster &cluster,
                        A2aPortLoads &out);
 
 /**
- * Build the full forward+backward timeline of one micro-batch on the
- * event engine and return its timing breakdown.
+ * Replay the full forward+backward schedule of one micro-batch in
+ * launch order on per-(device, stream) clocks and return its timing
+ * breakdown. Throws FatalError for an invalid spec or a negative task
+ * duration.
  */
 MicroBatchResult simulateMicroBatch(const Cluster &cluster,
                                     const IterationSpec &spec);

@@ -9,7 +9,7 @@
  * incrementally with penalties; SmartMoE re-places on a long period;
  * the static baselines never move); the token dispatcher routes the
  * CURRENT iteration's tokens onto that layout; the iteration timeline
- * is then measured on the discrete-event engine.
+ * is then priced by simulateMicroBatch on per-stream clocks.
  */
 
 #ifndef LAER_RUNTIME_TRAINING_SIM_HH

@@ -102,69 +102,39 @@ SimEngine::categoryBusyPerDevice() const
 }
 
 Seconds
-SimEngine::streamBusy(DeviceId device, StreamKind stream) const
+foldExposedTime(std::vector<BusyInterval> &category,
+                const std::vector<std::vector<BusyInterval>> &compute_busy,
+                Seconds end)
 {
-    Seconds busy = 0.0;
-    for (const auto &task : tasks_)
-        if (task.device == device && task.stream == stream)
-            busy += task.duration;
-    return busy;
-}
-
-Seconds
-SimEngine::exposedTime(const std::string &category) const
-{
-    LAER_ASSERT(scheduled_, "exposedTime before run()");
-    // Collect the busy intervals of the category and, per device, the
-    // idle intervals of the compute stream; the exposed time is the
-    // average overlap of "category running" with "compute idle".
-    struct Interval
-    {
-        Seconds lo, hi;
-    };
-    std::vector<Interval> cat;
-    for (const auto &task : tasks_)
-        if (task.category == category && task.duration > 0)
-            cat.push_back({task.start, task.finish});
-    if (cat.empty())
+    if (category.empty())
         return 0.0;
-    std::sort(cat.begin(), cat.end(),
-              [](const Interval &a, const Interval &b) {
+    std::sort(category.begin(), category.end(),
+              [](const BusyInterval &a, const BusyInterval &b) {
                   return a.lo < b.lo;
               });
     // Merge the category intervals.
-    std::vector<Interval> merged;
-    for (const auto &iv : cat) {
+    std::vector<BusyInterval> merged;
+    for (const auto &iv : category) {
         if (!merged.empty() && iv.lo <= merged.back().hi)
             merged.back().hi = std::max(merged.back().hi, iv.hi);
         else
             merged.push_back(iv);
     }
 
-    // Busy intervals of every device's compute stream, bucketed in
-    // one pass; each bucket keeps task order, so the sort below sees
-    // the same input a per-device scan of the task list would give.
-    std::vector<std::vector<Interval>> busy(
-        static_cast<std::size_t>(numDevices_));
-    for (const auto &task : tasks_)
-        if (task.stream == StreamKind::Compute && task.duration > 0)
-            busy[static_cast<std::size_t>(task.device)].push_back(
-                {task.start, task.finish});
-
-    const Seconds end = makespan();
+    // Subtract each device's compute-busy overlap from every merged
+    // interval. Both lists are disjoint and sorted, so each walk
+    // skips what ended before and stops at what starts after.
     Seconds exposed_total = 0.0;
-    for (auto &device_busy : busy) {
-        std::sort(device_busy.begin(), device_busy.end(),
-                  [](const Interval &a, const Interval &b) {
-                      return a.lo < b.lo;
-                  });
-        // Walk the merged category intervals and subtract compute-busy
-        // overlap.
+    for (const auto &busy : compute_busy) {
+        std::size_t first = 0;
         for (const auto &iv : merged) {
+            while (first < busy.size() && busy[first].hi <= iv.lo)
+                ++first;
             Seconds uncovered = std::min(iv.hi, end) - iv.lo;
-            for (const auto &b : device_busy) {
-                const Seconds lo = std::max(iv.lo, b.lo);
-                const Seconds hi = std::min(iv.hi, b.hi);
+            for (std::size_t k = first;
+                 k < busy.size() && busy[k].lo < iv.hi; ++k) {
+                const Seconds lo = std::max(iv.lo, busy[k].lo);
+                const Seconds hi = std::min(iv.hi, busy[k].hi);
                 if (hi > lo)
                     uncovered -= (hi - lo);
             }
@@ -172,7 +142,22 @@ SimEngine::exposedTime(const std::string &category) const
                 exposed_total += uncovered;
         }
     }
-    return exposed_total / numDevices_;
+    return exposed_total / static_cast<double>(compute_busy.size());
+}
+
+Seconds
+SimEngine::exposedTime(const std::string &category) const
+{
+    LAER_ASSERT(scheduled_, "exposedTime before run()");
+    std::vector<BusyInterval> cat;
+    std::vector<std::vector<BusyInterval>> busy(numDevices_);
+    for (const auto &task : tasks_) {
+        if (task.duration > 0 && task.category == category)
+            cat.push_back({task.start, task.finish});
+        if (task.duration > 0 && task.stream == StreamKind::Compute)
+            busy[task.device].push_back({task.start, task.finish});
+    }
+    return foldExposedTime(cat, busy, makespan());
 }
 
 } // namespace laer

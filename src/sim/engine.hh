@@ -40,6 +40,24 @@ enum class StreamKind
 /** Printable stream name. */
 const char *streamKindName(StreamKind kind);
 
+/** A busy span [lo, hi) of one task on the simulated clock. */
+struct BusyInterval
+{
+    Seconds lo, hi;
+};
+
+/**
+ * Seconds each device's compute stream sat idle while at least one
+ * `category` interval (any order; sorted in place) ran, clipped to
+ * `end` and averaged over the devices. `compute_busy[d]` lists device
+ * d's compute intervals in launch order, which an in-order stream
+ * keeps disjoint and sorted.
+ */
+Seconds foldExposedTime(
+    std::vector<BusyInterval> &category,
+    const std::vector<std::vector<BusyInterval>> &compute_busy,
+    Seconds end);
+
 /** Handle to a scheduled task. */
 using TaskId = int;
 
@@ -101,9 +119,6 @@ class SimEngine
      * quantity the paper's Fig. 10(a) breakdown reports.
      */
     std::map<std::string, Seconds> categoryBusyPerDevice() const;
-
-    /** Total busy seconds of one device's stream. */
-    Seconds streamBusy(DeviceId device, StreamKind stream) const;
 
     /**
      * Exposed (non-overlapped) seconds of a category on the critical

@@ -103,18 +103,6 @@ TEST(SimEngine, CategoryBusyAveragesOverDevices)
     EXPECT_DOUBLE_EQ(busy.at("a2a"), 0.5);
 }
 
-TEST(SimEngine, StreamBusyPerDevice)
-{
-    SimEngine eng(2);
-    eng.addTask("a", 0, StreamKind::Compute, 2.0);
-    eng.addTask("b", 0, StreamKind::Compute, 3.0);
-    eng.addTask("c", 1, StreamKind::Compute, 7.0);
-    eng.run();
-    EXPECT_DOUBLE_EQ(eng.streamBusy(0, StreamKind::Compute), 5.0);
-    EXPECT_DOUBLE_EQ(eng.streamBusy(1, StreamKind::Compute), 7.0);
-    EXPECT_DOUBLE_EQ(eng.streamBusy(0, StreamKind::Dispatch), 0.0);
-}
-
 TEST(SimEngine, ExposedTimeZeroWhenFullyOverlapped)
 {
     // Prefetch runs entirely under a longer compute task.
