@@ -116,14 +116,18 @@ a2aUniformTime(const Cluster &cluster, const std::vector<DeviceId> &group,
         return 0.0;
     // Sec. 3.1: regular balanced All-to-All — each device sends the
     // same volume to every peer, so the busiest port defines the time.
+    // A device's intra-node peers are the other members on its node and
+    // the rest of the group is inter-node, so one count per node gives
+    // each device's port bytes in O(|group|).
+    std::vector<int> on_node(static_cast<std::size_t>(cluster.numNodes()),
+                             0);
+    for (DeviceId d : group)
+        ++on_node[static_cast<std::size_t>(cluster.node(d))];
     Seconds busiest = 0.0;
     for (DeviceId d : group) {
-        Bytes intra = 0, inter = 0;
-        for (DeviceId o : group) {
-            if (o == d)
-                continue;
-            (cluster.sameNode(d, o) ? intra : inter) += bytes_per_pair;
-        }
+        const int local = on_node[static_cast<std::size_t>(cluster.node(d))];
+        const Bytes intra = (local - 1) * bytes_per_pair;
+        const Bytes inter = (p - local) * bytes_per_pair;
         const Seconds t = static_cast<double>(intra) / cluster.intraBw() +
                           static_cast<double>(inter) / cluster.interBw();
         busiest = std::max(busiest, t);

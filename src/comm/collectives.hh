@@ -99,7 +99,8 @@ Seconds a2aBottleneckTimeFromLoads(const Cluster &cluster,
 /**
  * Balanced All-to-All over a device group where every device exchanges
  * `bytes_per_pair` with every other member (FSEP unshard/reshard uses
- * exactly this pattern). `group` holds global device ids.
+ * exactly this pattern). `group` holds distinct global device ids.
+ * O(|group| + nodes).
  */
 Seconds a2aUniformTime(const Cluster &cluster,
                        const std::vector<DeviceId> &group,

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <ostream>
 #include <sstream>
+
+#include "obs/trace.hh"
 
 namespace laer
 {
@@ -39,32 +40,6 @@ valuesAgree(double ref, double cand, double rel_tol)
         return false;
     return std::fabs(ref - cand) <=
            rel_tol * std::max(std::fabs(ref), std::fabs(cand));
-}
-
-/** Escape a string for a JSON literal (names are dotted ASCII, but
- * scenario labels may carry anything). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 void

@@ -37,8 +37,10 @@
  *    `target`'s slice fail; the KV pool shrinks to the survivors'
  *    share (admission shrinks — graceful degradation, not an abort).
  *
- * Fault-free runs stay byte-for-byte: every hook in the simulator is
- * behind `FaultConfig::enabled()`, and the golden gate pins it.
+ * Fault-free runs stay byte-for-byte: an empty plan expands to no
+ * events, so every fault hook in the simulator is inert (no mode
+ * switch guards them; the per-engine fault state lives in the
+ * simulator's slot records), and the golden gates pin it.
  * Plan files (`--fault-plan`) use a line-oriented text format; see
  * parseFaultPlanFile() and docs/ROBUSTNESS.md.
  */

@@ -7,25 +7,13 @@
 #include <sstream>
 
 #include "core/error.hh"
+#include "obs/trace.hh"
 
 namespace laer
 {
 
 namespace
 {
-
-std::string
-jsonEscapeKey(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
 
 std::string
 jsonNumber(double v)
@@ -302,9 +290,9 @@ MetricsRegistry::writeJsonl(std::ostream &os,
     for (const CounterSnapshot &snap : snapshots_) {
         os << "{\"t\":" << jsonNumber(snap.simTime);
         if (!label.empty())
-            os << ",\"run\":\"" << jsonEscapeKey(label) << "\"";
+            os << ",\"run\":\"" << jsonEscape(label) << "\"";
         for (const auto &[name, value] : snap.values)
-            os << ",\"" << jsonEscapeKey(name)
+            os << ",\"" << jsonEscape(name)
                << "\":" << jsonNumber(value);
         os << "}\n";
     }

@@ -76,18 +76,6 @@ writeRecordJson(std::ostream &os, const SloRecord &r)
     os << "}";
 }
 
-std::string
-jsonEscapeLabel(const std::string &s)
-{
-    std::string out;
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
 } // namespace
 
 ReqTraceRecorder::ReqTraceRecorder(ReqTraceConfig config)
@@ -486,7 +474,7 @@ ReqTraceRecorder::writeSloJson(std::ostream &os,
 {
     os << "{";
     if (!label.empty())
-        os << "\"run\":\"" << jsonEscapeLabel(label) << "\",";
+        os << "\"run\":\"" << jsonEscape(label) << "\",";
     os << "\"sample_every\":" << config_.sampleEvery
        << ",\"seed\":" << config_.seed << ",\"top_k\":" << config_.topK
        << ",\"sampled_retired\":" << sampledRetired_
@@ -498,7 +486,7 @@ ReqTraceRecorder::writeSloJson(std::ostream &os,
     for (std::size_t i = 0; i < violations_.size(); ++i) {
         if (i > 0)
             os << ",";
-        os << "\"" << jsonEscapeLabel(violations_[i]) << "\"";
+        os << "\"" << jsonEscape(violations_[i]) << "\"";
     }
     os << "],\"worst_ttft\":[";
     const std::vector<SloRecord> ttft = worstTtft();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -11,10 +12,6 @@
 namespace laer
 {
 
-namespace
-{
-
-/** JSON-escape a string value (quotes, backslashes, control chars). */
 std::string
 jsonEscape(const std::string &s)
 {
@@ -50,6 +47,9 @@ jsonEscape(const std::string &s)
     }
     return out;
 }
+
+namespace
+{
 
 /** Encode a double as a JSON number (NaN/inf have no JSON spelling,
  * so they degrade to 0). */

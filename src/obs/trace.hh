@@ -46,6 +46,11 @@
 namespace laer
 {
 
+/** Escape `s` for the inside of a JSON string literal: quotes,
+ * backslashes and every control character. The one escaper of the
+ * obs and difftest writers, so no label can split a JSONL line. */
+std::string jsonEscape(const std::string &s);
+
 /** One key plus an already-JSON-encoded value for a span/instant
  * `args` object. The constructors encode (and escape) eagerly so the
  * recorder stores plain strings. */

@@ -208,15 +208,17 @@ struct LiteRoutingScore
 
 /**
  * Fused lite routing + cost evaluation (the "efficient C++ core" of
- * Sec. 4): produces exactly the Eq. 2 objective that
- * timeCost(liteRouting(...)) would report, but without materialising
- * the dense N x E x N plan — the tuner's inner loop runs this once
- * per candidate replica scheme, keeping the solver inside the
- * per-layer time budget even at 1024 devices (Fig. 11). Shares are
- * visited in the dense path's (source, expert, slot) order, so the
- * floating-point pair cost is bit-identical to the seed
- * implementation — scheme comparisons (and therefore every
- * fig11-14/tab04 output) are reproduced exactly.
+ * Sec. 4): the same Eq. 2 objective that timeCost(liteRouting(...))
+ * reports, up to floating-point summation order, but without
+ * materialising the dense N x E x N plan — the tuner's inner loop
+ * runs this once per candidate replica scheme, keeping the solver
+ * inside the per-layer time budget even at 1024 devices (Fig. 11).
+ * timeCost() adds one term per device pair after folding the
+ * experts, so its comm term can differ in the last bits. Shares are
+ * visited in the tuner's (source, expert, slot) per-share order, so
+ * the pair cost is bit-identical to the seed tuner's own scoring —
+ * scheme comparisons (and therefore every fig11-14/tab04 output) are
+ * reproduced exactly.
  *
  * @param cluster  Topology.
  * @param routing  Routing matrix R.

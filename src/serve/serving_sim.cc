@@ -122,9 +122,10 @@ ServingSimulator::ServingSimulator(const Cluster &cluster,
     // time, so there is no contention). threads == 1 stays pool-free.
     if (ThreadPool::resolveThreads(config_.threads) > 1)
         threadPool_ = std::make_unique<ThreadPool>(config_.threads);
+    std::vector<DevicePoolSlice> slices;
     if (config_.policy == ServingPolicy::Disaggregated) {
         const int prefill = config_.disagg.prefillDevices;
-        slices_ = partitionCluster(
+        slices = partitionCluster(
             cluster_, {prefill, cluster_.numDevices() - prefill},
             {"prefill", "decode"});
     } else if (config_.replicas.replicaDevices > 0) {
@@ -134,41 +135,30 @@ ServingSimulator::ServingSimulator(const Cluster &cluster,
         std::vector<std::string> names;
         for (int i = 0; i < slots; ++i)
             names.push_back("replica" + std::to_string(i));
-        slices_ = partitionCluster(cluster_, counts, names);
+        slices = partitionCluster(cluster_, counts, names);
     } else {
-        slices_.push_back(wholeClusterSlice(cluster_));
+        slices.push_back(wholeClusterSlice(cluster_));
     }
-    for (std::size_t i = 0; i < slices_.size(); ++i)
-        engines_.push_back(std::make_unique<ServingEngine>(
-            slices_[i],
-            engineConfigFor(slices_[i], static_cast<int>(i))));
-    freeAt_.assign(engines_.size(), 0.0);
-    poolStats_.resize(engines_.size());
-    drainStart_.assign(engines_.size(), -1.0);
+    // Each engine owns a copy of its slice: engine().slice().
+    slots_.resize(slices.size());
+    for (std::size_t i = 0; i < slices.size(); ++i)
+        slots_[i].inc.engine = std::make_unique<ServingEngine>(
+            slices[i], engineConfigFor(slices[i], static_cast<int>(i)));
     nextSnapshot_ = config_.snapshotInterval;
-    desParallel_ = config_.desParallel;
     barrier_ = kNever;
-    // Fault injection is strictly opt-in: with the plan empty every
-    // hook below stays behind one bool and the run is byte-for-byte
-    // with its fault-free history.
-    faultsEnabled_ = config_.faults.enabled();
-    if (faultsEnabled_)
-        faultPlan_ =
-            expandFaultPlan(config_.faults,
-                            static_cast<int>(engines_.size()),
-                            config_.horizon);
-    pendingKill_.assign(engines_.size(), 0);
-    stragglerFactor_.assign(engines_.size(), 1.0);
-    deadDevices_.assign(engines_.size(), 0);
-    faultDownSince_.assign(engines_.size(), -1.0);
+    // An empty plan expands to no events, and with no events every
+    // fault hook is inert (docs/ROBUSTNESS.md).
+    faultPlan_ = expandFaultPlan(config_.faults,
+                                 static_cast<int>(slots_.size()),
+                                 config_.horizon);
     failedByClass_.assign(
         static_cast<std::size_t>(config_.arrival.numSloClasses), 0);
     // Replica slices beyond the initial count start parked: their
     // devices are dark until the control plane spins them up.
     if (config_.replicas.replicaDevices > 0)
         for (std::size_t i = config_.replicas.initialReplicas;
-             i < engines_.size(); ++i)
-            engines_[i]->drain();
+             i < slots_.size(); ++i)
+            slots_[i].engine().drain();
 }
 
 ServingSimulator::~ServingSimulator() = default;
@@ -321,9 +311,9 @@ ServingSimulator::poweredDevices() const
     if (config_.policy == ServingPolicy::Disaggregated)
         return cluster_.numDevices();
     int devices = 0;
-    for (std::size_t i = 0; i < engines_.size(); ++i)
-        if (engines_[i]->state() != EngineState::Stopped)
-            devices += slices_[i].numDevices();
+    for (const Slot &slot : slots_)
+        if (slot.engine().state() != EngineState::Stopped)
+            devices += slot.engine().slice().numDevices();
     return devices;
 }
 
@@ -346,8 +336,8 @@ int
 ServingSimulator::activeReplicas() const
 {
     int live = 0;
-    for (const auto &engine : engines_)
-        if (engine->state() != EngineState::Stopped)
+    for (const Slot &slot : slots_)
+        if (slot.engine().state() != EngineState::Stopped)
             ++live;
     return live;
 }
@@ -356,7 +346,7 @@ int
 ServingSimulator::prefillDevices() const
 {
     return config_.policy == ServingPolicy::Disaggregated
-               ? slices_[0].numDevices()
+               ? slots_[0].engine().slice().numDevices()
                : 0;
 }
 
@@ -365,8 +355,8 @@ ServingSimulator::reconfigPending() const
 {
     if (pending_.active)
         return true;
-    for (const auto &engine : engines_)
-        if (engine->state() == EngineState::Draining)
+    for (const Slot &slot : slots_)
+        if (slot.engine().state() == EngineState::Draining)
             return true;
     return false;
 }
@@ -376,10 +366,11 @@ ServingSimulator::leastLoadedLive(const std::vector<int> &load) const
 {
     int best = -1;
     int best_load = 0;
-    for (std::size_t i = 0; i < engines_.size(); ++i) {
-        if (!engines_[i]->accepting())
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+        const ServingEngine &engine = slots_[i].engine();
+        if (!engine.accepting())
             continue;
-        const int l = load.empty() ? engines_[i]->load() : load[i];
+        const int l = load.empty() ? engine.load() : load[i];
         if (best < 0 || l < best_load) {
             best = static_cast<int>(i);
             best_load = l;
@@ -389,18 +380,22 @@ ServingSimulator::leastLoadedLive(const std::vector<int> &load) const
 }
 
 Seconds
-ServingSimulator::rebuildEngine(std::size_t i)
+ServingSimulator::rebuildEngine(std::size_t i, const DevicePoolSlice &slice)
 {
-    engines_[i] = std::make_unique<ServingEngine>(
-        slices_[i], engineConfigFor(slices_[i], static_cast<int>(i)),
-        EngineState::Loading);
-    const Seconds delay = loadDelayFor(slices_[i]);
-    freeAt_[i] = now_ + delay;
-    // The reset may close the degraded window; a fault-killed slot
-    // stays degraded until its Active promote in applyReconfig()
-    // closes its MTTR clock.
-    stragglerFactor_[i] = 1.0;
-    deadDevices_[i] = 0;
+    Slot &slot = slots_[i];
+    LAER_ASSERT(slot.engine().state() == EngineState::Stopped &&
+                    !slot.inc.pendingKill && slot.inc.drainStart < 0.0,
+                "rebuild of slot " << i << " while its engine is live");
+    // The fresh incarnation is built before the old one (which may own
+    // `slice`) is released.
+    slot.inc = Slot::Incarnation{std::make_unique<ServingEngine>(
+        slice, engineConfigFor(slice, static_cast<int>(i)),
+        EngineState::Loading)};
+    const Seconds delay = loadDelayFor(slot.engine().slice());
+    slot.freeAt = now_ + delay;
+    // Dropping the old stragglers and masked devices may close the
+    // degraded window; a fault-killed slot stays degraded until its
+    // Active promote in applyReconfig() closes its MTTR clock.
     updateDegraded();
     return delay;
 }
@@ -408,10 +403,11 @@ ServingSimulator::rebuildEngine(std::size_t i)
 void
 ServingSimulator::beginEngineDrain(std::size_t i)
 {
-    if (engines_[i]->state() == EngineState::Loading)
-        freeAt_[i] = now_; // no step in flight: drain at once
-    engines_[i]->beginDrain();
-    drainStart_[i] = now_;
+    Slot &slot = slots_[i];
+    if (slot.engine().state() == EngineState::Loading)
+        slot.freeAt = now_; // no step in flight: drain at once
+    slot.engine().beginDrain();
+    slot.inc.drainStart = now_;
 }
 
 bool
@@ -434,11 +430,12 @@ ServingSimulator::requestReplicas(int target)
         accruePower(now_);
         Seconds delay = 0.0;
         int spun = 0;
-        for (std::size_t i = 0; i < engines_.size() &&
+        for (std::size_t i = 0; i < slots_.size() &&
                                 live + spun < target; ++i) {
-            if (engines_[i]->state() != EngineState::Stopped)
+            if (slots_[i].engine().state() != EngineState::Stopped)
                 continue;
-            delay = std::max(delay, rebuildEngine(i));
+            delay = std::max(
+                delay, rebuildEngine(i, slots_[i].engine().slice()));
             ++spun;
         }
         ScalingEvent event;
@@ -460,7 +457,7 @@ ServingSimulator::requestReplicas(int target)
         pending_.before = live;
         int to_drain = live - target;
         for (int i = slots - 1; i >= 0 && to_drain > 0; --i) {
-            if (!engines_[i]->accepting())
+            if (!slots_[i].engine().accepting())
                 continue;
             beginEngineDrain(static_cast<std::size_t>(i));
             --to_drain;
@@ -487,9 +484,10 @@ ServingSimulator::requestSplit(int prefill_devices)
     if (reconfigPending())
         return false;
     // A dead pool has nothing to drain: its repair comes first.
-    if (!engines_[0]->accepting() || !engines_[1]->accepting())
+    if (!slots_[0].engine().accepting() ||
+        !slots_[1].engine().accepting())
         return false;
-    if (prefill_devices == slices_[0].numDevices())
+    if (prefill_devices == slots_[0].engine().slice().numDevices())
         return false;
     if (prefill_devices < min_pool || decode < min_pool)
         return false;
@@ -504,14 +502,14 @@ ServingSimulator::requestSplit(int prefill_devices)
     // sees prompt + 1, but one ceiling keeps the check simple), or
     // re-homing would blow up enqueue() after the drain.
     TokenCount max_ctx = 0;
-    for (const auto &engine : engines_)
+    for (const Slot &slot : slots_)
         max_ctx = std::max(max_ctx,
-                           engine->batcher().maxLiveFullContext());
+                           slot.engine().batcher().maxLiveFullContext());
     for (const PendingMigration &m : migrations_)
         max_ctx = std::max(max_ctx, m.request.prefillTokens +
                                         m.request.decodeTokens);
     for (const auto &[id, target] : decodeTargets_)
-        if (const Request *r = engines_[0]->batcher().find(id))
+        if (const Request *r = slots_[0].engine().batcher().find(id))
             max_ctx = std::max(max_ctx, r->prefillTokens + target);
     if (max_ctx > 0) {
         const Bytes need = kvBytesForContext(max_ctx);
@@ -527,7 +525,7 @@ ServingSimulator::requestSplit(int prefill_devices)
     pending_.split = true;
     pending_.target = prefill_devices;
     pending_.requestedAt = now_;
-    pending_.before = slices_[0].numDevices();
+    pending_.before = slots_[0].engine().slice().numDevices();
     pending_.held.assign(2, {});
     for (std::size_t i = 0; i < 2; ++i)
         beginEngineDrain(i);
@@ -556,14 +554,15 @@ ServingSimulator::obsPrefix() const
 int
 ServingSimulator::poolTrack(std::size_t i)
 {
-    return config_.trace->track(obsPrefix() + slices_[i].name);
+    return config_.trace->track(obsPrefix() +
+                                slots_[i].engine().slice().name);
 }
 
 int
 ServingSimulator::plannerTrack(std::size_t i)
 {
-    return config_.trace->track(obsPrefix() + slices_[i].name +
-                                "/planner");
+    return config_.trace->track(
+        obsPrefix() + slots_[i].engine().slice().name + "/planner");
 }
 
 int
@@ -603,14 +602,14 @@ ServingSimulator::updateRegistryGauges()
     double kv_util = 0.0;
     Bytes kv_reserved = 0;
     Bytes kv_budget = 0;
-    for (const auto &engine : engines_) {
-        waiting += engine->batcher().waitingCount();
-        running += engine->batcher().runningCount();
-        kv_reserved += engine->batcher().kvReservedBytes();
-        kv_budget += engine->batcher().kvBudgetBytes();
-        if (engine->batcher().kvEnabled())
-            kv_util = std::max(kv_util,
-                               engine->batcher().kvUtilization());
+    for (const Slot &slot : slots_) {
+        const ContinuousBatcher &batcher = slot.engine().batcher();
+        waiting += batcher.waitingCount();
+        running += batcher.runningCount();
+        kv_reserved += batcher.kvReservedBytes();
+        kv_budget += batcher.kvBudgetBytes();
+        if (batcher.kvEnabled())
+            kv_util = std::max(kv_util, batcher.kvUtilization());
     }
     std::int64_t held = 0;
     for (const std::vector<Request> &h : pending_.held)
@@ -647,7 +646,7 @@ ServingSimulator::updateRegistryGauges()
         .set(static_cast<double>(kv_reserved));
     reg->gauge("serve.kv_budget_bytes")
         .set(static_cast<double>(kv_budget));
-    if (faultsEnabled_) {
+    if (config_.faults.enabled()) {
         // Fault-plan series exist only on faulted runs, so the
         // fault-free metric stream (and the golden gate pinning it)
         // stays byte-for-byte. `serve.failed` and `serve.retrying`
@@ -691,43 +690,44 @@ void
 ServingSimulator::applyReconfig()
 {
     // Promote engines whose model shards have landed.
-    for (std::size_t i = 0; i < engines_.size(); ++i)
-        if (engines_[i]->state() == EngineState::Loading &&
-            freeAt_[i] <= now_) {
-            engines_[i]->setReady();
-            if (faultsEnabled_ && faultDownSince_[i] >= 0.0) {
-                // The slot is serving again: close its MTTR clock,
-                // whether a scripted repair or the autoscaler rebuilt
-                // it.
-                const Seconds mttr = now_ - faultDownSince_[i];
-                mttrSamples_.push_back(mttr);
-                ++repairsDone_;
-                LAER_TRACE_SPAN(config_.trace, faultTrack(), "outage",
-                                "fault", faultDownSince_[i], mttr,
-                                {TraceArg{"pool",
-                                          static_cast<int>(i)},
-                                 TraceArg{"mttr_s", mttr}});
-                faultDownSince_[i] = -1.0;
-                updateDegraded();
-            }
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+        Slot &slot = slots_[i];
+        if (slot.engine().state() != EngineState::Loading ||
+            slot.freeAt > now_)
+            continue;
+        slot.engine().setReady();
+        if (slot.faultDownSince >= 0.0) {
+            // The slot is serving again: close its MTTR clock, whether
+            // a scripted repair or the autoscaler rebuilt it.
+            const Seconds mttr = now_ - slot.faultDownSince;
+            mttrSamples_.push_back(mttr);
+            ++repairsDone_;
+            LAER_TRACE_SPAN(config_.trace, faultTrack(), "outage",
+                            "fault", slot.faultDownSince, mttr,
+                            {TraceArg{"pool", static_cast<int>(i)},
+                             TraceArg{"mttr_s", mttr}});
+            slot.faultDownSince = -1.0;
+            updateDegraded();
         }
+    }
 
-    // Complete due drains. A Draining engine with freeAt_ <= now_ has
-    // no step in flight: its live requests take the recompute
+    // Complete due drains. A Draining engine whose slot is free at
+    // now_ has no step in flight: its live requests take the recompute
     // disposition and re-home.
-    for (std::size_t i = 0; i < engines_.size(); ++i) {
-        if (engines_[i]->state() != EngineState::Draining ||
-            freeAt_[i] > now_)
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+        Slot &slot = slots_[i];
+        if (slot.engine().state() != EngineState::Draining ||
+            slot.freeAt > now_)
             continue;
         accruePower(now_);
-        std::vector<Request> evicted = engines_[i]->drain();
-        if (config_.trace != nullptr && drainStart_[i] >= 0.0)
+        std::vector<Request> evicted = slot.engine().drain();
+        if (config_.trace != nullptr && slot.inc.drainStart >= 0.0)
             config_.trace->span(
-                poolTrack(i), "drain", "ctrl", drainStart_[i],
-                now_ - drainStart_[i],
+                poolTrack(i), "drain", "ctrl", slot.inc.drainStart,
+                now_ - slot.inc.drainStart,
                 {TraceArg{"evicted",
                           static_cast<int>(evicted.size())}});
-        drainStart_[i] = -1.0;
+        slot.inc.drainStart = -1.0;
         if (pending_.split) {
             for (const Request &r : evicted)
                 if (LAER_REQ_SAMPLED(config_.reqTrace, r.id))
@@ -745,7 +745,7 @@ ServingSimulator::applyReconfig()
                 }
                 const std::size_t target =
                     static_cast<std::size_t>(live);
-                engines_[target]->enqueue(r);
+                slots_[target].engine().enqueue(r);
                 if (LAER_REQ_SAMPLED(config_.reqTrace, r.id))
                     LAER_REQ_EVENT(config_.reqTrace,
                                    onRehome(r.id, now_,
@@ -759,21 +759,21 @@ ServingSimulator::applyReconfig()
         return;
 
     if (pending_.split) {
-        if (engines_[0]->state() != EngineState::Stopped ||
-            engines_[1]->state() != EngineState::Stopped)
+        if (slots_[0].engine().state() != EngineState::Stopped ||
+            slots_[1].engine().state() != EngineState::Stopped)
             return;
         // Both pools drained: re-partition, rebuild each engine on its
         // new slice behind the reshard delay, and re-home the held
         // requests pool-to-pool (prefill work stays prefill work).
         const int n = cluster_.numDevices();
-        slices_ = partitionCluster(
+        const std::vector<DevicePoolSlice> slices = partitionCluster(
             cluster_, {pending_.target, n - pending_.target},
             {"prefill", "decode"});
         Seconds delay = 0.0;
         for (std::size_t i = 0; i < 2; ++i) {
-            delay = std::max(delay, rebuildEngine(i));
+            delay = std::max(delay, rebuildEngine(i, slices[i]));
             for (const Request &r : pending_.held[i]) {
-                engines_[i]->enqueue(r);
+                slots_[i].engine().enqueue(r);
                 if (LAER_REQ_SAMPLED(config_.reqTrace, r.id))
                     LAER_REQ_EVENT(config_.reqTrace,
                                    onRehome(r.id, now_,
@@ -793,8 +793,8 @@ ServingSimulator::applyReconfig()
         recordScaling(event);
         pending_ = PendingReconfig{};
     } else {
-        for (const auto &engine : engines_)
-            if (engine->state() == EngineState::Draining)
+        for (const Slot &slot : slots_)
+            if (slot.engine().state() == EngineState::Draining)
                 return;
         ScalingEvent event;
         event.requested = pending_.requestedAt;
@@ -858,8 +858,9 @@ ServingSimulator::pumpArrivals()
         // the due arrival until one exists: its queueing delay lands
         // in TTFT as usual, and the revival it waits on has its own
         // wake.
-        const int target = disagg ? (engines_[0]->accepting() ? 0 : -1)
-                                  : leastLoadedLive();
+        const int target =
+            disagg ? (slots_[0].engine().accepting() ? 0 : -1)
+                   : leastLoadedLive();
         if (target < 0)
             break;
         const auto i = static_cast<std::size_t>(target);
@@ -871,7 +872,7 @@ ServingSimulator::pumpArrivals()
             decodeTargets_[request.id] = request.decodeTokens;
             request.decodeTokens = 1;
         }
-        engines_[i]->enqueue(request);
+        slots_[i].engine().enqueue(request);
     }
 }
 
@@ -955,7 +956,7 @@ ServingSimulator::retireSampledRequest(const Request &done)
     ctx.trackPrefix = obsPrefix();
     std::vector<int> pool_tracks;
     if (config_.trace != nullptr) {
-        for (std::size_t i = 0; i < engines_.size(); ++i)
+        for (std::size_t i = 0; i < slots_.size(); ++i)
             pool_tracks.push_back(poolTrack(i));
         ctx.poolTracks = &pool_tracks;
     }
@@ -986,7 +987,7 @@ ServingSimulator::harvestFinished(int pool_index,
             recordCompletion(r);
             continue;
         }
-        if (faultsEnabled_ && linkDown_) {
+        if (linkDown_) {
             // The boundary link is down: the handover aborts before
             // touching the wire and the context takes the retry path
             // (its KV was released at the pool boundary, so the retry
@@ -1002,9 +1003,10 @@ ServingSimulator::harvestFinished(int pool_index,
         // Hand the context over: its KV crosses the inter-pool links.
         const Bytes bytes =
             r.contextLength() * kvBytesPerToken(config_.model);
-        Seconds wire = kvTransferTime(
-            cluster_, engines_[0]->slice(), engines_[1]->slice(), bytes);
-        if (faultsEnabled_ && linkFactor_ != 1.0)
+        Seconds wire =
+            kvTransferTime(cluster_, slots_[0].engine().slice(),
+                           slots_[1].engine().slice(), bytes);
+        if (linkFactor_ != 1.0)
             wire *= linkFactor_; // degraded link: stretched wire time
         LAER_TRACE_SPAN(config_.trace, kvTrack(), "kv_transfer",
                         "serve", r.finishTime, wire,
@@ -1033,7 +1035,7 @@ ServingSimulator::pumpMigrations()
 {
     if (config_.policy != ServingPolicy::Disaggregated)
         return;
-    ServingEngine &decode = *engines_[1];
+    ServingEngine &decode = slots_[1].engine();
     while (!migrations_.empty() && migrations_.front().readyAt <= now_) {
         const PendingMigration &m = migrations_.front();
         if (!decode.accepting()) {
@@ -1061,15 +1063,17 @@ ServingSimulator::pumpMigrations()
     // draining prefill pool keeps its admission shut regardless.
     const bool blocked =
         !migrations_.empty() && migrations_.front().readyAt <= now_;
-    if (engines_[0]->accepting())
-        engines_[0]->batcher().setAdmissionPaused(blocked);
+    if (slots_[0].engine().accepting())
+        slots_[0].engine().batcher().setAdmissionPaused(blocked);
 }
 
 // ---- fault injection (src/fault/) ------------------------------------
-// Every entry point below begins behind faultsEnabled_ (or is only
-// reachable from code that is), so a fault-free run never executes a
-// fault instruction and stays byte-for-byte with its history — the
-// golden gate pins that.
+// No mode switch guards the hooks below: an empty plan leaves them
+// inert. No event is ever due, no kill is deferred, no MTTR clock runs,
+// the boundary link stays up at factor 1, every straggler factor stays
+// 1 and the retry queue stays empty, so a fault-free run stays
+// byte-for-byte with its history (the golden gates pin that). The
+// per-engine fault state lives in each Slot.
 
 int
 ServingSimulator::faultTrack()
@@ -1081,9 +1085,9 @@ int
 ServingSimulator::deadReplicas() const
 {
     int dead = 0;
-    for (std::size_t i = 0; i < engines_.size(); ++i)
-        if (faultDownSince_[i] >= 0.0 &&
-            engines_[i]->state() == EngineState::Stopped)
+    for (const Slot &slot : slots_)
+        if (slot.faultDownSince >= 0.0 &&
+            slot.engine().state() == EngineState::Stopped)
             ++dead;
     return dead;
 }
@@ -1093,9 +1097,9 @@ ServingSimulator::faultActive() const
 {
     if (linkDown_ || linkFactor_ != 1.0)
         return true;
-    for (std::size_t i = 0; i < engines_.size(); ++i)
-        if (faultDownSince_[i] >= 0.0 ||
-            stragglerFactor_[i] != 1.0 || deadDevices_[i] > 0)
+    for (const Slot &slot : slots_)
+        if (slot.faultDownSince >= 0.0 ||
+            slot.inc.stragglerFactor != 1.0 || slot.inc.deadDevices > 0)
             return true;
     return false;
 }
@@ -1129,8 +1133,8 @@ ServingSimulator::applyFaults()
     // engine dies. stepOnce() runs this before runDueEngines(), so a
     // due kill always lands before the victim could start another
     // step.
-    for (std::size_t i = 0; i < engines_.size(); ++i)
-        if (pendingKill_[i] && freeAt_[i] <= now_)
+    for (std::size_t i = 0; i < slots_.size(); ++i)
+        if (slots_[i].inc.pendingKill && slots_[i].freeAt <= now_)
             applyKill(i);
 }
 
@@ -1139,7 +1143,8 @@ ServingSimulator::applyFaultEvent(const FaultEvent &event)
 {
     const std::size_t target = static_cast<std::size_t>(std::min(
         std::max(event.target, 0),
-        static_cast<int>(engines_.size()) - 1));
+        static_cast<int>(slots_.size()) - 1));
+    Slot &slot = slots_[target];
     const bool disagg =
         config_.policy == ServingPolicy::Disaggregated;
     // No-op events (killing a corpse, healing a healthy link, ...)
@@ -1147,23 +1152,23 @@ ServingSimulator::applyFaultEvent(const FaultEvent &event)
     // APPLIED, and idempotence keeps seeded storms well-defined.
     switch (event.kind) {
     case FaultKind::ReplicaFail: {
-        const EngineState state = engines_[target]->state();
-        if (state == EngineState::Stopped || pendingKill_[target])
+        const EngineState state = slot.engine().state();
+        if (state == EngineState::Stopped || slot.inc.pendingKill)
             return;
         ++faultsInjected_;
         faultTimeline_.push_back({now_, event.kind,
                                   static_cast<int>(target),
                                   event.magnitude});
-        faultDownSince_[target] = now_;
+        slot.faultDownSince = now_;
         LAER_TRACE_INSTANT(config_.trace, faultTrack(),
                            "replica_fail", "fault", now_,
                            {TraceArg{"pool",
                                      static_cast<int>(target)}});
-        pendingKill_[target] = 1;
+        slot.inc.pendingKill = true;
         if (state == EngineState::Loading ||
             state == EngineState::Draining)
-            freeAt_[target] = now_; // no step in flight: die now
-        if (freeAt_[target] <= now_)
+            slot.freeAt = now_; // no step in flight: die now
+        if (slot.freeAt <= now_)
             applyKill(target);
         updateDegraded();
         break;
@@ -1173,8 +1178,8 @@ ServingSimulator::applyFaultEvent(const FaultEvent &event)
         // scheduled inside the victim's final step (the kill still
         // deferred) is lost — a later repair or the autoscaler
         // rebuilds the slot instead.
-        if (engines_[target]->state() != EngineState::Stopped ||
-            faultDownSince_[target] < 0.0)
+        if (slot.engine().state() != EngineState::Stopped ||
+            slot.faultDownSince < 0.0)
             return;
         faultTimeline_.push_back({now_, event.kind,
                                   static_cast<int>(target),
@@ -1230,15 +1235,15 @@ ServingSimulator::applyFaultEvent(const FaultEvent &event)
         updateDegraded();
         break;
     case FaultKind::StragglerStart:
-        if (engines_[target]->state() == EngineState::Stopped ||
+        if (slot.engine().state() == EngineState::Stopped ||
             event.magnitude <= 0.0 ||
-            stragglerFactor_[target] == event.magnitude)
+            slot.inc.stragglerFactor == event.magnitude)
             return;
         ++faultsInjected_;
         faultTimeline_.push_back({now_, event.kind,
                                   static_cast<int>(target),
                                   event.magnitude});
-        stragglerFactor_[target] = event.magnitude;
+        slot.inc.stragglerFactor = event.magnitude;
         LAER_TRACE_INSTANT(config_.trace, faultTrack(), "straggler",
                            "fault", now_,
                            {TraceArg{"pool",
@@ -1247,11 +1252,11 @@ ServingSimulator::applyFaultEvent(const FaultEvent &event)
         updateDegraded();
         break;
     case FaultKind::StragglerEnd:
-        if (stragglerFactor_[target] == 1.0)
+        if (slot.inc.stragglerFactor == 1.0)
             return;
         faultTimeline_.push_back({now_, event.kind,
                                   static_cast<int>(target), 1.0});
-        stragglerFactor_[target] = 1.0;
+        slot.inc.stragglerFactor = 1.0;
         LAER_TRACE_INSTANT(config_.trace, faultTrack(),
                            "straggler_end", "fault", now_,
                            {TraceArg{"pool",
@@ -1259,20 +1264,20 @@ ServingSimulator::applyFaultEvent(const FaultEvent &event)
         updateDegraded();
         break;
     case FaultKind::DeviceFail: {
-        if (engines_[target]->state() == EngineState::Stopped)
+        if (slot.engine().state() == EngineState::Stopped)
             return;
-        const int total = slices_[target].numDevices();
-        const int dead = std::min(
-            total - 1,
-            deadDevices_[target] +
-                std::max(1, static_cast<int>(event.magnitude)));
-        if (dead == deadDevices_[target])
+        const int total = slot.engine().slice().numDevices();
+        const int dead =
+            std::min(total - 1,
+                     slot.inc.deadDevices +
+                         std::max(1, static_cast<int>(event.magnitude)));
+        if (dead == slot.inc.deadDevices)
             return; // the slice keeps at least one survivor
         ++faultsInjected_;
         faultTimeline_.push_back({now_, event.kind,
                                   static_cast<int>(target),
                                   static_cast<double>(dead)});
-        deadDevices_[target] = dead;
+        slot.inc.deadDevices = dead;
         LAER_TRACE_INSTANT(config_.trace, faultTrack(),
                            "device_fail", "fault", now_,
                            {TraceArg{"pool",
@@ -1283,11 +1288,11 @@ ServingSimulator::applyFaultEvent(const FaultEvent &event)
         break;
     }
     case FaultKind::DeviceRepair:
-        if (deadDevices_[target] == 0)
+        if (slot.inc.deadDevices == 0)
             return;
         faultTimeline_.push_back({now_, event.kind,
                                   static_cast<int>(target), 0.0});
-        deadDevices_[target] = 0;
+        slot.inc.deadDevices = 0;
         LAER_TRACE_INSTANT(config_.trace, faultTrack(),
                            "device_repair", "fault", now_,
                            {TraceArg{"pool",
@@ -1306,15 +1311,16 @@ ServingSimulator::resizePoolKv(std::size_t i)
     // full context can no longer EVER fit are failed rather than
     // wedged (byte-accounting runs only; slot-mode pools degrade
     // through the replica/straggler paths instead).
-    const int total = slices_[i].numDevices();
+    Slot &slot = slots_[i];
+    const int total = slot.engine().slice().numDevices();
     const Bytes full = poolKvBudgetFor(total);
-    if (full == 0 || engines_[i]->state() == EngineState::Stopped)
+    if (full == 0 || slot.engine().state() == EngineState::Stopped)
         return;
     const Bytes budget =
-        full * static_cast<Bytes>(total - deadDevices_[i]) /
+        full * static_cast<Bytes>(total - slot.inc.deadDevices) /
         static_cast<Bytes>(total);
     std::vector<Request> unservable =
-        engines_[i]->resizeKvBudget(budget);
+        slot.engine().resizeKvBudget(budget);
     for (const Request &r : unservable)
         failRequest(r);
 }
@@ -1322,13 +1328,14 @@ ServingSimulator::resizePoolKv(std::size_t i)
 void
 ServingSimulator::applyKill(std::size_t i)
 {
-    pendingKill_[i] = 0;
+    Slot &slot = slots_[i];
+    slot.inc.pendingKill = false;
     // The dying engine's completed work is real and was already
     // routed when its last step was applied; only the live queue is
     // lost. A drain the kill interrupts never completes.
-    drainStart_[i] = -1.0;
+    slot.inc.drainStart = -1.0;
     accruePower(now_);
-    std::vector<Request> evicted = engines_[i]->drain();
+    std::vector<Request> evicted = slot.engine().drain();
     LAER_TRACE_INSTANT(config_.trace, faultTrack(), "replica_dead",
                        "fault", now_,
                        {TraceArg{"pool", static_cast<int>(i)},
@@ -1345,7 +1352,7 @@ void
 ServingSimulator::applyRepair(std::size_t i)
 {
     accruePower(now_);
-    const Seconds delay = rebuildEngine(i);
+    const Seconds delay = rebuildEngine(i, slots_[i].engine().slice());
     ScalingEvent event;
     event.requested = now_;
     event.applied = now_ + delay;
@@ -1445,7 +1452,7 @@ ServingSimulator::pickRetryTarget(const Request &request) const
     const int pool = decodeTargets_.count(request.id) != 0 ? 0 : 1;
     if (pool == 0 && linkDown_)
         return -1;
-    return engines_[pool]->accepting() ? pool : -1;
+    return slots_[pool].engine().accepting() ? pool : -1;
 }
 
 bool
@@ -1455,8 +1462,8 @@ ServingSimulator::reviveExpected() const
     // pools accept again once both drains land.
     if (pending_.active)
         return true;
-    for (const auto &engine : engines_)
-        if (engine->state() == EngineState::Loading)
+    for (const Slot &slot : slots_)
+        if (slot.engine().state() == EngineState::Loading)
             return true;
     for (std::size_t e = nextFault_; e < faultPlan_.size(); ++e) {
         if (faultPlan_[e].kind == FaultKind::ReplicaRepair)
@@ -1492,7 +1499,7 @@ ServingSimulator::pumpRetries()
                                        retry.killedAt, now_));
         // Re-admission at class FRONT: the retry already waited out
         // its failure and must not queue behind the backlog again.
-        engines_[static_cast<std::size_t>(target)]->enqueueFront(
+        slots_[static_cast<std::size_t>(target)].engine().enqueueFront(
             retry.request);
     }
 }
@@ -1501,10 +1508,11 @@ bool
 ServingSimulator::runDueEngines()
 {
     bool ran = false;
-    for (std::size_t i = 0; i < engines_.size(); ++i) {
-        if (engines_[i]->state() != EngineState::Active)
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+        const Slot &slot = slots_[i];
+        if (slot.engine().state() != EngineState::Active)
             continue; // loading, draining or parked
-        if (freeAt_[i] > now_ || !engines_[i]->hasWork())
+        if (slot.freeAt > now_ || !slot.engine().hasWork())
             continue;
         StepRecord rec = produceStep(i, now_);
         ran = ran || !rec.idle;
@@ -1516,7 +1524,8 @@ ServingSimulator::runDueEngines()
 ServingSimulator::StepRecord
 ServingSimulator::produceStep(std::size_t i, Seconds t)
 {
-    ServingEngine &engine = *engines_[i];
+    const Slot &slot = slots_[i];
+    ServingEngine &engine = slot.engine();
     StepRecord rec;
     rec.result.start = t;
     rec.result.pool = static_cast<int>(i);
@@ -1541,10 +1550,10 @@ ServingSimulator::produceStep(std::size_t i, Seconds t)
         rec.execMs = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - exec_start)
                          .count();
-    if (faultsEnabled_ && stragglerFactor_[i] != 1.0)
+    if (slot.inc.stragglerFactor != 1.0)
         // A transient straggler stretches the whole step on the
         // timeline; the token counts are untouched.
-        res.duration *= stragglerFactor_[i];
+        res.duration *= slot.inc.stragglerFactor;
     res.pool = static_cast<int>(i);
     res.preemptions = static_cast<int>(rec.preempted.size());
     if (engine.batcher().kvEnabled())
@@ -1571,18 +1580,19 @@ ServingSimulator::applyStep(std::size_t i, StepRecord rec)
                            {TraceArg{"class", p.sloClass},
                             TraceArg{"id", p.requestId}});
     }
-    poolStats_[i].preemptions +=
+    Slot &slot = slots_[i];
+    slot.stats.preemptions +=
         static_cast<std::int64_t>(rec.preempted.size());
     replayStepTrace(rec.preempted, res.start, rec.shares);
     if (rec.idle)
         return;
 
-    freeAt_[i] = res.start + res.duration;
-    if (engines_[i]->batcher().kvEnabled()) {
+    slot.freeAt = res.start + res.duration;
+    if (slot.engine().batcher().kvEnabled()) {
         metrics_.recordKvUtilization(res.kvUtilization);
-        poolStats_[i].kvUtil.add(res.kvUtilization);
+        slot.stats.kvUtil.add(res.kvUtilization);
     }
-    ++poolStats_[i].steps;
+    ++slot.stats.steps;
     profExecMs_ += rec.execMs;
     if (config_.trace != nullptr) {
         const char *kind = res.prefill > 0 && res.decode > 0
@@ -1625,9 +1635,10 @@ ServingSimulator::applyStep(std::size_t i, StepRecord rec)
         // The decode pool (leader) tunes from combined traffic; the
         // prefill pool adopts each fresh layout.
         if (i == 1 && res.retuned)
-            engines_[0]->setLayouts(engines_[1]->layouts());
+            slots_[0].engine().setLayouts(slots_[1].engine().layouts());
         if (i == 0)
-            engines_[1]->addExternalRouting(engines_[0]->lastRouting());
+            slots_[1].engine().addExternalRouting(
+                slots_[0].engine().lastRouting());
     }
     steps_.push_back(res);
 }
@@ -1643,26 +1654,24 @@ ServingSimulator::nextEventTime() const
     // held at a closed door, a blocked retry front) never wedges the
     // clock; the revival it waits on has its own wake.
     Seconds t = kNever;
-    for (std::size_t i = 0; i < engines_.size(); ++i) {
-        const EngineState state = engines_[i]->state();
-        const bool wakes = engines_[i]->hasWork() || pendingKill_[i] ||
+    for (const Slot &slot : slots_) {
+        const EngineState state = slot.engine().state();
+        const bool wakes = slot.engine().hasWork() ||
+                           slot.inc.pendingKill ||
                            state == EngineState::Loading ||
                            state == EngineState::Draining;
-        if (wakes && freeAt_[i] > now_)
-            t = std::min(t, freeAt_[i]);
+        if (wakes && slot.freeAt > now_)
+            t = std::min(t, slot.freeAt);
     }
     if (lookaheadValid_ && lookahead_.arrival > now_)
         t = std::min(t, lookahead_.arrival);
     if (!migrations_.empty() && migrations_.front().readyAt > now_)
         t = std::min(t, migrations_.front().readyAt);
-    if (faultsEnabled_) {
-        if (nextFault_ < faultPlan_.size() &&
-            faultPlan_[nextFault_].time > now_)
-            t = std::min(t, faultPlan_[nextFault_].time);
-        if (!retryQueue_.empty() &&
-            retryQueue_.front().readyAt > now_)
-            t = std::min(t, retryQueue_.front().readyAt);
-    }
+    if (nextFault_ < faultPlan_.size() &&
+        faultPlan_[nextFault_].time > now_)
+        t = std::min(t, faultPlan_[nextFault_].time);
+    if (!retryQueue_.empty() && retryQueue_.front().readyAt > now_)
+        t = std::min(t, retryQueue_.front().readyAt);
     return t;
 }
 
@@ -1679,9 +1688,9 @@ ServingSimulator::step()
 {
     maybeSnapshot();
     if (!config_.selfProfile)
-        return desParallel_ ? stepWindow() : stepOnce();
+        return config_.desParallel ? stepWindow() : stepOnce();
     const auto step_start = std::chrono::steady_clock::now();
-    const bool more = desParallel_ ? stepWindow() : stepOnce();
+    const bool more = config_.desParallel ? stepWindow() : stepOnce();
     profStepMs_ += std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - step_start)
                        .count();
@@ -1691,12 +1700,10 @@ ServingSimulator::step()
 bool
 ServingSimulator::stepOnce()
 {
-    if (faultsEnabled_)
-        applyFaults();
+    applyFaults();
     applyReconfig();
     pumpArrivals();
-    if (faultsEnabled_)
-        pumpRetries();
+    pumpRetries();
     pumpMigrations();
     if (runDueEngines())
         return true;
@@ -1704,10 +1711,10 @@ ServingSimulator::stepOnce()
     if (t == kNever) {
         // Fully drained — nothing in any pool or in flight between
         // them.
-        for (std::size_t i = 0; i < engines_.size(); ++i) {
-            LAER_ASSERT(!engines_[i]->hasWork(),
+        for (const Slot &slot : slots_) {
+            LAER_ASSERT(!slot.engine().hasWork(),
                         "run ended while a pool holds live requests");
-            LAER_ASSERT(!pendingKill_[i],
+            LAER_ASSERT(!slot.inc.pendingKill,
                         "run ended with a fail-stop still deferred");
         }
         LAER_ASSERT(migrations_.empty(),
@@ -1742,7 +1749,7 @@ ServingSimulator::stepWindow()
     // is itself deterministic, preserving thread-count equivalence.
     // Fault plans couple them the same way (retries hop engines, kills
     // re-home), so a faulted run stays on the serial core throughout.
-    if (faultsEnabled_ || reconfigPending())
+    if (config_.faults.enabled() || reconfigPending())
         return stepOnce();
 
     // The window runs to the next control barrier or snapshot
@@ -1759,9 +1766,9 @@ ServingSimulator::stepWindow()
         binWindowArrivals(window_end);
 
     bool busy = lookaheadValid_ || !migrations_.empty();
-    for (std::size_t i = 0; i < engines_.size() && !busy; ++i)
-        busy = engines_[i]->hasWork() ||
-               engines_[i]->state() == EngineState::Loading ||
+    for (std::size_t i = 0; i < slots_.size() && !busy; ++i)
+        busy = slots_[i].engine().hasWork() ||
+               slots_[i].engine().state() == EngineState::Loading ||
                !bins[i].empty();
     if (!busy) {
         LAER_ASSERT(offeringClosed_,
@@ -1770,7 +1777,7 @@ ServingSimulator::stepWindow()
         return false;
     }
 
-    std::vector<WindowBuffer> buffers(engines_.size());
+    std::vector<WindowBuffer> buffers(slots_.size());
     const auto body = [&](int i) {
         runEngineWindow(static_cast<std::size_t>(i), window_end,
                         bins[static_cast<std::size_t>(i)],
@@ -1778,10 +1785,10 @@ ServingSimulator::stepWindow()
     };
     const auto fanout_start = std::chrono::steady_clock::now();
     if (threadPool_ != nullptr)
-        threadPool_->parallelFor(static_cast<int>(engines_.size()),
+        threadPool_->parallelFor(static_cast<int>(slots_.size()),
                                  body);
     else
-        for (int i = 0; i < static_cast<int>(engines_.size()); ++i)
+        for (int i = 0; i < static_cast<int>(slots_.size()); ++i)
             body(i);
     const auto fanout_end = std::chrono::steady_clock::now();
     const double fanout_ms =
@@ -1815,8 +1822,8 @@ ServingSimulator::stepWindow()
         Seconds span_end = window_end;
         if (span_end == kNever) {
             span_end = now_;
-            for (const Seconds free_at : freeAt_)
-                span_end = std::max(span_end, free_at);
+            for (const Slot &slot : slots_)
+                span_end = std::max(span_end, slot.freeAt);
         }
         const Seconds dur = std::max(0.0, span_end - now_);
         config_.trace->span(
@@ -1829,7 +1836,8 @@ ServingSimulator::stepWindow()
             if (buffers[i].steps.empty())
                 continue;
             config_.trace->span(
-                config_.trace->track(obsPrefix() + slices_[i].name +
+                config_.trace->track(obsPrefix() +
+                                     slots_[i].engine().slice().name +
                                      "/window"),
                 "engine_window", "descore", now_, dur,
                 {TraceArg{"steps",
@@ -1853,15 +1861,15 @@ ServingSimulator::stepWindow()
 std::vector<std::vector<Request>>
 ServingSimulator::binWindowArrivals(Seconds window_end)
 {
-    std::vector<std::vector<Request>> bins(engines_.size());
+    std::vector<std::vector<Request>> bins(slots_.size());
     // Dispatch against the window-start load picture plus this
     // window's own binned counts. The serial core reads live loads at
     // each arrival instant; freezing the picture at the window start
     // makes the choice independent of engine execution order — the
     // windowed core's one documented semantic deviation (docs/PERF.md).
-    std::vector<int> load(engines_.size(), 0);
-    for (std::size_t i = 0; i < engines_.size(); ++i)
-        load[i] = engines_[i]->load();
+    std::vector<int> load(slots_.size(), 0);
+    for (std::size_t i = 0; i < slots_.size(); ++i)
+        load[i] = slots_[i].engine().load();
     for (const Request *next = peekArrival();
          next != nullptr && next->arrival < window_end;
          next = peekArrival()) {
@@ -1879,9 +1887,9 @@ ServingSimulator::runEngineWindow(std::size_t i, Seconds window_end,
                                   const std::vector<Request> &arrivals,
                                   WindowBuffer &buf)
 {
-    ServingEngine &engine = *engines_[i];
+    ServingEngine &engine = slots_[i].engine();
     const auto wall_start = std::chrono::steady_clock::now();
-    Seconds free_at = freeAt_[i];
+    Seconds free_at = slots_[i].freeAt;
     // Earliest instant the engine can act; never before the window.
     Seconds clock = std::max(now_, free_at);
     std::size_t next = 0;
@@ -1969,28 +1977,24 @@ ServingSimulator::finish()
     // The clock stops at the last event *start*; the run ends when the
     // last engine drains. A still-Loading engine never served: its
     // ready time does not extend the run.
-    for (std::size_t i = 0; i < engines_.size(); ++i)
-        if (engines_[i]->state() != EngineState::Loading)
-            now_ = std::max(now_, freeAt_[i]);
+    for (const Slot &slot : slots_)
+        if (slot.engine().state() != EngineState::Loading)
+            now_ = std::max(now_, slot.freeAt);
     accruePower(now_);
+    ServingReport report = buildReport();
     if (config_.metricsRegistry != nullptr) {
+        MetricsRegistry &reg = *config_.metricsRegistry;
         updateRegistryGauges();
         if (config_.selfProfile) {
-            double retune_ms = 0.0;
-            for (const RetuneWallSample &s : retuneWall_)
-                retune_ms += s.wallMs;
-            config_.metricsRegistry->gauge("profile.retune_ms")
-                .set(retune_ms);
-            config_.metricsRegistry->gauge("profile.step_pricing_ms")
-                .set(std::max(0.0, profExecMs_ - retune_ms));
-            config_.metricsRegistry->gauge("profile.event_loop_ms")
-                .set(std::max(0.0, profStepMs_ - profExecMs_));
+            reg.gauge("profile.retune_ms").set(report.profRetuneMs);
+            reg.gauge("profile.step_pricing_ms")
+                .set(report.profStepPricingMs);
+            reg.gauge("profile.event_loop_ms").set(report.profEventLoopMs);
         }
-        if (desParallel_) {
+        if (config_.desParallel) {
             // Windowed-core fan-out profile. profile.* is wall-clock
             // noise the difftest layer ignores by default, so these
             // are lane- and golden-safe.
-            MetricsRegistry &reg = *config_.metricsRegistry;
             reg.gauge("profile.descore.windows")
                 .set(static_cast<double>(descoreWindows_));
             reg.gauge("profile.descore.steps")
@@ -2005,9 +2009,9 @@ ServingSimulator::finish()
         }
         // A final snapshot at end-of-run, even when interval snapshots
         // are off, so --metrics-out always captures the run's totals.
-        config_.metricsRegistry->recordSnapshot(now_);
+        reg.recordSnapshot(now_);
     }
-    return buildReport();
+    return report;
 }
 
 ServingReport
@@ -2043,8 +2047,8 @@ ServingSimulator::buildReport() const
     report.meanStepTime = step_time.mean();
     report.meanMaxRelTokens = imbalance.mean();
 
-    for (const auto &engine : engines_)
-        report.kvBudgetBytes += engine->batcher().kvBudgetBytes();
+    for (const Slot &slot : slots_)
+        report.kvBudgetBytes += slot.engine().batcher().kvBudgetBytes();
     report.preemptions = metrics_.totalPreemptions();
     for (int c = 0; c < config_.batcher.numSloClasses; ++c)
         report.preemptionsByClass.push_back(metrics_.preemptions(c));
@@ -2052,34 +2056,32 @@ ServingSimulator::buildReport() const
     report.peakKvUtilization = metrics_.peakKvUtilization();
     report.attributionByClass = metrics_.attributionByClass();
 
-    for (std::size_t i = 0; i < engines_.size(); ++i) {
+    for (const Slot &slot : slots_) {
         PoolReport pool;
-        pool.name = engines_[i]->slice().name;
-        pool.devices = engines_[i]->slice().numDevices();
-        pool.kvBudgetBytes = engines_[i]->batcher().kvBudgetBytes();
-        pool.steps = poolStats_[i].steps;
-        pool.preemptions = poolStats_[i].preemptions;
-        pool.meanKvUtilization = poolStats_[i].kvUtil.mean();
-        pool.peakKvUtilization = poolStats_[i].kvUtil.max();
+        pool.name = slot.engine().slice().name;
+        pool.devices = slot.engine().slice().numDevices();
+        pool.kvBudgetBytes = slot.engine().batcher().kvBudgetBytes();
+        pool.steps = slot.stats.steps;
+        pool.preemptions = slot.stats.preemptions;
+        pool.meanKvUtilization = slot.stats.kvUtil.mean();
+        pool.peakKvUtilization = slot.stats.kvUtil.max();
         report.pools.push_back(pool);
     }
     // Planner wall-time accounting, one sample per retune in applied
     // step order (sample times are simulated; wall times are real).
     report.tunerBudgetMs = config_.tunerBudgetMs;
     report.retuneWall = retuneWall_;
-    for (const RetuneWallSample &sample : report.retuneWall) {
+    double retune_ms = 0.0;
+    for (const RetuneWallSample &sample : retuneWall_) {
+        retune_ms += sample.wallMs;
         report.retuneWallMaxMs =
             std::max(report.retuneWallMaxMs, sample.wallMs);
         if (sample.overBudget)
             ++report.retuneBudgetOverruns;
     }
-    if (!report.retuneWall.empty()) {
-        double total = 0.0;
-        for (const RetuneWallSample &sample : report.retuneWall)
-            total += sample.wallMs;
+    if (!retuneWall_.empty())
         report.retuneWallMeanMs =
-            total / static_cast<double>(report.retuneWall.size());
-    }
+            retune_ms / static_cast<double>(retuneWall_.size());
 
     report.migrated = migrated_;
     report.kvTransferBytes = kvTransferBytes_;
@@ -2090,9 +2092,6 @@ ServingSimulator::buildReport() const
     report.windows = windows_;
 
     if (config_.selfProfile) {
-        double retune_ms = 0.0;
-        for (const RetuneWallSample &sample : report.retuneWall)
-            retune_ms += sample.wallMs;
         report.profRetuneMs = retune_ms;
         report.profStepPricingMs =
             std::max(0.0, profExecMs_ - retune_ms);

@@ -130,9 +130,10 @@ struct ServingConfig
     TunerConfig tuner;         //!< LAER planner knobs
     DisaggConfig disagg;       //!< pool split (Disaggregated only)
     ReplicaConfig replicas;    //!< replica slicing (aggregated only)
-    /** Fault-injection plan (src/fault/). Strictly opt-in: with
-     * `faults.enabled()` false (the default) no fault code path runs
-     * and the simulation stays byte-for-byte with its history. */
+    /** Fault-injection plan (src/fault/). Strictly opt-in: an empty
+     * plan (the default) expands to no events, every fault hook stays
+     * inert, and the simulation stays byte-for-byte with its
+     * history. */
     FaultConfig faults;
     Seconds sloTtft = 0.5;     //!< TTFT target for goodput accounting
     Seconds horizon = 30.0;    //!< seconds of offered traffic
@@ -359,7 +360,7 @@ class ServingSimulator
 
     /** Replica slots carved at construction (1 unless
      * ReplicaConfig::replicaDevices is set; 2 when disaggregated). */
-    int replicaSlots() const { return static_cast<int>(engines_.size()); }
+    int replicaSlots() const { return static_cast<int>(slots_.size()); }
 
     /** Engines not Stopped — live replicas (or pools). */
     int activeReplicas() const;
@@ -461,10 +462,10 @@ class ServingSimulator
     }
 
     /** Engines driving this run: 1, or 2 when disaggregated. */
-    int numEngines() const { return static_cast<int>(engines_.size()); }
+    int numEngines() const { return static_cast<int>(slots_.size()); }
 
     /** Engine `i` (0 = prefill pool when disaggregated). */
-    const ServingEngine &engine(int i) const { return *engines_[i]; }
+    const ServingEngine &engine(int i) const { return slots_[i].engine(); }
 
     const ServingConfig &config() const { return config_; }
 
@@ -520,13 +521,12 @@ class ServingSimulator
      * window-start loads plus its binned arrivals). */
     int leastLoadedLive(const std::vector<int> &load = {}) const;
 
-    /** Replace slot `i` with a fresh Loading engine on its slice behind
-     * the model-load delay (freeAt_ set): scale-up, fault repair and
-     * the split re-partition all rebuild through here. A rebuilt slot
-     * comes back whole: its stragglers and masked devices belong to
-     * the old incarnation and are reset.
+    /** Replace stopped slot `i`'s whole Incarnation with a fresh
+     * Loading engine on `slice` (its own, or the split's new one)
+     * busy until the model-load delay ends: scale-up, fault repair
+     * and the split re-partition all rebuild through here.
      * @return the load delay. */
-    Seconds rebuildEngine(std::size_t i);
+    Seconds rebuildEngine(std::size_t i, const DevicePoolSlice &slice);
 
     /** Close admission on accepting engine `i` (scale-down victims and
      * both pools of a split); the drain completes in applyReconfig()
@@ -600,7 +600,7 @@ class ServingSimulator
     /** step() body (step() wraps it with snapshots + profiling). */
     bool stepOnce();
 
-    // ---- fault injection (src/fault/; all no-ops when disabled) ----
+    // ---- fault injection (src/fault/; inert on an empty plan) -------
 
     /** Apply fault-plan events due at now_, then any deferred
      * fail-stop whose engine has reached its busy-until. The next
@@ -753,10 +753,11 @@ class ServingSimulator
 
     /** Earliest future event: an engine's step end, load or drain
      * (or its deferred fail-stop), the next arrival, the migration
-     * front, and with faults on the next scripted fault and the retry
-     * front. +infinity when the run has fully drained. One O(engines)
-     * scan re-derived from the state on every call, so no mutation
-     * has to keep a second copy of the wake sources up to date. */
+     * front, the next scripted fault and the retry front (neither
+     * exists on an empty plan). +infinity when the run has fully
+     * drained. One O(engines) scan re-derived from the state on every
+     * call, so no mutation has to keep a second copy of the wake
+     * sources up to date. */
     Seconds nextEventTime() const;
 
     /** Build the report from the current state (run()/finish()). */
@@ -767,10 +768,28 @@ class ServingSimulator
     std::unique_ptr<ThreadPool> threadPool_; //!< shared by the engines
     ArrivalProcess arrivals_;
     ServingMetrics metrics_;
-    std::vector<DevicePoolSlice> slices_; //!< slot geometry, by index
-    std::vector<std::unique_ptr<ServingEngine>> engines_;
-    std::vector<Seconds> freeAt_;   //!< per engine: busy until
-    std::vector<PoolStats> poolStats_;
+    /** Per-engine state: the engine incarnation, which rebuildEngine()
+     * replaces whole so nothing of a stopped engine reaches its
+     * successor, beside what outlives a rebuild. */
+    struct Slot
+    {
+        struct Incarnation
+        {
+            std::unique_ptr<ServingEngine> engine; //!< owns its slice
+            double stragglerFactor = 1.0; //!< step slowdown (faults)
+            int deadDevices = 0;          //!< masked devices (faults)
+            bool pendingKill = false;     //!< fail-stop due at freeAt
+            Seconds drainStart = -1.0;    //!< beginDrain time, or < 0
+        };
+        Incarnation inc;
+        // Slot lifetime: these outlive a rebuild.
+        Seconds freeAt = 0.0;          //!< busy until
+        Seconds faultDownSince = -1.0; //!< MTTR clock start, or < 0
+        PoolStats stats;               //!< the pool's run totals
+
+        ServingEngine &engine() const { return *inc.engine; }
+    };
+    std::vector<Slot> slots_; //!< by slot index (0 = prefill pool)
 
     // Control-plane state. A pending replica scale-down or split is
     // one in-flight ScalingEvent whose drains have not all completed.
@@ -799,20 +818,15 @@ class ServingSimulator
     bool offeringClosed_ = false;
     Seconds now_ = 0.0;
 
-    // Fault-injection state (src/fault/; untouched when disabled).
+    // Fault-injection state (src/fault/; inert on an empty plan).
     struct PendingRetry
     {
         Request request;
         Seconds killedAt = 0.0; //!< eviction time (attribution span)
         Seconds readyAt = 0.0;  //!< backoff elapses here
     };
-    bool faultsEnabled_ = false; //!< resolved config_.faults.enabled()
     std::vector<FaultEvent> faultPlan_; //!< expanded, time-sorted
     std::size_t nextFault_ = 0;         //!< walk cursor into the plan
-    std::vector<char> pendingKill_;     //!< fail-stop due at freeAt_[i]
-    std::vector<double> stragglerFactor_; //!< per-engine step slowdown
-    std::vector<int> deadDevices_;      //!< masked devices per engine
-    std::vector<Seconds> faultDownSince_; //!< MTTR clock start, or -1
     double linkFactor_ = 1.0; //!< boundary-link wire multiplier
     bool linkDown_ = false;   //!< boundary link fail-stopped
     std::deque<PendingRetry> retryQueue_;   //!< sorted by readyAt
@@ -830,7 +844,6 @@ class ServingSimulator
     std::int64_t degradedGoodTokens_ = 0;
 
     // Windowed event core state.
-    bool desParallel_ = false;   //!< resolved config_.desParallel
     Seconds barrier_ = 0.0;      //!< next control barrier (set in ctor
                                  //!< to +inf; setBarrier() caps it)
     std::int64_t offered_ = 0;
@@ -844,8 +857,7 @@ class ServingSimulator
     std::int64_t admissions_ = 0;
 
     // Observability state (inert when no recorder/registry attached).
-    std::vector<Seconds> drainStart_;     //!< beginDrain time, or < 0
-    Seconds nextSnapshot_ = 0.0;          //!< next periodic boundary
+    Seconds nextSnapshot_ = 0.0; //!< next periodic boundary
     // Self-profiling accumulators (real milliseconds).
     double profExecMs_ = 0.0; //!< wall inside executeStep()
     double profStepMs_ = 0.0; //!< wall inside step()

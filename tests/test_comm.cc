@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "comm/collectives.hh"
 #include "topo/cluster.hh"
 
@@ -85,6 +88,76 @@ TEST(Collectives, UniformA2ATrivialGroup)
     const Cluster c = twoNode();
     EXPECT_DOUBLE_EQ(a2aUniformTime(c, {0}, 1e9), 0.0);
     EXPECT_DOUBLE_EQ(a2aUniformTime(c, {0, 1}, 0), 0.0);
+}
+
+/** The pairwise port count a2aUniformTime replaced, kept as its
+ * oracle: every ordered pair of members adds one share to the sender's
+ * intra or inter port. */
+Seconds
+pairwiseUniformA2a(const Cluster &cluster,
+                   const std::vector<DeviceId> &group, Bytes bytes_per_pair)
+{
+    if (group.size() <= 1 || bytes_per_pair == 0)
+        return 0.0;
+    Seconds busiest = 0.0;
+    for (DeviceId d : group) {
+        Bytes intra = 0, inter = 0;
+        for (DeviceId o : group) {
+            if (o == d)
+                continue;
+            (cluster.sameNode(d, o) ? intra : inter) += bytes_per_pair;
+        }
+        const Seconds t = static_cast<double>(intra) / cluster.intraBw() +
+                          static_cast<double>(inter) / cluster.interBw();
+        busiest = std::max(busiest, t);
+    }
+    return kCollectiveAlpha + busiest;
+}
+
+TEST(Collectives, UniformA2AMatchesPairwiseCount)
+{
+    const std::vector<Bytes> shares{1, 4096, 123457, 10000000007LL};
+    for (const int nodes : {1, 2, 3, 8}) {
+        for (const int per_node : {1, 2, 8}) {
+            const Cluster c = Cluster::a100(nodes, per_node);
+            const int n = c.numDevices();
+            std::vector<std::vector<DeviceId>> groups;
+            // The whole cluster (the FSEP grad-sync group).
+            std::vector<DeviceId> all(static_cast<std::size_t>(n));
+            for (DeviceId d = 0; d < n; ++d)
+                all[static_cast<std::size_t>(d)] = d;
+            groups.push_back(all);
+            // One node's devices (the FSEP prefetch group).
+            for (int node = 0; node < nodes; ++node) {
+                std::vector<DeviceId> one;
+                for (int k = 0; k < per_node; ++k)
+                    one.push_back(node * per_node + k);
+                groups.push_back(one);
+            }
+            // Non-contiguous groups covering part of a node: every
+            // other device, every third from an offset, and a
+            // descending pick across nodes.
+            for (const int stride : {2, 3}) {
+                for (int offset = 0; offset < stride; ++offset) {
+                    std::vector<DeviceId> strided;
+                    for (DeviceId d = offset; d < n; d += stride)
+                        strided.push_back(d);
+                    groups.push_back(strided);
+                }
+            }
+            std::vector<DeviceId> descending;
+            for (DeviceId d = n - 1; d >= 0; d -= 5)
+                descending.push_back(d);
+            groups.push_back(descending);
+
+            for (const std::vector<DeviceId> &g : groups)
+                for (const Bytes share : shares)
+                    EXPECT_EQ(a2aUniformTime(c, g, share),
+                              pairwiseUniformA2a(c, g, share))
+                        << nodes << "x" << per_node << " group of "
+                        << g.size() << ", share " << share;
+        }
+    }
 }
 
 TEST(Collectives, AllGatherRingScalesWithGroup)

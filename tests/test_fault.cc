@@ -400,6 +400,43 @@ TEST(FaultRecovery, DeviceFailureShrinksPoolInsteadOfAborting)
     EXPECT_EQ(report.availability.faultsInjected, 1);
 }
 
+TEST(FaultRecovery, RepairedReplicaComesBackWithEveryDevice)
+{
+    // Two devices of replica 0 die, then the replica itself; the
+    // scripted repair rebuilds it. The masked devices belonged to the
+    // killed engine, so the rebuilt one owns its full KV budget and a
+    // later device failure masks one device, not three.
+    const Cluster cluster(2, 4, 300e9, 12.5e9, 212e12);
+    ServingConfig cfg = faultReplicaConfig(25.0);
+    cfg.hbmPerDevice = 30LL << 30; // byte-accounted KV pools
+    cfg.faults.events.push_back({0.5, FaultKind::DeviceFail, 0, 2.0});
+    cfg.faults.events.push_back({1.0, FaultKind::ReplicaFail, 0, 1.0});
+    cfg.faults.events.push_back(
+        {1.5, FaultKind::ReplicaRepair, 0, 1.0});
+    cfg.faults.events.push_back({3.0, FaultKind::DeviceFail, 0, 1.0});
+    ServingSimulator sim(cluster, cfg);
+    const Bytes full = sim.engine(0).batcher().kvBudgetBytes();
+    ASSERT_GT(full, 0);
+
+    stepUntil(sim, 0.75);
+    EXPECT_EQ(sim.engine(0).batcher().kvBudgetBytes(), full / 2);
+    stepUntil(sim, 2.0);
+    ASSERT_NE(sim.engine(0).state(), EngineState::Stopped); // rebuilt
+    EXPECT_EQ(sim.engine(0).batcher().kvBudgetBytes(), full);
+
+    while (sim.step()) {
+    }
+    const ServingReport report = sim.finish();
+    EXPECT_EQ(sim.engine(0).batcher().kvBudgetBytes(), full * 3 / 4);
+    ASSERT_EQ(report.availability.timeline.size(), 4u);
+    const FaultEvent &later = report.availability.timeline.back();
+    EXPECT_EQ(later.kind, FaultKind::DeviceFail);
+    EXPECT_DOUBLE_EQ(later.magnitude, 1.0); // dead devices after it
+    EXPECT_EQ(report.availability.repairs, 1);
+    EXPECT_EQ(report.offered,
+              report.completed + report.availability.requestsFailed);
+}
+
 TEST(FaultRecovery, FaultedRunIsDeterministic)
 {
     const Cluster cluster(2, 4, 300e9, 12.5e9, 212e12);

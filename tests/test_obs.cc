@@ -220,6 +220,87 @@ TEST(Metrics, CountersGaugesAndSnapshots)
     EXPECT_NE(jsonl.find("\"serve.offered\":6"), std::string::npos);
 }
 
+/** Decode the JSON string literal that starts at `json[pos]` (the
+ * opening quote) the way a JSON reader would: a raw control character
+ * or an unknown escape is a parse error (returns false). */
+bool
+decodeJsonString(const std::string &json, std::size_t pos,
+                 std::string &out)
+{
+    if (pos >= json.size() || json[pos] != '"')
+        return false;
+    out.clear();
+    for (std::size_t i = pos + 1; i < json.size(); ++i) {
+        const char c = json[i];
+        if (static_cast<unsigned char>(c) < 0x20)
+            return false;
+        if (c == '"')
+            return true;
+        if (c != '\\') {
+            out += c;
+            continue;
+        }
+        if (++i >= json.size())
+            return false;
+        switch (json[i]) {
+        case '"': out += '"'; break;
+        case '\\': out += '\\'; break;
+        case 'n': out += '\n'; break;
+        case 't': out += '\t'; break;
+        case 'r': out += '\r'; break;
+        case 'u':
+            if (i + 4 >= json.size())
+                return false;
+            out += static_cast<char>(
+                std::stoi(json.substr(i + 1, 4), nullptr, 16));
+            i += 4;
+            break;
+        default: return false;
+        }
+    }
+    return false;
+}
+
+TEST(JsonEscape, EveryControlCharacterRoundTrips)
+{
+    std::string raw = "q\"b\\";
+    for (int c = 1; c < 0x20; ++c)
+        raw += static_cast<char>(c);
+    const std::string literal = "\"" + jsonEscape(raw) + "\"";
+    std::string decoded;
+    ASSERT_TRUE(decodeJsonString(literal, 0, decoded)) << literal;
+    EXPECT_EQ(decoded, raw);
+}
+
+TEST(Metrics, ControlCharactersInTheLabelKeepOneJsonlLine)
+{
+    const std::string label = "run\tA\nB";
+    MetricsRegistry reg;
+    reg.counter("serve.offered").add(3);
+    reg.recordSnapshot(1.0);
+    std::ostringstream os;
+    reg.writeJsonl(os, label);
+    const std::string jsonl = os.str();
+    ASSERT_EQ(std::count(jsonl.begin(), jsonl.end(), '\n'), 1);
+    EXPECT_EQ(jsonl.back(), '\n');
+    const std::size_t key = jsonl.find("\"run\":");
+    ASSERT_NE(key, std::string::npos);
+    std::string decoded;
+    ASSERT_TRUE(decodeJsonString(jsonl, key + 6, decoded)) << jsonl;
+    EXPECT_EQ(decoded, label);
+
+    // The SLO report writer shares the escaper.
+    ReqTraceRecorder rt(ReqTraceConfig{});
+    std::ostringstream slo;
+    rt.writeSloJson(slo, label);
+    const std::string report = slo.str();
+    EXPECT_EQ(report.find('\n'), std::string::npos);
+    ASSERT_TRUE(decodeJsonString(report, report.find("\"run\":") + 6,
+                                 decoded))
+        << report;
+    EXPECT_EQ(decoded, label);
+}
+
 // ------------------------------------------- streaming ServingMetrics
 
 ServingConfig

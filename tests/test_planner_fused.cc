@@ -1,9 +1,11 @@
 /**
  * @file
  * Equivalence tests for the fused route-and-score fast path: for any
- * feasible (routing, layout) pair, scoreLiteRouting must report
- * exactly the objective value of timeCost(liteRouting(...)) — it is a
- * performance optimisation, never a semantic change.
+ * feasible (routing, layout) pair, scoreLiteRouting must report the
+ * objective value of timeCost(liteRouting(...)) up to summation order
+ * (the comm term within 1e-9 relative; it is bit-identical only to the
+ * tuner's per-share order) — it is a performance optimisation, never
+ * a semantic change.
  */
 
 #include <gtest/gtest.h>
