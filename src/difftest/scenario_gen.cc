@@ -34,6 +34,17 @@ feasible(const Scenario &s)
     const int experts = s.serving.model.numExperts;
     if (devices < 2 || s.serving.capacity * devices < experts)
         return false;
+    // A shrunk topology must still hold every engine the fault plan
+    // targets (expandFaultPlan() refuses a target outside the run; the
+    // generated link events target 0).
+    const int replica = s.serving.replicas.replicaDevices;
+    const int engines =
+        s.serving.policy == ServingPolicy::Disaggregated ? 2
+        : replica > 0                                    ? devices / replica
+                                                         : 1;
+    for (const FaultEvent &e : s.serving.faults.events)
+        if (e.target >= engines)
+            return false;
     if (s.serving.policy == ServingPolicy::Disaggregated)
         return devices >= 4 && devices % 2 == 0 &&
                s.serving.capacity * (devices / 2) >= experts;

@@ -59,12 +59,29 @@ faultKindFromName(const std::string &name, FaultKind &kind)
     return false;
 }
 
+/** False for the link kinds: they act on the one boundary link and
+ * ignore their target. */
+bool
+targetsEngine(FaultKind kind)
+{
+    return kind != FaultKind::LinkDown && kind != FaultKind::LinkUp &&
+           kind != FaultKind::LinkDegrade;
+}
+
 } // namespace
 
 std::vector<FaultEvent>
 expandFaultPlan(const FaultConfig &config, int num_engines,
                 Seconds horizon)
 {
+    for (const FaultEvent &e : config.events)
+        LAER_CHECK(std::isfinite(e.time) && e.time >= 0.0 &&
+                       (!targetsEngine(e.kind) ||
+                        (e.target >= 0 && e.target < num_engines)),
+                   "fault plan: event '" << faultKindName(e.kind) << "' at t="
+                       << e.time << " on engine " << e.target
+                       << " needs a finite time >= 0 and, unless a link "
+                       << "kind, an engine in [0, " << num_engines << ")");
     std::vector<FaultEvent> plan = config.events;
 
     if (config.mtbf > 0.0) {
@@ -145,13 +162,25 @@ parseFaultPlanFile(const std::string &path)
                  "at TIME KIND TARGET [MAGNITUDE]");
             want(faultKindFromName(kind, event.kind),
                  "a fault kind name");
-            is >> event.magnitude; // optional, defaults to 1
+            std::string magnitude; // optional, defaults to 1
+            if (is >> magnitude) {
+                std::istringstream num(magnitude);
+                const bool whole =
+                    static_cast<bool>(num >> event.magnitude) &&
+                    num.peek() == std::char_traits<char>::eof();
+                want(whole, "a numeric MAGNITUDE");
+            }
             config.events.push_back(event);
         } else {
             LAER_CHECK(false, "fault plan " << path << ":" << lineno
                                             << ": unknown directive '"
                                             << word << "'");
         }
+        std::string extra;
+        LAER_CHECK(!(is >> extra), "fault plan " << path << ":" << lineno
+                                                 << ": trailing '" << extra
+                                                 << "' after '" << word
+                                                 << "'");
     }
     return config;
 }

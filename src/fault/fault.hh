@@ -112,8 +112,10 @@ struct FaultConfig
     /** Retries granted per request before it is counted failed. */
     int retryBudget = 3;
 
-    /** True when any fault source is configured; every simulator hook
-     * is behind this, keeping fault-free runs byte-for-byte. */
+    /** True when any fault source is configured. The simulator's hooks
+     * need no such guard (an empty plan leaves them inert); only the
+     * fault metric series and the windowed core's serial fallback
+     * read it. */
     bool enabled() const { return !events.empty() || mtbf > 0.0; }
 };
 
@@ -124,6 +126,12 @@ struct FaultConfig
  * horizon are kept (a repair may land after the last arrival; the
  * simulator simply never reaches it once drained). Ties sort by
  * (time, kind, target) so the walk order is reproducible.
+ *
+ * @throws FatalError naming the event when a scripted event's time is
+ *         not finite and >= 0, or when an engine-targeted event (every
+ *         kind but the link kinds, which ignore their target) targets
+ *         an engine outside [0, num_engines); also when mtbf > 0 comes
+ *         with mttr <= 0 or no engines.
  */
 std::vector<FaultEvent> expandFaultPlan(const FaultConfig &config,
                                         int num_engines,
@@ -141,7 +149,13 @@ std::vector<FaultEvent> expandFaultPlan(const FaultConfig &config,
  *   at TIME KIND TARGET [MAGNITUDE]
  *                           scripted event; KIND is a faultKindName()
  *
- * @throws FatalError naming the line on any malformed input.
+ * Targets are checked against the run's engine count later, by
+ * expandFaultPlan() when the simulator is built.
+ *
+ * @throws FatalError naming the line on any malformed input: an
+ *         unknown directive or kind, a missing or non-numeric
+ *         argument (the optional MAGNITUDE included), or a trailing
+ *         token after a directive's arguments.
  */
 FaultConfig parseFaultPlanFile(const std::string &path);
 

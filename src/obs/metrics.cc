@@ -1,32 +1,14 @@
 #include "obs/metrics.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <ostream>
-#include <sstream>
 
 #include "core/error.hh"
 #include "obs/trace.hh"
 
 namespace laer
 {
-
-namespace
-{
-
-std::string
-jsonNumber(double v)
-{
-    if (!std::isfinite(v))
-        v = 0.0;
-    std::ostringstream oss;
-    oss.precision(12);
-    oss << v;
-    return oss.str();
-}
-
-} // namespace
 
 // ---- P2Quantile -----------------------------------------------------------
 

@@ -48,11 +48,6 @@ jsonEscape(const std::string &s)
     return out;
 }
 
-namespace
-{
-
-/** Encode a double as a JSON number (NaN/inf have no JSON spelling,
- * so they degrade to 0). */
 std::string
 jsonNumber(double v)
 {
@@ -63,8 +58,6 @@ jsonNumber(double v)
     oss << v;
     return oss.str();
 }
-
-} // namespace
 
 TraceArg::TraceArg(const char *k, std::int64_t value)
     : key(k), json(std::to_string(value))

@@ -51,6 +51,11 @@ namespace laer
  * obs and difftest writers, so no label can split a JSONL line. */
 std::string jsonEscape(const std::string &s);
 
+/** Encode `v` as a JSON number with 12 significant digits; NaN and
+ * infinities have no JSON spelling, so they degrade to 0. The one
+ * number encoder of the trace and metrics writers. */
+std::string jsonNumber(double v);
+
 /** One key plus an already-JSON-encoded value for a span/instant
  * `args` object. The constructors encode (and escape) eagerly so the
  * recorder stores plain strings. */

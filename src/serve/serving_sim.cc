@@ -147,11 +147,12 @@ ServingSimulator::ServingSimulator(const Cluster &cluster,
     nextSnapshot_ = config_.snapshotInterval;
     barrier_ = kNever;
     // An empty plan expands to no events, and with no events every
-    // fault hook is inert (docs/ROBUSTNESS.md).
+    // fault hook is inert (docs/ROBUSTNESS.md). The expansion checks
+    // every engine target against the slots, parked ones included.
     faultPlan_ = expandFaultPlan(config_.faults,
                                  static_cast<int>(slots_.size()),
                                  config_.horizon);
-    failedByClass_.assign(
+    avail_.failedByClass.assign(
         static_cast<std::size_t>(config_.arrival.numSloClasses), 0);
     // Replica slices beyond the initial count start parked: their
     // devices are dark until the control plane spins them up.
@@ -200,24 +201,10 @@ ServingSimulator::engineConfigFor(const DevicePoolSlice &slice,
     // A pool's step budget is its device share of the cluster budget.
     ec.batcher.tokenBudget = std::max<TokenCount>(
         1, config_.batcher.tokenBudget * n / cluster_n);
-    if (config_.hbmPerDevice > 0) {
-        // Derive the pool's KV budget from simulated HBM: model state
-        // and the activation working set come off the top (Sec. 3.1
-        // memory model applied to inference), the remainder is KV, and
-        // the batcher switches from maxRunning slots to byte
-        // accounting.
-        const ServingMemoryBudget mem = servingMemoryBudget(
-            config_.model, n, config_.capacity, config_.hbmPerDevice,
-            std::max<TokenCount>(1, ec.batcher.tokenBudget / n));
-        ec.batcher.kvBudgetBytes = mem.kvPoolTotal;
-        ec.batcher.kvBytesPerToken = kvBytesPerToken(config_.model);
-        ec.batcher.kvBlockTokens = config_.kvBlockTokens;
-    } else if (config_.batcher.kvBudgetBytes > 0) {
-        // Direct pool sizing: split the configured budget by device
-        // share.
-        ec.batcher.kvBudgetBytes =
-            config_.batcher.kvBudgetBytes * n / cluster_n;
-    }
+    const PoolKv kv = poolKvFor(n);
+    ec.batcher.kvBudgetBytes = kv.budget;
+    ec.batcher.kvBytesPerToken = kv.bytesPerToken;
+    ec.batcher.kvBlockTokens = kv.blockTokens;
 
     ec.routing = config_.routing;
     ec.routing.numDevices = n;
@@ -240,55 +227,35 @@ ServingSimulator::loadDelayFor(const DevicePoolSlice &slice) const
     return static_cast<double>(per_device) / kHostLinkBw;
 }
 
-bool
-ServingSimulator::poolMemoryFeasible(int devices) const
+ServingSimulator::PoolKv
+ServingSimulator::poolKvFor(int devices) const
 {
-    if (config_.hbmPerDevice <= 0)
-        return true;
-    const TokenCount step_tokens = std::max<TokenCount>(
-        1, config_.batcher.tokenBudget / cluster_.numDevices());
-    try {
-        servingMemoryBudget(config_.model, devices, config_.capacity,
-                            config_.hbmPerDevice, step_tokens);
-        return true;
-    } catch (const FatalError &) {
-        return false; // model shard + activations leave no KV pool
-    }
-}
-
-Bytes
-ServingSimulator::poolKvBudgetFor(int devices) const
-{
+    PoolKv kv;
     if (config_.hbmPerDevice > 0) {
+        // Derive the pool's KV budget from simulated HBM: model state
+        // and the activation working set come off the top (Sec. 3.1
+        // memory model applied to inference), the remainder is KV, and
+        // the batcher switches from maxRunning slots to byte
+        // accounting. Per device, an n-device pool steps
+        // max(1, max(1, B n / N) / n) = max(1, B / N) tokens of the
+        // cluster budget B over N devices, whatever n is.
         const TokenCount step_tokens = std::max<TokenCount>(
             1, config_.batcher.tokenBudget / cluster_.numDevices());
-        return servingMemoryBudget(config_.model, devices,
-                                   config_.capacity,
-                                   config_.hbmPerDevice, step_tokens)
-            .kvPoolTotal;
-    }
-    if (config_.batcher.kvBudgetBytes > 0)
-        return config_.batcher.kvBudgetBytes * devices /
-               cluster_.numDevices();
-    return 0; // maxRunning slot mode
-}
-
-Bytes
-ServingSimulator::kvBytesForContext(TokenCount context) const
-{
-    Bytes per_token = 0;
-    TokenCount block = 1;
-    if (config_.hbmPerDevice > 0) {
-        per_token = kvBytesPerToken(config_.model);
-        block = config_.kvBlockTokens;
-    } else if (config_.batcher.kvBudgetBytes > 0) {
-        per_token = config_.batcher.kvBytesPerToken;
-        block = config_.batcher.kvBlockTokens;
+        kv.budget = servingMemoryBudget(config_.model, devices,
+                                        config_.capacity,
+                                        config_.hbmPerDevice, step_tokens)
+                        .kvPoolTotal;
+        kv.bytesPerToken = kvBytesPerToken(config_.model);
+        kv.blockTokens = config_.kvBlockTokens;
     } else {
-        return 0;
+        // Direct pool sizing splits the configured budget by device
+        // share; a zero budget is maxRunning slot mode.
+        kv.budget = config_.batcher.kvBudgetBytes * devices /
+                    cluster_.numDevices();
+        kv.bytesPerToken = config_.batcher.kvBytesPerToken;
+        kv.blockTokens = config_.batcher.kvBlockTokens;
     }
-    const TokenCount blocks = (context + block - 1) / block;
-    return blocks * block * per_token;
+    return kv;
 }
 
 int
@@ -298,8 +265,14 @@ ServingSimulator::minPoolDevices() const
                 config_.capacity;
     // Shards grow as pools shrink, so feasibility is monotone in the
     // pool size: walk up until the memory budget closes.
-    while (floor < cluster_.numDevices() && !poolMemoryFeasible(floor))
-        ++floor;
+    for (; floor < cluster_.numDevices(); ++floor) {
+        try {
+            poolKvFor(floor);
+            break;
+        } catch (const FatalError &) {
+            // model shard + activations leave no KV pool
+        }
+    }
     return floor;
 }
 
@@ -512,10 +485,9 @@ ServingSimulator::requestSplit(int prefill_devices)
         if (const Request *r = slots_[0].engine().batcher().find(id))
             max_ctx = std::max(max_ctx, r->prefillTokens + target);
     if (max_ctx > 0) {
-        const Bytes need = kvBytesForContext(max_ctx);
         for (const int pool : {prefill_devices, decode}) {
-            const Bytes budget = poolKvBudgetFor(pool);
-            if (budget > 0 && need > budget)
+            const PoolKv kv = poolKvFor(pool);
+            if (kv.budget > 0 && kv.bytesFor(max_ctx) > kv.budget)
                 return false;
         }
     }
@@ -653,11 +625,11 @@ ServingSimulator::updateRegistryGauges()
         // extend the conservation identity above:
         //   offered == completed + queue_depth + running + migrating
         //              + held + retrying + failed
-        reg->counter("serve.faults").set(faultsInjected_);
-        reg->counter("serve.repairs").set(repairsDone_);
-        reg->counter("serve.retries").set(requestsRetried_);
-        reg->counter("serve.failed").set(requestsFailed_);
-        reg->counter("serve.transfer_aborts").set(transfersAborted_);
+        reg->counter("serve.faults").set(avail_.faultsInjected);
+        reg->counter("serve.repairs").set(avail_.repairs);
+        reg->counter("serve.retries").set(avail_.requestsRetried);
+        reg->counter("serve.failed").set(avail_.requestsFailed);
+        reg->counter("serve.transfer_aborts").set(avail_.transfersAborted);
         reg->gauge("serve.retrying")
             .set(static_cast<double>(retryQueue_.size()));
         reg->gauge("serve.dead_replicas").set(deadReplicas());
@@ -700,8 +672,9 @@ ServingSimulator::applyReconfig()
             // The slot is serving again: close its MTTR clock, whether
             // a scripted repair or the autoscaler rebuilt it.
             const Seconds mttr = now_ - slot.faultDownSince;
-            mttrSamples_.push_back(mttr);
-            ++repairsDone_;
+            mttrSum_ += mttr;
+            avail_.mttrMax = std::max(avail_.mttrMax, mttr);
+            ++avail_.repairs;
             LAER_TRACE_SPAN(config_.trace, faultTrack(), "outage",
                             "fault", slot.faultDownSince, mttr,
                             {TraceArg{"pool", static_cast<int>(i)},
@@ -1073,7 +1046,11 @@ ServingSimulator::pumpMigrations()
 // the boundary link stays up at factor 1, every straggler factor stays
 // 1 and the retry queue stays empty, so a fault-free run stays
 // byte-for-byte with its history (the golden gates pin that). The
-// per-engine fault state lives in each Slot.
+// per-engine fault state lives in each Slot. expandFaultPlan() checked
+// every engine target against the slots when the simulator was built,
+// so no hook here clamps one. Every applied event takes one record
+// path in applyFaultEvent(), and every counter lands in the live
+// avail_ record that buildReport() copies whole.
 
 int
 ServingSimulator::faultTrack()
@@ -1115,7 +1092,7 @@ ServingSimulator::updateDegraded()
         degradedSince_ = now_;
         goodTokensAtDegradeStart_ = metrics_.goodTokens();
     } else if (!degraded && degradedSince_ >= 0.0) {
-        degradedSeconds_ += now_ - degradedSince_;
+        avail_.degradedSeconds += now_ - degradedSince_;
         degradedGoodTokens_ +=
             metrics_.goodTokens() - goodTokensAtDegradeStart_;
         degradedSince_ = -1.0;
@@ -1141,62 +1118,132 @@ ServingSimulator::applyFaults()
 void
 ServingSimulator::applyFaultEvent(const FaultEvent &event)
 {
-    const std::size_t target = static_cast<std::size_t>(std::min(
-        std::max(event.target, 0),
-        static_cast<int>(slots_.size()) - 1));
-    Slot &slot = slots_[target];
+    // expandFaultPlan() checked every engine target; the link kinds
+    // ignore theirs and record 0.
+    const std::size_t target = static_cast<std::size_t>(event.target);
     const bool disagg =
         config_.policy == ServingPolicy::Disaggregated;
-    // No-op events (killing a corpse, healing a healthy link, ...)
-    // are dropped without counting: the timeline records what was
-    // APPLIED, and idempotence keeps seeded storms well-defined.
+    FaultEvent record{now_, event.kind, event.target, event.magnitude};
+    const char *instant = nullptr; // faults-track instant, if any
+    std::vector<TraceArg> args{TraceArg{"pool", event.target}};
+    // Each case decides whether the event applies, flips the fault
+    // state it owns and says what to record. No-op events (killing a
+    // corpse, healing a healthy link, ...) are dropped without
+    // counting: the timeline records what was APPLIED, and idempotence
+    // keeps seeded storms well-defined.
     switch (event.kind) {
     case FaultKind::ReplicaFail: {
+        Slot &slot = slots_[target];
         const EngineState state = slot.engine().state();
         if (state == EngineState::Stopped || slot.inc.pendingKill)
             return;
-        ++faultsInjected_;
-        faultTimeline_.push_back({now_, event.kind,
-                                  static_cast<int>(target),
-                                  event.magnitude});
         slot.faultDownSince = now_;
-        LAER_TRACE_INSTANT(config_.trace, faultTrack(),
-                           "replica_fail", "fault", now_,
-                           {TraceArg{"pool",
-                                     static_cast<int>(target)}});
         slot.inc.pendingKill = true;
         if (state == EngineState::Loading ||
             state == EngineState::Draining)
             slot.freeAt = now_; // no step in flight: die now
-        if (slot.freeAt <= now_)
-            applyKill(target);
-        updateDegraded();
+        instant = "replica_fail";
         break;
     }
     case FaultKind::ReplicaRepair:
         // Only a fault-killed, already-dead slot rebuilds. A repair
         // scheduled inside the victim's final step (the kill still
         // deferred) is lost — a later repair or the autoscaler
-        // rebuilds the slot instead.
-        if (slot.engine().state() != EngineState::Stopped ||
-            slot.faultDownSince < 0.0)
+        // rebuilds the slot instead. The rebuild shows on the control
+        // track.
+        if (slots_[target].engine().state() != EngineState::Stopped ||
+            slots_[target].faultDownSince < 0.0)
             return;
-        faultTimeline_.push_back({now_, event.kind,
-                                  static_cast<int>(target),
-                                  event.magnitude});
-        applyRepair(target);
         break;
-    case FaultKind::LinkDown: {
+    case FaultKind::LinkDown:
         if (!disagg || linkDown_)
             return;
-        ++faultsInjected_;
-        faultTimeline_.push_back({now_, event.kind, 0, 1.0});
+        record = {now_, event.kind, 0, 1.0};
         linkDown_ = true;
-        LAER_TRACE_INSTANT(config_.trace, faultTrack(), "link_down",
-                           "fault", now_,
-                           {TraceArg{"in_flight",
-                                     static_cast<int>(
-                                         migrations_.size())}});
+        instant = "link_down";
+        args = {TraceArg{"in_flight",
+                         static_cast<int>(migrations_.size())}};
+        break;
+    case FaultKind::LinkUp:
+        if (!disagg || (!linkDown_ && linkFactor_ == 1.0))
+            return;
+        record = {now_, event.kind, 0, 1.0};
+        linkDown_ = false;
+        linkFactor_ = 1.0;
+        instant = "link_up";
+        args = {TraceArg{"factor", 1.0}};
+        break;
+    case FaultKind::LinkDegrade:
+        if (!disagg || event.magnitude <= 0.0 || linkDown_ ||
+            linkFactor_ == event.magnitude)
+            return;
+        record.target = 0;
+        linkFactor_ = event.magnitude;
+        instant = "link_degrade";
+        args = {TraceArg{"factor", event.magnitude}};
+        break;
+    case FaultKind::StragglerStart:
+        if (slots_[target].engine().state() == EngineState::Stopped ||
+            event.magnitude <= 0.0 ||
+            slots_[target].inc.stragglerFactor == event.magnitude)
+            return;
+        slots_[target].inc.stragglerFactor = event.magnitude;
+        instant = "straggler";
+        args.push_back(TraceArg{"factor", event.magnitude});
+        break;
+    case FaultKind::StragglerEnd:
+        if (slots_[target].inc.stragglerFactor == 1.0)
+            return;
+        record.magnitude = 1.0;
+        slots_[target].inc.stragglerFactor = 1.0;
+        instant = "straggler_end";
+        break;
+    case FaultKind::DeviceFail: {
+        Slot &slot = slots_[target];
+        if (slot.engine().state() == EngineState::Stopped)
+            return;
+        const int total = slot.engine().slice().numDevices();
+        const int dead =
+            std::min(total - 1,
+                     slot.inc.deadDevices +
+                         std::max(1, static_cast<int>(event.magnitude)));
+        if (dead == slot.inc.deadDevices)
+            return; // the slice keeps at least one survivor
+        record.magnitude = static_cast<double>(dead);
+        slot.inc.deadDevices = dead;
+        instant = "device_fail";
+        args.push_back(TraceArg{"dead", dead});
+        break;
+    }
+    case FaultKind::DeviceRepair:
+        if (slots_[target].inc.deadDevices == 0)
+            return;
+        record.magnitude = 0.0;
+        slots_[target].inc.deadDevices = 0;
+        instant = "device_repair";
+        break;
+    }
+
+    // The one record path. Recoveries (ReplicaRepair, LinkUp,
+    // StragglerEnd, DeviceRepair) reach the timeline but do not count
+    // as injected faults.
+    avail_.timeline.push_back(record);
+    if (event.kind != FaultKind::ReplicaRepair &&
+        event.kind != FaultKind::LinkUp &&
+        event.kind != FaultKind::StragglerEnd &&
+        event.kind != FaultKind::DeviceRepair)
+        ++avail_.faultsInjected;
+    if (instant != nullptr)
+        LAER_TRACE_INSTANT(config_.trace, faultTrack(), instant, "fault",
+                           now_, std::move(args));
+
+    // Effects that emit events of their own follow the instant.
+    if (event.kind == FaultKind::ReplicaFail &&
+        slots_[target].freeAt <= now_) {
+        applyKill(target);
+    } else if (event.kind == FaultKind::ReplicaRepair) {
+        applyRepair(target);
+    } else if (event.kind == FaultKind::LinkDown) {
         // Transfers die on the wire: abort-and-retry each one.
         std::deque<PendingMigration> inflight;
         inflight.swap(migrations_);
@@ -1208,99 +1255,11 @@ ServingSimulator::applyFaultEvent(const FaultEvent &event)
             abortTransfer(std::move(m.request), decode_target,
                           m.readyAt);
         }
-        updateDegraded();
-        break;
-    }
-    case FaultKind::LinkUp:
-        if (!disagg || (!linkDown_ && linkFactor_ == 1.0))
-            return;
-        faultTimeline_.push_back({now_, event.kind, 0, 1.0});
-        linkDown_ = false;
-        linkFactor_ = 1.0;
-        LAER_TRACE_INSTANT(config_.trace, faultTrack(), "link_up",
-                           "fault", now_, {TraceArg{"factor", 1.0}});
-        updateDegraded();
-        break;
-    case FaultKind::LinkDegrade:
-        if (!disagg || event.magnitude <= 0.0 || linkDown_ ||
-            linkFactor_ == event.magnitude)
-            return;
-        ++faultsInjected_;
-        faultTimeline_.push_back({now_, event.kind, 0,
-                                  event.magnitude});
-        linkFactor_ = event.magnitude;
-        LAER_TRACE_INSTANT(config_.trace, faultTrack(),
-                           "link_degrade", "fault", now_,
-                           {TraceArg{"factor", event.magnitude}});
-        updateDegraded();
-        break;
-    case FaultKind::StragglerStart:
-        if (slot.engine().state() == EngineState::Stopped ||
-            event.magnitude <= 0.0 ||
-            slot.inc.stragglerFactor == event.magnitude)
-            return;
-        ++faultsInjected_;
-        faultTimeline_.push_back({now_, event.kind,
-                                  static_cast<int>(target),
-                                  event.magnitude});
-        slot.inc.stragglerFactor = event.magnitude;
-        LAER_TRACE_INSTANT(config_.trace, faultTrack(), "straggler",
-                           "fault", now_,
-                           {TraceArg{"pool",
-                                     static_cast<int>(target)},
-                            TraceArg{"factor", event.magnitude}});
-        updateDegraded();
-        break;
-    case FaultKind::StragglerEnd:
-        if (slot.inc.stragglerFactor == 1.0)
-            return;
-        faultTimeline_.push_back({now_, event.kind,
-                                  static_cast<int>(target), 1.0});
-        slot.inc.stragglerFactor = 1.0;
-        LAER_TRACE_INSTANT(config_.trace, faultTrack(),
-                           "straggler_end", "fault", now_,
-                           {TraceArg{"pool",
-                                     static_cast<int>(target)}});
-        updateDegraded();
-        break;
-    case FaultKind::DeviceFail: {
-        if (slot.engine().state() == EngineState::Stopped)
-            return;
-        const int total = slot.engine().slice().numDevices();
-        const int dead =
-            std::min(total - 1,
-                     slot.inc.deadDevices +
-                         std::max(1, static_cast<int>(event.magnitude)));
-        if (dead == slot.inc.deadDevices)
-            return; // the slice keeps at least one survivor
-        ++faultsInjected_;
-        faultTimeline_.push_back({now_, event.kind,
-                                  static_cast<int>(target),
-                                  static_cast<double>(dead)});
-        slot.inc.deadDevices = dead;
-        LAER_TRACE_INSTANT(config_.trace, faultTrack(),
-                           "device_fail", "fault", now_,
-                           {TraceArg{"pool",
-                                     static_cast<int>(target)},
-                            TraceArg{"dead", dead}});
+    } else if (event.kind == FaultKind::DeviceFail ||
+               event.kind == FaultKind::DeviceRepair) {
         resizePoolKv(target);
-        updateDegraded();
-        break;
     }
-    case FaultKind::DeviceRepair:
-        if (slot.inc.deadDevices == 0)
-            return;
-        faultTimeline_.push_back({now_, event.kind,
-                                  static_cast<int>(target), 0.0});
-        slot.inc.deadDevices = 0;
-        LAER_TRACE_INSTANT(config_.trace, faultTrack(),
-                           "device_repair", "fault", now_,
-                           {TraceArg{"pool",
-                                     static_cast<int>(target)}});
-        resizePoolKv(target);
-        updateDegraded();
-        break;
-    }
+    updateDegraded();
 }
 
 void
@@ -1313,7 +1272,7 @@ ServingSimulator::resizePoolKv(std::size_t i)
     // through the replica/straggler paths instead).
     Slot &slot = slots_[i];
     const int total = slot.engine().slice().numDevices();
-    const Bytes full = poolKvBudgetFor(total);
+    const Bytes full = poolKvFor(total).budget;
     if (full == 0 || slot.engine().state() == EngineState::Stopped)
         return;
     const Bytes budget =
@@ -1372,7 +1331,7 @@ ServingSimulator::abortTransfer(Request request,
     // released at the pool boundary, so the retry re-runs the prefill
     // (recompute disposition) back in the prefill pool and re-earns
     // the handover; the decode target is re-parked until then.
-    ++transfersAborted_;
+    ++avail_.transfersAborted;
     LAER_TRACE_INSTANT(config_.trace, faultTrack(), "transfer_abort",
                        "fault", now_,
                        {TraceArg{"id", request.id},
@@ -1395,7 +1354,7 @@ ServingSimulator::scheduleRetry(Request request, Seconds killed_at)
         failRequest(request);
         return;
     }
-    ++requestsRetried_;
+    ++avail_.requestsRetried;
     // Capped exponential backoff: attempt k waits
     // min(cap, base * 2^(k-1)).
     Seconds backoff = config_.faults.backoffBase;
@@ -1422,11 +1381,11 @@ ServingSimulator::failRequest(const Request &request)
     // Failed, not hung: the request leaves the system explicitly and
     // the conservation identity counts it
     // (offered == completed + in-flight + retrying + failed).
-    ++requestsFailed_;
+    ++avail_.requestsFailed;
     if (request.sloClass >= 0 &&
         static_cast<std::size_t>(request.sloClass) <
-            failedByClass_.size())
-        ++failedByClass_[static_cast<std::size_t>(request.sloClass)];
+            avail_.failedByClass.size())
+        ++avail_.failedByClass[static_cast<std::size_t>(request.sloClass)];
     decodeTargets_.erase(request.id);
     LAER_TRACE_INSTANT(config_.trace, faultTrack(), "request_failed",
                        "fault", now_,
@@ -2099,34 +2058,23 @@ ServingSimulator::buildReport() const
             std::max(0.0, profStepMs_ - profExecMs_);
     }
 
-    // Availability accounting (all zero on fault-free runs). A report
-    // built mid-run (finish() after manual step()ping) closes the
-    // still-open degraded window against now_ without mutating it.
+    // Availability accounting (all zero on fault-free runs): the live
+    // record, with its MTTR mean closed. A report built mid-run
+    // (finish() after manual step()ping) closes the still-open
+    // degraded window against now_ without mutating it.
     AvailabilityReport &avail = report.availability;
-    avail.faultsInjected = faultsInjected_;
-    avail.repairs = repairsDone_;
-    avail.requestsRetried = requestsRetried_;
-    avail.requestsFailed = requestsFailed_;
-    avail.transfersAborted = transfersAborted_;
-    for (const Seconds sample : mttrSamples_) {
-        avail.mttrMean += sample;
-        avail.mttrMax = std::max(avail.mttrMax, sample);
-    }
-    if (!mttrSamples_.empty())
-        avail.mttrMean /= static_cast<double>(mttrSamples_.size());
-    Seconds degraded = degradedSeconds_;
+    avail = avail_;
+    if (avail.repairs > 0)
+        avail.mttrMean = mttrSum_ / static_cast<double>(avail.repairs);
     std::int64_t degraded_tokens = degradedGoodTokens_;
     if (degradedSince_ >= 0.0) {
-        degraded += now_ - degradedSince_;
+        avail.degradedSeconds += now_ - degradedSince_;
         degraded_tokens +=
             metrics_.goodTokens() - goodTokensAtDegradeStart_;
     }
-    avail.degradedSeconds = degraded;
-    if (degraded > 0.0)
+    if (avail.degradedSeconds > 0.0)
         avail.degradedGoodputTps =
-            static_cast<double>(degraded_tokens) / degraded;
-    avail.failedByClass = failedByClass_;
-    avail.timeline = faultTimeline_;
+            static_cast<double>(degraded_tokens) / avail.degradedSeconds;
     return report;
 }
 

@@ -240,10 +240,12 @@ struct ControlWindowSample
 };
 
 /** Availability section of a faulted run's report (all zero /
- * empty when ServingConfig::faults is disabled). */
+ * empty when ServingConfig::faults is disabled). The simulator keeps
+ * one live copy as the run plays; buildReport() copies it whole and
+ * closes the MTTR mean and a still-open degraded window. */
 struct AvailabilityReport
 {
-    std::int64_t faultsInjected = 0;  //!< fault events applied
+    std::int64_t faultsInjected = 0;  //!< injecting events applied
     std::int64_t repairs = 0;         //!< fault-killed replicas rebuilt
     std::int64_t requestsRetried = 0; //!< backoff re-queues scheduled
     std::int64_t requestsFailed = 0;  //!< retry budget exhausted
@@ -426,13 +428,13 @@ class ServingSimulator
     // ---- fault-injection signals (src/fault/, zeros when off) ------
 
     /** Fault events applied so far. */
-    std::int64_t faultsSoFar() const { return faultsInjected_; }
+    std::int64_t faultsSoFar() const { return avail_.faultsInjected; }
 
     /** Fault-killed replicas rebuilt back to Active so far. */
-    std::int64_t repairsSoFar() const { return repairsDone_; }
+    std::int64_t repairsSoFar() const { return avail_.repairs; }
 
     /** Requests that exhausted their retry budget so far. */
-    std::int64_t failedSoFar() const { return requestsFailed_; }
+    std::int64_t failedSoFar() const { return avail_.requestsFailed; }
 
     /** Requests currently waiting out a retry backoff. */
     int retryingNow() const
@@ -496,17 +498,28 @@ class ServingSimulator
      * per-device inference model state over the host link. */
     Seconds loadDelayFor(const DevicePoolSlice &slice) const;
 
-    /** True when a pool of `devices` devices can hold its model shard
-     * and still keep a KV pool (always true with the KV model off). */
-    bool poolMemoryFeasible(int devices) const;
+    /** KV parameters of one pool; budget 0 is maxRunning slot mode. */
+    struct PoolKv
+    {
+        Bytes budget = 0;
+        Bytes bytesPerToken = 0;
+        TokenCount blockTokens = 1;
 
-    /** KV budget a pool of `devices` devices would own; 0 when byte
-     * accounting is off. Only valid for memory-feasible sizes. */
-    Bytes poolKvBudgetFor(int devices) const;
+        /** Block-rounded bytes a `context`-token context reserves. */
+        Bytes bytesFor(TokenCount context) const
+        {
+            return (context + blockTokens - 1) / blockTokens *
+                   blockTokens * bytesPerToken;
+        }
+    };
 
-    /** Block-rounded KV bytes a context of `context` tokens reserves
-     * under this run's KV parameters; 0 when byte accounting is off. */
-    Bytes kvBytesForContext(TokenCount context) const;
+    /** The one derivation of a `devices`-device pool's KV parameters
+     * (from simulated HBM, a configured budget split by device share,
+     * or slot mode): engineConfigFor() applies it; the split and
+     * device-loss paths ask it about pools not yet built.
+     * @throws FatalError when HBM is set and the pool's model shard
+     *         plus activations leave no room for a KV pool. */
+    PoolKv poolKvFor(int devices) const;
 
     /** Accrue device-seconds up to `t` (call before any change to the
      * powered-device count). */
@@ -608,7 +621,9 @@ class ServingSimulator
      * nextEventTime(), so each lands exactly on its own time. */
     void applyFaults();
 
-    /** Apply one fault event at now_ (idempotent per kind). */
+    /** Apply one fault event at now_ (idempotent per kind): record
+     * it in the timeline, count it when it injects, emit its instant,
+     * then run its effects. A no-op event records nothing. */
     void applyFaultEvent(const FaultEvent &event);
 
     /** Fail-stop engine `i` NOW: harvest its completed requests,
@@ -830,16 +845,11 @@ class ServingSimulator
     double linkFactor_ = 1.0; //!< boundary-link wire multiplier
     bool linkDown_ = false;   //!< boundary link fail-stopped
     std::deque<PendingRetry> retryQueue_;   //!< sorted by readyAt
-    std::vector<FaultEvent> faultTimeline_; //!< applied events
-    std::vector<Seconds> mttrSamples_;
-    std::int64_t faultsInjected_ = 0;
-    std::int64_t repairsDone_ = 0;
-    std::int64_t requestsRetried_ = 0;
-    std::int64_t requestsFailed_ = 0;
-    std::int64_t transfersAborted_ = 0;
-    std::vector<std::int64_t> failedByClass_;
+    /** The run's availability record, kept live: mttrMean stays 0 and
+     * degradedSeconds sums only closed windows until buildReport(). */
+    AvailabilityReport avail_;
+    Seconds mttrSum_ = 0.0;        //!< over avail_.repairs samples
     Seconds degradedSince_ = -1.0; //!< < 0 while healthy
-    Seconds degradedSeconds_ = 0.0;
     std::int64_t goodTokensAtDegradeStart_ = 0;
     std::int64_t degradedGoodTokens_ = 0;
 

@@ -321,6 +321,32 @@ TEST(Shrinker, ConvergesTowardKnobFloors)
     EXPECT_TRUE(still_fails(outcome.scenario));
 }
 
+TEST(Shrinker, KeepsEveryCandidateConstructible)
+{
+    // A replicated scenario whose plan kills replica 1. The synthetic
+    // failure needs the plan, so the shrinker keeps it while it tries
+    // to shed the replicas and the nodes: no candidate it replays may
+    // lose the engine the plan targets (the simulator would refuse
+    // the plan at construction).
+    Scenario failing;
+    for (std::uint64_t seed = 0; seed < 1000; ++seed) {
+        failing = generateScenario(seed);
+        if (failing.serving.replicas.replicaDevices > 0 &&
+            failing.serving.faults.enabled())
+            break;
+    }
+    ASSERT_GT(failing.serving.replicas.replicaDevices, 0);
+    ASSERT_TRUE(failing.serving.faults.enabled());
+    const auto still_fails = [](const Scenario &s) {
+        const Cluster cluster = s.makeCluster();
+        const ServingSimulator sim(cluster, s.serving);
+        return s.serving.faults.enabled();
+    };
+    ShrinkOutcome outcome;
+    EXPECT_NO_THROW(outcome = shrinkScenario(failing, still_fails));
+    EXPECT_TRUE(outcome.scenario.serving.faults.enabled());
+}
+
 TEST(Shrinker, RespectsTheReplayBudget)
 {
     const Scenario failing = generateScenario(100);

@@ -13,6 +13,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -87,12 +89,60 @@ TEST(FaultPlan, ParsesPlanFileAndRejectsGarbage)
     EXPECT_EQ(cfg.events[2].kind, FaultKind::LinkDegrade);
     EXPECT_DOUBLE_EQ(cfg.events[2].magnitude, 2.5);
     EXPECT_TRUE(cfg.enabled());
-    {
-        std::ofstream out(path);
-        out << "at 1.0 replica-melt 0\n";
+    // Each line alone is malformed: an unknown kind, a magnitude that
+    // does not parse (a failed read would silently write 0), and
+    // trailing tokens after a directive's arguments.
+    for (const char *bad :
+         {"at 1.0 replica-melt 0\n", "at 1.0 straggler-start 0 abc\n",
+          "at 1.0 straggler-start 0 2.5x\n",
+          "at 1.0 straggler-start 0 2.5 7\n", "mtbf 1.0 junk\n"}) {
+        {
+            std::ofstream out(path);
+            out << bad;
+        }
+        EXPECT_THROW(parseFaultPlanFile(path), FatalError) << bad;
     }
-    EXPECT_THROW(parseFaultPlanFile(path), FatalError);
     std::remove(path.c_str());
+}
+
+TEST(FaultPlan, RejectsTargetsOutsideTheEngines)
+{
+    const auto plan_of = [](FaultKind kind, int target, Seconds time) {
+        FaultConfig cfg;
+        cfg.events.push_back({time, kind, target, 1.0});
+        return cfg;
+    };
+    EXPECT_THROW(
+        expandFaultPlan(plan_of(FaultKind::ReplicaFail, 2, 1.0), 2, 10.0),
+        FatalError);
+    EXPECT_THROW(expandFaultPlan(plan_of(FaultKind::StragglerStart, -1,
+                                         1.0),
+                                 2, 10.0),
+                 FatalError);
+    EXPECT_NO_THROW(
+        expandFaultPlan(plan_of(FaultKind::DeviceFail, 1, 1.0), 2, 10.0));
+    // Link kinds act on the boundary link and ignore their target.
+    for (const FaultKind link :
+         {FaultKind::LinkDown, FaultKind::LinkUp, FaultKind::LinkDegrade})
+        for (const int target : {-1, 2, 99})
+            EXPECT_NO_THROW(
+                expandFaultPlan(plan_of(link, target, 1.0), 2, 10.0));
+    // Times must be finite and non-negative, on every kind.
+    for (const Seconds time :
+         {-0.5, std::numeric_limits<Seconds>::infinity(),
+          std::numeric_limits<Seconds>::quiet_NaN()})
+        EXPECT_THROW(
+            expandFaultPlan(plan_of(FaultKind::LinkDown, 0, time), 2, 10.0),
+            FatalError);
+
+    // The simulator expands its plan at construction, against its
+    // replica slots.
+    const Cluster cluster(2, 4, 300e9, 12.5e9, 212e12);
+    ServingConfig cfg;
+    cfg.model = mixtral8x7bE8K2();
+    cfg.replicas.replicaDevices = 4;
+    cfg.faults = plan_of(FaultKind::ReplicaFail, 2, 1.0);
+    EXPECT_THROW(ServingSimulator(cluster, cfg), FatalError);
 }
 
 // ---- serving recovery semantics --------------------------------------------
@@ -496,6 +546,115 @@ TEST(FaultRecovery, AutoscalerRebuildsDeadReplicaAndClosesMttr)
         rebuilt = rebuilt || (e.action == "replicas" &&
                               e.requested >= 1.0 && e.after > e.before);
     EXPECT_TRUE(rebuilt);
+}
+
+/** One applied event as the availability timeline records it. */
+struct Applied
+{
+    FaultKind kind;
+    int target;
+    double magnitude;
+};
+
+/** Run `cfg` on `cluster` and check its timeline, injected-fault
+ * count and repairs against the expected record. */
+void
+expectRecord(const Cluster &cluster, const ServingConfig &cfg,
+             const std::vector<Applied> &timeline,
+             std::int64_t injected, std::int64_t repairs)
+{
+    ServingSimulator sim(cluster, cfg);
+    const ServingReport report = sim.run();
+    const AvailabilityReport &a = report.availability;
+    ASSERT_EQ(a.timeline.size(), timeline.size());
+    for (std::size_t i = 0; i < timeline.size(); ++i) {
+        SCOPED_TRACE("timeline entry " + std::to_string(i));
+        EXPECT_EQ(a.timeline[i].kind, timeline[i].kind);
+        EXPECT_EQ(a.timeline[i].target, timeline[i].target);
+        EXPECT_DOUBLE_EQ(a.timeline[i].magnitude, timeline[i].magnitude);
+    }
+    EXPECT_EQ(a.faultsInjected, injected);
+    EXPECT_EQ(a.repairs, repairs);
+    EXPECT_EQ(report.offered, report.completed + a.requestsFailed);
+}
+
+TEST(FaultRecovery, EveryKindAppliesOrDropsAsDocumented)
+{
+    // Every kind on a 2-replica run. No-op events are dropped: they
+    // neither reach the timeline nor count as injected. Only the
+    // injecting kinds (ReplicaFail, LinkDown, LinkDegrade,
+    // StragglerStart, DeviceFail) count.
+    {
+        SCOPED_TRACE("2 replicas");
+        const Cluster cluster(2, 4, 300e9, 12.5e9, 212e12);
+        ServingConfig cfg = faultReplicaConfig(30.0);
+        cfg.faults.events = {
+            {0.50, FaultKind::StragglerStart, 0, 2.0},
+            {0.55, FaultKind::StragglerStart, 0, 2.0}, // same factor
+            {0.60, FaultKind::StragglerEnd, 0, 1.0},
+            {0.65, FaultKind::StragglerEnd, 0, 1.0},   // full speed
+            {0.70, FaultKind::LinkDown, 0, 1.0},       // no link
+            {0.72, FaultKind::LinkDegrade, 0, 2.0},    // no link
+            {0.74, FaultKind::LinkUp, 0, 1.0},         // no link
+            {0.80, FaultKind::ReplicaRepair, 1, 1.0},  // alive
+            {0.90, FaultKind::DeviceRepair, 0, 1.0},   // none dead
+            {1.00, FaultKind::ReplicaFail, 1, 1.0},
+            {1.20, FaultKind::ReplicaFail, 1, 1.0},    // already dead
+            {1.30, FaultKind::StragglerStart, 1, 3.0}, // dead engine
+            {1.40, FaultKind::DeviceFail, 1, 1.0},     // dead engine
+            {1.50, FaultKind::ReplicaRepair, 1, 1.0},
+            {2.00, FaultKind::DeviceFail, 0, 3.0},
+            {2.10, FaultKind::DeviceFail, 0, 1.0},     // last survivor
+            {2.20, FaultKind::DeviceRepair, 0, 1.0},
+        };
+        expectRecord(cluster, cfg,
+                     {{FaultKind::StragglerStart, 0, 2.0},
+                      {FaultKind::StragglerEnd, 0, 1.0},
+                      {FaultKind::ReplicaFail, 1, 1.0},
+                      {FaultKind::ReplicaRepair, 1, 1.0},
+                      {FaultKind::DeviceFail, 0, 3.0}, // dead devices
+                      {FaultKind::DeviceRepair, 0, 0.0}},
+                     3, 1);
+    }
+    // Every kind on a disaggregated run, where the link kinds apply
+    // and record target 0 whatever their plan target.
+    {
+        SCOPED_TRACE("disaggregated");
+        const Cluster cluster(4, 2, 300e9, 12.5e9, 212e12);
+        ServingConfig cfg = faultDisaggConfig();
+        cfg.faults.events = {
+            {0.40, FaultKind::LinkDegrade, 0, 2.0},
+            {0.42, FaultKind::LinkDegrade, 0, 2.0},    // same factor
+            {0.44, FaultKind::LinkDegrade, 1, 0.0},    // no factor
+            {0.50, FaultKind::LinkUp, 0, 1.0},
+            {0.55, FaultKind::LinkUp, 0, 1.0},         // healthy link
+            {0.60, FaultKind::LinkDown, 5, 1.0},
+            {0.65, FaultKind::LinkDown, 0, 1.0},       // already down
+            {0.70, FaultKind::LinkDegrade, 0, 3.0},    // link is down
+            {0.80, FaultKind::LinkUp, 1, 1.0},
+            {0.90, FaultKind::StragglerStart, 1, 0.0}, // no factor
+            {0.95, FaultKind::StragglerStart, 1, 1.5},
+            {0.97, FaultKind::StragglerEnd, 1, 1.0},
+            {1.00, FaultKind::ReplicaFail, 1, 1.0},
+            {1.50, FaultKind::ReplicaRepair, 1, 1.0},
+            {1.60, FaultKind::ReplicaRepair, 1, 1.0},  // rebuilding
+            {2.00, FaultKind::DeviceFail, 0, 1.0},
+            {2.20, FaultKind::DeviceRepair, 0, 1.0},
+            {2.30, FaultKind::DeviceRepair, 0, 1.0},   // none dead
+        };
+        expectRecord(cluster, cfg,
+                     {{FaultKind::LinkDegrade, 0, 2.0},
+                      {FaultKind::LinkUp, 0, 1.0},
+                      {FaultKind::LinkDown, 0, 1.0},
+                      {FaultKind::LinkUp, 0, 1.0},
+                      {FaultKind::StragglerStart, 1, 1.5},
+                      {FaultKind::StragglerEnd, 1, 1.0},
+                      {FaultKind::ReplicaFail, 1, 1.0},
+                      {FaultKind::ReplicaRepair, 1, 1.0},
+                      {FaultKind::DeviceFail, 0, 1.0},
+                      {FaultKind::DeviceRepair, 0, 0.0}},
+                     5, 1);
+    }
 }
 
 TEST(FaultRecovery, DisabledFaultsLeaveReportUntouched)
