@@ -200,9 +200,9 @@ printTimeline(Variant variant, double rate,
 
 void
 printWindows(Variant variant, double rate,
-             const laer::ServingReport &report)
+             const std::vector<laer::TelemetryWindow> &windows)
 {
-    if (report.windows.empty())
+    if (windows.empty())
         return;
     std::ostringstream title;
     title << "Fig. 14 — per-window series, every 5th window ("
@@ -210,8 +210,8 @@ printWindows(Variant variant, double rate,
     laer::Table table(title.str());
     table.setHeader({"t_s", "req/s", "replicas", "split", "queue",
                      "kv_util", "ttft_p95_ms"});
-    for (std::size_t i = 0; i < report.windows.size(); i += 5) {
-        const laer::ControlWindowSample &w = report.windows[i];
+    for (std::size_t i = 0; i < windows.size(); i += 5) {
+        const laer::TelemetryWindow &w = windows[i];
         table.startRow();
         table.cell(w.end, 0);
         table.cell(w.arrivalRate, 1);
@@ -223,8 +223,8 @@ printWindows(Variant variant, double rate,
         } else {
             table.cell("-");
         }
-        table.cell(w.queueDepth);
-        table.cell(w.kvUtilization, 2);
+        table.cell(w.totalQueueDepth());
+        table.cell(w.maxKvUtilization(), 2);
         table.cell(1e3 * w.ttftP95, 1);
     }
     emit(table);
@@ -289,7 +289,14 @@ try {
     const double low_rate = rates.front();
     double static_peak_good = -1.0, auto_peak_good = -1.0;
     double static_low_devs = -1.0, replica_low_devs = -1.0;
-    std::vector<std::pair<Variant, laer::ServingReport>> peak_reports;
+    /** A peak-rate run's report beside its loop's window history. */
+    struct PeakRun
+    {
+        Variant variant;
+        laer::ServingReport report;
+        std::vector<laer::TelemetryWindow> windows;
+    };
+    std::vector<PeakRun> peak_runs;
 
     for (const double rate : rates) {
         for (const Variant variant : variants) {
@@ -326,7 +333,8 @@ try {
                 else
                     auto_peak_good =
                         std::max(auto_peak_good, r.goodputTps);
-                peak_reports.emplace_back(variant, r);
+                peak_runs.push_back(
+                    {variant, r, loop.telemetry().history()});
             }
             if (rate == low_rate) {
                 if (variant == Variant::StaticSplit)
@@ -339,11 +347,11 @@ try {
     if (table.rowCount() > 0)
         emit(table);
 
-    for (const auto &[variant, report] : peak_reports) {
-        if (variant == Variant::StaticSplit)
+    for (const PeakRun &run : peak_runs) {
+        if (run.variant == Variant::StaticSplit)
             continue;
-        printTimeline(variant, top_rate, report);
-        printWindows(variant, top_rate, report);
+        printTimeline(run.variant, top_rate, run.report);
+        printWindows(run.variant, top_rate, run.windows);
     }
 
     sinks.write();

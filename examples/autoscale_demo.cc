@@ -122,7 +122,10 @@ try {
     summary.setHeader({"policy", "completed", "ttft_p50_ms",
                        "ttft_p99_ms", "goodput_tok/s", "device_s",
                        "events", "end"});
-    ServingReport threshold_report; // reused for the narration below
+    // The threshold run's report and window series, reused for the
+    // narration below.
+    ServingReport threshold_report;
+    std::vector<TelemetryWindow> threshold_windows;
     for (const auto &[label, kind] : policies) {
         if (!wanted(label))
             continue;
@@ -132,8 +135,10 @@ try {
         ServingSimulator sim(cluster, cfg);
         ControlLoop loop(sim, loopConfig(kind));
         const ServingReport r = loop.run();
-        if (kind == AutoscalerKind::ThresholdHysteresis)
+        if (kind == AutoscalerKind::ThresholdHysteresis) {
             threshold_report = r;
+            threshold_windows = loop.telemetry().history();
+        }
         summary.startRow();
         summary.cell(label);
         summary.cell(r.completed);
@@ -177,13 +182,13 @@ try {
     Table series("Replica series, every 3rd window");
     series.setHeader(
         {"t_s", "req/s", "replicas", "queue", "ttft_p95_ms"});
-    for (std::size_t i = 0; i < r.windows.size(); i += 3) {
-        const ControlWindowSample &w = r.windows[i];
+    for (std::size_t i = 0; i < threshold_windows.size(); i += 3) {
+        const TelemetryWindow &w = threshold_windows[i];
         series.startRow();
         series.cell(w.end, 0);
         series.cell(w.arrivalRate, 1);
         series.cell(w.activeReplicas);
-        series.cell(w.queueDepth);
+        series.cell(w.totalQueueDepth());
         series.cell(1e3 * w.ttftP95, 1);
     }
     if (csv)

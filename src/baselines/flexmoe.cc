@@ -11,6 +11,16 @@
 namespace laer
 {
 
+namespace
+{
+
+/** Replica adjustments per update. */
+constexpr int kMaxMovesPerStep = 2;
+/** Iterations a migration must pay itself off over. */
+constexpr int kAmortizationIters = 100;
+
+} // namespace
+
 FlexMoePlanner::FlexMoePlanner(const Cluster &cluster, int n_experts,
                                const FlexMoeConfig &config)
     : cluster_(cluster), config_(config),
@@ -56,13 +66,12 @@ FlexMoePlanner::update(const RoutingMatrix &routing)
     // A move is accepted when its per-iteration gain repays the
     // migration within the amortization horizon.
     const Seconds migration_cost =
-        config_.penaltyScale * 6.0 *
-        static_cast<double>(config_.expertBytes) / cluster_.interBw();
-    const Seconds penalty =
-        migration_cost / std::max(1, config_.amortizationIters);
+        6.0 * static_cast<double>(config_.expertBytes) /
+        cluster_.interBw();
+    const Seconds penalty = migration_cost / kAmortizationIters;
 
     Seconds current = score(layout_, routing);
-    for (int move = 0; move < config_.maxMovesPerStep; ++move) {
+    for (int move = 0; move < kMaxMovesPerStep; ++move) {
         // Deficit expert: highest load per current replica.
         // Surplus expert: lowest load per replica with replicas > 1.
         ExpertId deficit = -1, surplus = -1;

@@ -6,11 +6,10 @@
  *
  * FlexMoE keeps a persistent expert layout and adjusts it
  * incrementally: each step it derives the load-proportional replica
- * target, then applies at most `maxMovesPerStep` single-replica
- * changes, accepting a change only when the modelled gain exceeds the
- * migration penalty (moving an expert costs ~6x its parameter bytes —
- * params + optimizer state — because it has no FSEP to hide behind).
- * This is precisely the "penalise adjustment" behaviour the paper
+ * target, then applies at most two single-replica changes, accepting
+ * a change only when its modelled gain over 100 iterations repays the
+ * migration (moving an expert costs ~6x its parameter bytes — params +
+ * optimizer state — because it has no FSEP to hide behind). This is precisely the "penalise adjustment" behaviour the paper
  * contrasts against (Sec. 1, Sec. 5.2).
  */
 
@@ -30,10 +29,7 @@ namespace laer
 struct FlexMoeConfig
 {
     int capacity = 2;          //!< expert slots per device
-    int maxMovesPerStep = 2;   //!< replica adjustments per iteration
     Bytes expertBytes = 0;     //!< Psi_expert for the penalty term
-    double penaltyScale = 1.0; //!< multiplier on migration cost
-    int amortizationIters = 100; //!< horizon a migration pays off over
     CostParams cost;           //!< Eq. 2 constants for gain estimation
 };
 

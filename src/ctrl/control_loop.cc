@@ -68,7 +68,7 @@ ControlLoop::controlState() const
     state.activeReplicas = sim_.activeReplicas();
     state.replicaSlots = sim_.replicaSlots();
     state.prefillDevices = sim_.prefillDevices();
-    state.totalDevices = sim_.config().batcher.numDevices;
+    state.totalDevices = sim_.cluster().numDevices();
     state.nodeDevices = config_.autoscaler.splitStepDevices;
     state.minPoolDevices = config_.autoscaler.minPoolDevices;
     return state;
@@ -81,18 +81,6 @@ ControlLoop::closeWindow(Seconds boundary)
         collector_.collect(sim_, windowStart_, boundary);
     windowStart_ = boundary;
     bus_.publish(window);
-
-    ControlWindowSample sample;
-    sample.start = window.start;
-    sample.end = window.end;
-    sample.arrivalRate = window.arrivalRate;
-    sample.activeReplicas = window.activeReplicas;
-    sample.prefillDevices = window.prefillDevices;
-    sample.queueDepth = window.totalQueueDepth();
-    sample.kvUtilization = window.maxKvUtilization();
-    sample.ttftP95 = window.ttftP95;
-    sample.tpotP95 = window.tpotP95;
-    sim_.recordControlWindow(sample);
 
     if (sim_.config().metricsRegistry != nullptr)
         exportWindowMetrics(window, *sim_.config().metricsRegistry);

@@ -6,11 +6,10 @@
  * with a possibly-null TraceRecorder* / MetricsRegistry*. When the
  * pointer is null (the default — no `--trace-out`/`--metrics-out`)
  * the macro costs one branch on a pointer that is almost always in a
- * register; when LAER_OBS_DISABLED is defined at compile time the
- * macros expand to nothing at all, so the argument expressions are
- * not even evaluated. Either way, recording never feeds back into
- * simulation state: observability is strictly write-only, which is
- * what keeps default bench outputs byte-for-byte identical.
+ * register, and the argument expressions are not evaluated. Recording
+ * never feeds back into simulation state: observability is strictly
+ * write-only, which is what keeps default bench outputs byte-for-byte
+ * identical.
  *
  * Usage:
  *
@@ -26,18 +25,6 @@
 #include "obs/metrics.hh"
 #include "obs/req_trace.hh"
 #include "obs/trace.hh"
-
-#ifdef LAER_OBS_DISABLED
-
-#define LAER_TRACE_SPAN(rec, ...) ((void)0)
-#define LAER_TRACE_INSTANT(rec, ...) ((void)0)
-#define LAER_METRIC_COUNT(reg, name, delta) ((void)0)
-#define LAER_METRIC_GAUGE(reg, name, value) ((void)0)
-#define LAER_METRIC_OBSERVE(reg, name, value) ((void)0)
-#define LAER_REQ_SAMPLED(rt, id) false
-#define LAER_REQ_EVENT(rt, call) ((void)0)
-
-#else
 
 /** Record a span when `rec` is attached; arguments as
  * TraceRecorder::span(). */
@@ -75,9 +62,7 @@
             (reg)->histogram(name).observe(value);                    \
     } while (0)
 
-/** True when a ReqTraceRecorder is attached and samples `id`; the
- * whole expression (and any block it guards) folds to `false` under
- * LAER_OBS_DISABLED. */
+/** True when a ReqTraceRecorder is attached and samples `id`. */
 #define LAER_REQ_SAMPLED(rt, id) ((rt) != nullptr && (rt)->wants(id))
 
 /** Invoke a ReqTraceRecorder member (`call` is e.g.
@@ -88,7 +73,5 @@
         if (rt)                                                       \
             (rt)->call;                                               \
     } while (0)
-
-#endif // LAER_OBS_DISABLED
 
 #endif // LAER_OBS_OBS_HH

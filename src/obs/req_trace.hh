@@ -29,7 +29,7 @@
  * Like the rest of the observability layer the recorder is strictly
  * write-only with respect to simulation state; attaching one cannot
  * change simulated outputs, and the guard macros in obs/obs.hh
- * compile every hook out under LAER_OBS_DISABLED.
+ * skip every hook when no recorder is attached.
  */
 
 #ifndef LAER_OBS_REQ_TRACE_HH

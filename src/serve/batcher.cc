@@ -55,9 +55,6 @@ ContinuousBatcher::ContinuousBatcher(const BatcherConfig &config)
     LAER_CHECK(config_.prefillChunk >= 1,
                "prefill chunk must be positive");
     LAER_CHECK(config_.numSloClasses >= 1, "need at least one SLO class");
-    LAER_CHECK(config_.numDevices >= 1, "need at least one device");
-    LAER_CHECK(config_.deviceTokenCap >= 0,
-               "device token cap cannot be negative");
     if (config_.kvBudgetBytes > 0) {
         LAER_CHECK(config_.kvBytesPerToken >= 1,
                    "KV model needs kvBytesPerToken");
@@ -66,15 +63,6 @@ ContinuousBatcher::ContinuousBatcher(const BatcherConfig &config)
     } else {
         LAER_CHECK(config_.maxRunning >= 1, "need at least one KV slot");
     }
-}
-
-TokenCount
-ContinuousBatcher::effectiveBudget() const
-{
-    if (config_.deviceTokenCap == 0)
-        return config_.tokenBudget;
-    return std::min(config_.tokenBudget,
-                    config_.deviceTokenCap * config_.numDevices);
 }
 
 Bytes
@@ -103,18 +91,22 @@ ContinuousBatcher::validateAdmissible(const Request &request) const
                "request SLO class out of range");
     LAER_CHECK(request.prefillTokens >= 1 && request.decodeTokens >= 1,
                "request needs at least one prefill and decode token");
-    if (kv_) {
-        // A request whose full context can never fit the pool would
-        // deadlock admission; that is a configuration error.
-        LAER_CHECK(kv_->bytesFor(request.prefillTokens +
-                                 request.decodeTokens) <=
-                       kv_->budgetBytes(),
-                   "request " << request.id << " needs "
-                              << kv_->bytesFor(request.prefillTokens +
-                                               request.decodeTokens)
-                              << " KV bytes but the pool holds only "
-                              << kv_->budgetBytes());
-    }
+    // A request whose full context can never fit the pool would
+    // deadlock admission; that is a configuration error.
+    LAER_CHECK(canEverHold(request),
+               "request " << request.id << " needs "
+                          << kvBytesFor(request.prefillTokens +
+                                        request.decodeTokens)
+                          << " KV bytes but the pool holds only "
+                          << kvBudgetBytes());
+}
+
+bool
+ContinuousBatcher::canEverHold(const Request &request) const
+{
+    return !kv_ ||
+           kv_->bytesFor(request.prefillTokens + request.decodeTokens) <=
+               kv_->budgetBytes();
 }
 
 void
@@ -153,13 +145,9 @@ ContinuousBatcher::resizeKvBudget(Bytes budget)
     // Sweep out requests whose FULL context can never fit again (the
     // preempt loop parked its victims in waiting_, so one pass over
     // the queues after it catches them too).
-    const auto fits = [this](const Request &r) {
-        return kv_->bytesFor(r.prefillTokens + r.decodeTokens) <=
-               kv_->budgetBytes();
-    };
     for (auto &queue : waiting_) {
         for (auto it = queue.begin(); it != queue.end();) {
-            if (fits(*it)) {
+            if (canEverHold(*it)) {
                 ++it;
                 continue;
             }
@@ -168,7 +156,7 @@ ContinuousBatcher::resizeKvBudget(Bytes budget)
         }
     }
     for (auto it = running_.begin(); it != running_.end();) {
-        if (fits(*it)) {
+        if (canEverHold(*it)) {
             ++it;
             continue;
         }
@@ -323,7 +311,7 @@ BatchPlan
 ContinuousBatcher::nextBatch()
 {
     BatchPlan plan;
-    TokenCount budget = effectiveBudget();
+    TokenCount budget = config_.tokenBudget;
 
     // KV pre-pass: reserve this step's decode growth, evicting victims
     // (recompute-style) when the pool is exhausted. Every decode-phase
@@ -522,12 +510,10 @@ ContinuousBatcher::maxLiveFullContext() const
 {
     TokenCount max_context = 0;
     for (const Request &r : running_)
-        max_context =
-            std::max(max_context, r.prefillTokens + r.decodeTokens);
+        max_context = std::max(max_context, r.fullContext());
     for (const auto &queue : waiting_)
         for (const Request &r : queue)
-            max_context = std::max(max_context,
-                                   r.prefillTokens + r.decodeTokens);
+            max_context = std::max(max_context, r.fullContext());
     return max_context;
 }
 

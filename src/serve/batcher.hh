@@ -43,8 +43,7 @@
  * The batch is data-parallel sharded across devices, so the per-step
  * token budget doubles as the per-device expert capacity knob: with N
  * devices and top-k routing, a step schedules at most
- * tokenBudget * K / N expected expert tokens per device. An optional
- * `deviceTokenCap` tightens the budget on small clusters.
+ * tokenBudget * K / N expected expert tokens per device.
  */
 
 #ifndef LAER_SERVE_BATCHER_HH
@@ -80,10 +79,6 @@ struct BatcherConfig
     TokenCount prefillChunk = 512; //!< max prefill tokens per request
                                    //!< per step (Sarathi chunking)
     int numSloClasses = 1;         //!< admission priority classes
-    /** Per-device slice cap; 0 disables. With N simulated devices the
-     * effective step budget is min(tokenBudget, N * deviceTokenCap). */
-    TokenCount deviceTokenCap = 0;
-    int numDevices = 1;            //!< N, for the per-device cap
 
     /** Cluster-wide KV-cache pool in bytes; 0 keeps the legacy
      * `maxRunning` slot count. Derived from per-device HBM by
@@ -255,10 +250,18 @@ class ContinuousBatcher
      * admitted (their current contexts); 0 when the KV model is off. */
     Bytes waitingKvDemand() const;
 
-    /** Largest FULL context (prompt + requested output) of any live
-     * request — the ceiling a reconfigured pool must still admit;
-     * 0 when no request is live. */
+    /** Largest Request::fullContext() of any live request — the
+     * ceiling a reconfigured pool must still admit; 0 when no request
+     * is live. */
     TokenCount maxLiveFullContext() const;
+
+    /**
+     * Could this pool ever hold `request` whole? True when its full
+     * context here (prompt + requested output) fits the KV budget, or
+     * when the KV model is off. enqueue() rejects, and
+     * resizeKvBudget() sweeps out, every request this is false for.
+     */
+    bool canEverHold(const Request &request) const;
 
     /**
      * KV bytes a context of `context` tokens reserves (block-rounded).
@@ -286,9 +289,6 @@ class ContinuousBatcher
     {
         return static_cast<int>(running_.size());
     }
-
-    /** Effective per-step token budget after the per-device cap. */
-    TokenCount effectiveBudget() const;
 
     /** True when admission is bounded by KV bytes, not maxRunning. */
     bool kvEnabled() const { return kv_.has_value(); }

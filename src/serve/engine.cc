@@ -107,10 +107,6 @@ ServingEngine::ServingEngine(const DevicePoolSlice &slice,
     LAER_CHECK(config_.policy != ServingPolicy::Disaggregated,
                "Disaggregated is a simulator topology, not a pool "
                "layout policy");
-    LAER_CHECK(config_.batcher.numDevices == slice_.numDevices(),
-               "batcher sized for " << config_.batcher.numDevices
-                                    << " devices but the pool holds "
-                                    << slice_.numDevices());
     const int experts = config_.model.numExperts;
     for (int l = 0; l < config_.simulatedLayers; ++l) {
         RoutingModel m = config_.routing;

@@ -136,8 +136,8 @@ struct EngineConfig
                                 //!< of this pool (not Disaggregated)
     int capacity = 2;           //!< C, expert slots per device
     int simulatedLayers = 4;    //!< MoE layers priced per step
-    BatcherConfig batcher;      //!< resolved for the pool (numDevices,
-                                //!< KV budget, token budget)
+    BatcherConfig batcher;      //!< resolved for the pool (KV budget,
+                                //!< token budget)
     RoutingModel routing;       //!< resolved for the pool's device count
     int retunePeriod = 16;      //!< LAER re-tune cadence, in steps
     TunerConfig tuner;          //!< LAER planner knobs

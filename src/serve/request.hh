@@ -25,6 +25,7 @@
 #ifndef LAER_SERVE_REQUEST_HH
 #define LAER_SERVE_REQUEST_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -63,6 +64,8 @@ struct Request
     Seconds finishTime = -1.0;     //!< absolute time; < 0 until done
     bool restoring = false;       //!< preempted; KV is being recomputed
     bool swapped = false;         //!< preempted; KV parked in host memory
+    std::int32_t decodeTarget = 0; //!< decode tokens a disaggregated
+                                   //!< prefill copy still owes; 0 else
     Bytes swappedBytes = 0;       //!< KV bytes parked on host while swapped
     int preemptions = 0;          //!< times this request was evicted
     int retries = 0;              //!< fault-recovery re-queues so far
@@ -70,6 +73,14 @@ struct Request
 
     /** Current life-cycle stage, derived from progress counters. */
     RequestPhase phase() const;
+
+    /** Prompt plus every output token owed, the prefill copy's
+     * parked target included: the KV ceiling this request can reach. */
+    TokenCount fullContext() const
+    {
+        return prefillTokens +
+               std::max<TokenCount>(decodeTokens, decodeTarget);
+    }
 
     /** Context length the next decode token attends over. */
     TokenCount contextLength() const { return prefillTokens + decodeDone; }

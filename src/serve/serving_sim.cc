@@ -47,7 +47,6 @@ normalizeConfig(const Cluster &cluster, ServingConfig config)
     LAER_CHECK(config.retunePeriod >= 1,
                "retune period must be positive");
 
-    config.batcher.numDevices = n;
     config.batcher.numSloClasses = config.arrival.numSloClasses;
 
     config.routing.numDevices = n;
@@ -197,7 +196,6 @@ ServingSimulator::engineConfigFor(const DevicePoolSlice &slice,
                          config_.disagg.sharedLayout && pool_index == 0);
 
     ec.batcher = config_.batcher;
-    ec.batcher.numDevices = n;
     // A pool's step budget is its device share of the cluster budget.
     ec.batcher.tokenBudget = std::max<TokenCount>(
         1, config_.batcher.tokenBudget * n / cluster_n);
@@ -469,21 +467,21 @@ ServingSimulator::requestSplit(int prefill_devices)
         return false;
 
     // Every live context must stay admissible after the shrink: the
-    // biggest FULL context among running/waiting requests, in-flight
-    // migrations and prefill-held decode targets has to fit both new
-    // pools' KV budgets (conservative: the prefill pool only ever
-    // sees prompt + 1, but one ceiling keeps the check simple), or
-    // re-homing would blow up enqueue() after the drain.
+    // biggest full context (Request::fullContext(), so a prefill
+    // copy's parked decode target counts) among running/waiting
+    // requests, in-flight migrations and retries waiting out their
+    // backoff has to fit both new pools' KV budgets (conservative:
+    // the prefill pool only ever sees prompt + 1, but one ceiling
+    // keeps the check simple), or re-homing would blow up enqueue()
+    // after the drain.
     TokenCount max_ctx = 0;
     for (const Slot &slot : slots_)
         max_ctx = std::max(max_ctx,
                            slot.engine().batcher().maxLiveFullContext());
     for (const PendingMigration &m : migrations_)
-        max_ctx = std::max(max_ctx, m.request.prefillTokens +
-                                        m.request.decodeTokens);
-    for (const auto &[id, target] : decodeTargets_)
-        if (const Request *r = slots_[0].engine().batcher().find(id))
-            max_ctx = std::max(max_ctx, r->prefillTokens + target);
+        max_ctx = std::max(max_ctx, m.request.fullContext());
+    for (const PendingRetry &r : retryQueue_)
+        max_ctx = std::max(max_ctx, r.request.fullContext());
     if (max_ctx > 0) {
         for (const int pool : {prefill_devices, decode}) {
             const PoolKv kv = poolKvFor(pool);
@@ -503,12 +501,6 @@ ServingSimulator::requestSplit(int prefill_devices)
         beginEngineDrain(i);
     applyReconfig();
     return true;
-}
-
-void
-ServingSimulator::recordControlWindow(const ControlWindowSample &sample)
-{
-    windows_.push_back(sample);
 }
 
 // ---- observability plumbing -----------------------------------------
@@ -840,9 +832,17 @@ ServingSimulator::pumpArrivals()
         Request request = admitArrival(i);
         if (disagg) {
             // The prefill pool runs the request only up to its first
-            // token; the requested decode length is restored when the
-            // context migrates to the decode pool.
-            decodeTargets_[request.id] = request.decodeTokens;
+            // token; the requested decode length rides along as its
+            // decode target and is restored when the context migrates
+            // to the decode pool.
+            LAER_CHECK(request.decodeTokens <=
+                           std::numeric_limits<std::int32_t>::max(),
+                       "request " << request.id << " asks for "
+                                  << request.decodeTokens
+                                  << " decode tokens; a prefill copy "
+                                     "parks at most 2^31 - 1");
+            request.decodeTarget =
+                static_cast<std::int32_t>(request.decodeTokens);
             request.decodeTokens = 1;
         }
         slots_[i].engine().enqueue(request);
@@ -949,12 +949,7 @@ ServingSimulator::harvestFinished(int pool_index,
         }
         // Prefill pool: the "finished" request is the prefill-only
         // copy — its prefill completed and the first token is out.
-        const auto it = decodeTargets_.find(r.id);
-        LAER_ASSERT(it != decodeTargets_.end(),
-                    "prefill pool finished unknown request " << r.id);
-        const TokenCount decode_target = it->second;
-        decodeTargets_.erase(it);
-        if (decode_target <= 1) {
+        if (r.decodeTarget <= 1) {
             // Single-token request: nothing left to decode, and no KV
             // to move.
             recordCompletion(r);
@@ -970,7 +965,7 @@ ServingSimulator::harvestFinished(int pool_index,
             // still sits at the chunk start — inside the step span
             // already attributed as compute.
             const Seconds finished_at = r.finishTime;
-            abortTransfer(std::move(r), decode_target, finished_at);
+            abortTransfer(std::move(r), finished_at);
             continue;
         }
         // Hand the context over: its KV crosses the inter-pool links.
@@ -990,7 +985,8 @@ ServingSimulator::harvestFinished(int pool_index,
                            onKvTransfer(r.id, r.finishTime, wire));
         PendingMigration m;
         m.readyAt = r.finishTime + wire;
-        r.decodeTokens = decode_target;
+        r.decodeTokens = r.decodeTarget;
+        r.decodeTarget = 0;
         r.finishTime = -1.0;
         m.request = r;
         // Keep the queue ordered by arrival at the decode pool:
@@ -1016,6 +1012,13 @@ ServingSimulator::pumpMigrations()
                 break; // a revival is coming: the context waits
             // Nothing will ever serve this context again: fail it now
             // rather than hang the drain (the pumpRetries rule).
+            failRequest(m.request);
+            migrations_.pop_front();
+            continue;
+        }
+        if (!decode.batcher().canEverHold(m.request)) {
+            // A fault-shrunk decode pool can never hold this context:
+            // fail it, as resizePoolKv() failed the pool's own.
             failRequest(m.request);
             migrations_.pop_front();
             continue;
@@ -1251,9 +1254,7 @@ ServingSimulator::applyFaultEvent(const FaultEvent &event)
             // The full wire span was attributed at harvest, so the
             // retry dead time starts at the wire's would-be end (the
             // backoff usually expires earlier; the wait clamps to 0).
-            const TokenCount decode_target = m.request.decodeTokens;
-            abortTransfer(std::move(m.request), decode_target,
-                          m.readyAt);
+            abortTransfer(std::move(m.request), m.readyAt);
         }
     } else if (event.kind == FaultKind::DeviceFail ||
                event.kind == FaultKind::DeviceRepair) {
@@ -1323,22 +1324,21 @@ ServingSimulator::applyRepair(std::size_t i)
 }
 
 void
-ServingSimulator::abortTransfer(Request request,
-                                TokenCount decode_target,
-                                Seconds killed_at)
+ServingSimulator::abortTransfer(Request request, Seconds killed_at)
 {
     // A dead boundary link cut this context's handover. Its KV was
     // released at the pool boundary, so the retry re-runs the prefill
     // (recompute disposition) back in the prefill pool and re-earns
-    // the handover; the decode target is re-parked until then.
+    // the handover; the decode target is re-parked on the request
+    // until then.
     ++avail_.transfersAborted;
     LAER_TRACE_INSTANT(config_.trace, faultTrack(), "transfer_abort",
                        "fault", now_,
                        {TraceArg{"id", request.id},
                         TraceArg{"context",
                                  request.contextLength()}});
-    decodeTargets_[request.id] =
-        std::max<TokenCount>(decode_target, 2);
+    request.decodeTarget = static_cast<std::int32_t>(std::max<TokenCount>(
+        {request.decodeTokens, request.decodeTarget, 2}));
     request.decodeTokens = 1;
     request.restoring = request.decodeDone > 0;
     request.prefillDone = 0;
@@ -1386,7 +1386,6 @@ ServingSimulator::failRequest(const Request &request)
         static_cast<std::size_t>(request.sloClass) <
             avail_.failedByClass.size())
         ++avail_.failedByClass[static_cast<std::size_t>(request.sloClass)];
-    decodeTargets_.erase(request.id);
     LAER_TRACE_INSTANT(config_.trace, faultTrack(), "request_failed",
                        "fault", now_,
                        {TraceArg{"id", request.id},
@@ -1408,7 +1407,7 @@ ServingSimulator::pickRetryTarget(const Request &request) const
     // re-running its prefill would only reach the same dead boundary
     // and burn the retry budget; the LinkUp event is the revival it
     // waits on.
-    const int pool = decodeTargets_.count(request.id) != 0 ? 0 : 1;
+    const int pool = request.decodeTarget > 0 ? 0 : 1;
     if (pool == 0 && linkDown_)
         return -1;
     return slots_[pool].engine().accepting() ? pool : -1;
@@ -1452,14 +1451,21 @@ ServingSimulator::pumpRetries()
         }
         PendingRetry retry = std::move(retryQueue_.front());
         retryQueue_.pop_front();
+        ServingEngine &engine =
+            slots_[static_cast<std::size_t>(target)].engine();
+        if (!engine.batcher().canEverHold(retry.request)) {
+            // The target shrank under a device fault while the retry
+            // waited: it can never hold this context.
+            failRequest(retry.request);
+            continue;
+        }
         if (LAER_REQ_SAMPLED(config_.reqTrace, retry.request.id))
             LAER_REQ_EVENT(config_.reqTrace,
                            onRetryWait(retry.request.id,
                                        retry.killedAt, now_));
         // Re-admission at class FRONT: the retry already waited out
         // its failure and must not queue behind the backlog again.
-        slots_[static_cast<std::size_t>(target)].engine().enqueueFront(
-            retry.request);
+        engine.enqueueFront(retry.request);
     }
 }
 
@@ -2048,7 +2054,6 @@ ServingSimulator::buildReport() const
     report.transferStallSeconds = transferStallSeconds_;
     report.deviceSeconds = deviceSecondsSoFar();
     report.scalingEvents = scalingEvents_;
-    report.windows = windows_;
 
     if (config_.selfProfile) {
         report.profRetuneMs = retune_ms;

@@ -49,7 +49,6 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/stats.hh"
@@ -224,21 +223,6 @@ struct ScalingEvent
     int rehomed = 0;         //!< live requests drained + re-enqueued
 };
 
-/** One control-loop decision window, recorded into the report so a
- * run carries its replica/split time series. */
-struct ControlWindowSample
-{
-    Seconds start = 0.0;
-    Seconds end = 0.0;
-    double arrivalRate = 0.0;   //!< offered requests/s in the window
-    int activeReplicas = 0;     //!< live engines at window close
-    int prefillDevices = 0;     //!< current split (Disaggregated); 0 else
-    int queueDepth = 0;         //!< waiting requests across pools
-    double kvUtilization = 0.0; //!< max pool KV utilization at close
-    Seconds ttftP95 = 0.0;      //!< over the window's completions
-    Seconds tpotP95 = 0.0;
-};
-
 /** Availability section of a faulted run's report (all zero /
  * empty when ServingConfig::faults is disabled). The simulator keeps
  * one live copy as the run plays; buildReport() copies it whole and
@@ -303,11 +287,11 @@ struct ServingReport
     std::vector<RetuneWallSample> retuneWall; //!< per retune, in
                                               //!< applied-step order
 
-    // Control-plane accounting. Static runs carry no events or
-    // windows and deviceSeconds = numDevices * elapsed.
+    // Control-plane accounting. Static runs carry no events and
+    // deviceSeconds = numDevices * elapsed. The per-window series
+    // lives in the driving ControlLoop's telemetry() history.
     double deviceSeconds = 0.0;    //!< integral of powered devices
     std::vector<ScalingEvent> scalingEvents;
-    std::vector<ControlWindowSample> windows;
 
     // Wall-time self-profile of the simulator process itself (real
     // milliseconds; zeros unless ServingConfig::selfProfile).
@@ -409,9 +393,6 @@ class ServingSimulator
      * floor; the control plane plans against it.
      */
     int minPoolDevices() const;
-
-    /** Record one control-loop decision window into the report. */
-    void recordControlWindow(const ControlWindowSample &sample);
 
     /**
      * Cap the windowed event core's next advancement window at `t`
@@ -653,15 +634,15 @@ class ServingSimulator
      * for one cut in flight) — the retry dead time starts there, not
      * at the event that noticed the cut, so the per-request
      * attribution stays exact. */
-    void abortTransfer(Request request, TokenCount decode_target,
-                       Seconds killed_at);
+    void abortTransfer(Request request, Seconds killed_at);
 
     /** Re-derive engine `i`'s KV budget from its surviving devices
      * (byte-accounting runs only); unservable requests fail. */
     void resizePoolKv(std::size_t i);
 
     /** Re-admit retries whose backoff has elapsed at class front;
-     * fail-fast when no engine can ever serve them again. */
+     * fail-fast when no engine can ever serve them again, or when
+     * their target can never hold them. */
     void pumpRetries();
 
     /** Engine a retried request re-enters, or -1 when none is live
@@ -820,14 +801,9 @@ class ServingSimulator
     };
     PendingReconfig pending_;
     std::vector<ScalingEvent> scalingEvents_;
-    std::vector<ControlWindowSample> windows_;
     double deviceSeconds_ = 0.0;
     Seconds lastPowerAccrual_ = 0.0;
     std::deque<PendingMigration> migrations_; //!< sorted by readyAt
-    std::unordered_map<int, TokenCount> decodeTargets_; //!< id ->
-                                    //!< requested decode tokens while
-                                    //!< the request is in the prefill
-                                    //!< pool (Disaggregated only)
     Request lookahead_;          //!< next not-yet-due arrival
     bool lookaheadValid_ = false;
     bool offeringClosed_ = false;

@@ -123,7 +123,6 @@ flexConfig()
 {
     FlexMoeConfig cfg;
     cfg.capacity = 2;
-    cfg.maxMovesPerStep = 2;
     cfg.expertBytes = 1000; // tiny => low penalty in tests
     cfg.cost.commBytesPerToken = 8192;
     cfg.cost.compFlopsPerToken = 3.5e8;

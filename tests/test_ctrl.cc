@@ -549,8 +549,7 @@ TEST(ControlLoop, ObserveOnlyMatchesAnUncontrolledRun)
     EXPECT_DOUBLE_EQ(a.ttftP99, b.ttftP99);
     EXPECT_DOUBLE_EQ(a.goodputTps, b.goodputTps);
     EXPECT_DOUBLE_EQ(a.throughputTps, b.throughputTps);
-    EXPECT_TRUE(a.windows.empty());
-    EXPECT_FALSE(b.windows.empty());
+    EXPECT_FALSE(loop.telemetry().history().empty());
     EXPECT_TRUE(b.scalingEvents.empty());
 }
 
@@ -581,9 +580,9 @@ TEST(ControlLoop, ConstantRateNeverOscillates)
         last_direction = direction;
     }
     EXPECT_LE(direction_changes, 1);
-    // The per-window series landed in the report.
-    EXPECT_FALSE(report.windows.empty());
-    for (const ControlWindowSample &w : report.windows)
+    // The per-window series landed in the loop's telemetry history.
+    EXPECT_FALSE(loop.telemetry().history().empty());
+    for (const TelemetryWindow &w : loop.telemetry().history())
         EXPECT_GE(w.activeReplicas, 1);
 }
 

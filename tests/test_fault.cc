@@ -7,7 +7,9 @@
  * aborts, degraded-pool admission shrink, a deferred fail-stop landing
  * at its victim's step end, determinism of a faulted run, and the
  * engine-lifecycle rules under faults: a split refused while a pool is
- * dead, stranded contexts failed at a dead decode pool, and a split
+ * dead or while retries it could not re-home wait out their backoff,
+ * stranded contexts failed at a dead decode pool, contexts and retries
+ * a fault-shrunk pool can never hold failed at its door, and a split
  * rebuild that comes back whole.
  */
 
@@ -448,6 +450,107 @@ TEST(FaultRecovery, DeviceFailureShrinksPoolInsteadOfAborting)
     EXPECT_EQ(report.offered,
               report.completed + report.availability.requestsFailed);
     EXPECT_EQ(report.availability.faultsInjected, 1);
+}
+
+/** Disaggregated 4/4 split whose long decode targets (mean 4000
+ * tokens) dwarf the prompts, on an HBM budget of `hbm_gib` GiB per
+ * device: the full contexts only fit pools of four devices. */
+ServingConfig
+longDecodeDisaggConfig(double hbm_gib, Seconds horizon)
+{
+    ServingConfig cfg;
+    cfg.model = mixtral8x7bE8K2();
+    cfg.policy = ServingPolicy::Disaggregated;
+    cfg.capacity = 4;
+    cfg.simulatedLayers = 2;
+    cfg.horizon = horizon;
+    cfg.arrival.kind = ArrivalKind::Poisson;
+    cfg.arrival.ratePerSec = 25.0;
+    cfg.arrival.meanPrefillTokens = 256;
+    cfg.arrival.meanDecodeTokens = 4000;
+    cfg.arrival.seed = 9;
+    cfg.batcher.tokenBudget = 8192;
+    cfg.batcher.prefillChunk = 512;
+    cfg.hbmPerDevice =
+        static_cast<Bytes>(hbm_gib * static_cast<double>(1LL << 30));
+    cfg.seed = 13;
+    return cfg;
+}
+
+TEST(FaultRecovery, SplitWaitsForRetriesThatCannotFit)
+{
+    // The decode pool dies with every context inside it; they wait out
+    // a 3 s backoff in the retry queue, in no batcher. A 6/2 split
+    // would leave a 2-device decode pool (~2,685 KV tokens) that
+    // cannot hold their ~4,000-token contexts, so re-homing them after
+    // the drain would abort the run. The split must count them and
+    // refuse.
+    const Cluster cluster(4, 2, 300e9, 12.5e9, 212e12);
+    ServingConfig cfg = longDecodeDisaggConfig(46.55, 0.5);
+    cfg.faults.backoffBase = 3.0;
+    cfg.faults.backoffCap = 3.0;
+    cfg.faults.events.push_back({1.0, FaultKind::ReplicaFail, 1, 1.0});
+    cfg.faults.events.push_back(
+        {1.01, FaultKind::ReplicaRepair, 1, 1.0});
+    ServingSimulator sim(cluster, cfg);
+    stepUntil(sim, 1.2);
+    ASSERT_EQ(sim.retryingNow(), 8);
+    ASSERT_EQ(sim.engine(1).state(), EngineState::Loading);
+
+    EXPECT_FALSE(sim.requestSplit(6));
+    EXPECT_FALSE(sim.reconfigPending());
+    while (sim.step()) {
+    }
+    const ServingReport report = sim.finish();
+    EXPECT_EQ(report.offered, 9);
+    EXPECT_EQ(report.completed, report.offered);
+    EXPECT_EQ(report.availability.requestsFailed, 0);
+}
+
+TEST(FaultRecovery, ShrunkDecodePoolFailsContextsItCannotHold)
+{
+    // Three of the decode pool's four devices die while contexts are
+    // still in the prefill pool or on the wire. A context the shrunk
+    // pool can never hold fails at its door, as resizePoolKv() fails
+    // the pool's own, instead of aborting the run.
+    const Cluster cluster(4, 2, 300e9, 12.5e9, 212e12);
+    ServingConfig cfg = longDecodeDisaggConfig(25.91, 1.0);
+    cfg.faults.events.push_back({0.3, FaultKind::DeviceFail, 1, 3.0});
+    ServingSimulator sim(cluster, cfg);
+    ServingReport report;
+    ASSERT_NO_THROW(report = sim.run());
+
+    // Only the one context too big for the survivor fails.
+    EXPECT_EQ(report.availability.requestsFailed, 1);
+    EXPECT_EQ(report.completed, 21);
+    EXPECT_EQ(report.offered,
+              report.completed + report.availability.requestsFailed);
+}
+
+TEST(FaultRecovery, ShrunkPoolFailsRetriesItCannotHold)
+{
+    // The decode pool dies with its contexts inside, and three of its
+    // four devices die while it reloads. The retries come back after
+    // their 3 s backoff to a pool that holds a quarter of its budget:
+    // those it can never hold fail at the retry door instead of
+    // aborting the run, and the rest complete.
+    const Cluster cluster(4, 2, 300e9, 12.5e9, 212e12);
+    ServingConfig cfg = longDecodeDisaggConfig(25.0, 0.5);
+    cfg.faults.backoffBase = 3.0;
+    cfg.faults.backoffCap = 3.0;
+    cfg.faults.events.push_back({1.0, FaultKind::ReplicaFail, 1, 1.0});
+    cfg.faults.events.push_back(
+        {1.01, FaultKind::ReplicaRepair, 1, 1.0});
+    cfg.faults.events.push_back({1.05, FaultKind::DeviceFail, 1, 3.0});
+    ServingSimulator sim(cluster, cfg);
+    ServingReport report;
+    ASSERT_NO_THROW(report = sim.run());
+
+    EXPECT_EQ(report.availability.requestsRetried, 8);
+    EXPECT_EQ(report.availability.requestsFailed, 5);
+    EXPECT_EQ(report.completed, 4);
+    EXPECT_EQ(report.offered,
+              report.completed + report.availability.requestsFailed);
 }
 
 TEST(FaultRecovery, RepairedReplicaComesBackWithEveryDevice)

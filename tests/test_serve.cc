@@ -132,18 +132,6 @@ TEST(Batcher, NeverExceedsTokenBudget)
     EXPECT_EQ(batcher.takeFinished().size(), 40u);
 }
 
-TEST(Batcher, PerDeviceCapTightensBudget)
-{
-    BatcherConfig cfg;
-    cfg.tokenBudget = 8192;
-    cfg.deviceTokenCap = 100;
-    cfg.numDevices = 4;
-    ContinuousBatcher batcher(cfg);
-    EXPECT_EQ(batcher.effectiveBudget(), 400);
-    batcher.enqueue(makeRequest(0, 0.0, 4096, 8));
-    EXPECT_LE(batcher.nextBatch().totalTokens(), 400);
-}
-
 TEST(Batcher, FifoWithinClassAndClassPriority)
 {
     BatcherConfig cfg;
