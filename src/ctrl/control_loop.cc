@@ -29,7 +29,7 @@ ControlLoop::ControlLoop(ServingSimulator &sim,
                "decision interval must be positive");
     AutoscalerConfig &ac = config_.autoscaler;
     ac.maxReplicas = std::min(std::max(ac.maxReplicas, 1),
-                              sim_.replicaSlots());
+                              sim_.numEngines());
     ac.minReplicas = std::min(std::max(ac.minReplicas, 1),
                               ac.maxReplicas);
     if (ac.minPoolDevices == 0)
@@ -66,7 +66,7 @@ ControlLoop::controlState() const
     state.splitMode =
         sim_.config().policy == ServingPolicy::Disaggregated;
     state.activeReplicas = sim_.activeReplicas();
-    state.replicaSlots = sim_.replicaSlots();
+    state.replicaSlots = sim_.numEngines();
     state.prefillDevices = sim_.prefillDevices();
     state.totalDevices = sim_.cluster().numDevices();
     state.nodeDevices = config_.autoscaler.splitStepDevices;

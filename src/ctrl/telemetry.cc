@@ -107,18 +107,19 @@ TelemetryCollector::collect(const ServingSimulator &sim, Seconds start,
     // cursors stay parked at 0 — collection itself is unaffected.
 
     w.faultsEnabled = sim.config().faults.enabled();
-    w.faults = sim.faultsSoFar() - lastFaults_;
-    lastFaults_ = sim.faultsSoFar();
-    w.repairs = sim.repairsSoFar() - lastRepairs_;
-    lastRepairs_ = sim.repairsSoFar();
-    w.failed = sim.failedSoFar() - lastFailed_;
-    lastFailed_ = sim.failedSoFar();
+    const AvailabilityReport &avail = sim.availabilitySoFar();
+    w.faults = avail.faultsInjected - lastFaults_;
+    lastFaults_ = avail.faultsInjected;
+    w.repairs = avail.repairs - lastRepairs_;
+    lastRepairs_ = avail.repairs;
+    w.failed = avail.requestsFailed - lastFailed_;
+    lastFailed_ = avail.requestsFailed;
     w.deadReplicas = sim.deadReplicas();
     w.retrying = sim.retryingNow();
 
     w.activeReplicas = sim.activeReplicas();
     w.prefillDevices = sim.prefillDevices();
-    for (int i = 0; i < sim.replicaSlots(); ++i) {
+    for (int i = 0; i < sim.numEngines(); ++i) {
         const ServingEngine &engine = sim.engine(i);
         PoolSignal pool;
         pool.name = engine.slice().name;

@@ -34,12 +34,14 @@
 #ifndef LAER_SERVE_ENGINE_HH
 #define LAER_SERVE_ENGINE_HH
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include "baselines/flexmoe.hh"
 #include "baselines/static_ep.hh"
+#include "core/stats.hh"
 #include "model/config.hh"
 #include "model/memory.hh"
 #include "planner/layout_tuner.hh"
@@ -357,6 +359,51 @@ class ServingEngine
     std::vector<double> layerImbalance_;
     RetuneWallSample lastRetune_;
 };
+
+/**
+ * The serving simulator's record of one engine slot: the engine
+ * incarnation, which a rebuild replaces whole so nothing of a stopped
+ * engine reaches its successor, beside what outlives a rebuild. The
+ * simulator and the components it owns (serve/fault_recovery.hh,
+ * serve/reconfig.hh, serve/serving_obs.hh) read and write slots
+ * through this one record.
+ */
+struct EngineSlot
+{
+    struct Incarnation
+    {
+        std::unique_ptr<ServingEngine> engine; //!< owns its slice
+        double stragglerFactor = 1.0; //!< step slowdown (faults)
+        int deadDevices = 0;          //!< masked devices (faults)
+        bool pendingKill = false;     //!< fail-stop due at freeAt
+        Seconds drainStart = -1.0;    //!< beginDrain time, or < 0
+    };
+    /** Per-pool accounting accumulated as the run plays. */
+    struct Stats
+    {
+        std::int64_t preemptions = 0;
+        int steps = 0;
+        Accumulator kvUtil;
+    };
+    Incarnation inc;
+    // Slot lifetime: these outlive a rebuild.
+    Seconds freeAt = 0.0;          //!< busy until
+    Seconds faultDownSince = -1.0; //!< MTTR clock start, or < 0
+    Stats stats;                   //!< the pool's run totals
+
+    ServingEngine &engine() const { return *inc.engine; }
+};
+
+/** Number of `slots` whose engine is in `state`. */
+inline int
+countSlots(const std::vector<EngineSlot> &slots, EngineState state)
+{
+    return static_cast<int>(
+        std::count_if(slots.begin(), slots.end(),
+                      [state](const EngineSlot &slot) {
+                          return slot.engine().state() == state;
+                      }));
+}
 
 } // namespace laer
 

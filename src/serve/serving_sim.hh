@@ -61,7 +61,10 @@
 #include "serve/batcher.hh"
 #include "serve/device_pool.hh"
 #include "serve/engine.hh"
+#include "serve/fault_recovery.hh"
+#include "serve/reconfig.hh"
 #include "serve/request.hh"
+#include "serve/serving_obs.hh"
 #include "topo/cluster.hh"
 #include "trace/routing_generator.hh"
 
@@ -164,10 +167,12 @@ struct ServingConfig
     bool desParallel = false;
 
     // ---- observability (src/obs/, docs/OBSERVABILITY.md) ----------
-    // All of it is strictly write-only: recorders are never read back,
-    // so attaching them cannot change a single simulated number, and
-    // leaving them null (the default) skips every emission behind one
-    // pointer test.
+    // Recorders are never read back. On the per-event core, attaching
+    // them cannot change a single simulated number, and leaving them
+    // null (the default) skips every emission behind one pointer test.
+    // The windowed core (desParallel) is the exception: a registry with
+    // snapshotInterval > 0 caps every window at the snapshot grid, so
+    // attaching it moves the window ends and with them the run.
 
     /** Optional trace recorder: step/retune/KV-transfer/drain spans
      * and admission/preemption/scaling instants land here. Non-owning;
@@ -209,37 +214,6 @@ struct PoolReport
     std::int64_t preemptions = 0;
     double meanKvUtilization = 0.0;
     double peakKvUtilization = 0.0;
-};
-
-/** One control-plane reconfiguration on the run's timeline. */
-struct ScalingEvent
-{
-    Seconds requested = 0.0; //!< decision time
-    Seconds applied = 0.0;   //!< drains done / capacity usable
-    std::string action;      //!< "replicas" or "split"
-    int before = 0;          //!< replica count, or prefill devices
-    int after = 0;
-    Seconds loadDelay = 0.0; //!< model (re)shard time over kHostLinkBw
-    int rehomed = 0;         //!< live requests drained + re-enqueued
-};
-
-/** Availability section of a faulted run's report (all zero /
- * empty when ServingConfig::faults is disabled). The simulator keeps
- * one live copy as the run plays; buildReport() copies it whole and
- * closes the MTTR mean and a still-open degraded window. */
-struct AvailabilityReport
-{
-    std::int64_t faultsInjected = 0;  //!< injecting events applied
-    std::int64_t repairs = 0;         //!< fault-killed replicas rebuilt
-    std::int64_t requestsRetried = 0; //!< backoff re-queues scheduled
-    std::int64_t requestsFailed = 0;  //!< retry budget exhausted
-    std::int64_t transfersAborted = 0; //!< KV transfers cut by a dead link
-    Seconds mttrMean = 0.0;   //!< mean fault -> Active-again time
-    Seconds mttrMax = 0.0;    //!< worst repair
-    Seconds degradedSeconds = 0.0; //!< time with any fault active
-    double degradedGoodputTps = 0.0; //!< goodput while degraded
-    std::vector<std::int64_t> failedByClass; //!< per SLO class
-    std::vector<FaultEvent> timeline; //!< applied events, in order
 };
 
 /** Summary of a full serving run. */
@@ -344,10 +318,6 @@ class ServingSimulator
 
     // ---- control-plane hooks (src/ctrl/) ------------------------------
 
-    /** Replica slots carved at construction (1 unless
-     * ReplicaConfig::replicaDevices is set; 2 when disaggregated). */
-    int replicaSlots() const { return static_cast<int>(slots_.size()); }
-
     /** Engines not Stopped — live replicas (or pools). */
     int activeReplicas() const;
 
@@ -360,7 +330,7 @@ class ServingSimulator
 
     /**
      * Ask for `target` live replicas (replica mode only; clamped to
-     * [1, replicaSlots()]). Scale-up activates stopped slices behind a
+     * [1, numEngines()]). Scale-up activates stopped slices behind a
      * model-load delay; scale-down closes admission on the
      * highest-index live slices and drains each at its next idle
      * moment, re-homing live requests onto the surviving replicas.
@@ -404,30 +374,28 @@ class ServingSimulator
     void setBarrier(Seconds t);
 
     /** Requests offered so far (the control plane's arrival counter). */
-    std::int64_t offeredRequests() const { return offered_; }
+    std::int64_t offeredRequests() const { return totals_.offered; }
 
     // ---- fault-injection signals (src/fault/, zeros when off) ------
 
-    /** Fault events applied so far. */
-    std::int64_t faultsSoFar() const { return avail_.faultsInjected; }
-
-    /** Fault-killed replicas rebuilt back to Active so far. */
-    std::int64_t repairsSoFar() const { return avail_.repairs; }
-
-    /** Requests that exhausted their retry budget so far. */
-    std::int64_t failedSoFar() const { return avail_.requestsFailed; }
-
-    /** Requests currently waiting out a retry backoff. */
-    int retryingNow() const
+    /** The live availability record (faults, repairs, failures so far;
+     * see FaultRecovery::live()). */
+    const AvailabilityReport &availabilitySoFar() const
     {
-        return static_cast<int>(retryQueue_.size());
+        return faults_.live();
     }
 
+    /** Requests currently waiting out a retry backoff. */
+    int retryingNow() const { return faults_.retrying(); }
+
     /** Engines currently dead from an unrepaired fault. */
-    int deadReplicas() const;
+    int deadReplicas() const { return faults_.deadReplicas(slots_); }
 
     /** Transfer-stall seconds accumulated so far. */
-    Seconds transferStallSoFar() const { return transferStallSeconds_; }
+    Seconds transferStallSoFar() const
+    {
+        return totals_.transferStallSeconds;
+    }
 
     /** Integral of powered devices over simulated time so far. */
     double deviceSecondsSoFar() const;
@@ -441,10 +409,11 @@ class ServingSimulator
     /** Per-step results recorded so far (all pools, start order). */
     const std::vector<ServingStepResult> &stepResults() const
     {
-        return steps_;
+        return totals_.steps;
     }
 
-    /** Engines driving this run: 1, or 2 when disaggregated. */
+    /** Engine slots carved at construction: 1, the replica slices of
+     * ReplicaConfig::replicaDevices, or 2 when disaggregated. */
     int numEngines() const { return static_cast<int>(slots_.size()); }
 
     /** Engine `i` (0 = prefill pool when disaggregated). */
@@ -463,36 +432,30 @@ class ServingSimulator
         Seconds readyAt = 0; //!< prefill finish + wire time
     };
 
-    /** Per-pool accounting accumulated as the run plays. */
-    struct PoolStats
-    {
-        std::int64_t preemptions = 0;
-        int steps = 0;
-        Accumulator kvUtil;
-    };
-
-    /** Resolve one pool's engine configuration from the run config. */
-    EngineConfig engineConfigFor(const DevicePoolSlice &slice,
-                                 int pool_index) const;
-
-    /** Model-load delay of spinning a pool of this size up: the
-     * per-device inference model state over the host link. */
-    Seconds loadDelayFor(const DevicePoolSlice &slice) const;
-
     /** KV parameters of one pool; budget 0 is maxRunning slot mode. */
     struct PoolKv
     {
         Bytes budget = 0;
         Bytes bytesPerToken = 0;
         TokenCount blockTokens = 1;
-
-        /** Block-rounded bytes a `context`-token context reserves. */
-        Bytes bytesFor(TokenCount context) const
-        {
-            return (context + blockTokens - 1) / blockTokens *
-                   blockTokens * bytesPerToken;
-        }
     };
+
+    /** Where a request that waited outside an engine (a retry, a
+     * context at the decode pool's door) goes next. */
+    enum class Door
+    {
+        Enter,  //!< the target takes it
+        Wait,   //!< no target now, but a revival is expected
+        Failed, //!< counted failed: nothing will ever serve it
+    };
+
+    /** Carve the cluster into the run's slots, each with a fresh
+     * engine; replica slices beyond the initial count start parked. */
+    std::vector<EngineSlot> buildSlots() const;
+
+    /** Resolve one pool's engine configuration from the run config. */
+    EngineConfig engineConfigFor(const DevicePoolSlice &slice,
+                                 int pool_index) const;
 
     /** The one derivation of a `devices`-device pool's KV parameters
      * (from simulated HBM, a configured budget split by device share,
@@ -517,8 +480,9 @@ class ServingSimulator
 
     /** Replace stopped slot `i`'s whole Incarnation with a fresh
      * Loading engine on `slice` (its own, or the split's new one)
-     * busy until the model-load delay ends: scale-up, fault repair
-     * and the split re-partition all rebuild through here.
+     * busy until its model shards land over the host link: scale-up,
+     * fault repair and the split re-partition all rebuild through
+     * here.
      * @return the load delay. */
     Seconds rebuildEngine(std::size_t i, const DevicePoolSlice &slice);
 
@@ -533,8 +497,7 @@ class ServingSimulator
     const Request *peekArrival();
 
     /** Admit the peeked arrival to engine `target`: count it offered,
-     * record its admit instant and request-trace admission, and
-     * consume the lookahead.
+     * emit its admission and consume the lookahead.
      * @return the admitted request, for the caller to enqueue. */
     Request admitArrival(std::size_t target);
 
@@ -553,29 +516,9 @@ class ServingSimulator
     /** Route one pool's finished requests: metrics, or migration. */
     void harvestFinished(int pool_index, std::vector<Request> finished);
 
-    /** Record one completed request: latency collector + histograms. */
-    void recordCompletion(const Request &done);
-
     /** Run every free engine with schedulable work at now_.
      * @return true when at least one engine executed a step. */
     bool runDueEngines();
-
-    /** Everything one engine step produced, handed from produceStep()
-     * to applyStep(). The windowed core buffers these on its workers
-     * and applies them in deterministic order at the window merge. */
-    struct StepRecord
-    {
-        ServingStepResult result; //!< start and pool set even when idle
-        bool idle = false;        //!< empty plan: nothing executed
-        std::vector<PreemptionRecord> preempted; //!< planStep() evictions
-        std::int64_t admissions = 0;       //!< admitted by planStep()
-        std::vector<Request> completions;  //!< finished at commit
-        /** Sampled requests' residency shares of this step (empty
-         * unless a ReqTraceRecorder is attached). */
-        std::vector<ReqStepShare> shares;
-        RetuneWallSample retune;  //!< valid when result.retuned
-        double execMs = 0.0;      //!< wall inside executeStep (selfProfile)
-    };
 
     /** Plan, execute (straggler factor applied), capture request
      * shares, commit and collect the finished requests of one step of
@@ -584,93 +527,46 @@ class ServingSimulator
     StepRecord produceStep(std::size_t i, Seconds t);
 
     /** Account for and emit one produced step on the simulator thread:
-     * preemptions, KV utilization, pool stats, trace spans, registry
-     * samples, completions, the shared-layout hand-off and the run's
-     * own counters (steps, admissions, retunes). Every step of every
-     * engine instance passes through here, so engine rebuilds cannot
-     * drop a count. */
+     * preemptions, KV utilization, pool stats, its observability,
+     * completions, the shared-layout hand-off and the run's own
+     * totals (steps, admissions, retunes). Every step of every engine
+     * instance passes through here, so engine rebuilds cannot drop a
+     * count. */
     void applyStep(std::size_t i, StepRecord rec);
 
     /** step() body (step() wraps it with snapshots + profiling). */
     bool stepOnce();
 
-    // ---- fault injection (src/fault/; inert on an empty plan) -------
+    // ---- fault effects (the fault state lives in faults_) ------------
 
-    /** Apply fault-plan events due at now_, then any deferred
-     * fail-stop whose engine has reached its busy-until. The next
-     * scripted event and every deferred kill's step end are wakes of
-     * nextEventTime(), so each lands exactly on its own time. */
+    /** Apply fault-plan events due at now_ and run each applied
+     * event's effects, then any deferred fail-stop whose engine has
+     * reached its busy-until. The next scripted event and every
+     * deferred kill's step end are wakes of nextEventTime(), so each
+     * lands exactly on its own time. */
     void applyFaults();
 
-    /** Apply one fault event at now_ (idempotent per kind): record
-     * it in the timeline, count it when it injects, emit its instant,
-     * then run its effects. A no-op event records nothing. */
-    void applyFaultEvent(const FaultEvent &event);
-
-    /** Fail-stop engine `i` NOW: harvest its completed requests,
-     * drain the rest into the retry queue (KV lost — recompute
-     * disposition), and leave the slot Stopped until a repair or the
-     * autoscaler rebuilds it. */
+    /** Fail-stop engine `i` NOW: drain its live requests into the
+     * retry queue (KV lost, recompute disposition), and leave the slot
+     * Stopped until a repair or the autoscaler rebuilds it. */
     void applyKill(std::size_t i);
 
-    /** Rebuild a fault-killed slot behind its model-load delay
-     * (scripted ReplicaRepair; autoscaler rebuilds take the
-     * requestReplicas() path and close the same MTTR clock). */
-    void applyRepair(std::size_t i);
-
-    /** Queue `request` for re-admission after its capped exponential
-     * backoff; counts it failed once past the retry budget. */
-    void scheduleRetry(Request request, Seconds killed_at);
-
-    /** Count `request` failed (budget exhausted / unservable). */
-    void failRequest(const Request &request);
-
-    /** Abort a KV handover cut by a dead boundary link: the context
-     * re-parks its decode target and retries through the prefill pool
-     * (recompute — the KV was released at the pool boundary).
-     * `killed_at` is the instant through which the request's prior
-     * work has already been attributed (the prefill finish for a
-     * handover that never touched the wire, the wire's would-be end
-     * for one cut in flight) — the retry dead time starts there, not
-     * at the event that noticed the cut, so the per-request
-     * attribution stays exact. */
-    void abortTransfer(Request request, Seconds killed_at);
-
-    /** Re-derive engine `i`'s KV budget from its surviving devices
-     * (byte-accounting runs only); unservable requests fail. */
-    void resizePoolKv(std::size_t i);
-
-    /** Re-admit retries whose backoff has elapsed at class front;
-     * fail-fast when no engine can ever serve them again, or when
-     * their target can never hold them. */
+    /** Re-admit retries whose backoff has elapsed, at class front,
+     * through passDoor(); a Disaggregated retry goes back to its
+     * phase's pool. */
     void pumpRetries();
 
-    /** Engine a retried request re-enters, or -1 when none is live
-     * (Disaggregated retries go back to their phase's pool). */
-    int pickRetryTarget(const Request &request) const;
-
-    /** True while currently-unservable work (a retry, a context at a
-     * closed decode door) should keep waiting: a reconfiguration is
-     * pending, an engine is Loading, or the plan still holds a repair
-     * (or a LinkUp while the boundary link is down). */
-    bool reviveExpected() const;
-
-    /** Re-evaluate the degraded predicate after any fault-state
-     * transition; accrues degraded time and its goodput window. */
-    void updateDegraded();
-
-    /** Any fault condition currently active? */
-    bool faultActive() const;
+    /** The one door rule for work that waited outside an engine: a
+     * target that is not accepting (or none, -1) means Wait while a
+     * revival is expected (a pending reconfiguration, a Loading
+     * engine, or a repair, or a LinkUp while the link is down, still
+     * in the plan) and Failed otherwise: nothing would ever serve it,
+     * and failing beats hanging the drain. A target that can never
+     * hold the request (a device fault shrank it) means Failed.
+     * Failed requests are counted here. */
+    Door passDoor(int target, const Request &request);
 
     // ---- windowed event core (ServingConfig::desParallel) ----------
-
-    /** Everything one engine produces while advancing through a
-     * window. */
-    struct WindowBuffer
-    {
-        std::vector<StepRecord> steps;
-        double wallMs = 0.0;   //!< worker wall inside runEngineWindow
-    };
 
     /** Windowed step(): advance every engine to the next barrier /
      * snapshot boundary in parallel, then merge. Falls back to
@@ -678,7 +574,8 @@ class ServingSimulator
     bool stepWindow();
 
     /** Generate and bin this window's arrivals per engine against the
-     * window-start load picture. Advances offered_ and the lookahead. */
+     * window-start load picture. Advances the offered count and the
+     * lookahead. */
     std::vector<std::vector<Request>> binWindowArrivals(Seconds window_end);
 
     /** Advance engine `i` through [now_, window_end): admit its binned
@@ -690,62 +587,11 @@ class ServingSimulator
                          WindowBuffer &buf);
 
     /** Apply the window's buffered steps in (step start, engine
-     * index) order — the interleaving a serial sweep of the same
-     * windows would have produced. The serial core needs no
-     * hand-off: its next event is re-derived from the state. */
+     * index) order. */
     void mergeWindowBuffers(std::vector<WindowBuffer> &buffers);
 
-    // ---- observability plumbing (no-ops when nothing is attached) --
-
-    /** Track-name prefix: "<obsLabel>/" or "". */
-    std::string obsPrefix() const;
-
-    /** Get-or-create engine `i`'s serve track. */
-    int poolTrack(std::size_t i);
-
-    /** Get-or-create engine `i`'s planner (retune) track. */
-    int plannerTrack(std::size_t i);
-
-    /** Get-or-create the shared kv_transfer / control tracks. */
-    int kvTrack();
-    int controlTrack();
-
-    /** Get-or-create the shared faults track. */
-    int faultTrack();
-
-    /** Append a ScalingEvent to the run's record and emit its instant
-     * on the control track. */
-    void recordScaling(const ScalingEvent &event);
-
-    /** Fold the run's authoritative counters/gauges into the attached
-     * registry (called before every snapshot). */
-    void updateRegistryGauges();
-
-    /** Record due periodic CounterSnapshots (simulated cadence). */
-    void maybeSnapshot();
-
-    // ---- per-request lifecycle tracing (obs/req_trace.hh) ----------
-
-    /** Collect the sampled requests' residency shares of one priced
-     * step (each plan entry says whether it replays a preempted
-     * context and whether it emits the first token). Reads only its
-     * arguments and the recorder's pure sampling predicate, so
-     * produceStep() may call it on a worker; no-op (empty out) when
-     * no recorder is attached. */
-    void captureStepShares(const BatchPlan &plan,
-                           const ServingStepResult &result,
-                           int pool_index,
-                           std::vector<ReqStepShare> &out) const;
-
-    /** Feed preemption events + step shares to the recorder
-     * (simulator thread only). */
-    void replayStepTrace(const std::vector<PreemptionRecord> &preempted,
-                         Seconds preempt_time,
-                         const std::vector<ReqStepShare> &shares);
-
-    /** Retire a sampled completion: exact attribution, conservation
-     * check, per-class aggregation, Perfetto emission. */
-    void retireSampledRequest(const Request &done);
+    /** obs_.updateGauges() against the current state. */
+    void updateGauges();
 
     /** Earliest future event: an engine's step end, load or drain
      * (or its deferred fail-stop), the next arrival, the migration
@@ -764,43 +610,11 @@ class ServingSimulator
     std::unique_ptr<ThreadPool> threadPool_; //!< shared by the engines
     ArrivalProcess arrivals_;
     ServingMetrics metrics_;
-    /** Per-engine state: the engine incarnation, which rebuildEngine()
-     * replaces whole so nothing of a stopped engine reaches its
-     * successor, beside what outlives a rebuild. */
-    struct Slot
-    {
-        struct Incarnation
-        {
-            std::unique_ptr<ServingEngine> engine; //!< owns its slice
-            double stragglerFactor = 1.0; //!< step slowdown (faults)
-            int deadDevices = 0;          //!< masked devices (faults)
-            bool pendingKill = false;     //!< fail-stop due at freeAt
-            Seconds drainStart = -1.0;    //!< beginDrain time, or < 0
-        };
-        Incarnation inc;
-        // Slot lifetime: these outlive a rebuild.
-        Seconds freeAt = 0.0;          //!< busy until
-        Seconds faultDownSince = -1.0; //!< MTTR clock start, or < 0
-        PoolStats stats;               //!< the pool's run totals
-
-        ServingEngine &engine() const { return *inc.engine; }
-    };
-    std::vector<Slot> slots_; //!< by slot index (0 = prefill pool)
-
-    // Control-plane state. A pending replica scale-down or split is
-    // one in-flight ScalingEvent whose drains have not all completed.
-    struct PendingReconfig
-    {
-        bool active = false;
-        bool split = false;        //!< split vs replica scale-down
-        int target = 0;            //!< prefill devices / replica count
-        Seconds requestedAt = 0.0;
-        int before = 0;
-        int rehomed = 0;
-        std::vector<std::vector<Request>> held; //!< split: per old pool
-    };
-    PendingReconfig pending_;
-    std::vector<ScalingEvent> scalingEvents_;
+    std::vector<EngineSlot> slots_; //!< by slot index (0 = prefill pool)
+    ServingObs obs_;
+    FaultRecovery faults_;
+    Reconfigurator reconfig_;
+    RunTotals totals_;
     double deviceSeconds_ = 0.0;
     Seconds lastPowerAccrual_ = 0.0;
     std::deque<PendingMigration> migrations_; //!< sorted by readyAt
@@ -808,54 +622,11 @@ class ServingSimulator
     bool lookaheadValid_ = false;
     bool offeringClosed_ = false;
     Seconds now_ = 0.0;
-
-    // Fault-injection state (src/fault/; inert on an empty plan).
-    struct PendingRetry
-    {
-        Request request;
-        Seconds killedAt = 0.0; //!< eviction time (attribution span)
-        Seconds readyAt = 0.0;  //!< backoff elapses here
-    };
-    std::vector<FaultEvent> faultPlan_; //!< expanded, time-sorted
-    std::size_t nextFault_ = 0;         //!< walk cursor into the plan
-    double linkFactor_ = 1.0; //!< boundary-link wire multiplier
-    bool linkDown_ = false;   //!< boundary link fail-stopped
-    std::deque<PendingRetry> retryQueue_;   //!< sorted by readyAt
-    /** The run's availability record, kept live: mttrMean stays 0 and
-     * degradedSeconds sums only closed windows until buildReport(). */
-    AvailabilityReport avail_;
-    Seconds mttrSum_ = 0.0;        //!< over avail_.repairs samples
-    Seconds degradedSince_ = -1.0; //!< < 0 while healthy
-    std::int64_t goodTokensAtDegradeStart_ = 0;
-    std::int64_t degradedGoodTokens_ = 0;
-
-    // Windowed event core state.
-    Seconds barrier_ = 0.0;      //!< next control barrier (set in ctor
-                                 //!< to +inf; setBarrier() caps it)
-    std::int64_t offered_ = 0;
-    std::int64_t migrated_ = 0;
-    Bytes kvTransferBytes_ = 0;
-    Seconds kvTransferSeconds_ = 0.0;
-    Seconds transferStallSeconds_ = 0.0;
-    // Run totals kept by applyStep(); they outlive engine rebuilds.
-    std::vector<ServingStepResult> steps_;
-    std::vector<RetuneWallSample> retuneWall_; //!< one per retune
-    std::int64_t admissions_ = 0;
-
-    // Observability state (inert when no recorder/registry attached).
-    Seconds nextSnapshot_ = 0.0; //!< next periodic boundary
+    Seconds barrier_;            //!< next control barrier; +inf until
+                                 //!< setBarrier() caps it
     // Self-profiling accumulators (real milliseconds).
     double profExecMs_ = 0.0; //!< wall inside executeStep()
     double profStepMs_ = 0.0; //!< wall inside step()
-    // Windowed-core profiling (profile.descore.* gauges + trace
-    // spans; measured only when a registry/trace/selfProfile asks).
-    std::int64_t descoreWindows_ = 0;   //!< parallel windows advanced
-    std::int64_t descoreSteps_ = 0;     //!< engine steps inside them
-    double descoreFanoutMs_ = 0.0;      //!< wall across the fan-out
-    double descoreWorkerBusyMs_ = 0.0;  //!< sum of worker busy wall
-    double descoreMergeMs_ = 0.0;       //!< wall inside the merge
-    double descoreBarrierWaitMs_ = 0.0; //!< fan-out wall minus busy,
-                                        //!< summed over engines
 };
 
 } // namespace laer

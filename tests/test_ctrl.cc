@@ -365,7 +365,7 @@ TEST(ReplicaScaling, ScaleUpAddsCapacityBehindALoadDelay)
 {
     const Cluster cluster(2, 4, 300e9, 12.5e9, 212e12);
     ServingSimulator sim(cluster, replicaConfig(30.0, 1));
-    EXPECT_EQ(sim.replicaSlots(), 2);
+    EXPECT_EQ(sim.numEngines(), 2);
     EXPECT_EQ(sim.activeReplicas(), 1);
 
     while (sim.now() < 1.0 && sim.step()) {
@@ -637,7 +637,7 @@ TEST(ScalingStorm, RandomReplicaDecisionsConserveEveryTransition)
     for (int w = 1; w <= 50; ++w)
         if (!stormWindow(sim, 0.13 * w, [&] {
                 sim.requestReplicas(
-                    1 + rng.uniformInt(0, sim.replicaSlots() - 1));
+                    1 + rng.uniformInt(0, sim.numEngines() - 1));
             }))
             break;
     while (sim.step()) {

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -507,15 +508,34 @@ TEST(FaultRecovery, SplitWaitsForRetriesThatCannotFit)
     EXPECT_EQ(report.availability.requestsFailed, 0);
 }
 
+/** Timestamp of the first `name` event in a written trace whose
+ * arguments start with request `id`; empty when there is none. */
+std::string
+traceTsOf(const std::string &trace_json, const std::string &name, int id)
+{
+    std::istringstream lines(trace_json);
+    const std::string args = "\"args\":{\"id\":" + std::to_string(id) + ",";
+    for (std::string line; std::getline(lines, line);) {
+        if (line.rfind("{\"name\":\"" + name + "\"", 0) != 0 ||
+            line.find(args) == std::string::npos)
+            continue;
+        const std::size_t from = line.find("\"ts\":") + 5;
+        return line.substr(from, line.find(',', from) - from);
+    }
+    return "";
+}
+
 TEST(FaultRecovery, ShrunkDecodePoolFailsContextsItCannotHold)
 {
-    // Three of the decode pool's four devices die while contexts are
-    // still in the prefill pool or on the wire. A context the shrunk
-    // pool can never hold fails at its door, as resizePoolKv() fails
-    // the pool's own, instead of aborting the run.
+    // Three of the decode pool's four devices die at 0.3 s while
+    // contexts are still in the prefill pool or on the wire. A context
+    // the shrunk pool can never hold fails instead of aborting the
+    // run, as the pool fails its own when it shrinks.
     const Cluster cluster(4, 2, 300e9, 12.5e9, 212e12);
     ServingConfig cfg = longDecodeDisaggConfig(25.91, 1.0);
     cfg.faults.events.push_back({0.3, FaultKind::DeviceFail, 1, 3.0});
+    TraceRecorder trace;
+    cfg.trace = &trace;
     ServingSimulator sim(cluster, cfg);
     ServingReport report;
     ASSERT_NO_THROW(report = sim.run());
@@ -525,6 +545,20 @@ TEST(FaultRecovery, ShrunkDecodePoolFailsContextsItCannotHold)
     EXPECT_EQ(report.completed, 21);
     EXPECT_EQ(report.offered,
               report.completed + report.availability.requestsFailed);
+
+    // That context, request 10, arrives after the shrink. It fails at
+    // the prefill door when it arrives, so no prefill step and no KV
+    // transfer are spent on it.
+    std::ostringstream os;
+    trace.write(os);
+    const std::string arrived = traceTsOf(os.str(), "admit", 10);
+    ASSERT_FALSE(arrived.empty());
+    EXPECT_EQ(traceTsOf(os.str(), "request_failed", 10), arrived);
+    EXPECT_EQ(traceTsOf(os.str(), "kv_transfer", 10), "");
+    // Prefilled and shipped anyway, it would add one migration and
+    // its 118,358,016 KV bytes to these.
+    EXPECT_EQ(report.migrated, 21);
+    EXPECT_EQ(report.kvTransferBytes, 637534208);
 }
 
 TEST(FaultRecovery, ShrunkPoolFailsRetriesItCannotHold)

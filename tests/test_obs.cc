@@ -22,8 +22,10 @@
 #include "core/error.hh"
 #include "core/rng.hh"
 #include "core/stats.hh"
+#include "ctrl/control_loop.hh"
 #include "difftest/diff.hh"
 #include "obs/metrics.hh"
+#include "obs/req_trace.hh"
 #include "obs/trace.hh"
 #include "serve/obs_sinks.hh"
 #include "serve/serving_sim.hh"
@@ -373,6 +375,226 @@ TEST(ServingMetricsModes, StreamingNeverChangesCountersAndTracksP95)
     EXPECT_FALSE(exact.metrics().ttftSamples().empty());
     EXPECT_EQ(streaming.metrics().memoryMode(),
               MetricsMemoryMode::Streaming);
+}
+
+// ------------------------------------------------ write-only sinks
+
+/** Every simulated field of two reports must match bit for bit; only
+ * the wall-clock fields and the sampled attribution (which exists only
+ * with a ReqTraceRecorder attached) may differ. */
+void
+expectSameSimulatedReport(const ServingReport &a, const ServingReport &b)
+{
+    EXPECT_EQ(a.policy, b.policy);
+    EXPECT_EQ(a.offered, b.offered);
+    EXPECT_EQ(a.completed, b.completed);
+    EXPECT_EQ(a.sloMet, b.sloMet);
+    EXPECT_EQ(a.steps, b.steps);
+    EXPECT_EQ(a.retunes, b.retunes);
+    EXPECT_EQ(a.elapsed, b.elapsed);
+    EXPECT_EQ(a.ttftP50, b.ttftP50);
+    EXPECT_EQ(a.ttftP90, b.ttftP90);
+    EXPECT_EQ(a.ttftP99, b.ttftP99);
+    EXPECT_EQ(a.tpotP50, b.tpotP50);
+    EXPECT_EQ(a.tpotP99, b.tpotP99);
+    EXPECT_EQ(a.throughputTps, b.throughputTps);
+    EXPECT_EQ(a.goodputTps, b.goodputTps);
+    EXPECT_EQ(a.meanBatchTokens, b.meanBatchTokens);
+    EXPECT_EQ(a.meanStepTime, b.meanStepTime);
+    EXPECT_EQ(a.meanMaxRelTokens, b.meanMaxRelTokens);
+    EXPECT_EQ(a.migrationTotal, b.migrationTotal);
+    EXPECT_EQ(a.kvBudgetBytes, b.kvBudgetBytes);
+    EXPECT_EQ(a.preemptions, b.preemptions);
+    EXPECT_EQ(a.preemptionsByClass, b.preemptionsByClass);
+    EXPECT_EQ(a.meanKvUtilization, b.meanKvUtilization);
+    EXPECT_EQ(a.peakKvUtilization, b.peakKvUtilization);
+    ASSERT_EQ(a.pools.size(), b.pools.size());
+    for (std::size_t i = 0; i < a.pools.size(); ++i) {
+        EXPECT_EQ(a.pools[i].name, b.pools[i].name);
+        EXPECT_EQ(a.pools[i].devices, b.pools[i].devices);
+        EXPECT_EQ(a.pools[i].kvBudgetBytes, b.pools[i].kvBudgetBytes);
+        EXPECT_EQ(a.pools[i].steps, b.pools[i].steps);
+        EXPECT_EQ(a.pools[i].preemptions, b.pools[i].preemptions);
+        EXPECT_EQ(a.pools[i].meanKvUtilization,
+                  b.pools[i].meanKvUtilization);
+        EXPECT_EQ(a.pools[i].peakKvUtilization,
+                  b.pools[i].peakKvUtilization);
+    }
+    EXPECT_EQ(a.migrated, b.migrated);
+    EXPECT_EQ(a.kvTransferBytes, b.kvTransferBytes);
+    EXPECT_EQ(a.kvTransferSeconds, b.kvTransferSeconds);
+    EXPECT_EQ(a.transferStallSeconds, b.transferStallSeconds);
+    EXPECT_EQ(a.swapOutBytes, b.swapOutBytes);
+    EXPECT_EQ(a.swapInBytes, b.swapInBytes);
+    EXPECT_EQ(a.swapSeconds, b.swapSeconds);
+    EXPECT_EQ(a.tunerBudgetMs, b.tunerBudgetMs);
+    ASSERT_EQ(a.retuneWall.size(), b.retuneWall.size());
+    for (std::size_t i = 0; i < a.retuneWall.size(); ++i)
+        EXPECT_EQ(a.retuneWall[i].simTime, b.retuneWall[i].simTime);
+    EXPECT_EQ(a.deviceSeconds, b.deviceSeconds);
+    ASSERT_EQ(a.scalingEvents.size(), b.scalingEvents.size());
+    for (std::size_t i = 0; i < a.scalingEvents.size(); ++i) {
+        const ScalingEvent &x = a.scalingEvents[i];
+        const ScalingEvent &y = b.scalingEvents[i];
+        EXPECT_EQ(x.requested, y.requested);
+        EXPECT_EQ(x.applied, y.applied);
+        EXPECT_EQ(x.action, y.action);
+        EXPECT_EQ(x.before, y.before);
+        EXPECT_EQ(x.after, y.after);
+        EXPECT_EQ(x.loadDelay, y.loadDelay);
+        EXPECT_EQ(x.rehomed, y.rehomed);
+    }
+    const AvailabilityReport &x = a.availability;
+    const AvailabilityReport &y = b.availability;
+    EXPECT_EQ(x.faultsInjected, y.faultsInjected);
+    EXPECT_EQ(x.repairs, y.repairs);
+    EXPECT_EQ(x.requestsRetried, y.requestsRetried);
+    EXPECT_EQ(x.requestsFailed, y.requestsFailed);
+    EXPECT_EQ(x.transfersAborted, y.transfersAborted);
+    EXPECT_EQ(x.mttrMean, y.mttrMean);
+    EXPECT_EQ(x.mttrMax, y.mttrMax);
+    EXPECT_EQ(x.degradedSeconds, y.degradedSeconds);
+    EXPECT_EQ(x.degradedGoodputTps, y.degradedGoodputTps);
+    EXPECT_EQ(x.failedByClass, y.failedByClass);
+    ASSERT_EQ(x.timeline.size(), y.timeline.size());
+    for (std::size_t i = 0; i < x.timeline.size(); ++i) {
+        EXPECT_EQ(x.timeline[i].time, y.timeline[i].time);
+        EXPECT_EQ(x.timeline[i].kind, y.timeline[i].kind);
+        EXPECT_EQ(x.timeline[i].target, y.timeline[i].target);
+        EXPECT_EQ(x.timeline[i].magnitude, y.timeline[i].magnitude);
+    }
+}
+
+void
+expectSameSteps(const std::vector<ServingStepResult> &a,
+                const std::vector<ServingStepResult> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        SCOPED_TRACE("step " + std::to_string(i));
+        EXPECT_EQ(a[i].start, b[i].start);
+        EXPECT_EQ(a[i].duration, b[i].duration);
+        EXPECT_EQ(a[i].tokens, b[i].tokens);
+        EXPECT_EQ(a[i].prefill, b[i].prefill);
+        EXPECT_EQ(a[i].decode, b[i].decode);
+        EXPECT_EQ(a[i].migration, b[i].migration);
+        EXPECT_EQ(a[i].maxRelTokens, b[i].maxRelTokens);
+        EXPECT_EQ(a[i].retuned, b[i].retuned);
+        EXPECT_EQ(a[i].kvUtilization, b[i].kvUtilization);
+        EXPECT_EQ(a[i].preemptions, b[i].preemptions);
+        EXPECT_EQ(a[i].pool, b[i].pool);
+        EXPECT_EQ(a[i].swapOutBytes, b[i].swapOutBytes);
+        EXPECT_EQ(a[i].swapInBytes, b[i].swapInBytes);
+        EXPECT_EQ(a[i].swapTime, b[i].swapTime);
+    }
+}
+
+/** Run `cfg` bare and again with a trace, a 0.25 s-snapshot registry
+ * and a request recorder sampling every request, both on the serial
+ * core, optionally under a control loop; the runs must agree.
+ * @return the bare run's report. */
+ServingReport
+expectSinksWriteOnly(const Cluster &cluster, const ServingConfig &cfg,
+                     const ControlLoopConfig *loop_cfg)
+{
+    const auto play = [&](const ServingConfig &c,
+                          std::vector<ServingStepResult> &steps) {
+        ServingSimulator sim(cluster, c);
+        ServingReport report;
+        if (loop_cfg != nullptr)
+            report = ControlLoop(sim, *loop_cfg).run();
+        else
+            report = sim.run();
+        steps = sim.stepResults();
+        return report;
+    };
+    std::vector<ServingStepResult> bare_steps, observed_steps;
+    const ServingReport bare = play(cfg, bare_steps);
+
+    TraceRecorder trace;
+    MetricsRegistry registry;
+    ReqTraceConfig every;
+    every.sampleEvery = 1;
+    ReqTraceRecorder requests(every);
+    ServingConfig observed_cfg = cfg;
+    observed_cfg.trace = &trace;
+    observed_cfg.metricsRegistry = &registry;
+    observed_cfg.snapshotInterval = 0.25;
+    observed_cfg.reqTrace = &requests;
+    const ServingReport observed = play(observed_cfg, observed_steps);
+
+    // The sinks really recorded the run.
+    EXPECT_GT(trace.eventCount(), 100u);
+    EXPECT_GT(registry.snapshots().size(), 4u);
+    EXPECT_EQ(requests.sampledRetired(), observed.completed);
+    expectSameSimulatedReport(bare, observed);
+    expectSameSteps(bare_steps, observed_steps);
+    return bare;
+}
+
+TEST(WriteOnlySinks, FaultedDisaggregatedRunIsUnchanged)
+{
+    const Cluster cluster(4, 2, 300e9, 12.5e9, 212e12);
+    ServingConfig cfg;
+    cfg.model = mixtral8x7bE8K2();
+    cfg.policy = ServingPolicy::Disaggregated;
+    cfg.capacity = 4;
+    cfg.simulatedLayers = 2;
+    cfg.horizon = 3.0;
+    cfg.arrival.kind = ArrivalKind::Poisson;
+    cfg.arrival.ratePerSec = 30.0;
+    cfg.arrival.meanPrefillTokens = 256;
+    cfg.arrival.meanDecodeTokens = 64;
+    cfg.arrival.seed = 7;
+    cfg.batcher.tokenBudget = 8192;
+    cfg.batcher.prefillChunk = 512;
+    cfg.hbmPerDevice = 40LL << 30;
+    cfg.seed = 5;
+    // Every fault kind: a straggler, a degraded then dead boundary
+    // link, a lost device and a killed and repaired decode pool.
+    cfg.faults.events = {
+        {0.4, FaultKind::StragglerStart, 0, 2.0},
+        {0.6, FaultKind::LinkDegrade, 0, 1.5},
+        {0.8, FaultKind::DeviceFail, 1, 1.0},
+        {1.0, FaultKind::LinkDown, 0, 1.0},
+        {1.1, FaultKind::LinkUp, 0, 1.0},
+        {1.2, FaultKind::DeviceRepair, 1, 1.0},
+        {1.4, FaultKind::ReplicaFail, 1, 1.0},
+        {1.8, FaultKind::ReplicaRepair, 1, 1.0},
+        {2.0, FaultKind::StragglerEnd, 0, 1.0},
+    };
+    const ServingReport report = expectSinksWriteOnly(cluster, cfg, nullptr);
+    EXPECT_EQ(report.availability.timeline.size(), cfg.faults.events.size());
+    EXPECT_GT(report.availability.requestsRetried, 0);
+    EXPECT_GT(report.migrated, 0);
+}
+
+TEST(WriteOnlySinks, ControlledReplicaRunIsUnchanged)
+{
+    const Cluster cluster(2, 4, 300e9, 12.5e9, 212e12);
+    ServingConfig cfg;
+    cfg.model = mixtral8x7bE8K2();
+    cfg.capacity = 2;
+    cfg.simulatedLayers = 2;
+    cfg.horizon = 4.0;
+    cfg.arrival.kind = ArrivalKind::Poisson;
+    cfg.arrival.ratePerSec = 80.0;
+    cfg.arrival.meanPrefillTokens = 128;
+    cfg.arrival.meanDecodeTokens = 16;
+    cfg.arrival.seed = 5;
+    cfg.batcher.tokenBudget = 8192;
+    cfg.batcher.prefillChunk = 512;
+    cfg.replicas.replicaDevices = 4;
+    cfg.replicas.initialReplicas = 1;
+    cfg.seed = 11;
+    ControlLoopConfig loop;
+    loop.interval = 0.5;
+    loop.kind = AutoscalerKind::ThresholdHysteresis;
+    loop.autoscaler.minReplicas = 1;
+    loop.autoscaler.maxReplicas = 2;
+    loop.autoscaler.queueHigh = 2.0;
+    const ServingReport report = expectSinksWriteOnly(cluster, cfg, &loop);
+    EXPECT_FALSE(report.scalingEvents.empty());
 }
 
 // ------------------------------------------------------------ ObsSinks
