@@ -154,9 +154,9 @@ loopConfig(Variant variant)
     // replica powers off, or the ramp down lands inside the next ramp
     // up (a scale-up costs a model load; churn is pure loss).
     cfg.autoscaler.downWindows = 5;
-    // minPoolDevices stays 0: the loop derives the floor from the
-    // simulator (expert hosting + memory feasibility of the shrunk
-    // pool's shard under the 24 GiB budget).
+    // The split floor comes from the simulator (expert hosting +
+    // memory feasibility of the shrunk pool's shard under the 24 GiB
+    // budget).
     return cfg;
 }
 

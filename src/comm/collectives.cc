@@ -14,23 +14,6 @@ zeroVolume(int n_devices)
 }
 
 Seconds
-a2aPairSumCost(const Cluster &cluster, const VolumeMatrix &volume)
-{
-    const int n = cluster.numDevices();
-    LAER_ASSERT(static_cast<int>(volume.size()) == n,
-                "volume matrix does not match cluster");
-    Seconds cost = 0.0;
-    for (DeviceId i = 0; i < n; ++i) {
-        for (DeviceId k = 0; k < n; ++k) {
-            if (i == k || volume[i][k] == 0)
-                continue;
-            cost += static_cast<double>(volume[i][k]) / cluster.bw(i, k);
-        }
-    }
-    return cost;
-}
-
-Seconds
 a2aBottleneckTime(const Cluster &cluster, const VolumeMatrix &volume)
 {
     const int n = cluster.numDevices();
@@ -182,26 +165,6 @@ allReduceTime(const Cluster &cluster, const std::vector<DeviceId> &group,
         return 0.0;
     return reduceScatterTime(cluster, group, bytes_total) +
            allGatherTime(cluster, group, bytes_total);
-}
-
-Seconds
-p2pTime(const Cluster &cluster, DeviceId src, DeviceId dst, Bytes bytes)
-{
-    if (src == dst || bytes == 0)
-        return 0.0;
-    return kCollectiveAlpha +
-           static_cast<double>(bytes) / cluster.bw(src, dst);
-}
-
-Bytes
-totalWireBytes(const VolumeMatrix &volume)
-{
-    Bytes total = 0;
-    for (std::size_t i = 0; i < volume.size(); ++i)
-        for (std::size_t k = 0; k < volume[i].size(); ++k)
-            if (i != k)
-                total += volume[i][k];
-    return total;
 }
 
 } // namespace laer

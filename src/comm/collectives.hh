@@ -2,13 +2,12 @@
  * @file
  * Collective-communication cost models.
  *
- * Two flavours coexist on purpose:
- *  - planner-style costs reproduce the paper's analytical objective
- *    (Sec. 3.2: per-pair volumes divided by bw(i, k) and summed), and
- *  - runtime-style costs model what a NCCL-like implementation
- *    actually achieves: all pairs progress in parallel and each
- *    device's NIC / NVLink occupancy is the bottleneck.
- * The planner optimises the former; the simulator charges the latter.
+ * These are runtime-style costs: they model what a NCCL-like
+ * implementation actually achieves, with all pairs progressing in
+ * parallel and each device's NIC / NVLink occupancy the bottleneck.
+ * The simulator charges them. The planner optimises the paper's
+ * analytical objective instead (Sec. 3.2: per-pair volumes divided by
+ * bw(i, k) and summed), which lives in planner/cost_model.hh.
  */
 
 #ifndef LAER_COMM_COLLECTIVES_HH
@@ -32,13 +31,6 @@ using VolumeMatrix = std::vector<std::vector<Bytes>>;
 
 /** Build an N x N zero volume matrix. */
 VolumeMatrix zeroVolume(int n_devices);
-
-/**
- * Paper-style All-to-All cost: sum over all (i, k) pairs of
- * volume / bw(i, k). This is the communication term the planner's
- * objective uses (T_comm in Eq. 2 before the 4x multiplier).
- */
-Seconds a2aPairSumCost(const Cluster &cluster, const VolumeMatrix &volume);
 
 /**
  * Runtime All-to-All duration under a per-port occupancy model: every
@@ -121,13 +113,6 @@ Seconds reduceScatterTime(const Cluster &cluster,
 /** Ring AllReduce = ReduceScatter + AllGather. */
 Seconds allReduceTime(const Cluster &cluster,
                       const std::vector<DeviceId> &group, Bytes bytes_total);
-
-/** Point-to-point transfer time between two devices. */
-Seconds p2pTime(const Cluster &cluster, DeviceId src, DeviceId dst,
-                Bytes bytes);
-
-/** Sum of all off-diagonal bytes in a volume matrix. */
-Bytes totalWireBytes(const VolumeMatrix &volume);
 
 } // namespace laer
 

@@ -15,6 +15,33 @@ AutoscalerPolicy::~AutoscalerPolicy() = default;
 namespace
 {
 
+// Threshold + hysteresis: scale up when waiting requests per live
+// replica exceed kQueueHigh (or KV runs hotter than kKvHigh) for
+// kUpWindows consecutive windows; scale down when the queue is below
+// kQueueLow AND KV below kKvLow for `downWindows` windows. The target
+// policy shares the queue thresholds as its override.
+constexpr double kQueueHigh = 8.0;
+constexpr double kQueueLow = 1.0;
+constexpr double kKvHigh = 0.85;
+constexpr double kKvLow = 0.40;
+constexpr int kUpWindows = 1;
+static_assert(kQueueHigh > kQueueLow && kKvHigh > kKvLow,
+              "threshold dead band is inverted");
+
+// Windows to hold after any action before acting again.
+constexpr int kCooldownWindows = 2;
+
+// Split mode: the pressure ratio the pools must diverge by before a
+// move is considered, and the absolute per-device pressure floor
+// below which the split holds (re-partitioning an unloaded cluster
+// buys nothing).
+constexpr double kSplitImbalance = 1.3;
+constexpr double kSplitMinPressure = 1.0;
+
+// Weight of a fully-stalled window (or a decode KV pool pinned at
+// 1.0) as decode-pool pressure, in queued-requests-per-device.
+constexpr double kStallWeight = 4.0;
+
 /** Per-device pressure of the two disaggregated pools. */
 struct SplitPressure
 {
@@ -23,8 +50,7 @@ struct SplitPressure
 };
 
 SplitPressure
-splitPressures(const TelemetryWindow &window,
-               const AutoscalerConfig &config)
+splitPressures(const TelemetryWindow &window)
 {
     LAER_CHECK(window.pools.size() == 2,
                "split pressure needs exactly a prefill and a decode "
@@ -45,22 +71,21 @@ splitPressures(const TelemetryWindow &window,
     const double stall_fraction =
         window.transferStall / (window.end - window.start);
     const double kv_over =
-        std::max(0.0, dec.kvUtilization - config.kvHigh) /
-        std::max(1e-9, 1.0 - config.kvHigh);
+        std::max(0.0, dec.kvUtilization - kKvHigh) /
+        std::max(1e-9, 1.0 - kKvHigh);
     p.decode = dec.queueDepth /
                    std::max(1.0, static_cast<double>(dec.devices)) +
-               config.stallWeight * (stall_fraction + kv_over);
+               kStallWeight * (stall_fraction + kv_over);
     return p;
 }
 
 /** True when the pools have diverged enough to justify a move. */
 bool
-splitImbalanced(const SplitPressure &p, const AutoscalerConfig &config)
+splitImbalanced(const SplitPressure &p)
 {
     const double hi = std::max(p.prefill, p.decode);
     const double lo = std::min(p.prefill, p.decode);
-    return hi >= config.splitMinPressure &&
-           hi > lo * config.splitImbalance + 1e-9;
+    return hi >= kSplitMinPressure && hi > lo * kSplitImbalance + 1e-9;
 }
 
 /** One move of at most `step` devices from `current` toward `ideal`,
@@ -115,12 +140,9 @@ repairAction(const TelemetryWindow &window, const ControlState &state,
 
 int
 idealPrefillDevices(const TelemetryWindow &window,
-                    const ControlState &state,
-                    const AutoscalerConfig &config)
+                    const ControlState &state)
 {
-    const int step = config.splitStepDevices > 0
-                         ? config.splitStepDevices
-                         : state.nodeDevices;
+    const int step = state.nodeDevices;
     LAER_CHECK(step >= 1 && state.totalDevices % step == 0,
                "split step " << step << " must divide the "
                              << state.totalDevices
@@ -132,7 +154,7 @@ idealPrefillDevices(const TelemetryWindow &window,
                    << state.minPoolDevices << "+ devices at a "
                    << step << "-device granularity");
 
-    const SplitPressure p = splitPressures(window, config);
+    const SplitPressure p = splitPressures(window);
     const PoolSignal &pre = window.pools[0];
     const PoolSignal &dec = window.pools[1];
     // Total pressures, so the Alg. 4 share is proportional to load.
@@ -147,11 +169,8 @@ ThresholdHysteresisAutoscaler::ThresholdHysteresisAutoscaler(
     const AutoscalerConfig &config)
     : config_(config)
 {
-    LAER_CHECK(config_.upWindows >= 1 && config_.downWindows >= 1,
+    LAER_CHECK(config_.downWindows >= 1,
                "hysteresis windows must be positive");
-    LAER_CHECK(config_.queueHigh > config_.queueLow &&
-                   config_.kvHigh > config_.kvLow,
-               "threshold dead band is inverted");
 }
 
 ScalingAction
@@ -165,20 +184,18 @@ ThresholdHysteresisAutoscaler::decide(const TelemetryBus &bus,
         return action;
     }
     if (repairAction(w, state, config_, action)) {
-        cooldown_ = config_.cooldownWindows;
+        cooldown_ = kCooldownWindows;
         return action;
     }
 
     if (state.splitMode) {
-        const SplitPressure p = splitPressures(w, config_);
-        if (!splitImbalanced(p, config_)) {
+        const SplitPressure p = splitPressures(w);
+        if (!splitImbalanced(p)) {
             aboveWindows_ = belowWindows_ = 0;
             return action;
         }
-        const int ideal = idealPrefillDevices(w, state, config_);
-        const int step = config_.splitStepDevices > 0
-                             ? config_.splitStepDevices
-                             : state.nodeDevices;
+        const int ideal = idealPrefillDevices(w, state);
+        const int step = state.nodeDevices;
         aboveWindows_ = ideal > state.prefillDevices
                             ? aboveWindows_ + 1
                             : 0;
@@ -186,7 +203,7 @@ ThresholdHysteresisAutoscaler::decide(const TelemetryBus &bus,
                             ? belowWindows_ + 1
                             : 0;
         int target = state.prefillDevices;
-        if (aboveWindows_ >= config_.upWindows)
+        if (aboveWindows_ >= kUpWindows)
             target = stepToward(state.prefillDevices, ideal, step);
         else if (belowWindows_ >= config_.downWindows)
             target = stepToward(state.prefillDevices, ideal, step);
@@ -198,7 +215,7 @@ ThresholdHysteresisAutoscaler::decide(const TelemetryBus &bus,
                 << p.decode << ", ideal " << ideal;
             action.reason = oss.str();
             aboveWindows_ = belowWindows_ = 0;
-            cooldown_ = config_.cooldownWindows;
+            cooldown_ = kCooldownWindows;
         }
         return action;
     }
@@ -208,25 +225,25 @@ ThresholdHysteresisAutoscaler::decide(const TelemetryBus &bus,
         std::max(1, state.activeReplicas);
     const double kv = w.maxKvUtilization();
     const bool high =
-        queue_per > config_.queueHigh || kv > config_.kvHigh;
-    const bool low = queue_per < config_.queueLow && kv < config_.kvLow;
+        queue_per > kQueueHigh || kv > kKvHigh;
+    const bool low = queue_per < kQueueLow && kv < kKvLow;
     aboveWindows_ = high ? aboveWindows_ + 1 : 0;
     belowWindows_ = low ? belowWindows_ + 1 : 0;
 
-    if (aboveWindows_ >= config_.upWindows &&
+    if (aboveWindows_ >= kUpWindows &&
         state.activeReplicas < config_.maxReplicas) {
         action.kind = ScalingAction::Kind::SetReplicas;
         action.target = state.activeReplicas + 1;
         action.reason = "high: " + describe(queue_per, kv);
         aboveWindows_ = belowWindows_ = 0;
-        cooldown_ = config_.cooldownWindows;
+        cooldown_ = kCooldownWindows;
     } else if (belowWindows_ >= config_.downWindows &&
                state.activeReplicas > config_.minReplicas) {
         action.kind = ScalingAction::Kind::SetReplicas;
         action.target = state.activeReplicas - 1;
         action.reason = "low: " + describe(queue_per, kv);
         aboveWindows_ = belowWindows_ = 0;
-        cooldown_ = config_.cooldownWindows;
+        cooldown_ = kCooldownWindows;
     }
     return action;
 }
@@ -253,27 +270,24 @@ TargetUtilizationAutoscaler::decide(const TelemetryBus &bus,
         return action;
     }
     if (repairAction(w, state, config_, action)) {
-        cooldown_ = config_.cooldownWindows;
+        cooldown_ = kCooldownWindows;
         return action;
     }
 
     if (state.splitMode) {
-        const SplitPressure p = splitPressures(w, config_);
-        if (!splitImbalanced(p, config_))
+        const SplitPressure p = splitPressures(w);
+        if (!splitImbalanced(p))
             return action;
-        const int ideal = idealPrefillDevices(w, state, config_);
-        const int step = config_.splitStepDevices > 0
-                             ? config_.splitStepDevices
-                             : state.nodeDevices;
+        const int ideal = idealPrefillDevices(w, state);
         const int target =
-            stepToward(state.prefillDevices, ideal, step);
+            stepToward(state.prefillDevices, ideal, state.nodeDevices);
         if (target != state.prefillDevices) {
             action.kind = ScalingAction::Kind::SetSplit;
             action.target = target;
             std::ostringstream oss;
             oss << "re-target split toward " << ideal;
             action.reason = oss.str();
-            cooldown_ = config_.cooldownWindows;
+            cooldown_ = kCooldownWindows;
         }
         return action;
     }
@@ -300,12 +314,12 @@ TargetUtilizationAutoscaler::decide(const TelemetryBus &bus,
     const double low_band =
         config_.targetUtilization * (1.0 - config_.deadband);
     int desired = state.activeReplicas;
-    if (util > high_band || queue_per > config_.queueHigh) {
+    if (util > high_band || queue_per > kQueueHigh) {
         desired = std::max(
             state.activeReplicas + 1,
             static_cast<int>(std::ceil(state.activeReplicas * util /
                                        config_.targetUtilization)));
-    } else if (util < low_band && queue_per < config_.queueLow &&
+    } else if (util < low_band && queue_per < kQueueLow &&
                static_cast<int>(std::ceil(
                    state.activeReplicas * util /
                    config_.targetUtilization)) < state.activeReplicas) {
@@ -321,7 +335,7 @@ TargetUtilizationAutoscaler::decide(const TelemetryBus &bus,
             << config_.targetUtilization << " ("
             << describe(queue_per, w.maxKvUtilization()) << ")";
         action.reason = oss.str();
-        cooldown_ = config_.cooldownWindows;
+        cooldown_ = kCooldownWindows;
     }
     return action;
 }

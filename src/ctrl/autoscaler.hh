@@ -50,47 +50,24 @@ struct ScalingAction
     std::string reason; //!< human-readable trigger, for the timeline
 };
 
-/** Shared policy knobs (each policy reads its subset). */
+/** Shared policy knobs (each policy reads its subset). The thresholds,
+ * hysteresis and split-pressure weights are fixed constants of
+ * autoscaler.cc (docs/SERVING.md lists them). */
 struct AutoscalerConfig
 {
     // Replica-count bounds (replica mode).
     int minReplicas = 1;
     int maxReplicas = 1;
 
-    // Threshold + hysteresis: scale up when waiting requests per live
-    // replica exceed queueHigh (or KV runs hotter than kvHigh) for
-    // `upWindows` consecutive windows; scale down when the queue is
-    // below queueLow AND KV below kvLow for `downWindows` windows.
-    double queueHigh = 8.0;
-    double queueLow = 1.0;
-    double kvHigh = 0.85;
-    double kvLow = 0.40;
-    int upWindows = 1;
+    // Consecutive quiet windows (queue and KV both below their low
+    // thresholds) before a scale-down.
     int downWindows = 3;
-
-    // Windows to hold after any action before acting again.
-    int cooldownWindows = 2;
 
     // Target-utilization policy: track a KV-utilization setpoint with
     // a relative dead band (no action while within
     // [target*(1-deadband), target*(1+deadband)]).
     double targetUtilization = 0.6;
     double deadband = 0.25;
-
-    // Split mode: device granularity of one boundary move (0 = one
-    // node), per-pool device floor (0 = derived from the expert-
-    // hosting constraint by the ControlLoop), the pressure ratio the
-    // pools must diverge by before a move is considered, and the
-    // absolute per-device pressure floor below which the split holds
-    // (re-partitioning an unloaded cluster buys nothing).
-    int splitStepDevices = 0;
-    int minPoolDevices = 0;
-    double splitImbalance = 1.3;
-    double splitMinPressure = 1.0;
-
-    // Weight of a fully-stalled window (or a decode KV pool pinned at
-    // 1.0) as decode-pool pressure, in queued-requests-per-device.
-    double stallWeight = 4.0;
 };
 
 /** Topology facts a policy needs to phrase a legal action. */
@@ -101,7 +78,7 @@ struct ControlState
     int replicaSlots = 1;    //!< slices carved at construction
     int prefillDevices = 0;  //!< current split (split mode)
     int totalDevices = 0;
-    int nodeDevices = 1;     //!< devices per node (cut granularity)
+    int nodeDevices = 1;     //!< split step: devices per node
     int minPoolDevices = 1;  //!< expert-hosting floor per pool
 };
 
@@ -182,12 +159,10 @@ class TargetUtilizationAutoscaler : public AutoscalerPolicy
  *
  * @param window  Newest telemetry window (split-mode pools).
  * @param state   Topology facts (floors, granularity).
- * @param config  Pressure weights.
  * @return the ideal prefill-device count, node-regular by construction.
  */
 int idealPrefillDevices(const TelemetryWindow &window,
-                        const ControlState &state,
-                        const AutoscalerConfig &config);
+                        const ControlState &state);
 
 } // namespace laer
 

@@ -32,16 +32,6 @@ ControlLoop::ControlLoop(ServingSimulator &sim,
                               sim_.numEngines());
     ac.minReplicas = std::min(std::max(ac.minReplicas, 1),
                               ac.maxReplicas);
-    if (ac.minPoolDevices == 0)
-        // The simulator's floor: expert hosting plus, with the KV
-        // model on, memory feasibility of the shrunk pool's shard.
-        ac.minPoolDevices = sim_.minPoolDevices();
-    if (ac.splitStepDevices == 0)
-        // Split boundaries move whole nodes by default — the only cut
-        // points Cluster::contiguousSlice accepts on a multi-node
-        // cluster.
-        ac.splitStepDevices = std::min(
-            sim_.cluster().devicesPerNode(), sim_.cluster().numDevices());
     switch (config_.kind) {
       case AutoscalerKind::None:
         break;
@@ -69,8 +59,13 @@ ControlLoop::controlState() const
     state.replicaSlots = sim_.numEngines();
     state.prefillDevices = sim_.prefillDevices();
     state.totalDevices = sim_.cluster().numDevices();
-    state.nodeDevices = config_.autoscaler.splitStepDevices;
-    state.minPoolDevices = config_.autoscaler.minPoolDevices;
+    // Split boundaries move whole nodes — the only cut points
+    // Cluster::contiguousSlice accepts on a multi-node cluster.
+    state.nodeDevices = std::min(sim_.cluster().devicesPerNode(),
+                                 state.totalDevices);
+    // The simulator's floor: expert hosting plus, with the KV model
+    // on, memory feasibility of the shrunk pool's shard.
+    state.minPoolDevices = sim_.minPoolDevices();
     return state;
 }
 

@@ -13,10 +13,8 @@
  * to bisect a regression, in the spirit of RTL diff reports
  * (checkpoint probes + first-divergence evidence).
  *
- * Comparison is exact by default: the repo's equivalence lanes are
- * bit-identity disciplines, so `ref == cand` down to the last ULP.
- * `DiffOptions::relTol` relaxes that for comparisons that are only
- * mathematically identical (e.g. the fast scorer's re-ordered sums).
+ * Comparison is exact: the repo's equivalence lanes are bit-identity
+ * disciplines, so `ref == cand` down to the last ULP (two NaNs agree).
  * Wall-clock-derived metrics (solver wall time, budget overruns,
  * self-profiling) are excluded by default — they are real time, not
  * simulated, and legitimately differ between any two processes.
@@ -51,15 +49,6 @@ struct DiffOptions
      */
     std::vector<std::string> ignorePrefixes = defaultIgnorePrefixes();
 
-    /** Relative tolerance; 0 (default) demands bit-identity. A
-     * non-zero value accepts |ref - cand| <=
-     * relTol * max(|ref|, |cand|). */
-    double relTol = 0.0;
-
-    /** Divergences recorded beyond the first; the total count is
-     * always exact. */
-    std::size_t maxRecorded = 16;
-
     /** The built-in wall-clock exclusion list. */
     static std::vector<std::string> defaultIgnorePrefixes();
 };
@@ -89,8 +78,8 @@ struct DiffReport
     std::size_t snapshotsCompared = 0;
     std::size_t comparisons = 0;        //!< counter values compared
     std::size_t totalDivergences = 0;   //!< all, recorded or not
-    std::vector<Divergence> divergences; //!< first maxRecorded, in
-                                         //!< stream order
+    std::vector<Divergence> divergences; //!< first 16, in stream
+                                         //!< order
 
     /** True when every compared value agreed AND both streams had the
      * same number of snapshots. */

@@ -14,7 +14,7 @@ ModelConfig::expertParams() const
 Bytes
 ModelConfig::expertParamBytes() const
 {
-    return expertParams() * bytesPerParam;
+    return expertParams() * kBytesPerParam;
 }
 
 std::int64_t
@@ -82,7 +82,7 @@ ModelConfig::attnFlopsPerToken(int seq_len) const
 Bytes
 ModelConfig::tokenBytes() const
 {
-    return static_cast<Bytes>(hiddenDim) * bytesPerParam;
+    return static_cast<Bytes>(hiddenDim) * kBytesPerParam;
 }
 
 void
@@ -204,15 +204,6 @@ allEvaluatedModels()
 {
     return {mixtral8x7bE8K2(),  mixtral8x22bE8K2(),  qwen8x7bE8K2(),
             mixtral8x7bE16K4(), mixtral8x22bE16K4(), qwen8x7bE16K4()};
-}
-
-ModelConfig
-modelByName(const std::string &name)
-{
-    for (const auto &cfg : allEvaluatedModels())
-        if (cfg.name == name)
-            return cfg;
-    fatal("unknown model config: " + name);
 }
 
 } // namespace laer

@@ -18,6 +18,9 @@
 namespace laer
 {
 
+/** Bytes per parameter, activation and KV element: bf16 throughout. */
+constexpr int kBytesPerParam = 2;
+
 /**
  * One decoder-only MoE Transformer configuration.
  *
@@ -38,7 +41,6 @@ struct ModelConfig
     int headDim = 0;        //!< per-head dimension
     int vocabSize = 0;      //!< tokenizer vocabulary
     bool attnBias = false;  //!< QKV bias (Qwen-style)
-    int bytesPerParam = 2;  //!< bf16 training
 
     /** SwiGLU expert parameter count: 3 * H * H'. */
     std::int64_t expertParams() const;
@@ -69,7 +71,7 @@ struct ModelConfig
      * given context length (weight GEMMs + score/value matmuls). */
     Flops attnFlopsPerToken(int seq_len) const;
 
-    /** Bytes moved per token by one All-to-All hop: H * bytesPerParam
+    /** Bytes moved per token by one All-to-All hop: H * kBytesPerParam
      * (paper's V_comm per token). */
     Bytes tokenBytes() const;
 
@@ -90,9 +92,6 @@ ModelConfig qwen8x7bE16K4();
 
 /** All six Tab. 2 configurations in paper order. */
 std::vector<ModelConfig> allEvaluatedModels();
-
-/** Look a preset up by name (e.g. "mixtral-8x7b-e8k2"). */
-ModelConfig modelByName(const std::string &name);
 
 } // namespace laer
 

@@ -18,7 +18,7 @@ fullyShardedBase(const ModelConfig &cfg, int n_devices)
     const std::int64_t psi_all = cfg.totalParams();
     ModelStateMemory m;
     m.optimizerState = psi_all * kOptimizerBytesPerParam / n_devices;
-    m.paramState = psi_all * cfg.bytesPerParam / n_devices;
+    m.paramState = psi_all * kBytesPerParam / n_devices;
     m.gradState = m.paramState;
     return m;
 }
@@ -29,7 +29,7 @@ ModelStateMemory
 fsepModelState(const ModelConfig &cfg, int n_devices, int capacity)
 {
     ModelStateMemory m = fullyShardedBase(cfg, n_devices);
-    const Bytes other = cfg.nonExpertParamsPerLayer() * cfg.bytesPerParam;
+    const Bytes other = cfg.nonExpertParamsPerLayer() * kBytesPerParam;
     const Bytes experts = 2LL * capacity * cfg.expertParamBytes();
     m.paramState += other + experts;
     m.gradState += other + experts;
@@ -40,7 +40,7 @@ ModelStateMemory
 fsdpEpModelState(const ModelConfig &cfg, int n_devices, int capacity)
 {
     ModelStateMemory m = fullyShardedBase(cfg, n_devices);
-    const Bytes other = cfg.nonExpertParamsPerLayer() * cfg.bytesPerParam;
+    const Bytes other = cfg.nonExpertParamsPerLayer() * kBytesPerParam;
     const Bytes experts = 1LL * capacity * cfg.expertParamBytes();
     m.paramState += other + experts;
     m.gradState += other + experts;
@@ -66,7 +66,7 @@ megatronModelState(const ModelConfig &cfg, int n_devices,
     const std::int64_t resident = experts_resident + other_resident;
 
     ModelStateMemory m;
-    m.paramState = resident * cfg.bytesPerParam;
+    m.paramState = resident * kBytesPerParam;
     m.gradState = m.paramState;
     // Distributed optimizer shards fp32 states over the DP replicas.
     m.optimizerState = resident * kOptimizerBytesPerParam / dp;
@@ -80,8 +80,8 @@ inferenceModelState(const ModelConfig &cfg, int n_devices, int capacity)
     LAER_CHECK(capacity >= 1, "capacity must be positive");
     ModelStateMemory m;
     m.paramState =
-        cfg.totalParams() * cfg.bytesPerParam / n_devices +
-        cfg.nonExpertParamsPerLayer() * cfg.bytesPerParam +
+        cfg.totalParams() * kBytesPerParam / n_devices +
+        cfg.nonExpertParamsPerLayer() * kBytesPerParam +
         2LL * capacity * cfg.expertParamBytes();
     return m;
 }
@@ -91,14 +91,14 @@ activationBytesPerToken(const ModelConfig &cfg, bool checkpointing)
 {
     if (checkpointing) {
         // Only layer-boundary activations are retained.
-        return 1LL * cfg.hiddenDim * cfg.bytesPerParam * cfg.layers;
+        return 1LL * cfg.hiddenDim * kBytesPerParam * cfg.layers;
     }
     // Rough per-layer live set: attention in/out, QKV, expert inputs
     // and SwiGLU intermediates for the K routed copies of the token.
     const std::int64_t per_layer =
         6LL * cfg.hiddenDim + 2LL * cfg.topK * cfg.intermediateDim +
         2LL * cfg.topK * cfg.hiddenDim;
-    return per_layer * cfg.bytesPerParam * cfg.layers;
+    return per_layer * kBytesPerParam * cfg.layers;
 }
 
 TokenCount

@@ -7,6 +7,14 @@
 namespace laer
 {
 
+namespace
+{
+
+constexpr double kZipfS = 1.1;        //!< token frequency skew
+constexpr float kLabelNoise = 0.05f;  //!< fraction of corrupted targets
+
+} // namespace
+
 MoeTrainer::MoeTrainer(const TrainerConfig &config)
     : config_(config), dataRng_(config.seed),
       evalRng_(config.seed ^ 0xABCDEF0123456789ULL)
@@ -35,9 +43,9 @@ MoeTrainer::~MoeTrainer() = default;
 std::pair<int, int>
 MoeTrainer::samplePair(Rng &rng)
 {
-    const int src = rng.zipf(config_.vocab, config_.zipfS);
+    const int src = rng.zipf(config_.vocab, kZipfS);
     int dst = targetMap_[src];
-    if (rng.uniform() < config_.labelNoise)
+    if (rng.uniform() < kLabelNoise)
         dst = rng.uniformInt(0, config_.vocab - 1);
     return {src, dst};
 }

@@ -7,10 +7,10 @@
  * interest is RELATIVE (how many more steps weight w needs, whether
  * two systems' losses track within 1e-3), so a small real model
  * suffices. The task is synthetic next-token prediction: Zipfian
- * source tokens map through a fixed random permutation (plus label
- * noise), which the model must memorise — the Zipf skew makes experts
- * specialise unevenly, producing the very imbalance the paper
- * documents in Fig. 1(a).
+ * source tokens (skew 1.1) map through a fixed random permutation
+ * (plus 5% label noise), which the model must memorise — the Zipf
+ * skew makes experts specialise unevenly, producing the very
+ * imbalance the paper documents in Fig. 1(a).
  */
 
 #ifndef LAER_MOE_TRAINER_HH
@@ -37,8 +37,6 @@ struct TrainerConfig
     int batch = 256;       //!< tokens per step
     float lr = 3e-3f;      //!< Adam learning rate
     float auxLossWeight = 0.0f;
-    double zipfS = 1.1;    //!< token frequency skew
-    float labelNoise = 0.05f; //!< fraction of corrupted targets
     std::uint64_t seed = 7;   //!< init + data seed
     std::uint64_t reduceSeed = 0; //!< gradient accumulation order;
                                   //!< distinct values emulate distinct

@@ -17,6 +17,10 @@ namespace laer
 namespace
 {
 
+/** Events retained per live request before the timeline truncates
+ * (attribution accumulators are unaffected by truncation). */
+constexpr int kMaxTimelineEvents = 96;
+
 /** splitmix64 finaliser: a cheap, well-mixed 64-bit hash. */
 std::uint64_t
 mix64(std::uint64_t x)
@@ -82,8 +86,6 @@ ReqTraceRecorder::ReqTraceRecorder(ReqTraceConfig config)
     : config_(config)
 {
     LAER_CHECK(config_.topK > 0, "topK must be positive");
-    LAER_CHECK(config_.maxTimelineEvents > 0,
-               "maxTimelineEvents must be positive");
 }
 
 bool
@@ -107,8 +109,7 @@ ReqTraceRecorder::find(int id)
 void
 ReqTraceRecorder::pushEvent(LiveReq &req, const TimelineEvent &event)
 {
-    if (static_cast<int>(req.events.size()) >=
-        config_.maxTimelineEvents) {
+    if (static_cast<int>(req.events.size()) >= kMaxTimelineEvents) {
         ++req.droppedEvents;
         return;
     }

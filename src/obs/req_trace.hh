@@ -63,10 +63,6 @@ struct ReqTraceConfig
 
     /** Worst-TTFT / worst-TPOT records retained for the SLO report. */
     int topK = 8;
-
-    /** Events retained per live request before the timeline truncates
-     * (attribution accumulators are unaffected by truncation). */
-    int maxTimelineEvents = 96;
 };
 
 /** One request's residency share of one engine step: the step

@@ -26,20 +26,8 @@ timeCost(const Cluster &cluster, const CostParams &params,
             pair_sum += static_cast<double>(tokens) / cluster.bw(i, k);
         }
     }
-
-    CostBreakdown cost;
-    cost.comm = 4.0 * static_cast<double>(params.commBytesPerToken) *
-                pair_sum;
-
-    const std::vector<TokenCount> recv = plan.receivedTokens();
-    TokenCount busiest = 0;
-    for (TokenCount r : recv)
-        busiest = std::max(busiest, r);
-    const double fwd = params.compFlopsPerToken *
-                       static_cast<double>(busiest) /
-                       cluster.computeFlops();
-    cost.comp = (3.0 + (params.checkpointing ? 1.0 : 0.0)) * fwd;
-    return cost;
+    return timeCostFromSums(cluster, params, plan.receivedTokens(),
+                            pair_sum);
 }
 
 CostBreakdown

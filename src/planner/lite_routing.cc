@@ -80,30 +80,6 @@ routeRank(const Cluster &cluster, const RoutingMatrix &routing,
 
 } // namespace
 
-void
-liteRouteRank(const Cluster &cluster, const RoutingMatrix &routing,
-              const ExpertLayout &layout, DeviceId rank,
-              RoutingPlan &plan)
-{
-    const int n = routing.numDevices();
-    LAER_ASSERT(layout.numDevices() == n &&
-                    layout.numExperts() == routing.numExperts(),
-                "layout does not match routing matrix");
-    LAER_ASSERT(rank >= 0 && rank < n, "bad source rank");
-    const ReplicaIndex index(cluster, layout);
-    routeRank(cluster, routing, index, rank, plan);
-}
-
-void
-liteRouteRank(const Cluster &cluster, const RoutingMatrix &routing,
-              const ReplicaIndex &index, DeviceId rank,
-              RoutingPlan &plan)
-{
-    LAER_ASSERT(rank >= 0 && rank < routing.numDevices(),
-                "bad source rank");
-    routeRank(cluster, routing, index, rank, plan);
-}
-
 RoutingPlan
 liteRouting(const Cluster &cluster, const RoutingMatrix &routing,
             const ExpertLayout &layout)

@@ -158,37 +158,9 @@ forEachLiteShare(const DeviceId *targets, std::size_t count,
 }
 
 /**
- * Route one source device's tokens (one row of R) given the global
- * layout. Fills the S[rank][j][k] slice of `plan`. Builds a
- * throw-away ReplicaIndex; loops over ranks should build the index
- * once and use the overload below.
- *
- * @param cluster  Topology (node membership drives the replica choice).
- * @param routing  Routing matrix R.
- * @param layout   Global expert layout A.
- * @param rank     Source device whose row is routed.
- * @param plan     Output plan; only the `rank` slice is written.
- */
-void liteRouteRank(const Cluster &cluster, const RoutingMatrix &routing,
-                   const ExpertLayout &layout, DeviceId rank,
-                   RoutingPlan &plan);
-
-/**
- * Allocation-free per-rank routing against a prebuilt ReplicaIndex.
- *
- * @param cluster  Topology (node membership drives the replica choice).
- * @param routing  Routing matrix R.
- * @param index    Replica lists of the layout being routed against.
- * @param rank     Source device whose row is routed.
- * @param plan     Output plan; only the `rank` slice is written.
- */
-void liteRouteRank(const Cluster &cluster, const RoutingMatrix &routing,
-                   const ReplicaIndex &index, DeviceId rank,
-                   RoutingPlan &plan);
-
-/**
- * Convenience: run liteRouteRank for every device (the ReplicaIndex
- * is built once and shared across ranks).
+ * Route every source device's tokens (each row of R) against the
+ * global layout: Alg. 3 runs independently per device, against one
+ * ReplicaIndex built once and shared across ranks.
  *
  * @param cluster  Topology.
  * @param routing  Routing matrix R.

@@ -109,7 +109,7 @@ optimizerStepTime(const ModelConfig &model, int n_devices)
     // Fully sharded Adam sweep: read+write params, grads, moments.
     const double bytes =
         static_cast<double>(model.totalParams()) * 2.0 *
-        (model.bytesPerParam + kOptimizerBytesPerParam) / n_devices;
+        (kBytesPerParam + kOptimizerBytesPerParam) / n_devices;
     return bytes / kHbmBandwidth;
 }
 
@@ -186,7 +186,7 @@ simulateMicroBatch(const Cluster &cluster, const IterationSpec &spec)
     if (!is_megatron)
         prefetch_dur += allGatherTime(
             cluster, nodeGroup(cluster, 0),
-            model.nonExpertParamsPerLayer() * model.bytesPerParam);
+            model.nonExpertParamsPerLayer() * kBytesPerParam);
     prefetch_dur *= contention;
 
     // Per-layer gradient synchronisation (reshard) duration.
@@ -197,14 +197,14 @@ simulateMicroBatch(const Cluster &cluster, const IterationSpec &spec)
                        reduceScatterTime(
                            cluster, nodeGroup(cluster, 0),
                            model.nonExpertParamsPerLayer() *
-                               model.bytesPerParam);
+                               kBytesPerParam);
     } else if (spec.system == SystemKind::FsdpEp) {
         gradsync_dur =
             reduceScatterTime(cluster, nodeGroup(cluster, 0),
                               static_cast<Bytes>(cap) * expert_bytes) +
             reduceScatterTime(cluster, nodeGroup(cluster, 0),
                               model.nonExpertParamsPerLayer() *
-                                  model.bytesPerParam);
+                                  kBytesPerParam);
     } else {
         // Megatron: expert grads all-reduce across the replicas of the
         // expert set (one device per EP group = the node group), and
@@ -217,7 +217,7 @@ simulateMicroBatch(const Cluster &cluster, const IterationSpec &spec)
                           static_cast<Bytes>(cap) * expert_bytes) +
             allReduceTime(cluster, dp_group,
                           model.nonExpertParamsPerLayer() *
-                              model.bytesPerParam / tp);
+                              kBytesPerParam / tp);
     }
 
     // ---- Per-layer traffic and expert compute --------------------------

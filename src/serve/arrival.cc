@@ -10,6 +10,13 @@ namespace laer
 namespace
 {
 
+/** Mean seconds per burst episode (Bursty). */
+constexpr double kBurstHold = 2.0;
+
+/** Floors on the prompt and output length draws. */
+constexpr TokenCount kMinPrefillTokens = 8;
+constexpr TokenCount kMinDecodeTokens = 2;
+
 /** Exponential variate with the given mean (inverse-CDF). */
 Seconds
 exponential(Rng &rng, double mean)
@@ -61,8 +68,6 @@ ArrivalProcess::ArrivalProcess(const ArrivalConfig &config)
         LAER_CHECK(config_.burstFraction > 0.0 &&
                        config_.burstFraction < 1.0,
                    "burst fraction must be in (0, 1)");
-        LAER_CHECK(config_.burstHold > 0.0,
-                   "burst hold time must be positive");
         // The state machine flips whenever time crosses stateEnd_.
         // Seeding it in the burst state with a boundary at t = 0 makes
         // the stream open in the quiet state with a fresh holding time.
@@ -90,7 +95,7 @@ ArrivalProcess::nextGap()
         const double quiet_rate =
             config_.ratePerSec / (1.0 - f + f * config_.burstFactor);
         const double burst_rate = quiet_rate * config_.burstFactor;
-        const double quiet_hold = config_.burstHold * (1.0 - f) / f;
+        const double quiet_hold = kBurstHold * (1.0 - f) / f;
 
         Seconds t = now_;
         for (;;) {
@@ -102,7 +107,7 @@ ArrivalProcess::nextGap()
             // flip the state, and continue from the boundary.
             t = stateEnd_;
             bursting_ = !bursting_;
-            stateEnd_ = t + exponential(rng_, bursting_ ? config_.burstHold
+            stateEnd_ = t + exponential(rng_, bursting_ ? kBurstHold
                                                         : quiet_hold);
         }
       }
@@ -135,9 +140,9 @@ ArrivalProcess::next()
     r.id = nextId_++;
     r.arrival = now_;
     r.prefillTokens = lengthDraw(rng_, config_.meanPrefillTokens,
-                                 config_.minPrefillTokens);
+                                 kMinPrefillTokens);
     r.decodeTokens = lengthDraw(rng_, config_.meanDecodeTokens,
-                                config_.minDecodeTokens);
+                                kMinDecodeTokens);
     r.sloClass = config_.numSloClasses == 1
                      ? 0
                      : rng_.uniformInt(0, config_.numSloClasses - 1);

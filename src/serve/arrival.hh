@@ -12,13 +12,15 @@
  *  - Bursty: a two-state Markov-modulated Poisson process (MMPP).
  *    The process alternates between a quiet state and a burst state
  *    whose rate is `burstFactor` times higher; state holding times are
- *    exponential. The mean rate over time equals `ratePerSec`.
+ *    exponential, 2 s on average in the burst state. The mean rate
+ *    over time equals `ratePerSec`.
  *  - Diurnal: a non-homogeneous Poisson process with sinusoidal rate
  *    lambda(t) = rate * (1 + amplitude * sin(2 pi t / period)),
  *    sampled by Lewis-Shedler thinning — a compressed day/night cycle.
  *
  * Prompt and output lengths are geometric-tailed (exponential rounded
- * up), matching the heavy right tail of production traces.
+ * up) above fixed floors of 8 and 2 tokens, matching the heavy right
+ * tail of production traces.
  */
 
 #ifndef LAER_SERVE_ARRIVAL_HH
@@ -51,15 +53,12 @@ struct ArrivalConfig
 
     double burstFactor = 4.0;     //!< burst rate / mean rate (Bursty)
     double burstFraction = 0.15;  //!< fraction of time in burst state
-    double burstHold = 2.0;       //!< mean seconds per burst episode
 
     double diurnalPeriod = 120.0; //!< seconds per synthetic "day"
     double diurnalAmplitude = 0.6;//!< rate swing in [0, 1)
 
     TokenCount meanPrefillTokens = 512; //!< mean prompt length
     TokenCount meanDecodeTokens = 128;  //!< mean output length
-    TokenCount minPrefillTokens = 8;    //!< floor on prompt length
-    TokenCount minDecodeTokens = 2;     //!< floor on output length
 
     int numSloClasses = 1;        //!< priority classes, drawn uniformly
     std::uint64_t seed = 42;

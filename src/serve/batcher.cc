@@ -126,9 +126,8 @@ ContinuousBatcher::enqueueFront(const Request &request)
 std::vector<Request>
 ContinuousBatcher::resizeKvBudget(Bytes budget)
 {
-    std::vector<Request> unservable;
     if (!kv_ || budget == kv_->budgetBytes())
-        return unservable;
+        return {};
     LAER_CHECK(budget >= 1, "KV resize needs a positive budget");
     // Shrink first: force-preempt running sequences through the normal
     // eviction machinery (lowest priority, youngest first — grower
@@ -145,9 +144,17 @@ ContinuousBatcher::resizeKvBudget(Bytes budget)
     // Sweep out requests whose FULL context can never fit again (the
     // preempt loop parked its victims in waiting_, so one pass over
     // the queues after it catches them too).
+    return sweep([this](const Request &r) { return canEverHold(r); });
+}
+
+std::vector<Request>
+ContinuousBatcher::sweep(
+    const std::function<bool(const Request &)> &servable)
+{
+    std::vector<Request> unservable;
     for (auto &queue : waiting_) {
         for (auto it = queue.begin(); it != queue.end();) {
-            if (canEverHold(*it)) {
+            if (servable(*it)) {
                 ++it;
                 continue;
             }
@@ -156,11 +163,12 @@ ContinuousBatcher::resizeKvBudget(Bytes budget)
         }
     }
     for (auto it = running_.begin(); it != running_.end();) {
-        if (canEverHold(*it)) {
+        if (servable(*it)) {
             ++it;
             continue;
         }
-        kv_->release(it->id);
+        if (kv_)
+            kv_->release(it->id);
         unservable.push_back(*it);
         it = running_.erase(it);
     }

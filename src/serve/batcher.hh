@@ -51,6 +51,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -171,6 +172,16 @@ class ContinuousBatcher
      * no-op returning empty when the KV model is off.
      */
     std::vector<Request> resizeKvBudget(Bytes budget);
+
+    /**
+     * Remove and return every request, waiting or running, that
+     * `servable` is false for, releasing its KV reservation.
+     * resizeKvBudget() sweeps with canEverHold(); a disaggregated run
+     * also sweeps its prefill pool with the decode pool's rule when a
+     * device fault resizes the decode pool.
+     */
+    std::vector<Request>
+    sweep(const std::function<bool(const Request &)> &servable);
 
     /**
      * Plan the next engine step. With the KV model enabled this is

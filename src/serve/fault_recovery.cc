@@ -132,13 +132,15 @@ FaultRecovery::apply(const FaultEvent &event,
                            "fault", now, std::move(args));
     if (event.kind == FaultKind::DeviceFail ||
         event.kind == FaultKind::DeviceRepair)
-        resizeKv(slots[target], now, obs);
+        resizeKv(slots, target, disagg, now, obs);
     return true;
 }
 
 void
-FaultRecovery::resizeKv(EngineSlot &slot, Seconds now, ServingObs &obs)
+FaultRecovery::resizeKv(std::vector<EngineSlot> &slots, int target,
+                        bool disagg, Seconds now, ServingObs &obs)
 {
+    EngineSlot &slot = slots[target];
     // Graceful degradation: the pool's KV budget shrinks to the
     // survivors' share, admission shrinks with it, and requests whose
     // full context can no longer EVER fit are failed rather than
@@ -152,6 +154,20 @@ FaultRecovery::resizeKv(EngineSlot &slot, Seconds now, ServingObs &obs)
         full * static_cast<Bytes>(total - slot.inc.deadDevices) /
         static_cast<Bytes>(total);
     for (const Request &r : slot.engine().resizeKvBudget(budget))
+        fail(r, now, obs);
+    if (!disagg || target != 1)
+        return;
+    // Every prefill-pool context heads for the resized decode pool
+    // with its decode target restored: one it can never hold fails now,
+    // by the arrival door's rule, before a prefill and a KV transfer
+    // are spent on it. A later repair does not revive it.
+    const ContinuousBatcher &decode = slot.engine().batcher();
+    const auto servable = [&decode](const Request &r) {
+        Request at_door = r;
+        at_door.decodeTokens = r.decodeTarget;
+        return decode.canEverHold(at_door);
+    };
+    for (const Request &r : slots[0].engine().batcher().sweep(servable))
         fail(r, now, obs);
 }
 

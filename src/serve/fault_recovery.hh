@@ -178,9 +178,12 @@ class FaultRecovery
     AvailabilityReport report(Seconds now, std::int64_t good_tokens) const;
 
   private:
-    /** Re-derive the KV budget of `slot`'s engine from its surviving
-     * devices; requests it can no longer ever hold fail. */
-    void resizeKv(EngineSlot &slot, Seconds now, ServingObs &obs);
+    /** Re-derive the KV budget of slot `target`'s engine from its
+     * surviving devices; requests it can no longer ever hold fail.
+     * When it is a disaggregated run's decode pool, so do the prefill
+     * pool's contexts that it can never hold. */
+    void resizeKv(std::vector<EngineSlot> &slots, int target, bool disagg,
+                  Seconds now, ServingObs &obs);
 
     int retryBudget_;
     Seconds backoffBase_;

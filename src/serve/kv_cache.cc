@@ -9,7 +9,7 @@ Bytes
 kvBytesPerToken(const ModelConfig &cfg)
 {
     return 2LL * cfg.layers * cfg.numKvHeads * cfg.headDim *
-           cfg.bytesPerParam;
+           kBytesPerParam;
 }
 
 ServingMemoryBudget

@@ -14,7 +14,7 @@
  * KV bytes are exact model arithmetic: one token stores a key and a
  * value vector per layer for the GQA key/value heads,
  *
- *   kvBytesPerToken = 2 * layers * numKvHeads * headDim * bytesPerParam,
+ *   kvBytesPerToken = 2 * layers * numKvHeads * headDim * kBytesPerParam,
  *
  * and the pool hands them out in fixed-size token blocks
  * (PagedAttention-style), so reservations are block-rounded and
@@ -38,7 +38,7 @@ namespace laer
 /**
  * KV-cache bytes one token occupies across all layers.
  * @param cfg  Model whose attention geometry sizes the cache.
- * @return 2 (K and V) * layers * numKvHeads * headDim * bytesPerParam.
+ * @return 2 (K and V) * layers * numKvHeads * headDim * kBytesPerParam.
  */
 Bytes kvBytesPerToken(const ModelConfig &cfg);
 

@@ -1,10 +1,6 @@
 #include "trace/trace.hh"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include "core/error.hh"
@@ -106,76 +102,6 @@ RoutingTrace::rescaleDevices(int new_devices) const
         }
     }
     return out;
-}
-
-RoutingTrace
-RoutingTrace::loadCsv(std::istream &is)
-{
-    std::string line;
-    LAER_CHECK(std::getline(is, line), "empty trace stream");
-    LAER_CHECK(line.rfind("iteration,layer,device,expert,tokens", 0) ==
-               0,
-               "unrecognised trace header: " << line);
-
-    struct Record
-    {
-        int iteration, layer, device, expert;
-        TokenCount tokens;
-    };
-    std::vector<Record> records;
-    int max_iter = -1, max_layer = -1, max_dev = -1, max_expert = -1;
-    int line_no = 1;
-    while (std::getline(is, line)) {
-        ++line_no;
-        if (line.empty())
-            continue;
-        std::istringstream cell(line);
-        Record r{};
-        char comma = ',';
-        cell >> r.iteration >> comma >> r.layer >> comma >> r.device >>
-            comma >> r.expert >> comma >> r.tokens;
-        LAER_CHECK(!cell.fail(),
-                   "malformed trace row at line " << line_no << ": "
-                                                  << line);
-        LAER_CHECK(r.iteration >= 0 && r.layer >= 0 && r.device >= 0 &&
-                   r.expert >= 0 && r.tokens >= 0,
-                   "negative field in trace row at line " << line_no);
-        max_iter = std::max(max_iter, r.iteration);
-        max_layer = std::max(max_layer, r.layer);
-        max_dev = std::max(max_dev, r.device);
-        max_expert = std::max(max_expert, r.expert);
-        records.push_back(r);
-    }
-    LAER_CHECK(!records.empty(), "trace has no data rows");
-
-    std::vector<std::vector<RoutingMatrix>> grid(
-        max_iter + 1,
-        std::vector<RoutingMatrix>(
-            max_layer + 1,
-            RoutingMatrix(max_dev + 1, max_expert + 1)));
-    for (const Record &r : records)
-        grid[r.iteration][r.layer].at(r.device, r.expert) += r.tokens;
-
-    RoutingTrace trace(max_iter + 1, max_layer + 1);
-    for (int it = 0; it <= max_iter; ++it)
-        for (int ly = 0; ly <= max_layer; ++ly)
-            trace.set(it, ly, std::move(grid[it][ly]));
-    return trace;
-}
-
-void
-RoutingTrace::saveCsv(std::ostream &os) const
-{
-    os << "iteration,layer,device,expert,tokens\n";
-    for (int it = 0; it < iterations(); ++it) {
-        for (int ly = 0; ly < layers(); ++ly) {
-            const RoutingMatrix &m = data_[it][ly];
-            for (DeviceId d = 0; d < m.numDevices(); ++d)
-                for (ExpertId j = 0; j < m.numExperts(); ++j)
-                    os << it << "," << ly << "," << d << "," << j << ","
-                       << m.at(d, j) << "\n";
-        }
-    }
 }
 
 } // namespace laer

@@ -12,7 +12,6 @@
 #ifndef LAER_TRACE_TRACE_HH
 #define LAER_TRACE_TRACE_HH
 
-#include <iosfwd>
 #include <vector>
 
 #include "planner/types.hh"
@@ -57,18 +56,6 @@ class RoutingTrace
      * per device. Used by the Tab. 4 scalability replay.
      */
     RoutingTrace rescaleDevices(int new_devices) const;
-
-    /** Write as CSV: iteration,layer,device,expert,tokens. */
-    void saveCsv(std::ostream &os) const;
-
-    /**
-     * Parse a trace from the CSV format saveCsv emits (header line
-     * required; zero-count cells may be omitted). Used to replay
-     * routing traces recorded elsewhere — e.g. exported from a real
-     * training run — through the simulator, the way the paper's
-     * Appendix D replays Mixtral traces.
-     */
-    static RoutingTrace loadCsv(std::istream &is);
 
   private:
     std::vector<std::vector<RoutingMatrix>> data_;

@@ -1,4 +1,4 @@
-#include "planner/reference_solver.hh"
+#include "oracle/reference_solver.hh"
 
 #include <cmath>
 #include <vector>

@@ -1,6 +1,7 @@
 /**
  * @file
- * Exhaustive reference solver for tiny instances.
+ * Exhaustive reference solver for tiny instances (test oracle: part of
+ * the laer_oracle library, which only tests link).
  *
  * The joint problem (Eq. 2) is a nonlinear integer program; the paper
  * resorts to greedy heuristics. For testing we enumerate every layout
@@ -11,8 +12,8 @@
  * usable for toy sizes (guarded by a hard limit).
  */
 
-#ifndef LAER_PLANNER_REFERENCE_SOLVER_HH
-#define LAER_PLANNER_REFERENCE_SOLVER_HH
+#ifndef LAER_ORACLE_REFERENCE_SOLVER_HH
+#define LAER_ORACLE_REFERENCE_SOLVER_HH
 
 #include "planner/layout_tuner.hh"
 
@@ -38,4 +39,4 @@ LayoutDecision exhaustiveLayoutSearch(const Cluster &cluster,
 
 } // namespace laer
 
-#endif // LAER_PLANNER_REFERENCE_SOLVER_HH
+#endif // LAER_ORACLE_REFERENCE_SOLVER_HH

@@ -34,16 +34,6 @@ TEST(Collectives, ZeroVolumeShape)
     }
 }
 
-TEST(Collectives, PairSumMatchesManualComputation)
-{
-    const Cluster c = twoNode();
-    auto v = zeroVolume(4);
-    v[0][1] = 100e9; // intra: 1 s
-    v[0][2] = 10e9;  // inter: 1 s
-    v[3][3] = 999;   // diagonal ignored
-    EXPECT_NEAR(a2aPairSumCost(c, v), 2.0, 1e-9);
-}
-
 TEST(Collectives, BottleneckIsBusiestPort)
 {
     const Cluster c = twoNode();
@@ -186,23 +176,6 @@ TEST(Collectives, AllReduceIsTwoPhases)
                      reduceScatterTime(c, g, 8e9) +
                          allGatherTime(c, g, 8e9));
     EXPECT_DOUBLE_EQ(allReduceTime(c, {2}, 8e9), 0.0);
-}
-
-TEST(Collectives, P2PUsesLinkBandwidth)
-{
-    const Cluster c = twoNode();
-    EXPECT_NEAR(p2pTime(c, 0, 1, 100e9), 1.0 + kCollectiveAlpha, 1e-9);
-    EXPECT_NEAR(p2pTime(c, 0, 2, 10e9), 1.0 + kCollectiveAlpha, 1e-9);
-    EXPECT_DOUBLE_EQ(p2pTime(c, 1, 1, 10e9), 0.0);
-}
-
-TEST(Collectives, TotalWireBytesSkipsDiagonal)
-{
-    auto v = zeroVolume(3);
-    v[0][1] = 5;
-    v[1][2] = 7;
-    v[2][2] = 1000;
-    EXPECT_EQ(totalWireBytes(v), 12);
 }
 
 } // namespace

@@ -132,8 +132,8 @@ TEST(ThresholdPolicy, HoldsInsideTheDeadBand)
     cfg.maxReplicas = 4;
     ThresholdHysteresisAutoscaler policy(cfg);
     TelemetryBus bus;
-    // Queue depth between queueLow and queueHigh, cool KV: no action,
-    // ever — the signal is in the dead band.
+    // Queue depth between the low (1) and high (8) thresholds, cool
+    // KV: no action, ever — the signal is in the dead band.
     for (int i = 0; i < 50; ++i) {
         bus.publish(makeWindow(i, i + 1.0, 2, 2, 0.5, 0.5));
         const ScalingAction a = policy.decide(bus, replicaState(2, 4));
@@ -146,8 +146,6 @@ TEST(ThresholdPolicy, ScalesUpOnSustainedPressureThenSettles)
     AutoscalerConfig cfg;
     cfg.minReplicas = 1;
     cfg.maxReplicas = 3;
-    cfg.upWindows = 2;
-    cfg.cooldownWindows = 1;
     ThresholdHysteresisAutoscaler policy(cfg);
     TelemetryBus bus;
 
@@ -205,7 +203,6 @@ TEST(TargetUtilPolicy, TracksTheSetpoint)
     cfg.maxReplicas = 8;
     cfg.targetUtilization = 0.5;
     cfg.deadband = 0.2;
-    cfg.cooldownWindows = 0;
     TargetUtilizationAutoscaler policy(cfg);
     TelemetryBus bus;
 
@@ -216,13 +213,21 @@ TEST(TargetUtilPolicy, TracksTheSetpoint)
     ASSERT_EQ(a.kind, ScalingAction::Kind::SetReplicas);
     EXPECT_EQ(a.target, 4);
 
+    // The two cooldown windows after an action hold whatever the
+    // signal.
+    for (int i = 1; i <= 2; ++i) {
+        bus.publish(makeWindow(i, i + 1.0, 0, 0, 0.1, 0.1));
+        a = policy.decide(bus, replicaState(4, 8));
+        EXPECT_EQ(a.kind, ScalingAction::Kind::None) << "window " << i;
+    }
+
     // Inside the dead band (0.4..0.6): hold.
-    bus.publish(makeWindow(1.0, 2.0, 0, 0, 0.55, 0.55));
+    bus.publish(makeWindow(3.0, 4.0, 0, 0, 0.55, 0.55));
     a = policy.decide(bus, replicaState(4, 8));
     EXPECT_EQ(a.kind, ScalingAction::Kind::None);
 
     // Cool pools: gentle single-step ramp-down.
-    bus.publish(makeWindow(2.0, 3.0, 0, 0, 0.1, 0.1));
+    bus.publish(makeWindow(4.0, 5.0, 0, 0, 0.1, 0.1));
     a = policy.decide(bus, replicaState(4, 8));
     ASSERT_EQ(a.kind, ScalingAction::Kind::SetReplicas);
     EXPECT_EQ(a.target, 3);
@@ -236,21 +241,19 @@ TEST(SplitPolicy, IdealSplitFollowsPressure)
     state.totalDevices = 8;
     state.nodeDevices = 2;
     state.minPoolDevices = 2;
-    AutoscalerConfig cfg;
 
     // Prefill queue 3x the decode queue: the ideal split leans
     // prefill-ward.
     const int hot_prefill =
-        idealPrefillDevices(makeWindow(0, 1, 30, 10, 0.5, 0.5), state,
-                            cfg);
+        idealPrefillDevices(makeWindow(0, 1, 30, 10, 0.5, 0.5), state);
     EXPECT_GT(hot_prefill, 4);
     // Transfer stall counts as decode pressure.
     const int hot_decode = idealPrefillDevices(
-        makeWindow(0, 1, 2, 2, 0.5, 0.9, /*stall=*/3.0), state, cfg);
+        makeWindow(0, 1, 2, 2, 0.5, 0.9, /*stall=*/3.0), state);
     EXPECT_LT(hot_decode, 4);
     // Balanced pools hold the even split.
     EXPECT_EQ(idealPrefillDevices(makeWindow(0, 1, 8, 8, 0.5, 0.5),
-                                  state, cfg),
+                                  state),
               4);
 }
 
@@ -481,17 +484,17 @@ TEST(SplitResize, RejectsIllegalCuts)
 TEST(SplitResize, RejectsShrinksThatStrandALiveContext)
 {
     // Direct KV sizing (no HBM model): the cluster-wide 8 KiB pool
-    // splits by device share, so a 2-device pool owns 2 KiB. Live
-    // contexts are ~2.3k tokens (1 byte each): fine in any >= 4-device
-    // pool, inadmissible in a 2-device one — the shrink must be
-    // refused up front, not die in enqueue() after the drain.
+    // splits by device share, so a 2-device pool owns 2 KiB. Means at
+    // the length floors make every context 8 + 2 tokens, 3,000 bytes
+    // at 300 bytes each: fine in any >= 4-device pool, inadmissible in
+    // a 2-device one — the shrink must be refused up front, not die in
+    // enqueue() after the drain.
     const Cluster cluster(4, 2, 300e9, 12.5e9, 212e12);
     ServingConfig cfg = splitConfig(10.0);
-    cfg.arrival.minPrefillTokens = 2200;
-    cfg.arrival.meanPrefillTokens = 2250;
-    cfg.arrival.meanDecodeTokens = 4;
+    cfg.arrival.meanPrefillTokens = 8;
+    cfg.arrival.meanDecodeTokens = 2;
     cfg.batcher.kvBudgetBytes = 8192;
-    cfg.batcher.kvBytesPerToken = 1;
+    cfg.batcher.kvBytesPerToken = 300;
     cfg.batcher.kvBlockTokens = 1;
     ServingSimulator sim(cluster, cfg);
     while (sim.engine(0).batcher().maxLiveFullContext() == 0 &&

@@ -9,8 +9,9 @@
  * engine-lifecycle rules under faults: a split refused while a pool is
  * dead or while retries it could not re-home wait out their backoff,
  * stranded contexts failed at a dead decode pool, contexts and retries
- * a fault-shrunk pool can never hold failed at its door, and a split
- * rebuild that comes back whole.
+ * a fault-shrunk pool can never hold failed at its door or, already
+ * in the prefill pool, when it shrinks, and a split rebuild that
+ * comes back whole.
  */
 
 #include <cstdio>
@@ -561,6 +562,42 @@ TEST(FaultRecovery, ShrunkDecodePoolFailsContextsItCannotHold)
     EXPECT_EQ(report.kvTransferBytes, 637534208);
 }
 
+TEST(FaultRecovery, ShrunkDecodePoolFailsPrefillContextsItCannotHold)
+{
+    // Request 10 (a 902-token prompt owing 15,548 decode tokens) is
+    // admitted at 0.569 s and is still in the prefill pool, between
+    // its two 512-token prefill chunks, when three of the decode
+    // pool's four devices die at 0.58 s. The shrunk pool can never
+    // hold its context, so it fails at the shrink, by the prefill
+    // door's rule: its second chunk and its KV transfer are never
+    // spent. Request 11, in the prefill pool beside it, fits the
+    // shrunk pool and is kept.
+    const Cluster cluster(4, 2, 300e9, 12.5e9, 212e12);
+    ServingConfig cfg = longDecodeDisaggConfig(25.91, 1.0);
+    cfg.faults.events.push_back({0.58, FaultKind::DeviceFail, 1, 3.0});
+    TraceRecorder trace;
+    cfg.trace = &trace;
+    ServingSimulator sim(cluster, cfg);
+    stepUntil(sim, 0.575);
+    ASSERT_EQ(sim.engine(0).batcher().runningCount() +
+                  sim.engine(0).batcher().waitingCount(),
+              2);
+    ServingReport report;
+    ASSERT_NO_THROW(report = sim.run());
+
+    EXPECT_EQ(report.availability.requestsFailed, 1);
+    EXPECT_EQ(report.completed, 21);
+    std::ostringstream os;
+    trace.write(os);
+    EXPECT_EQ(traceTsOf(os.str(), "request_failed", 10), "580000");
+    EXPECT_EQ(traceTsOf(os.str(), "kv_transfer", 10), "");
+    // Judged only at the decode door, it was prefilled and shipped
+    // first: 22 migrations and 755,892,224 KV bytes, one context
+    // (118,358,016 bytes) more than these.
+    EXPECT_EQ(report.migrated, 21);
+    EXPECT_EQ(report.kvTransferBytes, 637534208);
+}
+
 TEST(FaultRecovery, ShrunkPoolFailsRetriesItCannotHold)
 {
     // The decode pool dies with its contexts inside, and three of its
@@ -664,7 +701,6 @@ TEST(FaultRecovery, AutoscalerRebuildsDeadReplicaAndClosesMttr)
     loop_cfg.kind = AutoscalerKind::ThresholdHysteresis;
     loop_cfg.autoscaler.minReplicas = 1;
     loop_cfg.autoscaler.maxReplicas = 2;
-    loop_cfg.autoscaler.cooldownWindows = 0;
     ControlLoop loop(sim, loop_cfg);
     const ServingReport report = loop.run();
 

@@ -29,7 +29,7 @@ TEST(KvBytes, MatchesModelArithmetic)
     const ModelConfig cfg = mixtral8x7bE8K2();
     EXPECT_EQ(kvBytesPerToken(cfg),
               2LL * cfg.layers * cfg.numKvHeads * cfg.headDim *
-                  cfg.bytesPerParam);
+                  kBytesPerParam);
 }
 
 TEST(KvBytes, MemoryBudgetComposesWithModelState)

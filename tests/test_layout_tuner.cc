@@ -10,8 +10,8 @@
 #include "core/error.hh"
 #include "core/rng.hh"
 #include "planner/layout_tuner.hh"
+#include "oracle/reference_solver.hh"
 #include "planner/lite_routing.hh"
-#include "planner/reference_solver.hh"
 
 namespace laer
 {

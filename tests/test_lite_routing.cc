@@ -130,31 +130,6 @@ TEST(LiteRouting, DuplicateReplicasOnOneDeviceGetDoubleShare)
     EXPECT_EQ(s.at(0, 0, 1), 30);
 }
 
-TEST(LiteRouting, IndexOverloadMatchesLayoutOverload)
-{
-    const Cluster c = cluster22();
-    RoutingMatrix r(4, 2);
-    r.at(0, 0) = 11;
-    r.at(1, 0) = 3;
-    r.at(2, 1) = 9;
-    ExpertLayout a(4, 2);
-    a.at(0, 0) = 1;
-    a.at(1, 1) = 1;
-    a.at(2, 0) = 2; // multiplicity
-    a.at(3, 1) = 1;
-    const ReplicaIndex index(c, a);
-    RoutingPlan via_layout(4, 2), via_index(4, 2);
-    for (DeviceId rank = 0; rank < 4; ++rank) {
-        liteRouteRank(c, r, a, rank, via_layout);
-        liteRouteRank(c, r, index, rank, via_index);
-    }
-    for (DeviceId i = 0; i < 4; ++i)
-        for (ExpertId j = 0; j < 2; ++j)
-            for (DeviceId k = 0; k < 4; ++k)
-                EXPECT_EQ(via_layout.at(i, j, k),
-                          via_index.at(i, j, k));
-}
-
 // Satellite check: liteRouting and both fused scorers agree on recv
 // sums and pair cost for random feasible layouts.
 class ScorerEquivalence : public ::testing::TestWithParam<bool>
@@ -171,11 +146,10 @@ TEST_P(ScorerEquivalence, MatchesDensePlanOnRandomLayouts)
     params.compFlopsPerToken = 2.5e8;
 
     // Equivalence through the diff harness: per seed, one exact
-    // checkpoint (integer recv sums, comp term) and one tolerant
-    // checkpoint (comm term, whose summation order differs between
-    // the formulations) on each side.
+    // checkpoint (integer recv sums, comp term) on each side. The comm
+    // term, whose summation order differs between the formulations,
+    // is compared to a relative 1e-9.
     SnapshotStream dense_exact, scorer_exact;
-    SnapshotStream dense_close, scorer_close;
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
         Rng rng(seed);
         RoutingMatrix r(n, e);
@@ -226,21 +200,13 @@ TEST_P(ScorerEquivalence, MatchesDensePlanOnRandomLayouts)
         // (tighter) order; timeCost folds tokens per (i, k) pair
         // before dividing — mathematically identical, equal only to
         // rounding.
-        CounterSnapshot dc, sc;
-        dc.simTime = sc.simTime = static_cast<Seconds>(seed);
-        dc.values = {{"comm", dense.comm}};
-        sc.values = {{"comm", score.cost.comm}};
-        dense_close.snapshots.push_back(dc);
-        scorer_close.snapshots.push_back(sc);
+        EXPECT_NEAR(score.cost.comm, dense.comm,
+                    1e-9 * std::max(dense.comm, score.cost.comm))
+            << "seed " << seed;
     }
 
     const DiffReport exact = diffStreams(dense_exact, scorer_exact);
     EXPECT_TRUE(exact.identical()) << exact.toText();
-    DiffOptions tolerant;
-    tolerant.relTol = 1e-9;
-    const DiffReport close =
-        diffStreams(dense_close, scorer_close, tolerant);
-    EXPECT_TRUE(close.identical()) << close.toText();
 }
 
 INSTANTIATE_TEST_SUITE_P(ExactAndFast, ScorerEquivalence,
@@ -317,30 +283,6 @@ TEST(LiteRouting, ExactScorerIsBitIdenticalToSeedFormulation)
     EXPECT_EQ(score.cost.comm,
               4.0 * static_cast<double>(params.commBytesPerToken) *
                   pair_sum);
-}
-
-TEST(LiteRouting, PerRankRoutingMatchesFullRouting)
-{
-    // Alg. 3 runs independently per device; the aggregate of per-rank
-    // calls must equal the convenience wrapper.
-    const Cluster c = cluster22();
-    RoutingMatrix r(4, 2);
-    r.at(0, 0) = 11;
-    r.at(1, 0) = 3;
-    r.at(2, 1) = 9;
-    ExpertLayout a(4, 2);
-    a.at(0, 0) = 1;
-    a.at(1, 1) = 1;
-    a.at(2, 0) = 1;
-    a.at(3, 1) = 1;
-    const RoutingPlan full = liteRouting(c, r, a);
-    RoutingPlan manual(4, 2);
-    for (DeviceId rank = 0; rank < 4; ++rank)
-        liteRouteRank(c, r, a, rank, manual);
-    for (DeviceId i = 0; i < 4; ++i)
-        for (ExpertId j = 0; j < 2; ++j)
-            for (DeviceId k = 0; k < 4; ++k)
-                EXPECT_EQ(full.at(i, j, k), manual.at(i, j, k));
 }
 
 } // namespace

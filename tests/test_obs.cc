@@ -578,7 +578,9 @@ TEST(WriteOnlySinks, ControlledReplicaRunIsUnchanged)
     cfg.simulatedLayers = 2;
     cfg.horizon = 4.0;
     cfg.arrival.kind = ArrivalKind::Poisson;
-    cfg.arrival.ratePerSec = 80.0;
+    // Enough load to breach the autoscaler's fixed queue threshold (8
+    // waiting per replica), so the loop acts.
+    cfg.arrival.ratePerSec = 160.0;
     cfg.arrival.meanPrefillTokens = 128;
     cfg.arrival.meanDecodeTokens = 16;
     cfg.arrival.seed = 5;
@@ -592,7 +594,6 @@ TEST(WriteOnlySinks, ControlledReplicaRunIsUnchanged)
     loop.kind = AutoscalerKind::ThresholdHysteresis;
     loop.autoscaler.minReplicas = 1;
     loop.autoscaler.maxReplicas = 2;
-    loop.autoscaler.queueHigh = 2.0;
     const ServingReport report = expectSinksWriteOnly(cluster, cfg, &loop);
     EXPECT_FALSE(report.scalingEvents.empty());
 }

@@ -487,7 +487,7 @@ microBatchOnTaskGraph(const Cluster &cluster, const IterationSpec &spec)
     if (!is_megatron)
         prefetch_dur += allGatherTime(
             cluster, nodeGroup(cluster, 0),
-            model.nonExpertParamsPerLayer() * model.bytesPerParam);
+            model.nonExpertParamsPerLayer() * kBytesPerParam);
     prefetch_dur *= contention;
 
     // Per-layer gradient synchronisation (reshard) duration.
@@ -498,14 +498,14 @@ microBatchOnTaskGraph(const Cluster &cluster, const IterationSpec &spec)
                        reduceScatterTime(
                            cluster, nodeGroup(cluster, 0),
                            model.nonExpertParamsPerLayer() *
-                               model.bytesPerParam);
+                               kBytesPerParam);
     } else if (spec.system == SystemKind::FsdpEp) {
         gradsync_dur =
             reduceScatterTime(cluster, nodeGroup(cluster, 0),
                               static_cast<Bytes>(cap) * expert_bytes) +
             reduceScatterTime(cluster, nodeGroup(cluster, 0),
                               model.nonExpertParamsPerLayer() *
-                                  model.bytesPerParam);
+                                  kBytesPerParam);
     } else {
         // Megatron: expert grads all-reduce across the replicas of the
         // expert set (one device per EP group = the node group), and
@@ -518,7 +518,7 @@ microBatchOnTaskGraph(const Cluster &cluster, const IterationSpec &spec)
                           static_cast<Bytes>(cap) * expert_bytes) +
             allReduceTime(cluster, dp_group,
                           model.nonExpertParamsPerLayer() *
-                              model.bytesPerParam / tp);
+                              kBytesPerParam / tp);
     }
 
     // ---- Per-layer traffic and expert compute --------------------------

@@ -75,8 +75,9 @@ TEST(Arrival, TimesStrictlyIncreaseAndLengthsRespectFloors)
             const Request r = p.next();
             EXPECT_GT(r.arrival, last);
             last = r.arrival;
-            EXPECT_GE(r.prefillTokens, p.config().minPrefillTokens);
-            EXPECT_GE(r.decodeTokens, p.config().minDecodeTokens);
+            // The length draws' fixed floors (serve/arrival.hh).
+            EXPECT_GE(r.prefillTokens, 8);
+            EXPECT_GE(r.decodeTokens, 2);
             EXPECT_EQ(r.sloClass, 0);
         }
     }

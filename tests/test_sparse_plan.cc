@@ -179,7 +179,7 @@ TEST(RoutingPlanSparse, PortLoadPricingIsBitIdenticalToDense)
 
         EXPECT_EQ(sparse.dispatchVolume(token_bytes), vol);
     }
-    // Exact comparison (relTol 0): the fold is exact integer
+    // Exact comparison: the fold is exact integer
     // arithmetic on both sides, so every priced time must be
     // bit-identical, not just close.
     const DiffReport report =

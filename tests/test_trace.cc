@@ -6,9 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
-#include "core/error.hh"
 #include "core/stats.hh"
 #include "trace/routing_generator.hh"
 #include "trace/trace.hh"
@@ -232,72 +229,6 @@ TEST(RoutingTrace, RescalePreservesExpertDistribution)
         static_cast<double>(big.at(0, 0).totalTokens());
     for (ExpertId j = 0; j < 8; ++j)
         EXPECT_NEAR(dst[j] / dst_total, src[j] / src_total, 0.02);
-}
-
-TEST(RoutingTrace, CsvHasHeaderAndRows)
-{
-    RoutingTrace trace(1, 1);
-    RoutingMatrix r(2, 2);
-    r.at(0, 0) = 5;
-    trace.set(0, 0, r);
-    std::ostringstream oss;
-    trace.saveCsv(oss);
-    EXPECT_NE(oss.str().find("iteration,layer,device,expert,tokens"),
-              std::string::npos);
-    EXPECT_NE(oss.str().find("0,0,0,0,5"), std::string::npos);
-}
-
-TEST(RoutingTrace, CsvRoundTripIsLossless)
-{
-    RoutingGenerator gen(baseModel());
-    RoutingTrace trace(3, 2);
-    for (int it = 0; it < 3; ++it)
-        for (int ly = 0; ly < 2; ++ly)
-            trace.set(it, ly, gen.next());
-
-    std::stringstream buffer;
-    trace.saveCsv(buffer);
-    const RoutingTrace loaded = RoutingTrace::loadCsv(buffer);
-
-    ASSERT_EQ(loaded.iterations(), 3);
-    ASSERT_EQ(loaded.layers(), 2);
-    for (int it = 0; it < 3; ++it)
-        for (int ly = 0; ly < 2; ++ly) {
-            const RoutingMatrix &a = trace.at(it, ly);
-            const RoutingMatrix &b = loaded.at(it, ly);
-            ASSERT_EQ(b.numDevices(), a.numDevices());
-            ASSERT_EQ(b.numExperts(), a.numExperts());
-            for (DeviceId d = 0; d < a.numDevices(); ++d)
-                for (ExpertId j = 0; j < a.numExperts(); ++j)
-                    EXPECT_EQ(b.at(d, j), a.at(d, j))
-                        << it << "/" << ly << "/" << d << "/" << j;
-        }
-}
-
-TEST(RoutingTrace, LoadCsvRejectsGarbage)
-{
-    std::stringstream empty;
-    EXPECT_THROW(RoutingTrace::loadCsv(empty), FatalError);
-
-    std::stringstream bad_header("foo,bar\n0,0,0,0,1\n");
-    EXPECT_THROW(RoutingTrace::loadCsv(bad_header), FatalError);
-
-    std::stringstream no_rows(
-        "iteration,layer,device,expert,tokens\n");
-    EXPECT_THROW(RoutingTrace::loadCsv(no_rows), FatalError);
-
-    std::stringstream bad_row(
-        "iteration,layer,device,expert,tokens\n0,0,zzz\n");
-    EXPECT_THROW(RoutingTrace::loadCsv(bad_row), FatalError);
-}
-
-TEST(RoutingTrace, LoadCsvAccumulatesDuplicateCells)
-{
-    std::stringstream csv("iteration,layer,device,expert,tokens\n"
-                          "0,0,1,1,5\n"
-                          "0,0,1,1,7\n");
-    const RoutingTrace trace = RoutingTrace::loadCsv(csv);
-    EXPECT_EQ(trace.at(0, 0).at(1, 1), 12);
 }
 
 TEST(SummarizeRouting, ComputesShares)
