@@ -111,8 +111,6 @@ dayConfig(bool quick, int threads, bool windowed)
     cfg.batcher.maxRunning = 512;
     cfg.batcher.numSloClasses = 2;
 
-    // Near-empty drain steps skip their Dirichlet draws entirely.
-    cfg.routing.sparseDraw = true;
     cfg.routing.skew = 1.2;
     cfg.routing.drift = 0.98;
     return cfg;

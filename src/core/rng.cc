@@ -20,6 +20,9 @@ splitMix64(std::uint64_t &state)
     return z ^ (z >> 31);
 }
 
+// Multinomial totals up to this many trials per bucket are drawn exactly.
+constexpr std::int64_t kExactTrialsPerBucket = 4;
+
 std::uint64_t
 rotl(std::uint64_t x, int k)
 {
@@ -123,7 +126,15 @@ Rng::dirichlet(int n, double alpha)
 std::vector<double>
 Rng::dirichlet(const std::vector<double> &alphas)
 {
-    std::vector<double> out(alphas.size());
+    std::vector<double> out;
+    dirichlet(alphas, out);
+    return out;
+}
+
+void
+Rng::dirichlet(const std::vector<double> &alphas, std::vector<double> &out)
+{
+    out.resize(alphas.size());
     double sum = 0.0;
     for (std::size_t i = 0; i < alphas.size(); ++i) {
         out[i] = gamma(alphas[i]);
@@ -132,7 +143,6 @@ Rng::dirichlet(const std::vector<double> &alphas)
     LAER_ASSERT(sum > 0.0, "degenerate Dirichlet draw");
     for (auto &v : out)
         v /= sum;
-    return out;
 }
 
 int
@@ -154,10 +164,15 @@ Rng::zipf(int n, double s)
 std::vector<std::int64_t>
 Rng::multinomial(std::int64_t total, const std::vector<double> &probs)
 {
-    // Sequential conditional-binomial sampling would need a binomial
-    // sampler; for the token counts we care about (1e3..1e6 trials over
-    // <= 64 buckets) a normal approximation with exact-count repair is
-    // statistically indistinguishable and much faster.
+    std::vector<std::int64_t> counts;
+    multinomial(total, probs, counts);
+    return counts;
+}
+
+void
+Rng::multinomial(std::int64_t total, const std::vector<double> &probs,
+                 std::vector<std::int64_t> &counts)
+{
     const int n = static_cast<int>(probs.size());
     LAER_ASSERT(n > 0, "multinomial needs at least one bucket");
     double psum = 0.0;
@@ -167,10 +182,32 @@ Rng::multinomial(std::int64_t total, const std::vector<double> &probs)
     }
     LAER_ASSERT(psum > 0.0, "multinomial probabilities sum to zero");
 
-    std::vector<std::int64_t> counts(n, 0);
+    counts.assign(static_cast<std::size_t>(n), 0);
     if (total <= 0)
-        return counts;
+        return;
 
+    // Small totals: one inverse-CDF draw per trial, exact. A zero
+    // bucket is never chosen; rounding past the end lands on the last
+    // positive bucket.
+    if (total <= kExactTrialsPerBucket * static_cast<std::int64_t>(n)) {
+        int last = n - 1;
+        while (probs[last] <= 0.0)
+            --last;
+        for (std::int64_t t = 0; t < total; ++t) {
+            double u = uniform() * psum;
+            int i = 0;
+            while (i < last && (u -= probs[i]) >= 0.0)
+                ++i;
+            ++counts[i];
+        }
+        return;
+    }
+
+    // Large totals: a normal approximation per bucket, then an
+    // exact-count repair. Fast, but not exact: the repair fills buckets
+    // in index order (a bias that dominates at small totals, hence the
+    // branch above) and the variance falls short by a factor (1 - p).
+    // Every training output depends on this stream as it is.
     std::int64_t assigned = 0;
     for (int i = 0; i < n; ++i) {
         const double p = probs[i] / psum;
@@ -188,7 +225,7 @@ Rng::multinomial(std::int64_t total, const std::vector<double> &probs)
         assigned += c;
     }
     // Repair rounding drift so the counts sum exactly to `total`,
-    // spreading the correction over the largest buckets.
+    // one count per bucket in index order.
     std::int64_t drift = total - assigned;
     while (drift != 0) {
         for (int i = 0; i < n && drift != 0; ++i) {
@@ -201,7 +238,6 @@ Rng::multinomial(std::int64_t total, const std::vector<double> &probs)
             }
         }
     }
-    return counts;
 }
 
 std::vector<int>

@@ -56,6 +56,10 @@ class Rng
     /** Dirichlet draw with per-component concentrations. */
     std::vector<double> dirichlet(const std::vector<double> &alphas);
 
+    /** Dirichlet draw into `out`, which is resized to alphas.size(). */
+    void dirichlet(const std::vector<double> &alphas,
+                   std::vector<double> &out);
+
     /**
      * Zipf-distributed integer in [0, n): P(k) proportional to
      * 1 / (k + 1)^s. Uses inverse-CDF over a precomputable table-free
@@ -66,9 +70,16 @@ class Rng
     /**
      * Multinomial draw: distribute `total` trials over `probs`
      * (which need not be normalised). Returns per-bucket counts.
+     * Exact (one inverse-CDF draw per trial) while total <= 4 *
+     * buckets; above that a normal approximation with exact-count
+     * repair.
      */
     std::vector<std::int64_t>
     multinomial(std::int64_t total, const std::vector<double> &probs);
+
+    /** Multinomial draw into `counts`, resized to probs.size(). */
+    void multinomial(std::int64_t total, const std::vector<double> &probs,
+                     std::vector<std::int64_t> &counts);
 
     /** Fisher-Yates shuffle of an index vector [0, n). */
     std::vector<int> permutation(int n);

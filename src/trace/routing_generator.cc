@@ -1,5 +1,6 @@
 #include "trace/routing_generator.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/error.hh"
@@ -99,32 +100,71 @@ RoutingGenerator::nextForTokens(const std::vector<TokenCount> &tokens)
             l *= shrink;
     }
 
+    // Per-device jitter: a Dirichlet around the global popularity with
+    // these concentrations, shared by every device of the call.
     const std::vector<double> global = popularity();
-    RoutingMatrix routing(model_.numDevices, model_.numExperts);
+    const TokenCount urn_bound = kUrnTokensPerExpert * model_.numExperts;
+    alphas_.resize(global.size());
+    alphaPrefix_.resize(global.size());
+    urn_.reserve(static_cast<std::size_t>(urn_bound));
+    const double conc = 1.0 / std::max(1e-6, model_.deviceJitter);
+    double alpha_sum = 0.0;
+    for (std::size_t j = 0; j < global.size(); ++j) {
+        alphas_[j] = std::max(1e-3, global[j] * conc *
+                                        static_cast<double>(
+                                            model_.numExperts));
+        alphaPrefix_[j] = (alpha_sum += alphas_[j]);
+    }
 
-    std::vector<double> alphas(global.size());
+    RoutingMatrix routing(model_.numDevices, model_.numExperts);
     for (DeviceId d = 0; d < model_.numDevices; ++d) {
         const TokenCount routed =
             tokens[d] * static_cast<TokenCount>(model_.topK);
-        // Sparse draw: a zero-token device routes nothing — its row is
-        // already zero and (with the opt-in flag) its jitter draw is
-        // skipped entirely. The dense path still burns the draw so the
-        // RNG stream matches historical runs.
-        if (model_.sparseDraw && routed == 0)
+        if (routed <= 0)
             continue;
-        // Per-device jitter: Dirichlet around the global popularity.
-        const double conc = 1.0 / std::max(1e-6, model_.deviceJitter);
-        for (std::size_t j = 0; j < global.size(); ++j)
-            alphas[j] = std::max(1e-3, global[j] * conc *
-                                           static_cast<double>(
-                                               model_.numExperts));
-        const std::vector<double> local = rng_.dirichlet(alphas);
-        const std::vector<std::int64_t> counts =
-            rng_.multinomial(routed, local);
+        if (routed <= urn_bound) {
+            drawUrnRow(d, routed, routing);
+            continue;
+        }
+        rng_.dirichlet(alphas_, local_);
+        rng_.multinomial(routed, local_, counts_);
         for (ExpertId j = 0; j < model_.numExperts; ++j)
-            routing.at(d, j) = counts[j];
+            routing.at(d, j) = counts_[j];
     }
     return routing;
+}
+
+void
+RoutingGenerator::drawUrnRow(DeviceId d, TokenCount routed,
+                             RoutingMatrix &routing)
+{
+    // Token t joins expert j with probability (alpha_j + c_j) /
+    // (A + t), where c_j counts the earlier tokens at j: exactly the
+    // Dirichlet-multinomial. One uniform u in [0, A + t) decides it:
+    // below A it draws from the prior by searching the alpha prefix
+    // sums, above it names an earlier token whose expert t copies. The
+    // clamps catch a product rounded up to the interval's end.
+    const double alpha_sum = alphaPrefix_.back();
+    const ExpertId last = model_.numExperts - 1;
+    urn_.clear();
+    for (TokenCount t = 0; t < routed; ++t) {
+        const double u =
+            rng_.uniform() * (alpha_sum + static_cast<double>(t));
+        ExpertId j;
+        if (t == 0 || u < alpha_sum) {
+            j = static_cast<ExpertId>(
+                std::upper_bound(alphaPrefix_.begin(), alphaPrefix_.end(),
+                                 u) -
+                alphaPrefix_.begin());
+            j = std::min(j, last);
+        } else {
+            const TokenCount prev = std::min(
+                t - 1, static_cast<TokenCount>(u - alpha_sum));
+            j = urn_[static_cast<std::size_t>(prev)];
+        }
+        urn_.push_back(j);
+        ++routing.at(d, j);
+    }
 }
 
 } // namespace laer

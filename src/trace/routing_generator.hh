@@ -11,7 +11,13 @@
  * stationary skew is set by the walk's stationary variance, drift
  * speed by its correlation coefficient. Device-level token counts are
  * drawn multinomially around the global popularity with a per-device
- * Dirichlet jitter.
+ * Dirichlet jitter, i.e. from a Dirichlet-multinomial whose cost
+ * follows the tokens a device routes:
+ *  - a device routing no tokens draws nothing;
+ *  - a light device (at most kUrnTokensPerExpert * E routed tokens)
+ *    draws its row as a Pólya urn, exact and one uniform per token;
+ *  - a heavier device draws the Dirichlet jitter (E gammas) and then a
+ *    multinomial over it, as training always has.
  *
  * The Switch-Transformer auxiliary loss pushes routing toward uniform
  * with strength proportional to its weight; we reproduce that feedback
@@ -48,14 +54,9 @@ struct RoutingModel
     std::uint64_t seed = 42;
 
     /**
-     * Skip the per-device Dirichlet/multinomial draw for devices
-     * carrying zero tokens (their routing row is zero either way).
-     * Near-empty drain steps go from O(devices * experts) gamma draws
-     * to O(active devices * experts) — the serving hot path's cost on
-     * the long tail of a drain. Off by default: skipping a draw
-     * advances the shared RNG stream differently, so runs with any
-     * empty device are NOT bit-identical to the dense draw (runs with
-     * no empty device are — tests/test_trace.cc pins both contracts).
+     * Read by nothing: every draw now skips devices carrying zero
+     * tokens. Kept only because perfbench still sets it; delete it
+     * once that line is gone.
      */
     bool sparseDraw = false;
 
@@ -95,10 +96,25 @@ class RoutingGenerator
     /** Model parameters in force. */
     const RoutingModel &model() const { return model_; }
 
+    /**
+     * A device routing at most this many tokens per expert draws its
+     * row from the Pólya urn; above it, Dirichlet + multinomial.
+     */
+    static constexpr TokenCount kUrnTokensPerExpert = 4;
+
   private:
+    /** Draw device d's row of `routing` from the Pólya urn. */
+    void drawUrnRow(DeviceId d, TokenCount routed, RoutingMatrix &routing);
+
     RoutingModel model_;
     Rng rng_;
     std::vector<double> logits_;
+    // Scratch sized by the first call, so no later draw allocates.
+    std::vector<double> alphas_;        //!< jitter concentrations
+    std::vector<double> alphaPrefix_;   //!< running sums of alphas_
+    std::vector<double> local_;         //!< a device's Dirichlet draw
+    std::vector<std::int64_t> counts_;  //!< a device's multinomial row
+    std::vector<ExpertId> urn_;         //!< a device's drawn experts
 };
 
 } // namespace laer

@@ -17,6 +17,7 @@
 #include "core/rng.hh"
 #include "core/stats.hh"
 #include "core/table.hh"
+#include "oracle/distributions.hh"
 
 namespace laer
 {
@@ -145,6 +146,136 @@ TEST(Rng, MultinomialMatchesProportions)
     const auto counts = rng.multinomial(1600000, probs);
     EXPECT_NEAR(static_cast<double>(counts[0]), 800000, 8000);
     EXPECT_NEAR(static_cast<double>(counts[1]), 400000, 8000);
+}
+
+// Sampler conformance: each sampler at a fixed seed against its
+// analytic law, by chi-square at a ~1e-6 tail (oracle/distributions).
+
+TEST(RngConformance, MultinomialIsExactAtSmallTotals)
+{
+    // Over 8 equal buckets the normal approximation's index-order
+    // repair put 0.38 of single-trial draws in bucket 0; every total
+    // must now pool to the uniform law (64 exercises the large-total
+    // branch, which is unbiased there).
+    Rng rng(41);
+    const std::vector<double> equal(8, 1.0);
+    for (std::int64_t total : {1LL, 2LL, 8LL, 64LL}) {
+        std::vector<double> observed(8, 0.0);
+        const int draws = 20000;
+        for (int i = 0; i < draws; ++i) {
+            const auto counts = rng.multinomial(total, equal);
+            for (int b = 0; b < 8; ++b)
+                observed[b] += static_cast<double>(counts[b]);
+        }
+        const std::vector<double> expected(
+            8, static_cast<double>(draws * total) / 8.0);
+        int dof = 0;
+        const double chi2 = chiSquare(observed, expected, &dof);
+        EXPECT_LT(chi2, chiSquareCritical(dof)) << "total=" << total;
+    }
+
+    // Unequal, unnormalised weights with a zero bucket inside.
+    const std::vector<double> probs{4.0, 1.0, 0.0, 2.0, 3.0};
+    for (std::int64_t total : {1LL, 2LL, 20LL}) {
+        std::vector<double> observed(5, 0.0);
+        const int draws = 20000;
+        for (int i = 0; i < draws; ++i) {
+            const auto counts = rng.multinomial(total, probs);
+            for (int b = 0; b < 5; ++b)
+                observed[b] += static_cast<double>(counts[b]);
+        }
+        EXPECT_EQ(observed[2], 0.0) << "zero bucket drawn";
+        std::vector<double> obs, expected;
+        for (int b = 0; b < 5; ++b) {
+            if (probs[b] == 0.0)
+                continue;
+            obs.push_back(observed[b]);
+            expected.push_back(draws * total * probs[b] / 10.0);
+        }
+        int dof = 0;
+        const double chi2 = chiSquare(obs, expected, &dof);
+        EXPECT_LT(chi2, chiSquareCritical(dof)) << "total=" << total;
+    }
+}
+
+TEST(RngConformance, GaussianIsStandardNormal)
+{
+    Rng rng(43);
+    std::vector<double> xs(100000);
+    for (auto &x : xs)
+        x = rng.gaussian();
+    int dof = 0;
+    const double chi2 = chiSquareContinuous(xs, normalCdf, 40, &dof);
+    EXPECT_LT(chi2, chiSquareCritical(dof));
+}
+
+TEST(RngConformance, GammaFollowsItsLaw)
+{
+    Rng rng(47);
+    for (double shape : {0.05, 0.3, 0.7, 1.0, 2.5, 9.0}) {
+        std::vector<double> xs(50000);
+        for (auto &x : xs)
+            x = rng.gamma(shape);
+        int dof = 0;
+        const double chi2 = chiSquareContinuous(
+            xs, [shape](double x) { return gammaCdf(shape, x); }, 40,
+            &dof);
+        EXPECT_LT(chi2, chiSquareCritical(dof)) << "shape=" << shape;
+    }
+}
+
+TEST(RngConformance, DirichletMarginalsAreBeta)
+{
+    // Component i of Dirichlet(alphas) is Beta(alpha_i, A - alpha_i).
+    Rng rng(53);
+    const std::vector<double> alphas{0.05, 0.3, 1.0, 2.5, 6.0};
+    double total = 0.0;
+    for (double a : alphas)
+        total += a;
+    const int draws = 30000;
+    std::vector<std::vector<double>> marginals(
+        alphas.size(), std::vector<double>(draws));
+    for (int i = 0; i < draws; ++i) {
+        const std::vector<double> p = rng.dirichlet(alphas);
+        for (std::size_t c = 0; c < alphas.size(); ++c)
+            marginals[c][i] = p[c];
+    }
+    for (std::size_t c = 0; c < alphas.size(); ++c) {
+        const double a = alphas[c];
+        const double b = total - a;
+        int dof = 0;
+        const double chi2 = chiSquareContinuous(
+            marginals[c], [a, b](double x) { return betaCdf(a, b, x); },
+            40, &dof);
+        EXPECT_LT(chi2, chiSquareCritical(dof)) << "alpha=" << a;
+    }
+}
+
+TEST(RngConformance, OracleLawsAreSound)
+{
+    // The laws themselves, at points with closed forms.
+    EXPECT_NEAR(normalCdf(0.0), 0.5, 1e-15);
+    EXPECT_NEAR(normalCdf(1.959963984540054), 0.975, 1e-12);
+    EXPECT_NEAR(gammaCdf(1.0, 2.0), 1.0 - std::exp(-2.0), 1e-12);
+    EXPECT_NEAR(gammaCdf(1.0, 0.5), 1.0 - std::exp(-0.5), 1e-12);
+    EXPECT_NEAR(gammaCdf(0.5, 0.7), std::erf(std::sqrt(0.7)), 1e-12);
+    EXPECT_NEAR(gammaCdf(0.5, 4.0), std::erf(2.0), 1e-12);
+    EXPECT_NEAR(betaCdf(1.0, 3.0, 0.2), 1.0 - std::pow(0.8, 3.0), 1e-12);
+    EXPECT_NEAR(betaCdf(2.0, 1.0, 0.9), 0.81, 1e-12);
+    EXPECT_NEAR(betaCdf(0.5, 0.5, 0.25), 1.0 / 3.0, 1e-12);
+    double sum = 0.0;
+    for (int k = 0; k <= 7; ++k)
+        sum += betaBinomialPmf(7, k, 0.4, 2.2);
+    EXPECT_NEAR(sum, 1.0, 1e-12);
+    // Beta-binomial(1, a, b) is Bernoulli(a / (a + b)).
+    EXPECT_NEAR(betaBinomialPmf(1, 1, 0.4, 2.2), 0.4 / 2.6, 1e-12);
+    // The critical value sits at about a 1e-6 upper tail.
+    for (int dof : {1, 7, 39}) {
+        const double tail =
+            1.0 - gammaCdf(dof / 2.0, chiSquareCritical(dof) / 2.0);
+        EXPECT_GT(tail, 1e-7) << "dof=" << dof;
+        EXPECT_LT(tail, 1e-5) << "dof=" << dof;
+    }
 }
 
 TEST(Rng, PermutationIsBijective)

@@ -434,8 +434,9 @@ TEST(CounterCarryOver, PreemptionCountsSurviveRebuilds)
     cfg.arrival.numSloClasses = 2;
     cfg.batcher.tokenBudget = 4096;
     // A pool tight enough that preemptions are in flight when the
-    // replica drains.
-    cfg.batcher.kvBudgetBytes = 4000LL * kvBytesPerToken(cfg.model);
+    // replica drains: the tightest that still holds the largest
+    // request's full context (3,456 tokens).
+    cfg.batcher.kvBudgetBytes = 3456LL * kvBytesPerToken(cfg.model);
     cfg.batcher.kvBytesPerToken = kvBytesPerToken(cfg.model);
     cfg.batcher.kvBlockTokens = 16;
     cfg.replicas.replicaDevices = 4;

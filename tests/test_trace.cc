@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+
 #include "core/stats.hh"
+#include "oracle/distributions.hh"
 #include "trace/routing_generator.hh"
 #include "trace/trace.hh"
 
@@ -132,64 +137,127 @@ TEST(RoutingGenerator, PresetsDiffer)
     EXPECT_GT(wiki.drift, c4.drift);
 }
 
-TEST(RoutingGenerator, SparseDrawMatchesDenseWhenNoDeviceIsEmpty)
+TEST(RoutingGenerator, EmptyDevicesDrawNothing)
 {
-    // With every device carrying tokens the sparse path draws exactly
-    // what the dense path draws — bit-identical matrices, iteration
-    // after iteration (the RNG streams stay in lockstep).
-    RoutingModel dense = baseModel();
-    RoutingModel sparse = baseModel();
-    sparse.sparseDraw = true;
-    RoutingGenerator a(dense);
-    RoutingGenerator b(sparse);
-    std::vector<TokenCount> tokens = {64, 1, 128, 7, 4096, 32, 9, 300};
-    for (int it = 0; it < 20; ++it) {
-        const RoutingMatrix ra = a.nextForTokens(tokens);
-        const RoutingMatrix rb = b.nextForTokens(tokens);
-        for (DeviceId d = 0; d < 8; ++d)
-            for (ExpertId j = 0; j < 8; ++j)
-                ASSERT_EQ(ra.at(d, j), rb.at(d, j))
-                    << "iteration " << it << " device " << d
-                    << " expert " << j;
+    // An empty device consumes no draws, so where the empty devices
+    // sit does not change what the others draw: the non-empty rows
+    // come out identical, in order. Covers both the Dirichlet +
+    // multinomial rows (128 tokens) and the urn rows (3 and 9).
+    RoutingModel model = baseModel();
+    model.numDevices = 4;
+    const std::vector<std::pair<std::vector<TokenCount>,
+                                std::vector<TokenCount>>>
+        cases = {{{64, 0, 0, 128}, {64, 128, 0, 0}},
+                 {{3, 0, 0, 9}, {3, 9, 0, 0}},
+                 {{0, 0, 64, 3}, {64, 3, 0, 0}}};
+    for (const auto &[left, right] : cases) {
+        RoutingGenerator a(model);
+        RoutingGenerator b(model);
+        for (int it = 0; it < 10; ++it) {
+            const RoutingMatrix ra = a.nextForTokens(left);
+            const RoutingMatrix rb = b.nextForTokens(right);
+            std::vector<TokenCount> rows_a, rows_b;
+            for (DeviceId d = 0; d < 4; ++d)
+                for (ExpertId j = 0; j < 8; ++j) {
+                    if (left[d] > 0)
+                        rows_a.push_back(ra.at(d, j));
+                    if (right[d] > 0)
+                        rows_b.push_back(rb.at(d, j));
+                    if (left[d] == 0) {
+                        ASSERT_EQ(ra.at(d, j), 0);
+                    }
+                    if (right[d] == 0) {
+                        ASSERT_EQ(rb.at(d, j), 0);
+                    }
+                }
+            ASSERT_EQ(rows_a, rows_b) << "iteration " << it;
+        }
     }
 }
 
-TEST(RoutingGenerator, SparseDrawSkipsEmptyDevicesAndDiverges)
+TEST(RoutingGenerator, TrainingDrawIsPinned)
 {
-    // An empty device contributes a zero row either way, but skipping
-    // its draw advances the RNG stream differently — the documented
-    // contract: sparse runs with empty devices are self-consistent,
-    // not dense-identical.
-    RoutingModel dense = baseModel();
-    RoutingModel sparse = baseModel();
-    sparse.sparseDraw = true;
-    RoutingGenerator a(dense);
-    RoutingGenerator b(sparse);
-    RoutingGenerator b2(sparse);
-    std::vector<TokenCount> tokens = {64, 0, 128, 0, 0, 0, 0, 3};
-    bool diverged = false;
-    for (int it = 0; it < 10; ++it) {
-        const RoutingMatrix ra = a.nextForTokens(tokens);
-        const RoutingMatrix rb = b.nextForTokens(tokens);
-        const RoutingMatrix rb2 = b2.nextForTokens(tokens);
-        for (DeviceId d = 0; d < 8; ++d) {
-            TokenCount dense_row = 0;
-            TokenCount sparse_row = 0;
+    // Every training total lies above the urn bound, where the draw is
+    // the historical Dirichlet + multinomial: this checksum (FNV-1a
+    // over 20 iterations of next()) must never move, or every training
+    // golden moves with it.
+    RoutingGenerator gen(baseModel());
+    std::uint64_t hash = 1469598103934665603ULL;
+    for (int it = 0; it < 20; ++it) {
+        const RoutingMatrix r = gen.next();
+        for (DeviceId d = 0; d < 8; ++d)
             for (ExpertId j = 0; j < 8; ++j) {
-                dense_row += ra.at(d, j);
-                sparse_row += rb.at(d, j);
-                // Sparse is deterministic for a seed regardless.
-                ASSERT_EQ(rb.at(d, j), rb2.at(d, j));
-                if (ra.at(d, j) != rb.at(d, j))
-                    diverged = true;
+                hash ^= static_cast<std::uint64_t>(r.at(d, j));
+                hash *= 1099511628211ULL;
             }
-            // Both paths conserve the per-device budget; empty
-            // devices route nothing under either.
-            ASSERT_EQ(dense_row, tokens[d] * 2);
-            ASSERT_EQ(sparse_row, tokens[d] * 2);
+    }
+    EXPECT_EQ(hash, 0xdbefaf5096e86d0dULL);
+}
+
+TEST(RoutingGenerator, EveryRowSumsToRoutedTokens)
+{
+    // Empty, urn-sized (routed <= 4 * 8) and multinomial-sized rows.
+    RoutingGenerator gen(baseModel());
+    const std::vector<TokenCount> tokens = {0, 1, 2, 16, 17, 4096, 0, 300};
+    for (int it = 0; it < 20; ++it) {
+        const RoutingMatrix r = gen.nextForTokens(tokens);
+        for (DeviceId d = 0; d < 8; ++d) {
+            TokenCount row = 0;
+            for (ExpertId j = 0; j < 8; ++j) {
+                ASSERT_GE(r.at(d, j), 0);
+                row += r.at(d, j);
+            }
+            ASSERT_EQ(row, tokens[d] * 2) << "iteration " << it
+                                          << " device " << d;
         }
     }
-    EXPECT_TRUE(diverged);
+}
+
+TEST(RoutingGenerator, UrnRowsFollowBetaBinomialMarginals)
+{
+    // Under the Dirichlet-multinomial, expert j's count in a row of n
+    // routed tokens is Beta-binomial(n, alpha_j, A - alpha_j). The
+    // concentrations drift every call, so each call adds its own
+    // probabilities to the expected histogram of every expert.
+    RoutingModel model = baseModel();
+    model.numDevices = 64;
+    model.topK = 1;
+    model.skew = 1.0;
+    model.deviceJitter = 0.5;
+    const int e = model.numExperts;
+    const double conc = 1.0 / model.deviceJitter;
+    for (int n : {1, 2, e}) {
+        RoutingGenerator gen(model);
+        std::vector<std::vector<double>> observed(
+            e, std::vector<double>(n + 1, 0.0));
+        std::vector<std::vector<double>> expected = observed;
+        for (int call = 0; call < 1500; ++call) {
+            const RoutingMatrix r = gen.nextForTokens(
+                std::vector<TokenCount>(model.numDevices, n));
+            const std::vector<double> global = gen.popularity();
+            std::vector<double> alphas(e);
+            double alpha_sum = 0.0;
+            for (int j = 0; j < e; ++j) {
+                alphas[j] = std::max(1e-3, global[j] * conc * e);
+                alpha_sum += alphas[j];
+            }
+            for (int j = 0; j < e; ++j) {
+                for (int k = 0; k <= n; ++k)
+                    expected[j][k] +=
+                        model.numDevices *
+                        betaBinomialPmf(n, k, alphas[j],
+                                        alpha_sum - alphas[j]);
+                for (DeviceId d = 0; d < model.numDevices; ++d)
+                    observed[j][r.at(d, j)] += 1.0;
+            }
+        }
+        for (int j = 0; j < e; ++j) {
+            int dof = 0;
+            const double chi2 = chiSquare(observed[j], expected[j], &dof);
+            EXPECT_LT(chi2, chiSquareCritical(dof))
+                << "n=" << n << " expert " << j;
+        }
+    }
 }
 
 TEST(RoutingTrace, StoreAndRetrieve)
