@@ -47,7 +47,6 @@ BM_ExpertLayoutSolver(benchmark::State &state)
     laer::TunerConfig cfg;
     cfg.capacity = capacity;
     cfg.setSize = 2; // |epsilon| = 2: proportional + even (Sec. 5.4)
-    cfg.buildPlan = false; // production split: S stays on the GPU side
     cfg.cost.commBytesPerToken = 8192;
     cfg.cost.compFlopsPerToken = 3.5e8;
 

@@ -15,7 +15,7 @@
 #include "core/table.hh"
 #include "model/config.hh"
 #include "planner/layout_tuner.hh"
-#include "planner/lite_routing.hh"
+#include "planner/routing_plan_sparse.hh"
 #include "trace/routing_generator.hh"
 #include "trace/trace.hh"
 
@@ -25,17 +25,13 @@ namespace
 /** MLP-module time: expert compute tail + dispatch/combine A2A. */
 laer::Seconds
 mlpTime(const laer::Cluster &cluster, const laer::ModelConfig &model,
-        const laer::RoutingPlan &plan)
+        const laer::RoutingPlanSparse &plan)
 {
-    const laer::VolumeMatrix volume =
-        plan.dispatchVolume(model.tokenBytes());
-    laer::VolumeMatrix combine = laer::zeroVolume(plan.numDevices());
-    for (std::size_t i = 0; i < volume.size(); ++i)
-        for (std::size_t k = 0; k < volume.size(); ++k)
-            combine[k][i] = volume[i][k];
+    laer::A2aPortLoads loads;
+    plan.portLoads(cluster, model.tokenBytes(), loads);
     const laer::Seconds a2a =
-        laer::a2aBottleneckTime(cluster, volume) +
-        laer::a2aBottleneckTime(cluster, combine);
+        laer::a2aBottleneckTimeFromLoads(cluster, loads) +
+        laer::a2aBottleneckTimeFromLoads(cluster, loads, true);
     laer::TokenCount busiest = 0;
     for (laer::TokenCount r : plan.receivedTokens())
         busiest = std::max(busiest, r);
@@ -84,25 +80,25 @@ main()
 
         laer::TunerConfig tc;
         tc.capacity = capacity;
-        tc.buildPlan = false;
         tc.cost.commBytesPerToken = model.tokenBytes();
         tc.cost.compFlopsPerToken = model.expertFlopsPerToken();
 
         laer::Seconds t_static = 0.0, t_laer = 0.0;
+        laer::RoutingPlanSparse plan;
         for (int it = 1; it < trace_iters; ++it) {
             const laer::RoutingMatrix &routing = scaled.at(it, 0);
             // Baseline: static grouped EP routing.
-            t_static += mlpTime(
-                cluster, model,
-                laer::staticEpRouting(routing, grouping,
-                                      static_layout));
+            laer::staticEpRoutingSparse(routing, grouping, static_layout,
+                                        plan);
+            t_static += mlpTime(cluster, model, plan);
             // LAER: layout tuned from the previous iteration's
             // routing, dispatched with lite routing.
             const laer::LayoutDecision dec = laer::tuneExpertLayout(
                 cluster, scaled.at(it - 1, 0), tc);
-            t_laer += mlpTime(
-                cluster, model,
-                laer::liteRouting(cluster, routing, dec.layout));
+            laer::liteRoutingSparse(
+                cluster, routing, laer::ReplicaIndex(cluster, dec.layout),
+                plan);
+            t_laer += mlpTime(cluster, model, plan);
         }
         table.startRow();
         table.cell(gpus);

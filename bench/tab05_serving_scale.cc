@@ -19,6 +19,10 @@
  *     tuner (scoreLiteRoutingFast + ThreadPool fan-out, no dense
  *     plan).
  *
+ * The dense arms run the reference formulations of the test oracle
+ * (tests/oracle/dense_plan.hh), which is why this bench links
+ * laer_oracle.
+ *
  * Then a real ServingSimulator run per scale (LAER policy,
  * --threads workers) records the solver wall time of every retune
  * against --tuner-budget-ms, as reported in ServingReport.
@@ -54,6 +58,7 @@
 #include "difftest/diff.hh"
 #include "core/thread_pool.hh"
 #include "model/config.hh"
+#include "oracle/dense_plan.hh"
 #include "planner/cost_model.hh"
 #include "planner/layout_tuner.hh"
 #include "planner/lite_routing.hh"
@@ -164,7 +169,7 @@ tuneLayerDense(const laer::Cluster &cluster,
         }
     }
     // The serving engine needs S for the winner under this
-    // formulation: materialise it like TunerConfig::buildPlan would.
+    // formulation: materialise it.
     const laer::RoutingPlan winner_plan =
         laer::liteRouting(cluster, routing, best);
     (void)winner_plan;
@@ -187,18 +192,14 @@ priceLayerDense(const laer::Cluster &cluster,
 {
     const laer::RoutingPlan plan =
         laer::liteRouting(cluster, routing, layout);
-    const laer::VolumeMatrix vol = plan.dispatchVolume(token_bytes);
-    laer::VolumeMatrix combine =
-        laer::zeroVolume(plan.numDevices());
-    for (std::size_t i = 0; i < vol.size(); ++i)
-        for (std::size_t k = 0; k < vol.size(); ++k)
-            combine[k][i] = vol[i][k];
+    const laer::VolumeMatrix vol = laer::dispatchVolume(plan, token_bytes);
+    const laer::VolumeMatrix combine = laer::transposeVolume(vol);
     LayerPrice price;
     price.dispatch = laer::kCollectiveAlpha +
                      laer::a2aBottleneckTime(cluster, vol);
     price.combine = laer::kCollectiveAlpha +
                     laer::a2aBottleneckTime(cluster, combine);
-    price.recv = plan.receivedTokens();
+    price.recv = laer::receivedTokens(plan);
     return price;
 }
 
@@ -299,10 +300,8 @@ try {
         const RoutingMatrix agg_routing = makeRouting(
             gpus, model.numExperts, 16384 * 2,
             static_cast<std::uint64_t>(gpus) + 1);
-        TunerConfig warm = tuner;
-        warm.buildPlan = false;
         const ExpertLayout layout =
-            tuneExpertLayout(cluster, agg_routing, warm).layout;
+            tuneExpertLayout(cluster, agg_routing, tuner).layout;
 
         const int step_reps = gpus >= 512 ? 3 : 10;
         {
@@ -376,7 +375,6 @@ try {
             res.retuneDenseMs = msSince(t0);
 
             TunerConfig fast = tuner;
-            fast.buildPlan = false;
             fast.fastScoring = true;
             fast.pool = &pool;
             t0 = Clock::now();

@@ -85,7 +85,8 @@ main(int argc, char **argv)
     placement.print(std::cout);
 
     // Stage 3: dispatch balance under lite routing.
-    const auto recv = decision.plan.receivedTokens();
+    const auto recv =
+        scoreLiteRouting(cluster, routing, decision.layout, cfg.cost).recv;
     std::vector<double> recvd(recv.begin(), recv.end());
     Table disp("Stage 3 — tokens received per device (lite routing)");
     disp.setHeader({"device", "tokens"});

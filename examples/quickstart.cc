@@ -73,9 +73,8 @@ main()
 
     // Compare with a load-oblivious even placement.
     const ExpertLayout even = evenLayout(cluster, experts, capacity);
-    const RoutingPlan even_plan = liteRouting(cluster, routing, even);
     const CostBreakdown even_cost =
-        timeCost(cluster, cfg.cost, even_plan);
+        scoreLiteRouting(cluster, routing, even, cfg.cost).cost;
 
     Table cost("Predicted per-layer cost (Eq. 2)");
     cost.setHeader({"strategy", "comm_ms", "comp_ms", "total_ms"});

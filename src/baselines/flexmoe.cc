@@ -5,8 +5,8 @@
 #include <limits>
 
 #include "core/error.hh"
-#include "planner/lite_routing.hh"
 #include "planner/relocation.hh"
+#include "planner/routing_plan_sparse.hh"
 
 namespace laer
 {
@@ -41,7 +41,9 @@ FlexMoePlanner::score(const ExpertLayout &layout,
     // node is visible to an L2 balance metric even when the global
     // maximum is still pinned by another node. We therefore score
     // with comm cost + compute-scaled L2 norm of received tokens.
-    const RoutingPlan plan = liteRouting(cluster_, routing, layout);
+    const ReplicaIndex index(cluster_, layout);
+    RoutingPlanSparse plan;
+    liteRoutingSparse(cluster_, routing, index, plan);
     const CostBreakdown cost = timeCost(cluster_, config_.cost, plan);
     double l2 = 0.0;
     for (TokenCount r : plan.receivedTokens())

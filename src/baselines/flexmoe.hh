@@ -59,11 +59,15 @@ class FlexMoePlanner
      */
     FlexMoeStep update(const RoutingMatrix &routing);
 
-  private:
-    /** Estimated Eq. 2 objective of a layout under lite routing. */
+    /**
+     * The objective update() compares layouts by: Eq. 2's comm term
+     * under lite routing plus the compute-scaled RMS of received
+     * tokens.
+     */
     Seconds score(const ExpertLayout &layout,
                   const RoutingMatrix &routing) const;
 
+  private:
     const Cluster &cluster_;
     FlexMoeConfig config_;
     ExpertLayout layout_;

@@ -65,17 +65,9 @@ ExpertLayout staticEpLayout(const Cluster &cluster, int n_experts,
                             const EpGrouping &grouping);
 
 /**
- * Vanilla EP routing: S[i][j][k] = R[i][j] for the unique device k of
- * group(i) hosting expert j.
- */
-RoutingPlan staticEpRouting(const RoutingMatrix &routing,
-                            const EpGrouping &grouping,
-                            const ExpertLayout &layout);
-
-/**
- * staticEpRouting straight into sparse form, one triple per non-zero
- * R[i][j]: exactly the dense plan compressed, with no N x E x N
- * materialisation (the serving step pricer's hot path).
+ * Vanilla EP routing, S[i][j][k] = R[i][j] for the unique device k of
+ * group(i) hosting expert j, as one sparse triple per non-zero
+ * R[i][j] in (source, expert) order.
  * @param plan  Output; cleared and filled (storage reused).
  */
 void staticEpRoutingSparse(const RoutingMatrix &routing,

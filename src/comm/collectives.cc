@@ -13,41 +13,6 @@ zeroVolume(int n_devices)
     return VolumeMatrix(n_devices, std::vector<Bytes>(n_devices, 0));
 }
 
-Seconds
-a2aBottleneckTime(const Cluster &cluster, const VolumeMatrix &volume)
-{
-    const int n = cluster.numDevices();
-    LAER_ASSERT(static_cast<int>(volume.size()) == n,
-                "volume matrix does not match cluster");
-    // Per-device send/recv occupancy split by port class.
-    Seconds busiest = 0.0;
-    for (DeviceId d = 0; d < n; ++d) {
-        Bytes send_intra = 0, send_inter = 0;
-        Bytes recv_intra = 0, recv_inter = 0;
-        for (DeviceId o = 0; o < n; ++o) {
-            if (o == d)
-                continue;
-            if (cluster.sameNode(d, o)) {
-                send_intra += volume[d][o];
-                recv_intra += volume[o][d];
-            } else {
-                send_inter += volume[d][o];
-                recv_inter += volume[o][d];
-            }
-        }
-        const Seconds send_t =
-            static_cast<double>(send_intra) / cluster.intraBw() +
-            static_cast<double>(send_inter) / cluster.interBw();
-        const Seconds recv_t =
-            static_cast<double>(recv_intra) / cluster.intraBw() +
-            static_cast<double>(recv_inter) / cluster.interBw();
-        busiest = std::max({busiest, send_t, recv_t});
-    }
-    if (busiest == 0.0)
-        return 0.0;
-    return kCollectiveAlpha + busiest;
-}
-
 void
 A2aPortLoads::reset(int n_devices)
 {

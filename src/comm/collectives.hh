@@ -33,21 +33,12 @@ using VolumeMatrix = std::vector<std::vector<Bytes>>;
 VolumeMatrix zeroVolume(int n_devices);
 
 /**
- * Runtime All-to-All duration under a per-port occupancy model: every
- * device sends and receives concurrently; intra-node traffic shares
- * the NVLink port, inter-node traffic the NIC. The op finishes when
- * the busiest port drains. Local (diagonal) traffic is free.
- */
-Seconds a2aBottleneckTime(const Cluster &cluster,
-                          const VolumeMatrix &volume);
-
-/**
  * Per-device port occupancy of one All-to-All, split by port class —
- * the four integer byte sums a2aBottleneckTime folds a dense
- * VolumeMatrix down to. Sparse plan pricing fills these directly
+ * the four integer byte sums a dense N x N volume matrix folds down
+ * to. Sparse plan pricing fills these directly
  * (planner/routing_plan_sparse.hh) so the O(N^2) matrix never exists;
  * because the sums are exact integers the resulting times are
- * bit-identical to the dense path.
+ * bit-identical to the dense fold (tests/oracle/dense_plan.hh).
  */
 struct A2aPortLoads
 {
@@ -77,7 +68,10 @@ struct A2aPortLoads
 };
 
 /**
- * a2aBottleneckTime evaluated from precomputed port loads.
+ * Runtime All-to-All duration under a per-port occupancy model: every
+ * device sends and receives concurrently; intra-node traffic shares
+ * the NVLink port, inter-node traffic the NIC. The op finishes when
+ * the busiest port drains. Local (diagonal) traffic is free.
  * @param cluster    Topology providing the two port bandwidths.
  * @param loads      Per-device byte sums (diagonal traffic excluded).
  * @param transpose  Price the reversed (combine) direction: send and

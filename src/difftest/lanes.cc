@@ -1,15 +1,5 @@
 #include "difftest/lanes.hh"
 
-#include <algorithm>
-#include <numeric>
-
-#include "comm/collectives.hh"
-#include "planner/lite_routing.hh"
-#include "planner/relocation.hh"
-#include "planner/replica_alloc.hh"
-#include "planner/routing_plan_sparse.hh"
-#include "trace/routing_generator.hh"
-
 namespace laer
 {
 
@@ -267,121 +257,6 @@ class FaultDeterminismLane : public EquivalenceLane
     }
 };
 
-// ---- dense-sparse: planner pricing paths ----------------------------
-
-/**
- * Price one seeded routing sequence step by step, re-laying-out
- * periodically, and synthesize a checkpoint per step. Both sides
- * derive layouts from the identical generator stream, so any
- * divergence is the pricing path itself.
- */
-LaneRun
-plannerRun(const Scenario &scenario, bool sparse)
-{
-    constexpr int kSteps = 12;
-    constexpr int kRetuneEvery = 4;
-    constexpr Bytes kTokenBytes = 8192;
-
-    const Cluster cluster = scenario.makeCluster();
-    const int experts = scenario.serving.model.numExperts;
-    const int capacity = scenario.serving.capacity;
-
-    RoutingModel model = scenario.serving.routing;
-    model.numDevices = cluster.numDevices();
-    model.numExperts = experts;
-    model.topK = scenario.serving.model.topK;
-    model.tokensPerDevice = 512;
-    model.seed = scenario.serving.seed;
-    RoutingGenerator gen(model);
-
-    LaneRun run;
-    run.label = sparse ? "pricing=sparse" : "pricing=dense";
-
-    ExpertLayout layout;
-    ReplicaIndex index;
-    RoutingPlanSparse plan_sparse;
-    A2aPortLoads loads;
-    for (int step = 0; step < kSteps; ++step) {
-        const RoutingMatrix r = gen.next();
-        if (step % kRetuneEvery == 0) {
-            const std::vector<TokenCount> expert_loads =
-                r.expertLoads();
-            layout = expertRelocation(
-                cluster,
-                replicaAllocation(expert_loads, cluster.numDevices(),
-                                  capacity),
-                expert_loads, capacity);
-            if (sparse)
-                index = ReplicaIndex(cluster, layout);
-        }
-
-        Seconds dispatch_s = 0.0;
-        Seconds combine_s = 0.0;
-        std::vector<TokenCount> recv;
-        if (sparse) {
-            liteRoutingSparse(cluster, r, index, plan_sparse);
-            plan_sparse.portLoads(cluster, kTokenBytes, loads);
-            dispatch_s = a2aBottleneckTimeFromLoads(cluster, loads);
-            combine_s =
-                a2aBottleneckTimeFromLoads(cluster, loads, true);
-            recv = plan_sparse.receivedTokens();
-        } else {
-            const RoutingPlan plan = liteRouting(cluster, r, layout);
-            const VolumeMatrix vol = plan.dispatchVolume(kTokenBytes);
-            VolumeMatrix combine = zeroVolume(plan.numDevices());
-            for (std::size_t i = 0; i < vol.size(); ++i)
-                for (std::size_t k = 0; k < vol.size(); ++k)
-                    combine[k][i] = vol[i][k];
-            dispatch_s = a2aBottleneckTime(cluster, vol);
-            combine_s = a2aBottleneckTime(cluster, combine);
-            recv = plan.receivedTokens();
-        }
-
-        TokenCount recv_total = 0;
-        TokenCount recv_max = 0;
-        double recv_weighted = 0.0; // catches permuted destinations
-        for (std::size_t d = 0; d < recv.size(); ++d) {
-            recv_total += recv[d];
-            recv_max = std::max(recv_max, recv[d]);
-            recv_weighted +=
-                static_cast<double>(recv[d]) * double(d + 1);
-        }
-
-        CounterSnapshot snap;
-        snap.simTime = static_cast<Seconds>(step);
-        snap.values = {
-            {"planner.dispatch_s", dispatch_s},
-            {"planner.combine_s", combine_s},
-            {"planner.recv_total", static_cast<double>(recv_total)},
-            {"planner.recv_max", static_cast<double>(recv_max)},
-            {"planner.recv_weighted", recv_weighted},
-        };
-        run.stream.snapshots.push_back(std::move(snap));
-    }
-    return run;
-}
-
-class DenseSparseLane : public EquivalenceLane
-{
-  public:
-    const char *name() const override { return "dense-sparse"; }
-    const char *description() const override
-    {
-        return "dense liteRouting + VolumeMatrix pricing vs the "
-               "sparse CSR plan + port-load pricing over a seeded "
-               "routing sequence with periodic re-layouts";
-    }
-    bool checksInvariants() const override { return false; }
-    LaneRun runRef(const Scenario &s) const override
-    {
-        return plannerRun(s, /*sparse=*/false);
-    }
-    LaneRun runCandidate(const Scenario &s) const override
-    {
-        return plannerRun(s, /*sparse=*/true);
-    }
-};
-
 } // namespace
 
 const std::vector<const EquivalenceLane *> &
@@ -393,10 +268,9 @@ equivalenceLanes()
     static const ControlNoneLane control_none;
     static const SwapRecomputeLane swap_recompute;
     static const FaultDeterminismLane fault_determinism;
-    static const DenseSparseLane dense_sparse;
     static const std::vector<const EquivalenceLane *> lanes = {
         &threads, &serial_parallel_des, &metrics_mode, &control_none,
-        &swap_recompute, &fault_determinism, &dense_sparse,
+        &swap_recompute, &fault_determinism,
     };
     return lanes;
 }
@@ -425,17 +299,11 @@ runLane(const EquivalenceLane &lane, const Scenario &scenario)
     outcome.diff.refLabel = ref.label;
     outcome.diff.candLabel = cand.label;
 
-    if (lane.checksInvariants()) {
-        InvariantContext context;
-        context.totalDevices =
-            outcome.scenario.nodes * outcome.scenario.devicesPerNode;
-        outcome.refViolations =
-            checkStreamInvariants(ref.stream, context);
-        outcome.candViolations =
-            checkStreamInvariants(cand.stream, context);
-    }
-    // Attribution conservation applies wherever a serving run was
-    // captured, independent of the stream-level invariants.
+    InvariantContext context;
+    context.totalDevices =
+        outcome.scenario.nodes * outcome.scenario.devicesPerNode;
+    outcome.refViolations = checkStreamInvariants(ref.stream, context);
+    outcome.candViolations = checkStreamInvariants(cand.stream, context);
     outcome.refViolations.insert(outcome.refViolations.end(),
                                  ref.traceViolations.begin(),
                                  ref.traceViolations.end());

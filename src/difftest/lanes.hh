@@ -41,13 +41,6 @@
  *                      repairs must replay bit-identically; prepare()
  *                      injects a canonical kill+repair (or link flap)
  *                      when the scenario drew no plan of its own.
- *  - "dense-sparse":   dense liteRouting + VolumeMatrix pricing vs
- *                      the sparse CSR plan + port-load pricing, over
- *                      a seeded routing sequence with periodic
- *                      re-layouts. A planner-level lane: its streams
- *                      are synthesized per pricing step, not captured
- *                      from a serving run, so the serving invariants
- *                      don't apply (checksInvariants() is false).
  *
  * Adding a lane: subclass EquivalenceLane, implement runRef/
  * runCandidate (and prepare() when the scenario needs constraining),
@@ -108,10 +101,6 @@ class EquivalenceLane
 
     /** Diff knobs; lanes extend the wall-clock exclusions. */
     virtual DiffOptions diffOptions() const { return DiffOptions(); }
-
-    /** Whether the serving conservation invariants apply to the
-     * lane's streams (false for synthesized planner-level streams). */
-    virtual bool checksInvariants() const { return true; }
 
     /** Golden-reference run of the prepared scenario. */
     virtual LaneRun runRef(const Scenario &scenario) const = 0;

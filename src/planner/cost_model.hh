@@ -20,6 +20,8 @@
 namespace laer
 {
 
+class RoutingPlanSparse;
+
 /** Workload constants of the layer being planned. */
 struct CostParams
 {
@@ -38,17 +40,20 @@ struct CostBreakdown
 };
 
 /**
- * Evaluate Eq. 2 for a concrete (A, S) pair. The layout A enters only
- * through S (which must already respect it); it is accepted so debug
- * builds can assert consistency.
+ * Evaluate Eq. 2 for a concrete (A, S) pair; the layout A enters only
+ * through S, which must already respect it. The pair term folds the
+ * experts into one exact token count per (source, destination) pair
+ * and adds one tokens / bw(i, k) term per pair in (i, k) order — the
+ * dense fold's order, with its zero pairs (which add exactly 0.0)
+ * skipped — so the value is bit-identical to the dense formulation.
  *
  * @param cluster  Topology providing bw(i, k) and B_comp.
  * @param params   Layer workload constants (V_comm, V_comp, F_ckpt).
- * @param plan     Dense routing plan S.
+ * @param plan     Routing plan S.
  * @return the decomposed T_comm / T_comp objective value.
  */
 CostBreakdown timeCost(const Cluster &cluster, const CostParams &params,
-                       const RoutingPlan &plan);
+                       const RoutingPlanSparse &plan);
 
 /**
  * Fast path used in the tuner's inner loop: identical maths to

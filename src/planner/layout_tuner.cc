@@ -45,12 +45,12 @@ tuneExpertLayout(const Cluster &cluster, const RoutingMatrix &routing,
     }
 
     // Alg. 2 lines 9-15: place, route, score, keep the best. The
-    // inner loop uses the fused route-and-score pass; the dense plan
-    // is materialised once, for the winning layout only. Scheme
-    // evaluations are independent, so they fan out over the optional
-    // worker pool into per-scheme slots; the winner is then reduced
-    // serially in scheme order (first strictly-cheaper wins), which
-    // makes the decision identical for any thread count.
+    // inner loop uses the fused route-and-score pass, and no plan is
+    // materialised. Scheme evaluations are independent, so they fan
+    // out over the optional worker pool into per-scheme slots; the
+    // winner is then reduced serially in scheme order (first
+    // strictly-cheaper wins), which makes the decision identical for
+    // any thread count.
     const int schemes = static_cast<int>(replicas_set.size());
     std::vector<ExpertLayout> layouts(replicas_set.size());
     std::vector<CostBreakdown> costs(replicas_set.size());
@@ -80,8 +80,6 @@ tuneExpertLayout(const Cluster &cluster, const RoutingMatrix &routing,
     best.layout = std::move(layouts[winner]);
     best.cost = costs[winner];
     best.schemesTried = schemes;
-    if (config.buildPlan)
-        best.plan = liteRouting(cluster, routing, best.layout);
     best.wallMs = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - wall_start)
                       .count();

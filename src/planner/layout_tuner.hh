@@ -31,9 +31,12 @@ struct TunerConfig
     int setSize = 4;         //!< |epsilon| including the two seeds
     bool usePq = true;       //!< include proportional allocation
     bool useEven = true;     //!< include even allocation
-    /** Materialise the dense routing plan S for the winning layout.
-     * The production split (Fig. 7) leaves S to the synchronous
-     * GPU-side dispatcher, so the CPU solver can skip it. */
+    /**
+     * Read by nothing: the tuner returns only the layout and its cost
+     * (Fig. 7 leaves S to the synchronous dispatcher). Kept only
+     * because perfbench still sets it; delete it once that line is
+     * gone.
+     */
     bool buildPlan = true;
     std::uint64_t seed = 1;  //!< perturbation randomness
     CostParams cost;         //!< layer workload constants
@@ -55,8 +58,7 @@ struct TunerConfig
 struct LayoutDecision
 {
     ExpertLayout layout;   //!< A
-    RoutingPlan plan;      //!< S under lite routing
-    CostBreakdown cost;    //!< Eq. 2 value of (A, S)
+    CostBreakdown cost;    //!< Eq. 2 value of A under lite routing
     int schemesTried = 0;  //!< size of the evaluated replica set
     /** Solver wall-clock time for this invocation, milliseconds.
      * Measured inside tuneExpertLayout so every caller (engine retune
@@ -72,7 +74,7 @@ struct LayoutDecision
  * @param cluster  Topology the layouts are placed on.
  * @param routing  Observed routing matrix R of the last iteration.
  * @param config   Tuner knobs (capacity, scheme set, cost constants).
- * @return the cheapest evaluated layout with its plan and Eq. 2 cost.
+ * @return the cheapest evaluated layout with its Eq. 2 cost.
  */
 LayoutDecision tuneExpertLayout(const Cluster &cluster,
                                 const RoutingMatrix &routing,

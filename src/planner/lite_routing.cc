@@ -121,13 +121,13 @@ scoreLiteRouting(const Cluster &cluster, const RoutingMatrix &routing,
     score.recv.assign(static_cast<std::size_t>(n), 0);
     Seconds pair_sum = 0.0;
 
-    // Per-(source, expert, slot) evaluation in the exact order the
-    // dense path visits shares, so the floating-point pair cost is
-    // bit-identical to summing timeCost terms over liteRouting's
-    // plan. scoreLiteRoutingFast computes the same value with two
-    // divisions; it rounds differently, which can re-order schemes
-    // whose costs tie to machine precision, so the default tuner path
-    // keeps this order-preserving form.
+    // Per-(source, expert, slot) evaluation in the order Alg. 3 emits
+    // shares, so the floating-point pair cost is bit-identical to the
+    // seed tuner's per-share scoring (timeCost folds per pair instead
+    // and can differ in the last bits). scoreLiteRoutingFast computes
+    // the same value with two divisions; it rounds differently, which
+    // can re-order schemes whose costs tie to machine precision, so
+    // the default tuner path keeps this order-preserving form.
     for (DeviceId rank = 0; rank < n; ++rank) {
         const NodeId my_node = cluster.node(rank);
         for (ExpertId j = 0; j < e; ++j) {

@@ -13,11 +13,12 @@
  * The replica target lists depend only on the layout, not on the
  * source: `ReplicaIndex` precomputes them once per layout (global CSR
  * per expert plus per-(node, expert) intra lists) so the per-rank
- * dispatch is allocation-free. Every routing entry point — dense
- * `liteRouting`, the sparse builder in planner/routing_plan_sparse.hh
- * and the fused scorer `scoreLiteRouting` — shares this index and the
- * `forEachLiteShare` split rule, which is what keeps the three paths
- * exactly consistent.
+ * dispatch is allocation-free. The routing entry points — the sparse
+ * builder `liteRoutingSparse` (planner/routing_plan_sparse.hh) that
+ * every pricing path uses, the fused scorer `scoreLiteRouting`, and
+ * dense `liteRouting`, kept for IterationSpec::layerPlans inputs —
+ * share this index and the `forEachLiteShare` split rule, which is
+ * what keeps them exactly consistent.
  */
 
 #ifndef LAER_PLANNER_LITE_ROUTING_HH
@@ -160,7 +161,8 @@ forEachLiteShare(const DeviceId *targets, std::size_t count,
 /**
  * Route every source device's tokens (each row of R) against the
  * global layout: Alg. 3 runs independently per device, against one
- * ReplicaIndex built once and shared across ranks.
+ * ReplicaIndex built once and shared across ranks. Dense output for
+ * IterationSpec::layerPlans; pricing routes with liteRoutingSparse.
  *
  * @param cluster  Topology.
  * @param routing  Routing matrix R.
@@ -180,14 +182,14 @@ struct LiteRoutingScore
 
 /**
  * Fused lite routing + cost evaluation (the "efficient C++ core" of
- * Sec. 4): the same Eq. 2 objective that timeCost(liteRouting(...))
- * reports, up to floating-point summation order, but without
- * materialising the dense N x E x N plan — the tuner's inner loop
- * runs this once per candidate replica scheme, keeping the solver
- * inside the per-layer time budget even at 1024 devices (Fig. 11).
- * timeCost() adds one term per device pair after folding the
- * experts, so its comm term can differ in the last bits. Shares are
- * visited in the tuner's (source, expert, slot) per-share order, so
+ * Sec. 4): the same Eq. 2 objective that timeCost() reports on the
+ * liteRoutingSparse plan, up to floating-point summation order, but
+ * without materialising any plan — the tuner's inner loop runs this
+ * once per candidate replica scheme, keeping the solver inside the
+ * per-layer time budget even at 1024 devices (Fig. 11). timeCost()
+ * adds one term per device pair after folding the experts, so its
+ * comm term can differ in the last bits. Shares are visited in the
+ * tuner's (source, expert, slot) per-share order, so
  * the pair cost is bit-identical to the seed tuner's own scoring —
  * scheme comparisons (and therefore every fig11-14/tab04 output) are
  * reproduced exactly.
@@ -227,7 +229,7 @@ LiteRoutingScore scoreLiteRouting(const Cluster &cluster,
  * the remainder rotation and the wire term reduces to two exact
  * integer token sums (intra-/inter-node) divided by the two
  * bandwidths — O(nodes * E * replicas) instead of
- * O(N * E * replicas). recv is exactly the dense plan's; the pair
+ * O(N * E * replicas). recv is exactly the routed plan's; the pair
  * cost is the mathematically identical sum with different
  * floating-point rounding (in fact tighter: two divisions instead of
  * one per share), which can re-order schemes whose costs tie at

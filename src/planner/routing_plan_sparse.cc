@@ -50,20 +50,6 @@ RoutingPlanSparse::row(DeviceId rank, std::size_t &count) const
     return entries_.data() + begin;
 }
 
-RoutingPlan
-RoutingPlanSparse::toDense() const
-{
-    RoutingPlan dense(numDevices_, numExperts_);
-    for (DeviceId i = 0; i < numDevices_; ++i) {
-        std::size_t count = 0;
-        const Entry *entries = row(i, count);
-        for (std::size_t t = 0; t < count; ++t)
-            dense.at(i, entries[t].expert, entries[t].dst) +=
-                entries[t].tokens;
-    }
-    return dense;
-}
-
 RoutingPlanSparse
 RoutingPlanSparse::fromDense(const RoutingPlan &dense)
 {
@@ -112,21 +98,6 @@ RoutingPlanSparse::portLoads(const Cluster &cluster,
                         entries[t].tokens * bytes_per_token);
         }
     }
-}
-
-VolumeMatrix
-RoutingPlanSparse::dispatchVolume(Bytes bytes_per_token) const
-{
-    VolumeMatrix volume = zeroVolume(numDevices_);
-    for (DeviceId i = 0; i < numDevices_; ++i) {
-        std::size_t count = 0;
-        const Entry *entries = row(i, count);
-        for (std::size_t t = 0; t < count; ++t)
-            volume[static_cast<std::size_t>(i)]
-                  [static_cast<std::size_t>(entries[t].dst)] +=
-                entries[t].tokens * bytes_per_token;
-    }
-    return volume;
 }
 
 void

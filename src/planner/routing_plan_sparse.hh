@@ -13,11 +13,11 @@
  * (expert, destination, tokens) triples. Everything the pricer needs
  * comes straight off the triples in O(nnz): received tokens per
  * device, and the four per-device port-load sums
- * (comm/collectives.hh) that a2aBottleneckTime reduces a dense
- * VolumeMatrix to — so neither the dense S nor the dense dispatch /
- * combine volume matrices are ever built. All sums are exact integer
- * arithmetic, which keeps every priced time bit-identical to the
- * dense path.
+ * (comm/collectives.hh) that the All-to-All port model reduces a
+ * dense volume matrix to — so neither the dense S nor the dense
+ * dispatch / combine volume matrices are ever built. All sums are
+ * exact integer arithmetic, which keeps every priced time
+ * bit-identical to the dense reference in tests/oracle/dense_plan.hh.
  */
 
 #ifndef LAER_PLANNER_ROUTING_PLAN_SPARSE_HH
@@ -72,10 +72,7 @@ class RoutingPlanSparse
     /** Entries of one source rank's row. */
     const Entry *row(DeviceId rank, std::size_t &count) const;
 
-    /** Materialise the dense equivalent (tests / slow path). */
-    RoutingPlan toDense() const;
-
-    /** Compress a dense plan (tests / interop). */
+    /** Compress a dense plan (IterationSpec::layerPlans input). */
     static RoutingPlanSparse fromDense(const RoutingPlan &dense);
 
     /** Tokens device k receives for computation: sum over triples. */
@@ -86,8 +83,8 @@ class RoutingPlanSparse
 
     /**
      * Dispatch port loads in bytes: per-device send/recv sums split
-     * by port class, exactly what dispatchVolume +
-     * a2aBottleneckTime's folding would produce (diagonal excluded).
+     * by port class, exactly what the dense dispatch volume matrix
+     * folds to under the port model (diagonal excluded).
      * The combine direction is the same loads transposed
      * (a2aBottleneckTimeFromLoads(..., true)).
      *
@@ -97,9 +94,6 @@ class RoutingPlanSparse
      */
     void portLoads(const Cluster &cluster, Bytes bytes_per_token,
                    A2aPortLoads &out) const;
-
-    /** Dense dispatch volume (tests / parity with RoutingPlan). */
-    VolumeMatrix dispatchVolume(Bytes bytes_per_token) const;
 
   private:
     int numDevices_ = 0;

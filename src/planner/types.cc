@@ -149,51 +149,4 @@ RoutingPlan::at(DeviceId i, ExpertId j, DeviceId k) const
     return data_[index(i, j, k)];
 }
 
-std::vector<TokenCount>
-RoutingPlan::receivedTokens() const
-{
-    std::vector<TokenCount> recv(numDevices_, 0);
-    for (DeviceId i = 0; i < numDevices_; ++i)
-        for (ExpertId j = 0; j < numExperts_; ++j)
-            for (DeviceId k = 0; k < numDevices_; ++k)
-                recv[k] += at(i, j, k);
-    return recv;
-}
-
-bool
-RoutingPlan::conservesTokens(const RoutingMatrix &routing,
-                             const ExpertLayout &layout) const
-{
-    if (routing.numDevices() != numDevices_ ||
-        routing.numExperts() != numExperts_)
-        return false;
-    for (DeviceId i = 0; i < numDevices_; ++i) {
-        for (ExpertId j = 0; j < numExperts_; ++j) {
-            TokenCount sent = 0;
-            for (DeviceId k = 0; k < numDevices_; ++k) {
-                const TokenCount s = at(i, j, k);
-                if (s < 0)
-                    return false;
-                if (s > 0 && layout.at(k, j) == 0)
-                    return false; // token sent to a device without j
-                sent += s;
-            }
-            if (sent != routing.at(i, j))
-                return false;
-        }
-    }
-    return true;
-}
-
-VolumeMatrix
-RoutingPlan::dispatchVolume(Bytes bytes_per_token) const
-{
-    VolumeMatrix volume = zeroVolume(numDevices_);
-    for (DeviceId i = 0; i < numDevices_; ++i)
-        for (ExpertId j = 0; j < numExperts_; ++j)
-            for (DeviceId k = 0; k < numDevices_; ++k)
-                volume[i][k] += at(i, j, k) * bytes_per_token;
-    return volume;
-}
-
 } // namespace laer

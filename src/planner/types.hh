@@ -8,10 +8,11 @@
  *            (0/1 in practice; counts are supported for robustness).
  * S[i][j][k] — tokens from device i for expert j sent to device k.
  *
- * RoutingPlan stores S dense — the reference semantics, fine up to a
- * few hundred devices. The serving/tuner hot path uses the compressed
- * sibling in planner/routing_plan_sparse.hh, which is asserted
- * equivalent entry-for-entry.
+ * Every routing and pricing path uses the compressed plan in
+ * planner/routing_plan_sparse.hh. RoutingPlan stores S dense; it is
+ * the input format of IterationSpec::layerPlans and the output of
+ * dense liteRouting, and the reference formulations over it live in
+ * the test oracle (tests/oracle/dense_plan.hh).
  */
 
 #ifndef LAER_PLANNER_TYPES_HH
@@ -19,7 +20,6 @@
 
 #include <vector>
 
-#include "comm/collectives.hh"
 #include "core/types.hh"
 
 namespace laer
@@ -122,22 +122,6 @@ class RoutingPlan
 
     /** Tokens from device i for expert j routed to device k. */
     TokenCount at(DeviceId i, ExpertId j, DeviceId k) const;
-
-    /** Tokens device k receives for computation: sum_{i,j} S[i][j][k]. */
-    std::vector<TokenCount> receivedTokens() const;
-
-    /**
-     * Paper constraint (4): for all (i, j), sum_k S[i][j][k] == R[i][j]
-     * and tokens only flow to devices hosting the expert.
-     */
-    bool conservesTokens(const RoutingMatrix &routing,
-                         const ExpertLayout &layout) const;
-
-    /**
-     * Dispatch volume matrix in bytes (per-token payload
-     * `bytes_per_token`); diagonal kept for completeness.
-     */
-    VolumeMatrix dispatchVolume(Bytes bytes_per_token) const;
 
   private:
     std::size_t index(DeviceId i, ExpertId j, DeviceId k) const;

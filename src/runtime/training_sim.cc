@@ -102,9 +102,6 @@ TrainingSimulator::step()
         // routing (Fig. 7); we measure the real wall-clock it takes.
         TunerConfig tc = config_.tuner;
         tc.capacity = config_.capacity;
-        // The dispatcher routes the CURRENT iteration's tokens below;
-        // the solver only needs to emit the layout (Fig. 7).
-        tc.buildPlan = false;
         tc.cost.commBytesPerToken = config_.model.tokenBytes();
         tc.cost.compFlopsPerToken = config_.model.expertFlopsPerToken();
         tc.cost.checkpointing = config_.checkpointing;

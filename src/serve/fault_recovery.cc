@@ -157,18 +157,24 @@ FaultRecovery::resizeKv(std::vector<EngineSlot> &slots, int target,
         fail(r, now, obs);
     if (!disagg || target != 1)
         return;
-    // Every prefill-pool context heads for the resized decode pool
-    // with its decode target restored: one it can never hold fails now,
-    // by the arrival door's rule, before a prefill and a KV transfer
-    // are spent on it. A later repair does not revive it.
-    const ContinuousBatcher &decode = slot.engine().batcher();
+    // Every prefill-pool context heads for the resized decode pool:
+    // one it can never hold fails now, by the prefill door's rule.
+    // A later repair does not revive it.
+    const ServingEngine &decode = slot.engine();
     const auto servable = [&decode](const Request &r) {
-        Request at_door = r;
-        at_door.decodeTokens = r.decodeTarget;
-        return decode.canEverHold(at_door);
+        return decodeDoorAdmits(decode, r);
     };
     for (const Request &r : slots[0].engine().batcher().sweep(servable))
         fail(r, now, obs);
+}
+
+bool
+decodeDoorAdmits(const ServingEngine &decode, const Request &prefill_copy)
+{
+    Request at_door = prefill_copy;
+    at_door.decodeTokens = prefill_copy.decodeTarget;
+    return decode.state() == EngineState::Stopped ||
+           decode.batcher().canEverHold(at_door);
 }
 
 void

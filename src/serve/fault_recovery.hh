@@ -71,6 +71,14 @@ insertByReadyAt(std::deque<T> &queue, T item)
     queue.insert(pos, std::move(item));
 }
 
+/** The decode pool's door, asked at the prefill door: true when a
+ * disaggregated prefill copy's full context (prompt plus decode
+ * target) fits the decode pool, or the pool is Stopped and its
+ * revival will judge it. Checked before a prefill and a KV transfer
+ * are spent on a context the decode pool can never hold. */
+bool decodeDoorAdmits(const ServingEngine &decode,
+                      const Request &prefill_copy);
+
 /** The simulator's fault-recovery component (see the file comment). */
 class FaultRecovery
 {

@@ -167,10 +167,6 @@ ServingSimulator::engineConfigFor(const DevicePoolSlice &slice,
     ec.simulatedLayers = config_.simulatedLayers;
     ec.retunePeriod = config_.retunePeriod;
     ec.tuner = config_.tuner;
-    // The engine only adopts decision.layout; the dense winner plan
-    // would be built and thrown away (steps price from the sparse
-    // path), so skip it regardless of the caller's tuner default.
-    ec.tuner.buildPlan = false;
     ec.tuner.pool = threadPool_.get();
     ec.pool = threadPool_.get();
     ec.tunerBudgetMs = config_.tunerBudgetMs;
@@ -592,16 +588,6 @@ ServingSimulator::pumpArrivals()
         const auto i = static_cast<std::size_t>(target);
         Request request = admitArrival(i);
         if (disagg) {
-            const ServingEngine &decode = slots_[1].engine();
-            if (decode.state() != EngineState::Stopped &&
-                !decode.batcher().canEverHold(request)) {
-                // The decode pool (shrunk by a device fault) can never
-                // hold this context: fail it at the prefill door, by
-                // the rule of the decode pool's own door, before a
-                // prefill and a KV transfer are spent on it.
-                faults_.fail(request, now_, obs_);
-                continue;
-            }
             // The prefill pool runs the request only up to its first
             // token; the requested decode length rides along as its
             // decode target and is restored when the context migrates
@@ -615,6 +601,11 @@ ServingSimulator::pumpArrivals()
             request.decodeTarget =
                 static_cast<std::int32_t>(request.decodeTokens);
             request.decodeTokens = 1;
+            // One door rule for arrivals and retries: a context the
+            // decode pool can never hold fails here, before a prefill
+            // and a KV transfer are spent on it.
+            if (passDoor(0, request) == Door::Failed)
+                continue;
         }
         slots_[i].engine().enqueue(request);
     }
@@ -799,7 +790,10 @@ ServingSimulator::passDoor(int target, const Request &request)
     } else if (slots_[static_cast<std::size_t>(target)]
                    .engine()
                    .batcher()
-                   .canEverHold(request)) {
+                   .canEverHold(request) &&
+               (target != 0 ||
+                config_.policy != ServingPolicy::Disaggregated ||
+                decodeDoorAdmits(slots_[1].engine(), request))) {
         return Door::Enter;
     }
     faults_.fail(request, now_, obs_);

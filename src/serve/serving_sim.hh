@@ -562,8 +562,10 @@ class ServingSimulator
      * engine, or a repair, or a LinkUp while the link is down, still
      * in the plan) and Failed otherwise: nothing would ever serve it,
      * and failing beats hanging the drain. A target that can never
-     * hold the request (a device fault shrank it) means Failed.
-     * Failed requests are counted here. */
+     * hold the request (a device fault shrank it) means Failed, and
+     * so does a disaggregated prefill pool's context the decode pool
+     * can never hold (decodeDoorAdmits). Failed requests are counted
+     * here. */
     Door passDoor(int target, const Request &request);
 
     // ---- windowed event core (ServingConfig::desParallel) ----------

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/error.hh"
+#include "oracle/dense_plan.hh"
 #include "planner/lite_routing.hh"
 
 namespace laer
@@ -73,11 +74,10 @@ exhaustiveLayoutSearch(const Cluster &cluster, const RoutingMatrix &routing,
         for (ExpertId j = 0; j < e && ok; ++j)
             ok = layout.replicaCount(j) >= 1;
         if (ok) {
-            RoutingPlan plan = liteRouting(cluster, routing, layout);
-            const CostBreakdown c = timeCost(cluster, cost, plan);
+            const CostBreakdown c =
+                timeCost(cluster, cost, liteRouting(cluster, routing, layout));
             if (!have_best || c.total() < best.cost.total()) {
                 best.layout = std::move(layout);
-                best.plan = std::move(plan);
                 best.cost = c;
                 have_best = true;
             }

@@ -11,6 +11,7 @@
 #include "baselines/static_ep.hh"
 #include "core/rng.hh"
 #include "core/stats.hh"
+#include "oracle/dense_plan.hh"
 #include "planner/lite_routing.hh"
 
 namespace laer
@@ -94,8 +95,10 @@ TEST(StaticEp, RoutingStaysWithinOwnGroupAndConserves)
     for (DeviceId d = 0; d < 16; ++d)
         for (ExpertId j = 0; j < 8; ++j)
             r.at(d, j) = rng.uniformInt(0, 100);
-    const RoutingPlan s = staticEpRouting(r, g, a);
-    EXPECT_TRUE(s.conservesTokens(r, a));
+    RoutingPlanSparse sparse;
+    staticEpRoutingSparse(r, g, a, sparse);
+    const RoutingPlan s = toDense(sparse);
+    EXPECT_TRUE(conservesTokens(s, r, a));
     for (DeviceId i = 0; i < 16; ++i)
         for (ExpertId j = 0; j < 8; ++j)
             for (DeviceId k = 0; k < 16; ++k)
@@ -112,7 +115,8 @@ TEST(StaticEp, HotExpertOverloadsOneDevicePerGroup)
     const EpGrouping g(c, 4, true);
     const ExpertLayout a = staticEpLayout(c, 8, g);
     const RoutingMatrix r = hotExpertRouting(16, 8, 0, 1000);
-    const RoutingPlan s = staticEpRouting(r, g, a);
+    RoutingPlanSparse s;
+    staticEpRoutingSparse(r, g, a, s);
     const auto recv = s.receivedTokens();
     std::vector<double> loads(recv.begin(), recv.end());
     EXPECT_GT(imbalanceFactor(loads), 1.5);
@@ -175,6 +179,56 @@ TEST(FlexMoe, ChargesMigrationTime)
         EXPECT_GT(step.migrationTime, 0.0);
     }
     EXPECT_LE(step.movesApplied, 2);
+}
+
+TEST(FlexMoe, SparseScoreIsBitIdenticalToDenseFormulation)
+{
+    // 1,200 seeded cases on 1-8 nodes, with source rows that route no
+    // tokens and layouts that leave some node without a replica of an
+    // expert, so its sources take Alg. 3's global fallback.
+    Rng rng(20261019);
+    int zero_rows = 0, fallbacks = 0, multi_node = 0;
+    for (int trial = 0; trial < 1200; ++trial) {
+        const int nodes = rng.uniformInt(1, 8);
+        const int per_node = rng.uniformInt(1, 4);
+        const int n = nodes * per_node;
+        const int e = rng.uniformInt(2, 8);
+        const Cluster c(nodes, per_node, 300e9, 12.5e9, 212e12);
+        FlexMoeConfig cfg = flexConfig();
+        cfg.capacity = (e + n - 1) / n;
+        const FlexMoePlanner planner(c, e, cfg);
+
+        ExpertLayout layout(n, e);
+        for (ExpertId j = 0; j < e; ++j)
+            ++layout.at(rng.uniformInt(0, n - 1), j);
+        for (int extra = rng.uniformInt(0, n); extra > 0; --extra)
+            ++layout.at(rng.uniformInt(0, n - 1), rng.uniformInt(0, e - 1));
+        for (NodeId m = 0; m < nodes; ++m)
+            for (ExpertId j = 0; j < e; ++j) {
+                int local = 0;
+                for (DeviceId d = m * per_node; d < (m + 1) * per_node; ++d)
+                    local += layout.at(d, j);
+                fallbacks += local == 0 ? 1 : 0;
+            }
+
+        RoutingMatrix r(n, e);
+        for (DeviceId d = 0; d < n; ++d) {
+            if (rng.uniform() < 0.25) {
+                ++zero_rows;
+                continue;
+            }
+            for (ExpertId j = 0; j < e; ++j)
+                if (rng.uniform() < 0.7)
+                    r.at(d, j) = rng.uniformInt(0, 5000);
+        }
+        multi_node += nodes > 1 ? 1 : 0;
+        EXPECT_EQ(planner.score(layout, r),
+                  flexMoeScoreDense(c, cfg.cost, layout, r))
+            << "trial " << trial;
+    }
+    EXPECT_GT(zero_rows, 0);
+    EXPECT_GT(fallbacks, 0);
+    EXPECT_GT(multi_node, 0);
 }
 
 TEST(SmartMoe, OnlyRelayoutsOnPeriod)

@@ -37,30 +37,38 @@ TEST(Collectives, ZeroVolumeShape)
 TEST(Collectives, BottleneckIsBusiestPort)
 {
     const Cluster c = twoNode();
-    auto v = zeroVolume(4);
+    A2aPortLoads loads;
+    loads.reset(4);
     // Device 0 sends 10 GB across nodes (1 s on its NIC); everyone
     // else idle -> op takes ~1 s regardless of other cheap traffic.
-    v[0][2] = 10e9;
-    v[1][0] = 1e9; // intra, 0.01 s
-    const Seconds t = a2aBottleneckTime(c, v);
-    EXPECT_NEAR(t, 1.0 + kCollectiveAlpha, 1e-6);
+    loads.add(c, 0, 2, 10'000'000'000);
+    loads.add(c, 1, 0, 1'000'000'000); // intra, 0.01 s
+    EXPECT_NEAR(a2aBottleneckTimeFromLoads(c, loads), 1.0 + kCollectiveAlpha,
+                1e-6);
+    // Reversed (combine) direction: device 2's NIC receives the 10 GB.
+    EXPECT_NEAR(a2aBottleneckTimeFromLoads(c, loads, true),
+                1.0 + kCollectiveAlpha, 1e-6);
 }
 
 TEST(Collectives, BottleneckCountsRecvSide)
 {
     const Cluster c = twoNode();
-    auto v = zeroVolume(4);
+    A2aPortLoads loads;
+    loads.reset(4);
     // Device 3 receives 10 GB from two cross-node senders: its NIC
     // must drain 20 GB -> 2 s, even though each sender only sends 1 s.
-    v[0][3] = 10e9;
-    v[1][3] = 10e9;
-    EXPECT_NEAR(a2aBottleneckTime(c, v), 2.0 + kCollectiveAlpha, 1e-6);
+    loads.add(c, 0, 3, 10'000'000'000);
+    loads.add(c, 1, 3, 10'000'000'000);
+    EXPECT_NEAR(a2aBottleneckTimeFromLoads(c, loads), 2.0 + kCollectiveAlpha,
+                1e-6);
 }
 
 TEST(Collectives, BottleneckZeroTrafficIsFree)
 {
     const Cluster c = twoNode();
-    EXPECT_DOUBLE_EQ(a2aBottleneckTime(c, zeroVolume(4)), 0.0);
+    A2aPortLoads loads;
+    loads.reset(4);
+    EXPECT_DOUBLE_EQ(a2aBottleneckTimeFromLoads(c, loads), 0.0);
 }
 
 TEST(Collectives, UniformA2ASplitsByPortClass)

@@ -598,6 +598,43 @@ TEST(FaultRecovery, ShrunkDecodePoolFailsPrefillContextsItCannotHold)
     EXPECT_EQ(report.kvTransferBytes, 637534208);
 }
 
+TEST(FaultRecovery, ShrunkDecodePoolFailsPrefillRetriesItCannotHold)
+{
+    // The boundary link dies at 0.58 s, so request 10's handover
+    // aborts and it waits out a backoff as a prefill-side retry. Three
+    // of the decode pool's four devices die at 0.60 s, and the link
+    // heals at 0.62 s. The retry comes back through the prefill door,
+    // which asks the decode pool too: request 10 can never fit the
+    // shrunk pool, so it fails at re-admission instead of being
+    // prefilled again and shipping its 118,358,016 KV bytes first.
+    const Cluster cluster(4, 2, 300e9, 12.5e9, 212e12);
+    ServingConfig cfg = longDecodeDisaggConfig(25.91, 1.0);
+    cfg.faults.events.push_back({0.58, FaultKind::LinkDown, 0, 1.0});
+    cfg.faults.events.push_back({0.60, FaultKind::DeviceFail, 1, 3.0});
+    cfg.faults.events.push_back({0.62, FaultKind::LinkUp, 0, 1.0});
+    TraceRecorder trace;
+    cfg.trace = &trace;
+    ServingSimulator sim(cluster, cfg);
+    ServingReport report;
+    ASSERT_NO_THROW(report = sim.run());
+
+    std::ostringstream os;
+    trace.write(os);
+    const std::string json = os.str();
+    const std::string aborted = traceTsOf(json, "transfer_abort", 10);
+    const std::string failed = traceTsOf(json, "request_failed", 10);
+    // Aborted at 0.5915 s, it fails at the door when its 50 ms backoff
+    // ends, after the link healed. Prefilled again and shipped, it
+    // would add one migration and its KV bytes to these.
+    EXPECT_EQ(aborted, "591452.637825");
+    EXPECT_EQ(failed, "641452.637825");
+    EXPECT_EQ(traceTsOf(json, "kv_transfer", 10), "");
+    EXPECT_EQ(report.availability.requestsFailed, 1);
+    EXPECT_EQ(report.completed, 21);
+    EXPECT_EQ(report.migrated, 21);
+    EXPECT_EQ(report.kvTransferBytes, 637534208);
+}
+
 TEST(FaultRecovery, ShrunkPoolFailsRetriesItCannotHold)
 {
     // The decode pool dies with its contexts inside, and three of its

@@ -10,6 +10,7 @@
 #include "core/rng.hh"
 #include "fsep/sharded_experts.hh"
 #include "planner/layout_tuner.hh"
+#include "planner/lite_routing.hh"
 #include "runtime/training_sim.hh"
 
 namespace laer
@@ -185,13 +186,13 @@ TEST(FsepPlannerLoop, MultiIterationTrainingMatchesReference)
             grads(n);
         std::vector<std::vector<float>> logical(
             e, std::vector<float>(size, 0.0f));
-        const std::vector<TokenCount> recv = dec.plan.receivedTokens();
+        const RoutingPlan plan = liteRouting(c, routing, dec.layout);
         for (DeviceId d = 0; d < n; ++d) {
             for (const auto &[expert, params] : restored.restored[d]) {
                 // Tokens this replica computed for this expert.
                 TokenCount t = 0;
                 for (DeviceId i = 0; i < n; ++i)
-                    t += dec.plan.at(i, expert, d);
+                    t += plan.at(i, expert, d);
                 std::vector<float> g(size);
                 for (int i = 0; i < size; ++i)
                     g[i] = 1e-3f * static_cast<float>(t) *

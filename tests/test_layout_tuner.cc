@@ -10,6 +10,7 @@
 #include "core/error.hh"
 #include "core/rng.hh"
 #include "planner/layout_tuner.hh"
+#include "oracle/dense_plan.hh"
 #include "oracle/reference_solver.hh"
 #include "planner/lite_routing.hh"
 
@@ -51,7 +52,8 @@ TEST(LayoutTuner, ProducesFeasibleLayoutAndConservingPlan)
     cfg.cost = toyCost();
     const LayoutDecision dec = tuneExpertLayout(c, r, cfg);
     EXPECT_TRUE(dec.layout.feasible(2));
-    EXPECT_TRUE(dec.plan.conservesTokens(r, dec.layout));
+    EXPECT_TRUE(
+        conservesTokens(liteRouting(c, r, dec.layout), r, dec.layout));
     EXPECT_EQ(dec.schemesTried, cfg.setSize);
 }
 
@@ -186,7 +188,8 @@ TEST(CostModel, CommTermUsesPairBandwidth)
     RoutingPlan s(4, 1);
     s.at(0, 0, 1) = 10; // intra
     s.at(0, 0, 2) = 10; // inter
-    const CostBreakdown cost = timeCost(c, p, s);
+    const CostBreakdown cost =
+        timeCost(c, p, RoutingPlanSparse::fromDense(s));
     // 4 * V * (10/100e9 + 10/10e9) * 1000 bytes
     EXPECT_NEAR(cost.comm, 4.0 * 1000 * (10 / 100e9 + 10 / 10e9),
                 1e-15);
@@ -202,10 +205,11 @@ TEST(CostModel, CompTermIsMaxOverDevicesTimesFactor)
     RoutingPlan s(4, 1);
     s.at(0, 0, 1) = 30; // device 1 receives the most
     s.at(2, 0, 3) = 10;
-    CostBreakdown cost = timeCost(c, p, s);
+    const RoutingPlanSparse sparse = RoutingPlanSparse::fromDense(s);
+    CostBreakdown cost = timeCost(c, p, sparse);
     EXPECT_NEAR(cost.comp, 3.0 * 30 * 1e9 / 1e12, 1e-12);
     p.checkpointing = true;
-    cost = timeCost(c, p, s);
+    cost = timeCost(c, p, sparse);
     EXPECT_NEAR(cost.comp, 4.0 * 30 * 1e9 / 1e12, 1e-12);
 }
 
@@ -219,7 +223,8 @@ TEST(CostModel, FastPathMatchesFullEvaluation)
     s.at(0, 0, 1) = 7;
     s.at(1, 1, 2) = 9;
     s.at(3, 0, 1) = 2;
-    const CostBreakdown full = timeCost(c, p, s);
+    const CostBreakdown full =
+        timeCost(c, p, RoutingPlanSparse::fromDense(s));
 
     Seconds pair_sum = 0.0;
     for (DeviceId i = 0; i < 4; ++i)
@@ -232,7 +237,7 @@ TEST(CostModel, FastPathMatchesFullEvaluation)
             pair_sum += static_cast<double>(t) / c.bw(i, k);
         }
     const CostBreakdown fast =
-        timeCostFromSums(c, p, s.receivedTokens(), pair_sum);
+        timeCostFromSums(c, p, receivedTokens(s), pair_sum);
     EXPECT_NEAR(full.comm, fast.comm, 1e-15);
     EXPECT_NEAR(full.comp, fast.comp, 1e-15);
 }

@@ -10,6 +10,7 @@
 #include "core/error.hh"
 #include "core/rng.hh"
 #include "difftest/diff.hh"
+#include "oracle/dense_plan.hh"
 #include "planner/lite_routing.hh"
 #include "planner/relocation.hh"
 #include "planner/replica_alloc.hh"
@@ -39,7 +40,7 @@ TEST(LiteRouting, ConservesTokens)
     a.at(2, 1) = 1;
     a.at(3, 1) = 1;
     const RoutingPlan s = liteRouting(c, r, a);
-    EXPECT_TRUE(s.conservesTokens(r, a));
+    EXPECT_TRUE(conservesTokens(s, r, a));
 }
 
 TEST(LiteRouting, PrefersIntraNodeReplicas)
@@ -189,7 +190,7 @@ TEST_P(ScorerEquivalence, MatchesDensePlanOnRandomLayouts)
         de.simTime = se.simTime = static_cast<Seconds>(seed);
         // recv sums are exact integers in both formulations, and the
         // comp term preserves summation order.
-        de.values = recvCounters(plan.receivedTokens());
+        de.values = recvCounters(receivedTokens(plan));
         de.values.push_back({"comp", dense.comp});
         se.values = recvCounters(score.recv);
         se.values.push_back({"comp", score.cost.comp});
@@ -231,7 +232,7 @@ TEST(LiteRouting, FastScorerHandlesReplicaMultiplicity)
     const CostBreakdown dense = timeCost(c, params, plan);
     const LiteRoutingScore fast =
         scoreLiteRoutingFast(c, r, a, params);
-    EXPECT_EQ(fast.recv, plan.receivedTokens());
+    EXPECT_EQ(fast.recv, receivedTokens(plan));
     EXPECT_NEAR(fast.cost.comm, dense.comm, 1e-12 * dense.comm);
     EXPECT_DOUBLE_EQ(fast.cost.comp, dense.comp);
 }

@@ -13,6 +13,7 @@
 #include <tuple>
 
 #include "core/rng.hh"
+#include "oracle/dense_plan.hh"
 #include "planner/layout_tuner.hh"
 #include "planner/lite_routing.hh"
 #include "planner/relocation.hh"
@@ -81,7 +82,7 @@ TEST_P(FusedScoring, ReceivedTokensMatchDensePath)
         scoreLiteRouting(*cluster_, routing_, layout_, cost_);
     const RoutingPlan dense =
         liteRouting(*cluster_, routing_, layout_);
-    EXPECT_EQ(fused.recv, dense.receivedTokens());
+    EXPECT_EQ(fused.recv, receivedTokens(dense));
 }
 
 TEST_P(FusedScoring, RecvConservesAllTokens)
@@ -94,21 +95,17 @@ TEST_P(FusedScoring, RecvConservesAllTokens)
     EXPECT_EQ(total, routing_.totalTokens());
 }
 
-TEST_P(FusedScoring, TunerWithAndWithoutPlanAgree)
+TEST_P(FusedScoring, TunerCostIsRealizedByItsLayout)
 {
-    TunerConfig with_plan;
-    with_plan.capacity = capacity_;
-    with_plan.cost = cost_;
-    TunerConfig without = with_plan;
-    without.buildPlan = false;
-    const LayoutDecision a =
-        tuneExpertLayout(*cluster_, routing_, with_plan);
-    const LayoutDecision b =
-        tuneExpertLayout(*cluster_, routing_, without);
-    EXPECT_TRUE(a.layout == b.layout);
-    EXPECT_DOUBLE_EQ(a.cost.total(), b.cost.total());
-    // The with-plan decision's plan must actually realise the cost.
-    const CostBreakdown realized = timeCost(*cluster_, cost_, a.plan);
+    TunerConfig config;
+    config.capacity = capacity_;
+    config.cost = cost_;
+    const LayoutDecision a = tuneExpertLayout(*cluster_, routing_, config);
+    // Routing the decision's layout must actually realise its cost.
+    RoutingPlanSparse plan;
+    liteRoutingSparse(*cluster_, routing_, ReplicaIndex(*cluster_, a.layout),
+                      plan);
+    const CostBreakdown realized = timeCost(*cluster_, cost_, plan);
     EXPECT_NEAR(realized.total(), a.cost.total(),
                 1e-12 * a.cost.total());
 }

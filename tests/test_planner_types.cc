@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracle/dense_plan.hh"
 #include "planner/types.hh"
 
 namespace laer
@@ -59,7 +60,7 @@ TEST(RoutingPlan, ReceivedTokens)
     s.at(0, 0, 1) = 4;
     s.at(1, 1, 1) = 6;
     s.at(1, 0, 0) = 1;
-    EXPECT_EQ(s.receivedTokens(), (std::vector<TokenCount>{1, 10}));
+    EXPECT_EQ(receivedTokens(s), (std::vector<TokenCount>{1, 10}));
 }
 
 TEST(RoutingPlan, ConservationDetectsMismatch)
@@ -73,17 +74,17 @@ TEST(RoutingPlan, ConservationDetectsMismatch)
     RoutingPlan ok(2, 1);
     ok.at(0, 0, 0) = 5;
     ok.at(1, 0, 0) = 5;
-    EXPECT_TRUE(ok.conservesTokens(r, a));
+    EXPECT_TRUE(conservesTokens(ok, r, a));
 
     RoutingPlan missing(2, 1);
     missing.at(0, 0, 0) = 5;
     missing.at(1, 0, 0) = 4; // lost one token
-    EXPECT_FALSE(missing.conservesTokens(r, a));
+    EXPECT_FALSE(conservesTokens(missing, r, a));
 
     RoutingPlan misplaced(2, 1);
     misplaced.at(0, 0, 1) = 5; // device 1 does not host expert 0
     misplaced.at(1, 0, 0) = 5;
-    EXPECT_FALSE(misplaced.conservesTokens(r, a));
+    EXPECT_FALSE(conservesTokens(misplaced, r, a));
 }
 
 TEST(RoutingPlan, DispatchVolumeUsesTokenBytes)
@@ -91,7 +92,7 @@ TEST(RoutingPlan, DispatchVolumeUsesTokenBytes)
     RoutingPlan s(2, 1);
     s.at(0, 0, 1) = 3;
     s.at(1, 0, 1) = 2; // local (diagonal) traffic
-    const VolumeMatrix v = s.dispatchVolume(100);
+    const VolumeMatrix v = dispatchVolume(s, 100);
     EXPECT_EQ(v[0][1], 300);
     EXPECT_EQ(v[1][1], 200);
     EXPECT_EQ(v[1][0], 0);

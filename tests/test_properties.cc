@@ -17,10 +17,12 @@
 #include "core/rng.hh"
 #include "fsep/sharded_experts.hh"
 #include "fsep/volume.hh"
+#include "oracle/dense_plan.hh"
 #include "planner/layout_tuner.hh"
 #include "planner/lite_routing.hh"
 #include "planner/relocation.hh"
 #include "planner/replica_alloc.hh"
+#include "planner/routing_plan_sparse.hh"
 
 namespace laer
 {
@@ -78,7 +80,8 @@ TEST_P(PlannerProperty, LiteRoutingConservesTokens)
     cfg.cost = cost_;
     const LayoutDecision dec =
         tuneExpertLayout(*cluster_, routing_, cfg);
-    EXPECT_TRUE(dec.plan.conservesTokens(routing_, dec.layout));
+    EXPECT_TRUE(conservesTokens(liteRouting(*cluster_, routing_, dec.layout),
+                                routing_, dec.layout));
 }
 
 TEST_P(PlannerProperty, TunerNeverWorseThanEvenLayout)
@@ -94,8 +97,9 @@ TEST_P(PlannerProperty, TunerNeverWorseThanEvenLayout)
         *cluster_,
         evenAllocation(loads, cluster_->numDevices(), capacity_),
         loads, capacity_);
-    const RoutingPlan even_plan =
-        liteRouting(*cluster_, routing_, even);
+    RoutingPlanSparse even_plan;
+    liteRoutingSparse(*cluster_, routing_, ReplicaIndex(*cluster_, even),
+                      even_plan);
     const Seconds even_cost =
         timeCost(*cluster_, cost_, even_plan).total();
     EXPECT_LE(dec.cost.total(), even_cost * 1.0001);
@@ -228,7 +232,7 @@ TEST_P(LiteRoutingProperty, ConservationUnderRandomFeasibleLayouts)
             routing.at(d, j) = counts[j];
     }
     const RoutingPlan plan = liteRouting(cluster, routing, layout);
-    EXPECT_TRUE(plan.conservesTokens(routing, layout));
+    EXPECT_TRUE(conservesTokens(plan, routing, layout));
 
     // Intra-node preference: if a node hosts a replica, no token from
     // that node crosses nodes for that expert.

@@ -14,6 +14,7 @@
 #include "core/error.hh"
 #include "core/rng.hh"
 #include "model/config.hh"
+#include "oracle/dense_plan.hh"
 #include "planner/lite_routing.hh"
 #include "planner/relocation.hh"
 #include "planner/replica_alloc.hh"
@@ -295,7 +296,7 @@ denseLayerTraffic(const Cluster &c, const RoutingPlan &plan,
                   Bytes bytes_per_token, int blur)
 {
     const int n = c.numDevices();
-    VolumeMatrix volume = plan.dispatchVolume(bytes_per_token);
+    VolumeMatrix volume = dispatchVolume(plan, bytes_per_token);
     if (blur > 1) {
         VolumeMatrix blurred = zeroVolume(n);
         for (DeviceId i = 0; i < n; ++i)
@@ -306,11 +307,8 @@ denseLayerTraffic(const Cluster &c, const RoutingPlan &plan,
             }
         volume = std::move(blurred);
     }
-    VolumeMatrix reverse = zeroVolume(n);
-    for (DeviceId i = 0; i < n; ++i)
-        for (DeviceId k = 0; k < n; ++k)
-            reverse[k][i] = volume[i][k];
-    return {a2aBottleneckTime(c, volume), a2aBottleneckTime(c, reverse)};
+    return {a2aBottleneckTime(c, volume),
+            a2aBottleneckTime(c, transposeVolume(volume))};
 }
 
 TEST(Iteration, PortLoadTrafficMatchesDenseFormula)
@@ -324,9 +322,8 @@ TEST(Iteration, PortLoadTrafficMatchesDenseFormula)
             for (int trial = 0; trial < 20; ++trial) {
                 const RoutingPlanSparse sparse =
                     randomSparsePlan(n, 8, n, rng);
-                const RoutingPlan dense = sparse.toDense();
-                EXPECT_EQ(sparse.receivedTokens(),
-                          dense.receivedTokens());
+                const RoutingPlan dense = toDense(sparse);
+                EXPECT_EQ(sparse.receivedTokens(), receivedTokens(dense));
                 for (const int blur : {1, 2, 4, 8}) {
                     A2aPortLoads loads;
                     expertTpPortLoads(c, sparse, bytes_per_token, blur,
@@ -355,7 +352,7 @@ TEST(Iteration, DenseAndSparseSpecsPriceIdentically)
     for (int l = 0; l < 3; ++l) {
         sparse.push_back(
             randomSparsePlan(c.numDevices(), 8, c.numDevices(), rng));
-        dense.push_back(sparse.back().toDense());
+        dense.push_back(toDense(sparse.back()));
     }
     for (const SystemKind system :
          {SystemKind::Laer, SystemKind::FsdpEp, SystemKind::Megatron}) {

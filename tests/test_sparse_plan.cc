@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for RoutingPlanSparse and the sparse step-pricing path:
- * dense round-trips, lite-routing and StaticEP-routing equivalence,
- * and bit-identical All-to-All pricing from port loads.
+ * Tests for RoutingPlanSparse and the sparse step-pricing path
+ * against the dense reference formulations (tests/oracle/): dense
+ * round-trips, lite-routing and StaticEP-routing equivalence, and
+ * bit-identical All-to-All and Eq. 2 pricing.
  */
 
 #include <gtest/gtest.h>
@@ -10,10 +11,13 @@
 #include "baselines/static_ep.hh"
 #include "core/rng.hh"
 #include "difftest/diff.hh"
+#include "difftest/scenario_gen.hh"
+#include "oracle/dense_plan.hh"
 #include "planner/lite_routing.hh"
 #include "planner/relocation.hh"
 #include "planner/replica_alloc.hh"
 #include "planner/routing_plan_sparse.hh"
+#include "trace/routing_generator.hh"
 
 namespace laer
 {
@@ -81,9 +85,9 @@ TEST(RoutingPlanSparse, DenseRoundTripOnRandomPlans)
         const RoutingPlan dense = liteRouting(c, r, layout);
         const RoutingPlanSparse sparse =
             RoutingPlanSparse::fromDense(dense);
-        EXPECT_TRUE(densePlansEqual(sparse.toDense(), dense))
+        EXPECT_TRUE(densePlansEqual(toDense(sparse), dense))
             << "seed " << seed;
-        EXPECT_EQ(sparse.receivedTokens(), dense.receivedTokens());
+        EXPECT_EQ(sparse.receivedTokens(), receivedTokens(dense));
     }
 }
 
@@ -99,9 +103,9 @@ TEST(RoutingPlanSparse, LiteRoutingSparseMatchesDense)
         const ReplicaIndex index(c, layout);
         RoutingPlanSparse sparse;
         liteRoutingSparse(c, r, index, sparse);
-        EXPECT_TRUE(densePlansEqual(sparse.toDense(), dense))
+        EXPECT_TRUE(densePlansEqual(toDense(sparse), dense))
             << "seed " << seed;
-        EXPECT_TRUE(sparse.toDense().conservesTokens(r, layout));
+        EXPECT_TRUE(conservesTokens(toDense(sparse), r, layout));
     }
 }
 
@@ -136,55 +140,99 @@ TEST(RoutingPlanSparse, StaticEpRoutingSparseMatchesDense)
     }
 }
 
+/**
+ * Price one (routing, layout) pair both ways, one checkpoint per side:
+ * the oracle's dense plan through its volume matrices, and the sparse
+ * plan through port loads; both through Eq. 2.
+ */
+void
+pricePair(const Cluster &c, const RoutingMatrix &r,
+          const ExpertLayout &layout, Bytes token_bytes,
+          SnapshotStream &dense_stream, SnapshotStream &sparse_stream)
+{
+    const RoutingPlan dense = liteRouting(c, r, layout);
+    const VolumeMatrix vol = dispatchVolume(dense, token_bytes);
+    RoutingPlanSparse sparse;
+    liteRoutingSparse(c, r, ReplicaIndex(c, layout), sparse);
+    A2aPortLoads loads;
+    sparse.portLoads(c, token_bytes, loads);
+    EXPECT_EQ(dispatchVolume(sparse, token_bytes), vol);
+    EXPECT_EQ(sparse.receivedTokens(), receivedTokens(dense));
+
+    CostParams params;
+    params.commBytesPerToken = token_bytes;
+    params.compFlopsPerToken = 3.5e8;
+    const CostBreakdown dense_cost = timeCost(c, params, dense);
+    const CostBreakdown sparse_cost = timeCost(c, params, sparse);
+
+    CounterSnapshot ds, ss;
+    ds.simTime = ss.simTime =
+        static_cast<Seconds>(dense_stream.snapshots.size());
+    ds.values = {
+        {"dispatch_s", a2aBottleneckTime(c, vol)},
+        {"combine_s", a2aBottleneckTime(c, transposeVolume(vol))},
+        {"comm_s", dense_cost.comm},
+        {"comp_s", dense_cost.comp},
+    };
+    ss.values = {
+        {"dispatch_s", a2aBottleneckTimeFromLoads(c, loads)},
+        {"combine_s", a2aBottleneckTimeFromLoads(c, loads, true)},
+        {"comm_s", sparse_cost.comm},
+        {"comp_s", sparse_cost.comp},
+    };
+    dense_stream.snapshots.push_back(ds);
+    sparse_stream.snapshots.push_back(ss);
+}
+
 TEST(RoutingPlanSparse, PortLoadPricingIsBitIdenticalToDense)
 {
-    const Cluster c = cluster24();
     const Bytes token_bytes = 8192;
-    // Bit-identity through the diff harness: one checkpoint per seed
-    // on each side; a regression reports the first diverging seed and
-    // quantity instead of a bare EXPECT_EQ failure.
+    // Bit-identity through the diff harness: one checkpoint per priced
+    // pair on each side; a regression reports the first diverging
+    // pair and quantity instead of a bare EXPECT_EQ failure.
     SnapshotStream dense_stream, sparse_stream;
-    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-        const ExpertLayout layout =
-            randomFeasibleLayout(c, 8, 2, seed);
-        const RoutingMatrix r =
-            randomRouting(c.numDevices(), 8, seed + 29, 513);
-        const RoutingPlan dense = liteRouting(c, r, layout);
+    const Cluster c = cluster24();
+    for (std::uint64_t seed = 1; seed <= 8; ++seed)
+        pricePair(c, randomRouting(c.numDevices(), 8, seed + 29, 513),
+                  randomFeasibleLayout(c, 8, 2, seed), token_bytes,
+                  dense_stream, sparse_stream);
 
-        const VolumeMatrix vol = dense.dispatchVolume(token_bytes);
-        VolumeMatrix combine = zeroVolume(dense.numDevices());
-        for (std::size_t i = 0; i < vol.size(); ++i)
-            for (std::size_t k = 0; k < vol.size(); ++k)
-                combine[k][i] = vol[i][k];
-
-        const ReplicaIndex index(c, layout);
-        RoutingPlanSparse sparse;
-        liteRoutingSparse(c, r, index, sparse);
-        A2aPortLoads loads;
-        sparse.portLoads(c, token_bytes, loads);
-
-        CounterSnapshot ds, ss;
-        ds.simTime = ss.simTime = static_cast<Seconds>(seed);
-        ds.values = {
-            {"dispatch_s", a2aBottleneckTime(c, vol)},
-            {"combine_s", a2aBottleneckTime(c, combine)},
-        };
-        ss.values = {
-            {"dispatch_s", a2aBottleneckTimeFromLoads(c, loads)},
-            {"combine_s",
-             a2aBottleneckTimeFromLoads(c, loads, true)},
-        };
-        dense_stream.snapshots.push_back(ds);
-        sparse_stream.snapshots.push_back(ss);
-
-        EXPECT_EQ(sparse.dispatchVolume(token_bytes), vol);
+    // The ctest difftest campaign's 12 scenarios (difftest_fuzz,
+    // seeds 20260808 + i): 12 steps of drifting routing on each
+    // scenario's cluster and model, re-laid out every 4 steps.
+    for (std::uint64_t run = 0; run < 12; ++run) {
+        const Scenario s = generateScenario(20260808 + run);
+        const Cluster cluster = s.makeCluster();
+        const int capacity = s.serving.capacity;
+        RoutingModel model = s.serving.routing;
+        model.numDevices = cluster.numDevices();
+        model.numExperts = s.serving.model.numExperts;
+        model.topK = s.serving.model.topK;
+        model.tokensPerDevice = 512;
+        model.seed = s.serving.seed;
+        RoutingGenerator gen(model);
+        ExpertLayout layout;
+        for (int step = 0; step < 12; ++step) {
+            const RoutingMatrix r = gen.next();
+            if (step % 4 == 0) {
+                const std::vector<TokenCount> loads = r.expertLoads();
+                layout = expertRelocation(
+                    cluster,
+                    replicaAllocation(loads, cluster.numDevices(),
+                                      capacity),
+                    loads, capacity);
+            }
+            pricePair(cluster, r, layout, token_bytes, dense_stream,
+                      sparse_stream);
+        }
     }
-    // Exact comparison: the fold is exact integer
-    // arithmetic on both sides, so every priced time must be
-    // bit-identical, not just close.
+    // Exact comparison: the folds are exact integer arithmetic on
+    // both sides, and Eq. 2 adds its pair terms in the same order, so
+    // every priced time must be bit-identical, not just close.
     const DiffReport report =
         diffStreams(dense_stream, sparse_stream);
     EXPECT_TRUE(report.identical()) << report.toText();
+    EXPECT_EQ(report.comparisons, 4 * dense_stream.snapshots.size());
 }
 
 TEST(RoutingPlanSparse, EmptyRowsAndRankOrderDiscipline)
@@ -209,7 +257,7 @@ TEST(RoutingPlanSparse, EmptyRowsAndRankOrderDiscipline)
     ASSERT_EQ(count, 1u);
     EXPECT_EQ(row3[0].tokens, 5);
 
-    const RoutingPlan dense = plan.toDense();
+    const RoutingPlan dense = toDense(plan);
     EXPECT_EQ(dense.at(1, 0, 3), 10);
     EXPECT_EQ(dense.at(3, 1, 0), 5);
 }
