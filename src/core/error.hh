@@ -35,26 +35,34 @@ class FatalError : public std::runtime_error
 
 /**
  * Check a user-facing precondition; throws laer::FatalError on failure.
+ * `msg` is a stream expression, evaluated only when the check fails,
+ * in a cold out-of-line lambda: the checked function's own body keeps
+ * only the test and a call.
  */
 #define LAER_CHECK(cond, msg)                                               \
     do {                                                                    \
         if (!(cond)) {                                                      \
-            std::ostringstream laer_oss_;                                   \
-            laer_oss_ << "check failed: " #cond " — " << msg;               \
-            ::laer::fatal(laer_oss_.str());                                 \
+            [&]() __attribute__((noinline, cold, noreturn)) {               \
+                std::ostringstream laer_oss_;                               \
+                laer_oss_ << "check failed: " #cond " — " << msg;           \
+                ::laer::fatal(laer_oss_.str());                             \
+            }();                                                            \
         }                                                                   \
     } while (0)
 
 /**
- * Assert an internal invariant; aborts on failure.
+ * Assert an internal invariant; aborts on failure. `msg` is evaluated
+ * only on failure, out of line as in LAER_CHECK.
  */
 #define LAER_ASSERT(cond, msg)                                              \
     do {                                                                    \
         if (!(cond)) {                                                      \
-            std::ostringstream laer_oss_;                                   \
-            laer_oss_ << "assertion failed: " #cond " — " << msg            \
-                      << " (" << __FILE__ << ":" << __LINE__ << ")";        \
-            ::laer::panic(laer_oss_.str());                                 \
+            [&]() __attribute__((noinline, cold, noreturn)) {               \
+                std::ostringstream laer_oss_;                               \
+                laer_oss_ << "assertion failed: " #cond " — " << msg        \
+                          << " (" << __FILE__ << ":" << __LINE__ << ")";    \
+                ::laer::panic(laer_oss_.str());                             \
+            }();                                                            \
         }                                                                   \
     } while (0)
 

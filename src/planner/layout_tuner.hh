@@ -46,10 +46,11 @@ struct TunerConfig
      * thread count. Non-owning. */
     ThreadPool *pool = nullptr;
     /** Score schemes with the node-aggregated scorer
-     * (scoreLiteRoutingFast) — the 512-1024-device configuration.
-     * Mathematically identical costs with different (tighter)
-     * floating-point rounding, so machine-precision scheme ties may
-     * resolve differently than the seed path; off by default to keep
+     * (scoreLiteRoutingFast), as every run with no older output to
+     * keep does at any scale (tab05's serving arm, fig15, perfbench's
+     * scale-256 and day-replicas). Same costs in exact arithmetic,
+     * tighter rounding: machine-precision scheme ties may resolve
+     * differently than the seed path, so off by default to keep
      * historical outputs byte-for-byte. */
     bool fastScoring = false;
 };

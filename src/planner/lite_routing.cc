@@ -16,40 +16,25 @@ ReplicaIndex::rebuild(const Cluster &cluster, const ExpertLayout &layout)
     numNodes_ = cluster.numNodes();
 
     // Counting pass over the layout's non-zero cells.
-    allOff_.assign(static_cast<std::size_t>(e) + 1, 0);
-    intraOff_.assign(static_cast<std::size_t>(numNodes_) * e + 1, 0);
-    std::size_t total = 0;
+    off_.assign(static_cast<std::size_t>(e) * numNodes_ + 1, 0);
     for (DeviceId d = 0; d < n; ++d) {
         const NodeId m = cluster.node(d);
-        for (ExpertId j = 0; j < e; ++j) {
-            const auto r = static_cast<std::size_t>(layout.at(d, j));
-            allOff_[static_cast<std::size_t>(j) + 1] += r;
-            intraOff_[cell(m, j) + 1] += r;
-            total += r;
-        }
+        for (ExpertId j = 0; j < e; ++j)
+            off_[cell(j, m) + 1] += static_cast<std::size_t>(layout.at(d, j));
     }
-    for (std::size_t j = 0; j < static_cast<std::size_t>(e); ++j)
-        allOff_[j + 1] += allOff_[j];
-    for (std::size_t c = 0; c < intraOff_.size() - 1; ++c)
-        intraOff_[c + 1] += intraOff_[c];
+    for (std::size_t c = 0; c + 1 < off_.size(); ++c)
+        off_[c + 1] += off_[c];
 
     // Fill pass. Devices are visited in ascending order, so every list
     // comes out device-ascending with multiplicity — the order Alg. 3
     // defines its remainder rotation over.
-    allDev_.resize(total);
-    intraDev_.resize(total);
-    std::vector<std::size_t> all_fill(allOff_.begin(),
-                                      allOff_.end() - 1);
-    std::vector<std::size_t> intra_fill(intraOff_.begin(),
-                                        intraOff_.end() - 1);
+    dev_.resize(off_.back());
+    std::vector<std::size_t> fill(off_.begin(), off_.end() - 1);
     for (DeviceId d = 0; d < n; ++d) {
         const NodeId m = cluster.node(d);
-        for (ExpertId j = 0; j < e; ++j) {
-            for (int r = 0; r < layout.at(d, j); ++r) {
-                allDev_[all_fill[static_cast<std::size_t>(j)]++] = d;
-                intraDev_[intra_fill[cell(m, j)]++] = d;
-            }
-        }
+        for (ExpertId j = 0; j < e; ++j)
+            for (int r = 0; r < layout.at(d, j); ++r)
+                dev_[fill[cell(j, m)]++] = d;
     }
 }
 

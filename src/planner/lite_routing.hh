@@ -37,9 +37,12 @@ namespace laer
  * expert the global replica list, and for every (node, expert) pair
  * the intra-node replica list — both device-ascending with replica
  * multiplicity, the exact order the Alg. 3 remainder rotation is
- * defined over. Stored as flat CSR arrays so a rebuild on a fresh
- * layout reuses the storage (the serving engine keeps one per layer
- * across steps).
+ * defined over. Devices are numbered node-major, so each intra list
+ * is a contiguous sub-range of its expert's global list: one device
+ * array, expert-major and device-ascending, with one offset per
+ * (expert, node) cell serves both. Flat arrays, so a rebuild on a
+ * fresh layout reuses the storage (the serving engine keeps one per
+ * layer across steps).
  */
 class ReplicaIndex
 {
@@ -65,26 +68,25 @@ class ReplicaIndex
     /** Global replica list of expert j (devices, with multiplicity). */
     const DeviceId *all(ExpertId j) const
     {
-        return allDev_.data() + allOff_[static_cast<std::size_t>(j)];
+        return dev_.data() + off_[cell(j, 0)];
     }
 
     /** Length of the global replica list of expert j. */
     std::size_t allCount(ExpertId j) const
     {
-        return allOff_[static_cast<std::size_t>(j) + 1] -
-               allOff_[static_cast<std::size_t>(j)];
+        return off_[cell(j + 1, 0)] - off_[cell(j, 0)];
     }
 
     /** Intra-node replica list of expert j on node m. */
     const DeviceId *intra(NodeId m, ExpertId j) const
     {
-        return intraDev_.data() + intraOff_[cell(m, j)];
+        return dev_.data() + off_[cell(j, m)];
     }
 
     /** Length of the intra-node replica list of expert j on node m. */
     std::size_t intraCount(NodeId m, ExpertId j) const
     {
-        return intraOff_[cell(m, j) + 1] - intraOff_[cell(m, j)];
+        return off_[cell(j, m) + 1] - off_[cell(j, m)];
     }
 
     /**
@@ -108,18 +110,16 @@ class ReplicaIndex
     }
 
   private:
-    std::size_t cell(NodeId m, ExpertId j) const
+    std::size_t cell(ExpertId j, NodeId m) const
     {
-        return static_cast<std::size_t>(m) * numExperts_ +
-               static_cast<std::size_t>(j);
+        return static_cast<std::size_t>(j) * numNodes_ +
+               static_cast<std::size_t>(m);
     }
 
     int numExperts_ = 0;
     int numNodes_ = 0;
-    std::vector<std::size_t> allOff_;   //!< E + 1 offsets
-    std::vector<DeviceId> allDev_;      //!< global lists, concatenated
-    std::vector<std::size_t> intraOff_; //!< nodes * E + 1 offsets
-    std::vector<DeviceId> intraDev_;    //!< intra lists, concatenated
+    std::vector<std::size_t> off_; //!< E * nodes + 1 offsets into dev_
+    std::vector<DeviceId> dev_;    //!< replica lists, expert-major
 };
 
 /**
@@ -222,7 +222,7 @@ LiteRoutingScore scoreLiteRouting(const Cluster &cluster,
                                   const CostParams &params);
 
 /**
- * Aggregated scorer for the 512-1024-device regime: the same Eq. 2
+ * Node-aggregated scorer, opt-in at any scale: the same Eq. 2
  * objective evaluated per (node, expert) instead of per (source,
  * expert, replica). Every source in a node shares the Alg. 3 target
  * list, so received tokens accumulate through a difference array over

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <tuple>
 #include <utility>
 
 #include "core/error.hh"
@@ -70,31 +69,31 @@ expertRelocation(const Cluster &cluster, const std::vector<int> &expert_rep,
         std::push_heap(first, first + heap_size[nd], min_heap);
     };
 
-    // Min-heap of (count, load, device) holding each node's eligible
-    // device with the least (load, device). Only the node just placed
-    // on changes key, so it is the one popped and pushed back.
-    using NodeKey = std::tuple<int, double, DeviceId>;
-    std::vector<NodeKey> node_heap;
-    node_heap.reserve(nodes);
-    auto node_key = [&](NodeId nd) {
-        const DeviceKey &top = dev_heap[nd * per_node];
-        return NodeKey{cnt[nd], top.first, top.second};
-    };
-    auto rebuild_nodes = [&] {
-        node_heap.clear();
+    // Alg. 1 lines 7-10, by levels. A placement changes only its own
+    // node's key (count, load, device), and a node holding fewer
+    // replicas of x always goes first, so every eligible node at the
+    // lowest count takes its top device, in any order. Only a partial
+    // last level chooses: the `left` least (load, device) tops, a set
+    // that device-id uniqueness makes unique.
+    std::vector<NodeId> live;  // nodes with an eligible device
+    std::vector<NodeId> level; // live nodes at the lowest count
+    auto collect_live = [&] {
+        live.clear();
         for (NodeId nd = 0; nd < nodes; ++nd)
             if (heap_size[nd] > 0)
-                node_heap.push_back(node_key(nd));
-        std::make_heap(node_heap.begin(), node_heap.end(), min_heap);
+                live.push_back(nd);
+    };
+    auto by_top = [&dev_heap, per_node](NodeId a, NodeId b) {
+        return dev_heap[a * per_node] < dev_heap[b * per_node];
     };
 
     std::vector<DeviceId> hosts; // devices given the current expert
     for (const ExpertId x : order) {
         hosts.clear();
         bool duplicates = false;
-        rebuild_nodes();
-        for (int r = 0; r < expert_rep[x]; ++r) {
-            if (node_heap.empty()) {
+        collect_live();
+        for (int left = expert_rep[x]; left > 0;) {
+            if (live.empty()) {
                 // Every free device already hosts x: a duplicate is
                 // forced, so the hosts become eligible again.
                 LAER_ASSERT(!duplicates, "no device has a free expert slot");
@@ -102,31 +101,43 @@ expertRelocation(const Cluster &cluster, const std::vector<int> &expert_rep,
                 for (DeviceId d : hosts)
                     if (used[d] < capacity)
                         push_device(d);
-                rebuild_nodes();
+                collect_live();
+                continue;
             }
-            // Alg. 1 lines 7-10: the least-loaded device among the
-            // nodes with the fewest replicas of x.
-            std::pop_heap(node_heap.begin(), node_heap.end(), min_heap);
-            const DeviceId best = std::get<2>(node_heap.back());
-            node_heap.pop_back();
-            const NodeId nd = cluster.node(best);
-            const auto first = dev_heap.begin() + nd * per_node;
-            std::pop_heap(first, first + heap_size[nd], min_heap);
-            --heap_size[nd];
+            int low = cnt[live.front()];
+            for (NodeId nd : live)
+                low = std::min(low, cnt[nd]);
+            level.clear();
+            for (NodeId nd : live)
+                if (cnt[nd] == low)
+                    level.push_back(nd);
+            if (static_cast<int>(level.size()) > left) {
+                std::nth_element(level.begin(), level.begin() + left,
+                                 level.end(), by_top);
+                level.resize(left);
+            }
+            left -= static_cast<int>(level.size());
 
-            // Alg. 1 lines 11-13: commit the placement.
-            ++layout.at(best, x);
-            device_loads[best] += avg[x];
-            ++used[best];
-            ++cnt[nd];
-            if (!duplicates)
-                hosts.push_back(best);
-            else if (used[best] < capacity)
-                push_device(best);
-            if (heap_size[nd] > 0) {
-                node_heap.push_back(node_key(nd));
-                std::push_heap(node_heap.begin(), node_heap.end(), min_heap);
+            // Alg. 1 lines 11-13: commit the level's placements.
+            for (NodeId nd : level) {
+                const auto first = dev_heap.begin() + nd * per_node;
+                const DeviceId best = first->second;
+                std::pop_heap(first, first + heap_size[nd], min_heap);
+                --heap_size[nd];
+                ++layout.at(best, x);
+                device_loads[best] += avg[x];
+                ++used[best];
+                ++cnt[nd];
+                if (!duplicates)
+                    hosts.push_back(best);
+                else if (used[best] < capacity)
+                    push_device(best);
             }
+            live.erase(std::remove_if(live.begin(), live.end(),
+                                      [&heap_size](NodeId nd) {
+                                          return heap_size[nd] == 0;
+                                      }),
+                       live.end());
         }
         for (DeviceId d : hosts) {
             cnt[cluster.node(d)] = 0;

@@ -39,9 +39,12 @@ namespace laer
  * node-major, the trailing d breaks ties to the lower node first and
  * then to the lower device within it.
  *
- * Cost: O(N·C·log N + E·nodes + E·log E). Per-node heaps of
- * (load, device) sit under one heap of nodes keyed by (count, best
- * device), and a placement changes the key of its own node only.
+ * Cost: O(N·C·log(devices per node) + E·nodes + E·log E). Each node
+ * keeps a heap of (load, device), and placement goes by levels: a
+ * placement changes only its own node's key, so every node at the
+ * lowest count takes its best device, and only a partial last level
+ * selects (std::nth_element) the least (load, device) node tops. An
+ * expert whose duplicates are forced adds O(nodes) per further level.
  *
  * @param cluster       Topology (node(i) is what the algorithm needs).
  * @param expert_rep    Replicas per expert; must sum to N * capacity.

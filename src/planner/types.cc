@@ -1,6 +1,6 @@
 #include "planner/types.hh"
 
-#include "core/error.hh"
+#include <algorithm>
 
 namespace laer
 {
@@ -12,20 +12,20 @@ RoutingMatrix::RoutingMatrix(int n_devices, int n_experts)
     LAER_CHECK(n_devices > 0 && n_experts > 0, "empty routing matrix");
 }
 
-TokenCount &
-RoutingMatrix::at(DeviceId i, ExpertId j)
+void
+RoutingMatrix::accumulate(const RoutingMatrix &other)
 {
-    LAER_ASSERT(i >= 0 && i < numDevices_ && j >= 0 && j < numExperts_,
-                "routing index out of range");
-    return data_[static_cast<std::size_t>(i) * numExperts_ + j];
+    LAER_ASSERT(other.numDevices_ == numDevices_ &&
+                    other.numExperts_ == numExperts_,
+                "routing matrix shapes differ");
+    for (std::size_t c = 0; c < data_.size(); ++c)
+        data_[c] += other.data_[c];
 }
 
-TokenCount
-RoutingMatrix::at(DeviceId i, ExpertId j) const
+void
+RoutingMatrix::clear()
 {
-    LAER_ASSERT(i >= 0 && i < numDevices_ && j >= 0 && j < numExperts_,
-                "routing index out of range");
-    return data_[static_cast<std::size_t>(i) * numExperts_ + j];
+    std::fill(data_.begin(), data_.end(), 0);
 }
 
 std::vector<TokenCount>
@@ -62,22 +62,6 @@ ExpertLayout::ExpertLayout(int n_devices, int n_experts)
       data_(static_cast<std::size_t>(n_devices) * n_experts, 0)
 {
     LAER_CHECK(n_devices > 0 && n_experts > 0, "empty layout");
-}
-
-int &
-ExpertLayout::at(DeviceId d, ExpertId e)
-{
-    LAER_ASSERT(d >= 0 && d < numDevices_ && e >= 0 && e < numExperts_,
-                "layout index out of range");
-    return data_[static_cast<std::size_t>(d) * numExperts_ + e];
-}
-
-int
-ExpertLayout::at(DeviceId d, ExpertId e) const
-{
-    LAER_ASSERT(d >= 0 && d < numDevices_ && e >= 0 && e < numExperts_,
-                "layout index out of range");
-    return data_[static_cast<std::size_t>(d) * numExperts_ + e];
 }
 
 std::vector<DeviceId>

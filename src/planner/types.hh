@@ -20,6 +20,7 @@
 
 #include <vector>
 
+#include "core/error.hh"
 #include "core/types.hh"
 
 namespace laer
@@ -38,10 +39,26 @@ class RoutingMatrix
     int numExperts() const { return numExperts_; }
 
     /** Mutable token count on device i for expert j. */
-    TokenCount &at(DeviceId i, ExpertId j);
+    TokenCount &at(DeviceId i, ExpertId j)
+    {
+        LAER_ASSERT(i >= 0 && i < numDevices_ && j >= 0 && j < numExperts_,
+                    "routing index out of range");
+        return data_[static_cast<std::size_t>(i) * numExperts_ + j];
+    }
 
     /** Token count on device i for expert j. */
-    TokenCount at(DeviceId i, ExpertId j) const;
+    TokenCount at(DeviceId i, ExpertId j) const
+    {
+        LAER_ASSERT(i >= 0 && i < numDevices_ && j >= 0 && j < numExperts_,
+                    "routing index out of range");
+        return data_[static_cast<std::size_t>(i) * numExperts_ + j];
+    }
+
+    /** Add another N x E matrix into this one, cell by cell. */
+    void accumulate(const RoutingMatrix &other);
+
+    /** Zero every cell, keeping the shape. */
+    void clear();
 
     /** Column sums: total tokens destined for each expert. */
     std::vector<TokenCount> expertLoads() const;
@@ -71,10 +88,20 @@ class ExpertLayout
     int numExperts() const { return numExperts_; }
 
     /** Mutable replica count of expert e on device d. */
-    int &at(DeviceId d, ExpertId e);
+    int &at(DeviceId d, ExpertId e)
+    {
+        LAER_ASSERT(d >= 0 && d < numDevices_ && e >= 0 && e < numExperts_,
+                    "layout index out of range");
+        return data_[static_cast<std::size_t>(d) * numExperts_ + e];
+    }
 
     /** Replica count of expert e on device d. */
-    int at(DeviceId d, ExpertId e) const;
+    int at(DeviceId d, ExpertId e) const
+    {
+        LAER_ASSERT(d >= 0 && d < numDevices_ && e >= 0 && e < numExperts_,
+                    "layout index out of range");
+        return data_[static_cast<std::size_t>(d) * numExperts_ + e];
+    }
 
     /** Devices hosting at least one replica of expert e. */
     std::vector<DeviceId> replicaDevices(ExpertId e) const;

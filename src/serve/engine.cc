@@ -226,9 +226,7 @@ ServingEngine::addExternalRouting(
                        routing[l].numExperts() ==
                            config_.model.numExperts,
                    "external routing does not match the pool geometry");
-        for (DeviceId i = 0; i < slice_.numDevices(); ++i)
-            for (ExpertId j = 0; j < config_.model.numExperts; ++j)
-                aggRouting_[l].at(i, j) += routing[l].at(i, j);
+        aggRouting_[l].accumulate(routing[l]);
     }
 }
 
@@ -258,8 +256,7 @@ ServingEngine::updateLayouts(const std::vector<RoutingMatrix> &routing,
                 layouts_[l] = tuneExpertLayout(slice_.topo, aggRouting_[l],
                                                config_.tuner)
                                   .layout;
-                aggRouting_[l] = RoutingMatrix(
-                    slice_.numDevices(), config_.model.numExperts);
+                aggRouting_[l].clear();
                 indexDirty_[static_cast<std::size_t>(l)] = 1;
             });
             lastRetune_.simTime = result.start;
@@ -274,9 +271,7 @@ ServingEngine::updateLayouts(const std::vector<RoutingMatrix> &routing,
             ++retunes_;
         }
         for (int l = 0; l < config_.simulatedLayers; ++l)
-            for (DeviceId i = 0; i < slice_.numDevices(); ++i)
-                for (ExpertId j = 0; j < config_.model.numExperts; ++j)
-                    aggRouting_[l].at(i, j) += routing[l].at(i, j);
+            aggRouting_[l].accumulate(routing[l]);
         return 0.0;
       }
 

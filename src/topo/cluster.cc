@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "core/error.hh"
-
 namespace laer
 {
 
@@ -30,32 +28,6 @@ Cluster::a100(int num_nodes, int devices_per_node)
     const double nic_per_device = 100.0 * gb / devices_per_node;
     return Cluster(num_nodes, devices_per_node,
                    300.0 * gb, nic_per_device, 0.68 * 312e12);
-}
-
-NodeId
-Cluster::node(DeviceId i) const
-{
-    LAER_ASSERT(i >= 0 && i < numDevices(), "device id out of range");
-    return i / devicesPerNode_;
-}
-
-DeviceId
-Cluster::firstDeviceOf(NodeId n) const
-{
-    LAER_ASSERT(n >= 0 && n < numNodes_, "node id out of range");
-    return n * devicesPerNode_;
-}
-
-bool
-Cluster::sameNode(DeviceId a, DeviceId b) const
-{
-    return node(a) == node(b);
-}
-
-double
-Cluster::bw(DeviceId i, DeviceId j) const
-{
-    return sameNode(i, j) ? intraBw_ : interBw_;
 }
 
 Cluster

@@ -14,6 +14,7 @@
 
 #include <string>
 
+#include "core/error.hh"
 #include "core/types.hh"
 
 namespace laer
@@ -52,13 +53,21 @@ class Cluster
     int devicesPerNode() const { return devicesPerNode_; }
 
     /** Node hosting device i (the paper's node(i)). */
-    NodeId node(DeviceId i) const;
+    NodeId node(DeviceId i) const
+    {
+        LAER_ASSERT(i >= 0 && i < numDevices(), "device id out of range");
+        return i / devicesPerNode_;
+    }
 
     /** Devices on the same node appear consecutively; first device. */
-    DeviceId firstDeviceOf(NodeId n) const;
+    DeviceId firstDeviceOf(NodeId n) const
+    {
+        LAER_ASSERT(n >= 0 && n < numNodes_, "node id out of range");
+        return n * devicesPerNode_;
+    }
 
     /** True if both devices share a host. */
-    bool sameNode(DeviceId a, DeviceId b) const;
+    bool sameNode(DeviceId a, DeviceId b) const { return node(a) == node(b); }
 
     /**
      * Point-to-point bandwidth between devices i and j in bytes/s
@@ -66,7 +75,10 @@ class Cluster
      * bandwidth: local copies are never the bottleneck and the cost
      * model divides by this value.
      */
-    double bw(DeviceId i, DeviceId j) const;
+    double bw(DeviceId i, DeviceId j) const
+    {
+        return sameNode(i, j) ? intraBw_ : interBw_;
+    }
 
     /** Intra-node (NVLink) unidirectional bandwidth, B/s. */
     double intraBw() const { return intraBw_; }

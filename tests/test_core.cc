@@ -419,6 +419,32 @@ TEST(Error, FatalThrowsCheckMacro)
     EXPECT_NO_THROW(LAER_CHECK(1 == 1, "fine"));
 }
 
+TEST(Error, CheckMacroMessageIsExact)
+{
+    try {
+        LAER_CHECK(1 == 2, "must fail");
+        FAIL() << "LAER_CHECK did not throw";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "check failed: 1 == 2 — must fail");
+    }
+}
+
+TEST(Error, CheckMacrosEvaluateTheMessageOnlyOnFailure)
+{
+    int evaluated = 0;
+    LAER_CHECK(1 == 1, "never " << ++evaluated);
+    LAER_ASSERT(1 == 1, "never " << ++evaluated);
+    EXPECT_EQ(evaluated, 0);
+    EXPECT_THROW(LAER_CHECK(1 == 2, "once " << ++evaluated), FatalError);
+    EXPECT_EQ(evaluated, 1);
+}
+
+TEST(ErrorDeathTest, AssertAbortsWithLocation)
+{
+    EXPECT_DEATH(LAER_ASSERT(1 == 2, "broken " << 7),
+                 "assertion failed: .* \\(.*test_core.cc:[0-9]+\\)");
+}
+
 TEST(Cli, GetUintParsesAndRejectsGarbage)
 {
     const char *argv[] = {"bin", "--seed=42", "--bad=-1",

@@ -308,5 +308,86 @@ TEST(Relocation, MatchesReferenceOnFuzzedInputs)
               << " forced duplicates\n";
 }
 
+/** A scheme where one expert takes a random share of the spare slots,
+ * often more than there are devices, so duplicates are forced. */
+std::vector<int>
+skewedAllocation(int experts, int slots, Rng &rng)
+{
+    std::vector<int> rep(experts, 1);
+    int left = slots - experts;
+    const int big = experts == 1 ? left : rng.uniformInt(0, left);
+    rep[0] += big;
+    left -= big;
+    for (int k = 0; left > 0; ++k, --left)
+        ++rep[1 + k % (experts - 1)];
+    return rep;
+}
+
+TEST(Relocation, MatchesReferenceAtBenchShapes)
+{
+    struct Shape
+    {
+        const char *name;
+        int nodes, perNode, experts, capacity, cases;
+    };
+    // scale-256, train-64, tab05 at 1,024 devices, and one device per
+    // node (nodes 0 = drawn from 1..64 per case), where a partial last
+    // level decides most placements.
+    const Shape shapes[] = {{"32x8 E8 C2", 32, 8, 8, 2, 16},
+                            {"8x8 E16 C4", 8, 8, 16, 4, 16},
+                            {"128x8 E8 C2", 128, 8, 8, 2, 8},
+                            {"1 device/node", 0, 1, 0, 0, 200}};
+    Rng rng(20261019);
+    for (const Shape &shape : shapes) {
+        int duplicates = 0;
+        for (int k = 0; k < shape.cases; ++k) {
+            const int nodes = shape.nodes > 0 ? shape.nodes
+                                              : rng.uniformInt(1, 64);
+            const Cluster c(nodes, shape.perNode, 100e9, 10e9, 1e12);
+            const int n = c.numDevices();
+            const int capacity = shape.capacity > 0
+                                     ? shape.capacity
+                                     : rng.uniformInt(1, 4);
+            const int slots = n * capacity;
+            const int experts =
+                shape.experts > 0
+                    ? shape.experts
+                    : rng.uniformInt(capacity, std::min(slots, 3 * n + 1));
+
+            std::vector<TokenCount> loads(experts, 100);
+            const std::vector<int> perm = rng.permutation(experts);
+            if (k % 2 == 0)
+                for (ExpertId j = 0; j < experts; ++j)
+                    loads[perm[j]] = std::llround(
+                        1e5 / std::pow(j + 1, rng.uniform(0.5, 2.0)));
+
+            std::vector<int> rep;
+            switch (k % 4) {
+              case 0: rep = replicaAllocation(loads, n, capacity); break;
+              case 1: rep = evenAllocation(loads, n, capacity); break;
+              case 2:
+                rep = replicaAllocation(loads, n, capacity);
+                for (int m = rng.uniformInt(1, 4 * experts); m > 0; --m)
+                    rep = perturbAllocation(rep, rng, slots);
+                break;
+              default: rep = skewedAllocation(experts, slots, rng); break;
+            }
+
+            int fallbacks = 0;
+            const ExpertLayout want =
+                referenceRelocation(c, rep, loads, capacity, fallbacks);
+            const ExpertLayout got =
+                expertRelocation(c, rep, loads, capacity);
+            ASSERT_TRUE(got == want) << shape.name << " case " << k << ": "
+                                     << nodes << " nodes, C=" << capacity
+                                     << " E=" << experts;
+            for (DeviceId d = 0; d < n; ++d)
+                for (ExpertId j = 0; j < experts; ++j)
+                    duplicates += std::max(0, got.at(d, j) - 1);
+        }
+        EXPECT_GT(duplicates, 0) << shape.name;
+    }
+}
+
 } // namespace
 } // namespace laer
