@@ -5,9 +5,9 @@
  * One serving scenario sized so the full run offers >= 1M requests:
  * a sinusoidal "day" of Diurnal arrivals against a replica-sliced
  * cluster, Streaming metrics mode (bounded observability memory),
- * sparse routing draws on drain steps, and the windowed share-nothing
- * event core (ServingConfig::desParallel) fanned over --threads
- * workers. The figure of merit is the simulation rate:
+ * sparse routing draws on drain steps, and the event core's engine
+ * windows (docs/PERF.md) fanned over --threads workers. The figure of
+ * merit is the simulation rate:
  *
  *   sim_s_per_wall_s     simulated seconds per wall second
  *   requests_per_wall_s  completed requests per wall second
@@ -28,13 +28,13 @@
  *       [--compare-serial] [--out=PATH] [--trace-out=FILE]
  *       [--metrics-out=FILE]
  *
- * --compare-serial re-runs the identical scenario on the classic
- * per-event serial core, pinned to one thread, and records the
- * windowed core's speedup — the number quoted in docs/PERF.md. Every
- * arm that runs must drain the whole day (completed == offered) or
- * the bench exits non-zero. The trace and metrics flags
- * (serve/obs_sinks.hh) key each arm's tracks and 1 s snapshots by
- * arm ("windowed", "serial").
+ * --compare-serial re-runs the identical scenario on the same event
+ * core pinned to one thread, and records the thread fan-out's speedup
+ * — the number quoted in docs/PERF.md. Both arms produce the same
+ * report; every arm that runs must drain the whole day (completed ==
+ * offered) or the bench exits non-zero. The trace and metrics flags
+ * (serve/obs_sinks.hh) key each arm's tracks and 1 s snapshots by arm
+ * ("threads", "one-thread").
  */
 
 #include <chrono>
@@ -79,7 +79,7 @@ struct ArmResult
 };
 
 laer::ServingConfig
-dayConfig(bool quick, int threads, bool windowed)
+dayConfig(bool quick, int threads)
 {
     laer::ServingConfig cfg;
     cfg.model = laer::mixtral8x7bE8K2();
@@ -90,7 +90,6 @@ dayConfig(bool quick, int threads, bool windowed)
     cfg.tuner.fastScoring = true;
     cfg.threads = threads;
     cfg.seed = 15;
-    cfg.desParallel = windowed;
 
     // One replica slice per 8-GPU node; every slice a full model.
     cfg.replicas.replicaDevices = 8;
@@ -122,8 +121,8 @@ runArm(const laer::Cluster &cluster, laer::ServingConfig cfg,
        const std::string &label)
 {
     // Streaming metrics mode: bounded sample memory over a
-    // million-request day, snapshotted at a coarse cadence (the
-    // snapshot boundary also bounds the windowed core's windows).
+    // million-request day, snapshotted at the dispatch grid's cadence,
+    // so the snapshots end no window the grid does not.
     cfg.metricsRegistry = &registry;
     cfg.metricsMode = laer::MetricsMemoryMode::Streaming;
     cfg.snapshotInterval = 1.0;
@@ -161,8 +160,9 @@ try {
                      "enforces the committed rate floors;\n"
                      "  --quick shrinks the day for CI smoke "
                      "(floors skipped).\n"
-                     "  --compare-serial also runs the serial core "
-                     "on 1 thread and records the speedup.\n"
+                     "  --compare-serial also runs the same event core "
+                     "on 1 thread (same report) and records the "
+                     "speedup of --threads over it.\n"
                   << ObsSinks::help(/*slo_report=*/false);
         return 0;
     }
@@ -181,34 +181,29 @@ try {
               << " devices (" << nodes << " replica slices)\n";
 
     MetricsRegistry registry;
-    const ArmResult windowed =
-        runArm(cluster, dayConfig(quick, threads, /*windowed=*/true),
-               registry, sinks, "windowed");
+    const ArmResult run = runArm(cluster, dayConfig(quick, threads),
+                                 registry, sinks, "threads");
 
-    std::cout << "windowed core: " << windowed.completed << "/"
-              << windowed.offered << " requests over "
-              << windowed.simSeconds << " sim s in "
-              << windowed.wallSeconds << " wall s\n"
-              << "  " << windowed.simRate() << " sim-s/wall-s, "
-              << windowed.reqRate() << " req/wall-s\n";
+    std::cout << "event core: " << run.completed << "/"
+              << run.offered << " requests over "
+              << run.simSeconds << " sim s in "
+              << run.wallSeconds << " wall s\n"
+              << "  " << run.simRate() << " sim-s/wall-s, "
+              << run.reqRate() << " req/wall-s\n";
 
-    ArmResult serial;
-    // serial wall / windowed wall: above 1 when the windowed core is
-    // the faster one. Stdout and the JSON print it the same way.
+    ArmResult one;
+    // one-thread wall / --threads wall: above 1 when the fan-out pays.
+    // Stdout and the JSON print it the same way.
     double speedup = 0.0;
     if (compare_serial) {
-        MetricsRegistry serial_registry;
-        // The serial core on one thread: the decision number of the
-        // windowed core's keep-or-delete call (docs/PERF.md).
-        serial = runArm(cluster,
-                        dayConfig(quick, /*threads=*/1,
-                                  /*windowed=*/false),
-                        serial_registry, sinks, "serial");
-        speedup = serial.wallSeconds / windowed.wallSeconds;
-        std::cout << "serial core:   " << serial.completed << "/"
-                  << serial.offered << " requests in "
-                  << serial.wallSeconds << " wall s ("
-                  << serial.simRate() << " sim-s/wall-s); windowed "
+        MetricsRegistry one_registry;
+        one = runArm(cluster, dayConfig(quick, /*threads=*/1),
+                     one_registry, sinks, "one-thread");
+        speedup = one.wallSeconds / run.wallSeconds;
+        std::cout << "one thread: " << one.completed << "/"
+                  << one.offered << " requests in "
+                  << one.wallSeconds << " wall s ("
+                  << one.simRate() << " sim-s/wall-s); thread "
                   << "speedup " << speedup << "x\n";
     }
 
@@ -220,21 +215,21 @@ try {
              << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
              << "  \"scales\": [\n"
              << "    {\"devices\": " << cluster.numDevices()
-             << ", \"requests_offered\": " << windowed.offered
-             << ", \"requests_completed\": " << windowed.completed
-             << ", \"sim_s\": " << windowed.simSeconds
-             << ", \"wall_s\": " << windowed.wallSeconds
-             << ", \"sim_s_per_wall_s\": " << windowed.simRate()
-             << ", \"requests_per_wall_s\": " << windowed.reqRate()
+             << ", \"requests_offered\": " << run.offered
+             << ", \"requests_completed\": " << run.completed
+             << ", \"sim_s\": " << run.simSeconds
+             << ", \"wall_s\": " << run.wallSeconds
+             << ", \"sim_s_per_wall_s\": " << run.simRate()
+             << ", \"requests_per_wall_s\": " << run.reqRate()
              << ", \"wall_ms_per_sim_s\": "
-             << 1e3 / windowed.simRate()
+             << 1e3 / run.simRate()
              << ", \"wall_us_per_request\": "
-             << 1e6 * windowed.wallSeconds /
-                    static_cast<double>(windowed.completed);
+             << 1e6 * run.wallSeconds /
+                    static_cast<double>(run.completed);
         if (compare_serial)
-            json << ", \"serial_wall_s\": " << serial.wallSeconds
-                 << ", \"serial_sim_s_per_wall_s\": "
-                 << serial.simRate() << ", \"windowed_speedup\": "
+            json << ", \"one_thread_wall_s\": " << one.wallSeconds
+                 << ", \"one_thread_sim_s_per_wall_s\": "
+                 << one.simRate() << ", \"thread_speedup\": "
                  << speedup;
         json << "}\n  ]\n}\n";
         std::ofstream out(out_path);
@@ -246,39 +241,39 @@ try {
 
     // ---- acceptance gates ----------------------------------------------
     int rc = 0;
-    if (windowed.completed != windowed.offered) {
+    if (run.completed != run.offered) {
         std::cerr << "FAIL: day did not drain ("
-                  << windowed.completed << "/" << windowed.offered
+                  << run.completed << "/" << run.offered
                   << " completed)\n";
         rc = 1;
     }
-    if (compare_serial && serial.completed != serial.offered) {
-        std::cerr << "FAIL: serial core did not drain ("
-                  << serial.completed << "/" << serial.offered
+    if (compare_serial && one.completed != one.offered) {
+        std::cerr << "FAIL: one-thread arm did not drain ("
+                  << one.completed << "/" << one.offered
                   << " completed)\n";
         rc = 1;
     }
     if (!quick) {
-        if (windowed.offered < 1000000) {
+        if (run.offered < 1000000) {
             std::cerr << "FAIL: full day offered "
-                      << windowed.offered
+                      << run.offered
                       << " requests (need >= 1M)\n";
             rc = 1;
         }
-        if (windowed.simRate() < kMinSimRate) {
-            std::cerr << "FAIL: " << windowed.simRate()
+        if (run.simRate() < kMinSimRate) {
+            std::cerr << "FAIL: " << run.simRate()
                       << " sim-s/wall-s below the committed floor "
                       << kMinSimRate << "\n";
             rc = 1;
         }
-        if (windowed.reqRate() < kMinReqRate) {
-            std::cerr << "FAIL: " << windowed.reqRate()
+        if (run.reqRate() < kMinReqRate) {
+            std::cerr << "FAIL: " << run.reqRate()
                       << " req/wall-s below the committed floor "
                       << kMinReqRate << "\n";
             rc = 1;
         }
-    } else if (windowed.offered < 10000) {
-        std::cerr << "FAIL: quick day offered " << windowed.offered
+    } else if (run.offered < 10000) {
+        std::cerr << "FAIL: quick day offered " << run.offered
                   << " requests (need >= 10k)\n";
         rc = 1;
     }

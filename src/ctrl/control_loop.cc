@@ -101,10 +101,10 @@ ServingReport
 ControlLoop::run()
 {
     Seconds boundary = config_.interval;
-    // The barrier keeps the windowed event core from advancing past a
-    // decision boundary before the loop has decided; the default
-    // per-event core ignores it (its clock lands on events, and the
-    // loop reads now() after each).
+    // The barrier ends the event core's window at each decision
+    // boundary, so no engine advances past it before the loop has
+    // decided; the clock then lands on the first event at or after
+    // it, and the loop reads now() after each step.
     sim_.setBarrier(boundary);
     while (sim_.step()) {
         while (sim_.now() >= boundary) {

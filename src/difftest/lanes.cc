@@ -34,50 +34,20 @@ class ThreadsLane : public EquivalenceLane
     const char *name() const override { return "threads"; }
     const char *description() const override
     {
-        return "serial tuner/pricer vs 4 worker threads; the fan-out "
-               "is reduction-order-stable, so every simulated number "
-               "is bit-identical";
-    }
-    LaneRun runRef(const Scenario &s) const override
-    {
-        ServingConfig cfg = s.serving;
-        cfg.threads = 1;
-        return servingRun(s, "threads=1", cfg);
-    }
-    LaneRun runCandidate(const Scenario &s) const override
-    {
-        ServingConfig cfg = s.serving;
-        cfg.threads = 4;
-        return servingRun(s, "threads=4", cfg);
-    }
-};
-
-// ---- serial-vs-parallel-des: windowed event core fan-out ------------
-
-class SerialParallelDesLane : public EquivalenceLane
-{
-  public:
-    const char *name() const override
-    {
-        return "serial-vs-parallel-des";
-    }
-    const char *description() const override
-    {
-        return "windowed event core at 1 worker vs 4, driven by an "
-               "active threshold autoscaler over replica slices; "
-               "per-engine window buffers merge in engine order, so "
+        return "1 worker vs 4 over replica slices driven by an active "
+               "threshold autoscaler, or over disaggregated pools, with "
+               "the scenario's fault plan; engine windows, the tuner "
+               "and the pricer fan out reduction-order-stably, so "
                "every simulated number is bit-identical";
     }
     Scenario prepare(Scenario s) const override
     {
-        // The windowed core runs aggregated pools only; replica
-        // slices of half the cluster give the autoscaler real
-        // scale decisions to exercise the serial reconfig fallback.
-        if (s.serving.policy == ServingPolicy::Disaggregated)
-            s.serving.policy = ServingPolicy::LaerServe;
-        s.serving.desParallel = true;
-        s.serving.replicas.replicaDevices =
-            (s.nodes * s.devicesPerNode) / 2;
+        // Two half-cluster replica slices give the event core engines
+        // to fan out and the autoscaler real scale decisions.
+        // Disaggregated keeps its pools (and the split controller).
+        if (s.serving.policy != ServingPolicy::Disaggregated)
+            s.serving.replicas.replicaDevices =
+                (s.nodes * s.devicesPerNode) / 2;
         return s;
     }
     LaneRun runAt(const Scenario &s, int threads) const
@@ -86,9 +56,13 @@ class SerialParallelDesLane : public EquivalenceLane
         cfg.threads = threads;
         ControlLoopConfig loop;
         loop.interval = s.controlInterval;
-        loop.kind = AutoscalerKind::ThresholdHysteresis;
-        return servingRun(
-            s, "des-threads=" + std::to_string(threads), cfg, &loop);
+        // The split controller moves whole nodes, which most fuzzed
+        // disaggregated clusters cannot spare: their loop observes.
+        loop.kind = cfg.policy == ServingPolicy::Disaggregated
+                        ? AutoscalerKind::None
+                        : AutoscalerKind::ThresholdHysteresis;
+        return servingRun(s, "threads=" + std::to_string(threads), cfg,
+                          &loop);
     }
     LaneRun runRef(const Scenario &s) const override
     {
@@ -201,11 +175,10 @@ class FaultDeterminismLane : public EquivalenceLane
     const char *name() const override { return "fault-determinism"; }
     const char *description() const override
     {
-        return "same seed + fault plan across thread counts, the "
-               "windowed-core request and metrics modes; kills, "
-               "backoff retries and repairs must replay bit-identical "
-               "(faulted runs pin the serial event core, so none of "
-               "those knobs may move a counter)";
+        return "same seed + fault plan across thread counts and "
+               "metrics modes; kills, backoff retries and repairs must "
+               "replay bit-identical, so neither knob may move a "
+               "counter";
     }
     Scenario prepare(Scenario s) const override
     {
@@ -248,10 +221,6 @@ class FaultDeterminismLane : public EquivalenceLane
     {
         ServingConfig cfg = s.serving;
         cfg.threads = 4;
-        // Faulted runs must pin the serial core even when the
-        // windowed core is requested (the config gate rejects the
-        // request under Disaggregated before faults are consulted).
-        cfg.desParallel = cfg.policy != ServingPolicy::Disaggregated;
         cfg.metricsMode = MetricsMemoryMode::Streaming;
         return servingRun(s, "fault-threads=4", cfg);
     }
@@ -263,13 +232,12 @@ const std::vector<const EquivalenceLane *> &
 equivalenceLanes()
 {
     static const ThreadsLane threads;
-    static const SerialParallelDesLane serial_parallel_des;
     static const MetricsModeLane metrics_mode;
     static const ControlNoneLane control_none;
     static const SwapRecomputeLane swap_recompute;
     static const FaultDeterminismLane fault_determinism;
     static const std::vector<const EquivalenceLane *> lanes = {
-        &threads, &serial_parallel_des, &metrics_mode, &control_none,
+        &threads, &metrics_mode, &control_none,
         &swap_recompute, &fault_determinism,
     };
     return lanes;

@@ -8,17 +8,15 @@
  * are diffed snapshot by snapshot (difftest/diff.hh). The registered
  * lanes (see docs/TESTING.md for the catalog):
  *
- *  - "threads":        1 tuner worker vs a thread pool. The fan-out
- *                      is reduction-order-stable, so results are
- *                      bit-identical for any thread count.
- *  - "serial-vs-parallel-des":
- *                      the windowed event core (desParallel) at 1
- *                      worker vs 4, driven by an active threshold
- *                      autoscaler over replica slices. Engine windows
- *                      execute share-nothing and merge in engine
- *                      order; reconfigs fall back to the serial core,
- *                      so every simulated number is bit-identical
- *                      across thread counts.
+ *  - "threads":        1 worker vs 4 over two replica slices driven
+ *                      by an active threshold autoscaler, or over the
+ *                      scenario's disaggregated pools under an
+ *                      observing loop, with the scenario's fault
+ *                      plan. Engine windows run share-nothing
+ *                      and apply in (step start, engine) order, and
+ *                      the tuner/pricer fan-out is
+ *                      reduction-order-stable, so every simulated
+ *                      number is bit-identical across thread counts.
  *  - "metrics-mode":   Exact vs Streaming metrics storage. Streaming
  *                      bounds sample memory; every simulated counter
  *                      must stay bit-identical (write-only
@@ -35,10 +33,9 @@
  *                      ample pool).
  *  - "fault-determinism":
  *                      the same seed + fault plan at 1 worker/Exact
- *                      metrics vs 4 workers/windowed-core-requested/
- *                      Streaming metrics. Faulted runs pin the serial
- *                      event core, so kills, backoff retries and
- *                      repairs must replay bit-identically; prepare()
+ *                      metrics vs 4 workers/Streaming metrics. Kills,
+ *                      backoff retries and repairs must replay
+ *                      bit-identically; prepare()
  *                      injects a canonical kill+repair (or link flap)
  *                      when the scenario drew no plan of its own.
  *

@@ -113,9 +113,9 @@ struct FaultConfig
     int retryBudget = 3;
 
     /** True when any fault source is configured. The simulator's hooks
-     * need no such guard (an empty plan leaves them inert); only the
-     * fault metric series and the windowed core's serial fallback
-     * read it. */
+     * need no such guard (an empty plan leaves them inert); only what
+     * a reader observes asks it: the fault metric series, the
+     * telemetry bus and the autoscalers' repair path. */
     bool enabled() const { return !events.empty() || mtbf > 0.0; }
 };
 
@@ -124,7 +124,8 @@ struct FaultConfig
  * list: scripted events plus the seeded MTBF expansion over
  * [0, horizon) targeting engines [0, num_engines). Events beyond the
  * horizon are kept (a repair may land after the last arrival; the
- * simulator simply never reaches it once drained). Ties sort by
+ * simulator never applies an event at or after its last step's end
+ * once no work is left). Ties sort by
  * (time, kind, target) so the walk order is reproducible.
  *
  * @throws FatalError naming the event when a scripted event's time is

@@ -66,9 +66,9 @@ struct ReqTraceConfig
 };
 
 /** One request's residency share of one engine step: the step
- * interval plus its overhead split, produced by the simulator on both
- * the serial and the windowed core (workers fill these into window
- * buffers; the merge replays them in deterministic order). */
+ * interval plus its overhead split, produced by the simulator's event
+ * core (fan-out workers fill these into window buffers, which are
+ * applied in deterministic order). */
 struct ReqStepShare
 {
     int requestId = 0;
@@ -127,8 +127,8 @@ class ReqTraceRecorder
     const ReqTraceConfig &config() const { return config_; }
 
     /** True when `request_id` is in the deterministic sample. Pure
-     * function of (config seed, id): safe to call from windowed-core
-     * workers. Every other hook must run on the simulator thread. */
+     * function of (config seed, id): safe to call from the event
+     * core's workers. Every other hook must run on the simulator thread. */
     bool wants(int request_id) const;
 
     /** Request entered an admission queue (arrival into the serving

@@ -298,6 +298,19 @@ FaultRecovery::deadReplicas(const std::vector<EngineSlot> &slots) const
     return dead;
 }
 
+bool
+FaultRecovery::active(const std::vector<EngineSlot> &slots) const
+{
+    if (next_ < plan_.size() || !retries_.empty())
+        return true;
+    for (const EngineSlot &slot : slots)
+        if (slot.inc.pendingKill ||
+            (slot.faultDownSince >= 0.0 &&
+             slot.engine().state() == EngineState::Loading))
+            return true;
+    return false;
+}
+
 Seconds
 FaultRecovery::nextWake(Seconds now) const
 {

@@ -177,6 +177,12 @@ class FaultRecovery
      * neither exists (always, on an empty plan). */
     Seconds nextWake(Seconds now) const;
 
+    /** Can the fault state still act on the run: a plan event or a
+     * retry pending, a fail-stop deferred, or a fault-killed slot
+     * reloading (its promotion closes the outage)? The event core
+     * keeps its windows to one instant while it can. */
+    bool active(const std::vector<EngineSlot> &slots) const;
+
     /** The live availability record: mttrMean stays 0 and
      * degradedSeconds sums only closed windows until report(). */
     const AvailabilityReport &live() const { return avail_; }

@@ -1,7 +1,6 @@
 #include "serve/serving_obs.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "serve/fault_recovery.hh"
 #include "serve/serving_sim.hh"
@@ -16,7 +15,7 @@ ServingObs::ServingObs(const ServingConfig &config)
                                       : config.obsLabel + "/"),
       swapPreemption_(config.batcher.preemptionMode ==
                       PreemptionMode::Swap),
-      selfProfile_(config.selfProfile), desParallel_(config.desParallel),
+      selfProfile_(config.selfProfile),
       interval_(config.snapshotInterval),
       nextSnapshot_(config.snapshotInterval)
 {
@@ -231,48 +230,17 @@ ServingObs::updateGauges(const std::vector<EngineSlot> &slots,
 }
 
 void
-ServingObs::window(const std::vector<EngineSlot> &slots, Seconds start,
-                   Seconds end, const std::vector<WindowBuffer> &buffers,
-                   double fanout_ms, double merge_ms)
+ServingObs::window(const std::vector<WindowBuffer> &buffers,
+                   double fanout_ms)
 {
     // Wall clock flows only INTO these accumulators, never back into
     // simulated state.
     ++descoreWindows_;
     descoreFanoutMs_ += fanout_ms;
-    descoreMergeMs_ += merge_ms;
-    std::int64_t window_steps = 0;
     for (const WindowBuffer &buf : buffers) {
-        window_steps += static_cast<std::int64_t>(buf.steps.size());
+        descoreSteps_ += static_cast<std::int64_t>(buf.steps.size());
         descoreWorkerBusyMs_ += buf.wallMs;
         descoreBarrierWaitMs_ += std::max(0.0, fanout_ms - buf.wallMs);
-    }
-    descoreSteps_ += window_steps;
-    if (trace_ == nullptr)
-        return;
-    // Spans land on the simulated timeline (the window interval); the
-    // wall-time measurements ride along as args, the retune span
-    // idiom. A window with no end ran the whole run to the drain.
-    if (end == std::numeric_limits<Seconds>::infinity()) {
-        end = start;
-        for (const EngineSlot &slot : slots)
-            end = std::max(end, slot.freeAt);
-    }
-    const Seconds dur = std::max(0.0, end - start);
-    trace_->span(sharedTrack(descoreTrack_, "descore"), "window",
-                 "descore", start, dur,
-                 {TraceArg{"steps", static_cast<int>(window_steps)},
-                  TraceArg{"fanout_ms", fanout_ms},
-                  TraceArg{"merge_ms", merge_ms}});
-    for (std::size_t i = 0; i < buffers.size(); ++i) {
-        if (buffers[i].steps.empty())
-            continue;
-        trace_->span(
-            slotTrack(windowTracks_, slots, i, "/window"),
-            "engine_window", "descore", start, dur,
-            {TraceArg{"steps", static_cast<int>(buffers[i].steps.size())},
-             TraceArg{"busy_ms", buffers[i].wallMs},
-             TraceArg{"barrier_wait_ms",
-                      std::max(0.0, fanout_ms - buffers[i].wallMs)}});
     }
 }
 
@@ -287,7 +255,7 @@ ServingObs::finish(const ServingReport &report, Seconds now)
         reg.gauge("profile.step_pricing_ms").set(report.profStepPricingMs);
         reg.gauge("profile.event_loop_ms").set(report.profEventLoopMs);
     }
-    if (desParallel_) {
+    if (descoreWindows_ > 0) {
         // profile.* is wall-clock noise the difftest layer ignores by
         // default, so these are lane- and golden-safe.
         reg.gauge("profile.descore.windows")
@@ -297,7 +265,6 @@ ServingObs::finish(const ServingReport &report, Seconds now)
         reg.gauge("profile.descore.fanout_ms").set(descoreFanoutMs_);
         reg.gauge("profile.descore.worker_busy_ms")
             .set(descoreWorkerBusyMs_);
-        reg.gauge("profile.descore.merge_ms").set(descoreMergeMs_);
         reg.gauge("profile.descore.barrier_wait_ms")
             .set(descoreBarrierWaitMs_);
     }

@@ -7,10 +7,10 @@
  * ServingObs owns the sink pointers, the trace track ids (each
  * resolved once, on first use, so tracks are created in the order the
  * run first touches them), the periodic-snapshot cadence and the
- * windowed core's fan-out profile. Everything it writes is write-only:
- * nothing here is read back into simulated state. The one exception
- * is the snapshot grid, which caps the windowed core's windows (see
- * ServingConfig::desParallel).
+ * event core's fan-out profile. Everything it writes is write-only:
+ * nothing here is read back into simulated state. The snapshot grid
+ * ends the event core's windows, which moves no simulated number
+ * (docs/PERF.md, "The event core").
  */
 
 #ifndef LAER_SERVE_SERVING_OBS_HH
@@ -33,8 +33,8 @@ struct ServingReport;
 class FaultRecovery;
 
 /** Everything one engine step produced, handed from the producer to
- * the simulator thread. The windowed core buffers these on its
- * workers and applies them in deterministic order at the merge. */
+ * the simulator thread. A fan-out window buffers these on its workers
+ * and applies them in deterministic order. */
 struct StepRecord
 {
     ServingStepResult result; //!< start and pool set even when idle
@@ -146,15 +146,13 @@ class ServingObs
                    : std::numeric_limits<Seconds>::infinity();
     }
 
-    /** Account for one windowed-core window [start, end) and emit its
-     * spans; the wall-time measurements ride along as arguments. */
-    void window(const std::vector<EngineSlot> &slots, Seconds start,
-                Seconds end, const std::vector<WindowBuffer> &buffers,
-                double fanout_ms, double merge_ms);
+    /** Account for one fan-out window's wall-time profile. */
+    void window(const std::vector<WindowBuffer> &buffers,
+                double fanout_ms);
 
-    /** End of run: the self-profile and windowed-core gauges, then the
-     * final snapshot at `now`, so --metrics-out always captures the
-     * run's totals. */
+    /** End of run: the self-profile gauges and, when a window fanned
+     * out, the fan-out profile, then the final snapshot at `now`, so
+     * --metrics-out always captures the run's totals. */
     void finish(const ServingReport &report, Seconds now);
 
   private:
@@ -174,20 +172,17 @@ class ServingObs
     std::string prefix_;  //!< "<obsLabel>/" or ""
     bool swapPreemption_; //!< preemptions replay as swaps
     bool selfProfile_;
-    bool desParallel_;
     Seconds interval_;     //!< snapshot cadence; 0 = final only
     Seconds nextSnapshot_; //!< next periodic boundary
     // Track ids, -1 until first use; the per-slot lists are sized on
     // first use.
-    std::vector<int> poolTracks_, plannerTracks_, windowTracks_;
-    int kvTrack_ = -1, controlTrack_ = -1, faultTrack_ = -1,
-        descoreTrack_ = -1;
-    // Windowed-core profile (profile.descore.* gauges).
-    std::int64_t descoreWindows_ = 0;   //!< parallel windows advanced
+    std::vector<int> poolTracks_, plannerTracks_;
+    int kvTrack_ = -1, controlTrack_ = -1, faultTrack_ = -1;
+    // Fan-out profile (profile.descore.* gauges).
+    std::int64_t descoreWindows_ = 0;   //!< fan-out windows advanced
     std::int64_t descoreSteps_ = 0;     //!< engine steps inside them
     double descoreFanoutMs_ = 0.0;      //!< wall across the fan-out
     double descoreWorkerBusyMs_ = 0.0;  //!< sum of worker busy wall
-    double descoreMergeMs_ = 0.0;       //!< wall inside the merge
     double descoreBarrierWaitMs_ = 0.0; //!< fan-out wall minus busy,
                                         //!< summed over engines
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <limits>
 #include <string>
 
@@ -16,6 +17,12 @@ namespace
 {
 
 constexpr Seconds kNever = std::numeric_limits<Seconds>::infinity();
+
+/** Simulated seconds between refreshes of the dispatch load picture
+ * (docs/PERF.md, "The event core"). Every grid point ends a window.
+ * One second was fig15's window before the event cores merged, so its
+ * dispatch is unchanged. */
+constexpr Seconds kDispatchGrid = 1.0;
 
 /** Validate and fill the derived fields of the configuration. */
 ServingConfig
@@ -48,12 +55,6 @@ normalizeConfig(const Cluster &cluster, ServingConfig config)
     if (config.tuner.cost.compFlopsPerToken == 0)
         config.tuner.cost.compFlopsPerToken =
             config.model.expertFlopsPerToken();
-
-    LAER_CHECK(!config.desParallel ||
-                   config.policy != ServingPolicy::Disaggregated,
-               "the windowed event core cannot run disaggregated pools "
-               "(prefill->decode migrations couple the engines inside "
-               "a window)");
 
     if (config.policy == ServingPolicy::Disaggregated) {
         LAER_CHECK(n >= 2, "disaggregation needs at least two devices");
@@ -111,7 +112,8 @@ ServingSimulator::ServingSimulator(const Cluster &cluster,
       slots_(buildSlots()), obs_(config_),
       faults_(config_.faults, static_cast<int>(slots_.size()),
               config_.horizon, config_.arrival.numSloClasses),
-      barrier_(kNever)
+      barrier_(kNever), bins_(slots_.size()), cursors_(slots_.size()),
+      buffers_(slots_.size()), dispatchLoad_(slots_.size(), 0)
 {
 }
 
@@ -569,46 +571,59 @@ ServingSimulator::admitArrival(std::size_t target)
 }
 
 void
-ServingSimulator::pumpArrivals()
+ServingSimulator::dispatchArrivals(Seconds end)
+{
+    for (std::vector<Request> &bin : bins_)
+        bin.clear();
+    for (const Request *next = peekArrival();
+         next != nullptr && next->arrival < end; next = peekArrival())
+        if (dispatchArrival(next->arrival > now_) < 0)
+            break;
+}
+
+int
+ServingSimulator::dispatchArrival(bool to_bin)
 {
     const bool disagg = config_.policy == ServingPolicy::Disaggregated;
-    for (const Request *next = peekArrival();
-         next != nullptr && next->arrival <= now_; next = peekArrival()) {
-        // Arrivals enter the prefill pool, or the least-loaded
-        // accepting replica. With no accepting target (a prefill pool
-        // mid-reconfiguration, a total outage) the front door buffers
-        // the due arrival until one exists: its queueing delay lands
-        // in TTFT as usual, and the revival it waits on has its own
-        // wake.
-        const int target =
-            disagg ? (slots_[0].engine().accepting() ? 0 : -1)
-                   : leastLoadedLive();
-        if (target < 0)
-            break;
-        const auto i = static_cast<std::size_t>(target);
-        Request request = admitArrival(i);
-        if (disagg) {
-            // The prefill pool runs the request only up to its first
-            // token; the requested decode length rides along as its
-            // decode target and is restored when the context migrates
-            // to the decode pool.
-            LAER_CHECK(request.decodeTokens <=
-                           std::numeric_limits<std::int32_t>::max(),
-                       "request " << request.id << " asks for "
-                                  << request.decodeTokens
-                                  << " decode tokens; a prefill copy "
-                                     "parks at most 2^31 - 1");
-            request.decodeTarget =
-                static_cast<std::int32_t>(request.decodeTokens);
-            request.decodeTokens = 1;
-            // One door rule for arrivals and retries: a context the
-            // decode pool can never hold fails here, before a prefill
-            // and a KV transfer are spent on it.
-            if (passDoor(0, request) == Door::Failed)
-                continue;
-        }
-        slots_[i].engine().enqueue(request);
+    // Arrivals enter the prefill pool, or the least-loaded accepting
+    // replica by the grid's load picture, so no window end can change
+    // where a request goes. With no accepting target (a prefill pool
+    // mid-reconfiguration, a total outage) the front door buffers the
+    // due arrival until one exists: its queueing delay lands in TTFT
+    // as usual, and the revival it waits on has its own wake.
+    const int target = disagg
+                           ? (slots_[0].engine().accepting() ? 0 : -1)
+                           : leastLoadedLive(dispatchLoad_);
+    if (target < 0)
+        return -1;
+    const auto i = static_cast<std::size_t>(target);
+    Request request = admitArrival(i);
+    ++dispatchLoad_[i];
+    if (disagg) {
+        // The prefill pool runs the request only up to its first
+        // token; the requested decode length rides along as its
+        // decode target and is restored when the context migrates to
+        // the decode pool.
+        LAER_CHECK(request.decodeTokens <=
+                       std::numeric_limits<std::int32_t>::max(),
+                   "request " << request.id << " asks for "
+                              << request.decodeTokens
+                              << " decode tokens; a prefill copy "
+                                 "parks at most 2^31 - 1");
+        request.decodeTarget =
+            static_cast<std::int32_t>(request.decodeTokens);
+        request.decodeTokens = 1;
+        // One door rule for arrivals and retries: a context the
+        // decode pool can never hold fails here, before a prefill and
+        // a KV transfer are spent on it.
+        if (passDoor(0, request) == Door::Failed)
+            return target;
     }
+    if (to_bin)
+        bins_[i].push_back(std::move(request));
+    else
+        slots_[i].engine().enqueue(request);
+    return target;
 }
 
 void
@@ -745,9 +760,9 @@ ServingSimulator::applyFaults()
     }
     // Deferred fail-stops land at the victim's step boundary: the
     // in-flight step finishes (its results are real work), THEN the
-    // engine dies. stepOnce() runs this before runDueEngines(), so a
-    // due kill always lands before the victim could start another
-    // step.
+    // engine dies. step() runs this before the window, and a pending
+    // kill keeps every window to one instant, so a due kill always
+    // lands before the victim could start another step.
     for (std::size_t i = 0; i < slots_.size(); ++i)
         if (slots_[i].inc.pendingKill && slots_[i].freeAt <= now_)
             applyKill(i);
@@ -833,25 +848,8 @@ ServingSimulator::pumpRetries()
     }
 }
 
-bool
-ServingSimulator::runDueEngines()
-{
-    bool ran = false;
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-        const EngineSlot &slot = slots_[i];
-        if (slot.engine().state() != EngineState::Active)
-            continue; // loading, draining or parked
-        if (slot.freeAt > now_ || !slot.engine().hasWork())
-            continue;
-        StepRecord rec = produceStep(i, now_);
-        ran = ran || !rec.idle;
-        applyStep(i, std::move(rec));
-    }
-    return ran;
-}
-
 StepRecord
-ServingSimulator::produceStep(std::size_t i, Seconds t)
+ServingSimulator::produceStep(std::size_t i, Seconds t, Seconds end)
 {
     const EngineSlot &slot = slots_[i];
     ServingEngine &engine = slot.engine();
@@ -870,6 +868,7 @@ ServingSimulator::produceStep(std::size_t i, Seconds t)
         LAER_ASSERT(engine.batcher().admissionPaused(),
                     "engine idle while holding live requests");
         rec.idle = true;
+        cursors_[i].clock = end; // nothing more this window
         return rec;
     }
 
@@ -894,6 +893,7 @@ ServingSimulator::produceStep(std::size_t i, Seconds t)
         rec.retune = engine.lastRetune();
     rec.completions = engine.takeFinished();
     rec.result = res;
+    cursors_[i].clock = t + res.duration;
     return rec;
 }
 
@@ -946,12 +946,20 @@ ServingSimulator::nextEventTime() const
     // held at a closed door, a blocked retry front) never wedges the
     // clock; the revival it waits on has its own wake.
     Seconds t = kNever;
+    // Work the fault plan could still reach: the open offering (the
+    // lookahead stays valid until it closes), requests between pools
+    // or engines, a pending reconfiguration, and any waking engine.
+    bool live = lookaheadValid_ || !migrations_.empty() ||
+                faults_.retrying() > 0 || reconfig_.active();
+    Seconds last_end = now_; // the run's last step end, as of now
     for (const EngineSlot &slot : slots_) {
         const EngineState state = slot.engine().state();
         const bool wakes = slot.engine().hasWork() ||
                            slot.inc.pendingKill ||
                            state == EngineState::Loading ||
                            state == EngineState::Draining;
+        live = live || wakes;
+        last_end = std::max(last_end, slot.freeAt);
         if (wakes && slot.freeAt > now_)
             t = std::min(t, slot.freeAt);
     }
@@ -959,7 +967,10 @@ ServingSimulator::nextEventTime() const
         t = std::min(t, lookahead_.arrival);
     if (!migrations_.empty() && migrations_.front().readyAt > now_)
         t = std::min(t, migrations_.front().readyAt);
-    return std::min(t, faults_.nextWake(now_));
+    // Once no work is left, a fault scripted at or after the last
+    // step's end can touch no request: the run ends at that step.
+    const Seconds fault = faults_.nextWake(now_);
+    return live || fault < last_end ? std::min(t, fault) : t;
 }
 
 void
@@ -982,225 +993,200 @@ ServingSimulator::updateGauges()
 bool
 ServingSimulator::step()
 {
+    const auto step_start = config_.selfProfile
+                                ? std::chrono::steady_clock::now()
+                                : std::chrono::steady_clock::time_point{};
     obs_.maybeSnapshot(now_, [this] { updateGauges(); });
-    if (!config_.selfProfile)
-        return config_.desParallel ? stepWindow() : stepOnce();
-    const auto step_start = std::chrono::steady_clock::now();
-    const bool more = config_.desParallel ? stepWindow() : stepOnce();
-    profStepMs_ += std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - step_start)
-                       .count();
+    if (now_ >= nextRefresh_) {
+        // A dispatch-grid point has passed. The clock stands on the
+        // first event at or after it, so these loads are the ones at
+        // the grid point itself.
+        for (std::size_t i = 0; i < slots_.size(); ++i)
+            dispatchLoad_[i] = slots_[i].engine().load();
+        nextRefresh_ = (std::floor(now_ / kDispatchGrid) + 1.0) *
+                       kDispatchGrid;
+    }
+    applyFaults();
+    applyReconfig();
+
+    // While a coupling between engines can fire (the fault state is
+    // active, a reconfiguration is in flight, the pools are
+    // disaggregated) a window is the single instant now_, which ends
+    // just after it; any other runs to the next grid point, control
+    // barrier or snapshot boundary.
+    const bool coupled = config_.policy == ServingPolicy::Disaggregated ||
+                         reconfigPending() || faults_.active(slots_);
+    const Seconds just_after = std::nextafter(now_, kNever);
+    Seconds end = just_after;
+    if (!coupled) {
+        end = std::min(nextRefresh_, obs_.snapshotGrid());
+        if (barrier_ > now_)
+            end = std::min(end, barrier_);
+    }
+    // A fan-out window bins its arrivals up front; otherwise only the
+    // due ones are dispatched here and the window dispatches the rest
+    // as its clock reaches them.
+    const bool fan_out =
+        !coupled && threadPool_ != nullptr && slots_.size() > 1;
+    dispatchArrivals(fan_out ? end : just_after);
+    pumpRetries();
+    pumpMigrations();
+
+    bool more = true;
+    // A coupled window that started a step is followed by another pass
+    // at the same instant, where the couplings see what the steps did
+    // (a decode step that freed KV lets a waiting context in). Any
+    // other window is followed by a jump to the next event.
+    const bool ran = runWindow(end, fan_out);
+    if (!ran || !coupled) {
+        const Seconds t = nextEventTime();
+        if (t == kNever) {
+            // Fully drained — nothing in any pool or in flight between
+            // them.
+            for (const EngineSlot &slot : slots_) {
+                LAER_ASSERT(!slot.engine().hasWork(),
+                            "run ended while a pool holds live requests");
+                LAER_ASSERT(!slot.inc.pendingKill,
+                            "run ended with a fail-stop still deferred");
+            }
+            LAER_ASSERT(migrations_.empty(),
+                        "run ended with contexts in flight");
+            LAER_ASSERT(!reconfig_.active(),
+                        "run ended mid-reconfiguration");
+            LAER_ASSERT(faults_.retrying() == 0,
+                        "run ended with retries parked");
+            now_ = runEnd();
+            more = false;
+        } else {
+            LAER_ASSERT(t > now_, "simulation failed to advance");
+            now_ = t;
+        }
+    }
+    if (config_.selfProfile)
+        profStepMs_ += std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - step_start)
+                           .count();
     return more;
 }
 
-bool
-ServingSimulator::stepOnce()
-{
-    applyFaults();
-    applyReconfig();
-    pumpArrivals();
-    pumpRetries();
-    pumpMigrations();
-    if (runDueEngines())
-        return true;
-    const Seconds t = nextEventTime();
-    if (t == kNever) {
-        // Fully drained — nothing in any pool or in flight between
-        // them.
-        for (const EngineSlot &slot : slots_) {
-            LAER_ASSERT(!slot.engine().hasWork(),
-                        "run ended while a pool holds live requests");
-            LAER_ASSERT(!slot.inc.pendingKill,
-                        "run ended with a fail-stop still deferred");
-        }
-        LAER_ASSERT(migrations_.empty(),
-                    "run ended with contexts in flight");
-        LAER_ASSERT(!reconfig_.active(), "run ended mid-reconfiguration");
-        LAER_ASSERT(faults_.retrying() == 0,
-                    "run ended with retries parked");
-        return false;
-    }
-    LAER_ASSERT(t > now_, "simulation failed to advance");
-    now_ = t;
-    return true;
-}
-
-// ---- windowed event core (ServingConfig::desParallel) ----------------
-// Between barriers the engines are share-nothing partitions: requests
-// never move engine-to-engine outside a reconfiguration, and arrivals
-// are pre-binned before the fan-out. Each worker advances one engine's
-// private state (batcher, KV pool, RNG stream — disjoint per engine)
-// and buffers the records produceStep() returns; the merge hands them
-// to applyStep() in the order a serial sweep would have produced. Any
-// thread count therefore yields bit-identical results (difftest lane
-// serial-vs-parallel-des).
+// ---- the event core's windows -----------------------------------------
+// Inside a window the engines are share-nothing partitions: requests
+// move engine to engine only at couplings, which keep their windows to
+// one instant, and arrivals are dispatched before the window runs. Each
+// engine advances its private state (batcher, KV pool, RNG stream) and
+// hands its step records to applyStep() in the order a serial sweep
+// produces, so any thread count yields bit-identical results.
 
 bool
-ServingSimulator::stepWindow()
+ServingSimulator::runWindow(Seconds end, bool fan_out)
 {
-    // Reconfigurations couple the engines (drain re-homing, pool
-    // rebuilds, held queues), so the windowed core falls back to the
-    // per-event serial path until the topology settles. The fallback
-    // is itself deterministic, preserving thread-count equivalence.
-    // Fault plans couple them the same way (retries hop engines, kills
-    // re-home), so a faulted run stays on the serial core throughout.
-    if (config_.faults.enabled() || reconfigPending())
-        return stepOnce();
+    const std::size_t n = slots_.size();
+    for (std::size_t i = 0; i < n; ++i)
+        cursors_[i] = EngineCursor{std::max(now_, slots_[i].freeAt)};
 
-    // The window runs to the next control barrier or snapshot
-    // boundary, whichever comes first. Both are time grids, not
-    // events: the serial core's clock lands ON events, the
-    // windowed core's clock walks the grid.
-    const Seconds window_end = std::min(barrier_, obs_.snapshotGrid());
-    LAER_ASSERT(window_end > now_, "window end not in the future");
-
-    std::vector<std::vector<Request>> bins =
-        binWindowArrivals(window_end);
-
-    bool busy = lookaheadValid_ || !migrations_.empty();
-    for (std::size_t i = 0; i < slots_.size() && !busy; ++i)
-        busy = slots_[i].engine().hasWork() ||
-               slots_[i].engine().state() == EngineState::Loading ||
-               !bins[i].empty();
-    if (!busy) {
-        LAER_ASSERT(offeringClosed_,
-                    "windowed run idle with the offering open");
-        LAER_ASSERT(!reconfig_.active(), "run ended mid-reconfiguration");
-        return false;
+    if (fan_out) {
+        const auto fanout_start = std::chrono::steady_clock::now();
+        threadPool_->parallelFor(static_cast<int>(n), [&](int k) {
+            const auto i = static_cast<std::size_t>(k);
+            WindowBuffer &buf = buffers_[i];
+            const auto wall_start = std::chrono::steady_clock::now();
+            for (Seconds t = nextStart(i, end); t < kNever;
+                 t = nextStart(i, end))
+                buf.steps.push_back(produceStep(i, t, end));
+            buf.wallMs = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - wall_start)
+                             .count();
+        });
+        obs_.window(buffers_,
+                    std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - fanout_start)
+                        .count());
     }
 
-    std::vector<WindowBuffer> buffers(slots_.size());
-    const auto body = [&](int i) {
-        runEngineWindow(static_cast<std::size_t>(i), window_end,
-                        bins[static_cast<std::size_t>(i)],
-                        buffers[static_cast<std::size_t>(i)]);
+    // Apply in (step start, engine index) order. Each engine's step
+    // starts strictly increase, so picking the earliest head (ties to
+    // the lowest engine) reproduces the serial interleaving. Without a
+    // fan-out each step is produced only when it is applied and each
+    // arrival dispatched when the window reaches it (before any step
+    // starting at its instant), so nothing buffers a window.
+    const auto head = [&](std::size_t i) {
+        if (!fan_out)
+            return nextStart(i, end);
+        const std::vector<StepRecord> &steps = buffers_[i].steps;
+        const std::size_t k = cursors_[i].step;
+        return k < steps.size() ? steps[k].result.start : kNever;
     };
-    const auto fanout_start = std::chrono::steady_clock::now();
-    if (threadPool_ != nullptr)
-        threadPool_->parallelFor(static_cast<int>(slots_.size()),
-                                 body);
-    else
-        for (int i = 0; i < static_cast<int>(slots_.size()); ++i)
-            body(i);
-    const auto fanout_end = std::chrono::steady_clock::now();
-    const double fanout_ms =
-        std::chrono::duration<double, std::milli>(fanout_end -
-                                                  fanout_start)
-            .count();
-    mergeWindowBuffers(buffers);
-    const double merge_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - fanout_end)
-            .count();
-    // Windowed-core self-profile: measure the fan-out before tuning
-    // it.
-    obs_.window(slots_, now_, window_end, buffers, fanout_ms, merge_ms);
-
-    if (window_end == kNever)
-        // No barrier, no snapshot grid: the fan-out just ran the whole
-        // run to the drain. finish() raises the clock to the last
-        // engine's finish.
-        return false;
-    now_ = window_end;
-    return true;
-}
-
-std::vector<std::vector<Request>>
-ServingSimulator::binWindowArrivals(Seconds window_end)
-{
-    std::vector<std::vector<Request>> bins(slots_.size());
-    // Dispatch against the window-start load picture plus this
-    // window's own binned counts. The serial core reads live loads at
-    // each arrival instant; freezing the picture at the window start
-    // makes the choice independent of engine execution order — the
-    // windowed core's one documented semantic deviation (docs/PERF.md).
-    std::vector<int> load(slots_.size(), 0);
-    for (std::size_t i = 0; i < slots_.size(); ++i)
-        load[i] = slots_[i].engine().load();
-    for (const Request *next = peekArrival();
-         next != nullptr && next->arrival < window_end;
-         next = peekArrival()) {
-        const int target = leastLoadedLive(load);
-        LAER_ASSERT(target >= 0, "no live replica to dispatch to");
-        const auto i = static_cast<std::size_t>(target);
-        bins[i].push_back(admitArrival(i));
-        ++load[i];
-    }
-    return bins;
-}
-
-void
-ServingSimulator::runEngineWindow(std::size_t i, Seconds window_end,
-                                  const std::vector<Request> &arrivals,
-                                  WindowBuffer &buf)
-{
-    ServingEngine &engine = slots_[i].engine();
-    const auto wall_start = std::chrono::steady_clock::now();
-    Seconds free_at = slots_[i].freeAt;
-    // Earliest instant the engine can act; never before the window.
-    Seconds clock = std::max(now_, free_at);
-    std::size_t next = 0;
-    const bool open = engine.accepting();
-    LAER_ASSERT(open || arrivals.empty(),
-                "arrivals binned to a parked engine");
-    while (open) {
-        while (next < arrivals.size() &&
-               arrivals[next].arrival <= clock)
-            engine.enqueue(arrivals[next++]);
-        if (engine.state() == EngineState::Loading) {
-            // The shard-landing moment is the engine's own event; it
-            // promotes itself when that falls inside the window.
-            if (free_at >= window_end)
-                break;
-            engine.setReady();
-            continue; // clock >= free_at already
-        }
-        if (!engine.hasWork()) {
-            if (next >= arrivals.size())
-                break;
-            clock = std::max(clock, arrivals[next].arrival);
+    for (std::size_t i = 0; i < n; ++i)
+        cursors_[i].head = head(i);
+    bool ran = false;
+    bool door_open = !fan_out;
+    for (;;) {
+        std::size_t best = n;
+        for (std::size_t i = 0; i < n; ++i)
+            if (cursors_[i].head < kNever &&
+                (best == n || cursors_[i].head < cursors_[best].head))
+                best = i;
+        const Request *next = door_open ? peekArrival() : nullptr;
+        if (next != nullptr && next->arrival < end &&
+            (best == n || next->arrival <= cursors_[best].head)) {
+            const Seconds at = next->arrival;
+            const int target = dispatchArrival(false);
+            door_open = target >= 0;
+            if (door_open) {
+                EngineCursor &cursor = cursors_[target];
+                cursor.clock = std::max(cursor.clock, at);
+                cursor.head = nextStart(target, end);
+            }
             continue;
         }
-        if (clock >= window_end)
+        if (best == n)
             break;
-        // Only back-pressure pauses admission, and back-pressure is
-        // disaggregation-only — which the windowed core rejects — so
-        // produceStep() never comes back idle here.
-        buf.steps.push_back(produceStep(i, clock));
-        const ServingStepResult &res = buf.steps.back().result;
-        free_at = res.start + res.duration;
-        clock = free_at;
+        EngineCursor &cursor = cursors_[best];
+        StepRecord rec =
+            fan_out ? std::move(buffers_[best].steps[cursor.step++])
+                    : produceStep(best, cursor.head, end);
+        ran = ran || !rec.idle;
+        applyStep(best, std::move(rec));
+        cursor.head = head(best);
     }
-    // Arrivals the loop did not reach (engine loading past the window
-    // end, or busy across it) still join the queue — the serial core
-    // enqueues on arrival regardless of engine readiness.
-    while (next < arrivals.size())
-        engine.enqueue(arrivals[next++]);
-    buf.wallMs = std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - wall_start)
-                     .count();
+    if (fan_out)
+        for (WindowBuffer &buf : buffers_)
+            buf.steps.clear();
+    return ran;
 }
 
-void
-ServingSimulator::mergeWindowBuffers(std::vector<WindowBuffer> &buffers)
+Seconds
+ServingSimulator::nextStart(std::size_t i, Seconds end)
 {
-    // Apply in (step start, engine index) order — exactly how a
-    // serial sweep would have interleaved the engines: each engine's
-    // step starts are strictly increasing, so a stable sort of the
-    // buffers taken in engine order yields it. The latency collector's
-    // streaming percentiles are order-sensitive; this order is a pure
-    // function of the window inputs, never of worker scheduling.
-    std::vector<std::pair<std::size_t, StepRecord *>> order;
-    for (std::size_t i = 0; i < buffers.size(); ++i)
-        for (StepRecord &rec : buffers[i].steps)
-            order.emplace_back(i, &rec);
-    std::stable_sort(order.begin(), order.end(),
-                     [](const auto &a, const auto &b) {
-                         return a.second->result.start <
-                                b.second->result.start;
-                     });
-    for (const auto &[i, rec] : order)
-        applyStep(i, std::move(*rec));
+    EngineCursor &cursor = cursors_[i];
+    ServingEngine &engine = slots_[i].engine();
+    const std::vector<Request> &bin = bins_[i];
+    for (;;) {
+        while (cursor.arrival < bin.size() &&
+               bin[cursor.arrival].arrival <= cursor.clock)
+            engine.enqueue(bin[cursor.arrival++]);
+        if (cursor.clock >= end)
+            break;
+        if (engine.state() == EngineState::Loading) {
+            // The clock started at the engine's busy-until, so its
+            // shards have landed inside the window.
+            engine.setReady();
+            continue;
+        }
+        if (engine.state() != EngineState::Active)
+            break; // draining or parked
+        if (engine.hasWork())
+            return cursor.clock;
+        if (cursor.arrival == bin.size())
+            break;
+        cursor.clock = bin[cursor.arrival].arrival;
+    }
+    // Arrivals the engine did not reach (it is loading or busy past
+    // the window end) still join its queue: an engine enqueues on
+    // arrival regardless of its readiness.
+    while (cursor.arrival < bin.size())
+        engine.enqueue(bin[cursor.arrival++]);
+    return kNever;
 }
 
 ServingReport
@@ -1211,15 +1197,22 @@ ServingSimulator::run()
     return finish();
 }
 
+Seconds
+ServingSimulator::runEnd() const
+{
+    // The run ends when the last engine drains. A still-Loading engine
+    // never served: its ready time does not extend the run.
+    Seconds end = now_;
+    for (const EngineSlot &slot : slots_)
+        if (slot.engine().state() != EngineState::Loading)
+            end = std::max(end, slot.freeAt);
+    return end;
+}
+
 ServingReport
 ServingSimulator::finish()
 {
-    // The clock stops at the last event *start*; the run ends when the
-    // last engine drains. A still-Loading engine never served: its
-    // ready time does not extend the run.
-    for (const EngineSlot &slot : slots_)
-        if (slot.engine().state() != EngineState::Loading)
-            now_ = std::max(now_, slot.freeAt);
+    now_ = runEnd();
     accruePower(now_);
     ServingReport report = buildReport();
     updateGauges();

@@ -140,39 +140,24 @@ struct ServingConfig
     Seconds sloTtft = 0.5;     //!< TTFT target for goodput accounting
     Seconds horizon = 30.0;    //!< seconds of offered traffic
     std::uint64_t seed = 42;   //!< routing-generator seed base
-    /** Worker threads for the per-layer tune/route fan-out and the
-     * tuner's scheme set (core/thread_pool.hh): 1 = serial (default),
-     * 0 = hardware concurrency. Results are identical for any value;
-     * only wall time changes. */
+    /** Worker threads for the engines of a multi-engine window, the
+     * per-layer tune/route fan-out and the tuner's scheme set
+     * (core/thread_pool.hh): 1 = serial (default), 0 = hardware
+     * concurrency. Results are identical for any value; only wall
+     * time changes. */
     int threads = 1;
     /** Wall-clock budget per LAER retune in milliseconds; 0 disables
      * the check. Overruns are reported per retune in ServingReport
      * (the planner must stay inside the budget for async re-layout
      * to hide behind serving steps at 512-1024 devices). */
     double tunerBudgetMs = 0.0;
-    /** Windowed share-nothing event core (docs/PERF.md): between
-     * control barriers (setBarrier()) and snapshot boundaries, the
-     * engines advance independently over `threads` workers against
-     * per-window pre-binned arrivals; each worker buffers its engine's
-     * produced steps, and the window end applies them through the
-     * serial core's own step body in deterministic (time, engine)
-     * order. Results are bit-identical for ANY thread count (the
-     * serial-vs-parallel-des difftest lane), but NOT to the default
-     * per-event core: arrivals dispatch against window-start replica
-     * loads instead of per-arrival live loads.
-     * While a reconfiguration is in flight the simulator falls back to
-     * the per-event path, so autoscaled runs stay exact. Requires a
-     * non-disaggregated policy. Default off — the default path stays
-     * byte-for-byte with its history. */
-    bool desParallel = false;
-
     // ---- observability (src/obs/, docs/OBSERVABILITY.md) ----------
-    // Recorders are never read back. On the per-event core, attaching
-    // them cannot change a single simulated number, and leaving them
-    // null (the default) skips every emission behind one pointer test.
-    // The windowed core (desParallel) is the exception: a registry with
-    // snapshotInterval > 0 caps every window at the snapshot grid, so
-    // attaching it moves the window ends and with them the run.
+    // Recorders are never read back: attaching them cannot change a
+    // single simulated number, and leaving them null (the default)
+    // skips every emission behind one pointer test. A registry's
+    // snapshot grid ends the event core's windows so that each
+    // snapshot reads the state at its boundary; window ends never
+    // move a request (docs/PERF.md, "The event core").
 
     /** Optional trace recorder: step/retune/KV-transfer/drain spans
      * and admission/preemption/scaling instants land here. Non-owning;
@@ -285,8 +270,8 @@ struct ServingReport
 };
 
 /**
- * The simulator. step() advances the next engine step or event jump;
- * run() plays the whole horizon and drains every pool.
+ * The simulator. step() advances one window of the event core
+ * (docs/PERF.md); run() plays the whole horizon and drains every pool.
  */
 class ServingSimulator
 {
@@ -295,10 +280,17 @@ class ServingSimulator
     ~ServingSimulator();
 
     /**
-     * Advance the simulation: admit due arrivals and inter-pool
-     * migrations, run every engine that is free and has work at the
-     * current time, otherwise jump to the next event.
-     * @return false once the horizon has passed and all work drained.
+     * Advance the simulation by one window: apply due faults and
+     * reconfigurations, dispatch the window's arrivals, admit due
+     * retries and inter-pool migrations, and run every engine through
+     * the window. A window ends at the next dispatch-grid point,
+     * control barrier or snapshot boundary; while a coupling between
+     * engines can fire (a pending fault plan or retry, a
+     * reconfiguration in flight, disaggregated pools) it covers only
+     * the current instant. When no engine started a step the clock
+     * jumps to the next event.
+     * @return false once the horizon has passed and all work drained;
+     *         now() then reads the run's end, its last step's end.
      */
     bool step();
 
@@ -365,12 +357,11 @@ class ServingSimulator
     int minPoolDevices() const;
 
     /**
-     * Cap the windowed event core's next advancement window at `t`
-     * (ctrl/control_loop.cc calls this with its next decision
-     * boundary, so no window ever crosses a decision point). Must be
-     * in the future. A no-op for the default per-event core, whose
-     * clock only ever lands ON events — the control loop simply reads
-     * now() after each step. */
+     * End a window at `t` (ctrl/control_loop.cc calls this with its
+     * next decision boundary, so no window crosses a decision point;
+     * the clock then lands on the first event at or after it, where
+     * the loop decides). Must be in the future. A barrier only splits
+     * windows: it moves no request. */
     void setBarrier(Seconds t);
 
     /** Requests offered so far (the control plane's arrival counter). */
@@ -474,8 +465,9 @@ class ServingSimulator
 
     /** Least-loaded accepting engine (ties to the lowest slot), or -1
      * when none accepts. Ranks by each engine's live load(), or by
-     * `load[i]` when a load picture is given (the windowed core's
-     * window-start loads plus its binned arrivals). */
+     * `load[i]` when a load picture is given (fresh arrivals rank by
+     * the dispatch grid's picture plus the arrivals dispatched since
+     * its refresh). */
     int leastLoadedLive(const std::vector<int> &load = {}) const;
 
     /** Replace stopped slot `i`'s whole Incarnation with a fresh
@@ -507,8 +499,17 @@ class ServingSimulator
      * static runs. */
     void applyReconfig();
 
-    /** Admit every arrival due at or before now_ (horizon-bounded). */
-    void pumpArrivals();
+    /** Dispatch every arrival before `end` (horizon-bounded): due
+     * ones join their engine's queue now, later ones its bin, which
+     * the engine drains as its window clock reaches them. */
+    void dispatchArrivals(Seconds end);
+
+    /** Dispatch the peeked arrival by the grid's load picture (or to
+     * the prefill pool) into its engine's queue, or with `to_bin` into
+     * its bin.
+     * @return its engine, or -1 when no engine accepts it (the front
+     *         door then holds it). */
+    int dispatchArrival(bool to_bin);
 
     /** Hand transferred contexts to the decode pool; set back-pressure. */
     void pumpMigrations();
@@ -516,15 +517,12 @@ class ServingSimulator
     /** Route one pool's finished requests: metrics, or migration. */
     void harvestFinished(int pool_index, std::vector<Request> finished);
 
-    /** Run every free engine with schedulable work at now_.
-     * @return true when at least one engine executed a step. */
-    bool runDueEngines();
-
     /** Plan, execute (straggler factor applied), capture request
      * shares, commit and collect the finished requests of one step of
-     * engine `i` starting at `t`. Touches only engine `i`, so the
-     * windowed core runs it on worker threads. */
-    StepRecord produceStep(std::size_t i, Seconds t);
+     * engine `i` starting at `t`, and move its window clock to the
+     * step's end. Touches only engine `i`, so a fan-out window runs it
+     * on worker threads. */
+    StepRecord produceStep(std::size_t i, Seconds t, Seconds end);
 
     /** Account for and emit one produced step on the simulator thread:
      * preemptions, KV utilization, pool stats, its observability,
@@ -533,9 +531,6 @@ class ServingSimulator
      * instance passes through here, so engine rebuilds cannot drop a
      * count. */
     void applyStep(std::size_t i, StepRecord rec);
-
-    /** step() body (step() wraps it with snapshots + profiling). */
-    bool stepOnce();
 
     // ---- fault effects (the fault state lives in faults_) ------------
 
@@ -568,41 +563,41 @@ class ServingSimulator
      * here. */
     Door passDoor(int target, const Request &request);
 
-    // ---- windowed event core (ServingConfig::desParallel) ----------
+    // ---- the event core's windows (docs/PERF.md) ---------------------
 
-    /** Windowed step(): advance every engine to the next barrier /
-     * snapshot boundary in parallel, then merge. Falls back to
-     * stepOnce() while a reconfiguration is in flight. */
-    bool stepWindow();
+    /** Run every engine through the window [now_, end) and apply its
+     * steps in (step start, engine index) order. Without `fan_out`
+     * the engines interleave on this thread, each step applied as it
+     * is produced and each remaining arrival dispatched as the window
+     * reaches it; with it, each engine runs its binned window on a
+     * worker into its buffer first.
+     * @return true when at least one engine executed a step. */
+    bool runWindow(Seconds end, bool fan_out);
 
-    /** Generate and bin this window's arrivals per engine against the
-     * window-start load picture. Advances the offered count and the
-     * lookahead. */
-    std::vector<std::vector<Request>> binWindowArrivals(Seconds window_end);
-
-    /** Advance engine `i` through [now_, window_end): admit its binned
-     * arrivals, promote it when its shards land, and produce its
-     * steps into `buf`. Runs on a worker thread: touches only the
-     * engine and `buf`. */
-    void runEngineWindow(std::size_t i, Seconds window_end,
-                         const std::vector<Request> &arrivals,
-                         WindowBuffer &buf);
-
-    /** Apply the window's buffered steps in (step start, engine
-     * index) order. */
-    void mergeWindowBuffers(std::vector<WindowBuffer> &buffers);
+    /** Advance engine `i`'s window cursor to its next step: enqueue
+     * the binned arrivals its clock passes and promote it when its
+     * shards land. Touches only the engine and its cursor and bin.
+     * @return the step's start, or +infinity when the engine starts no
+     *         further step before `end` (its bin is then drained). */
+    Seconds nextStart(std::size_t i, Seconds end);
 
     /** obs_.updateGauges() against the current state. */
     void updateGauges();
 
     /** Earliest future event: an engine's step end, load or drain
      * (or its deferred fail-stop), the next arrival, the migration
-     * front, the next scripted fault and the retry front (neither
-     * exists on an empty plan). +infinity when the run has fully
-     * drained. One O(engines) scan re-derived from the state on every
-     * call, so no mutation has to keep a second copy of the wake
-     * sources up to date. */
+     * front, the retry front and the next scripted fault, which wakes
+     * the clock only while work remains or before the last step's end.
+     * +infinity when the run has fully drained: a fault scripted after
+     * the drain never wakes it. One
+     * O(engines) scan re-derived from the state on every call, so no
+     * mutation has to keep a second copy of the wake sources up to
+     * date. */
     Seconds nextEventTime() const;
+
+    /** The run's end so far: the clock raised to the last step end
+     * of every engine not still loading. */
+    Seconds runEnd() const;
 
     /** Build the report from the current state (run()/finish()). */
     ServingReport buildReport() const;
@@ -626,6 +621,22 @@ class ServingSimulator
     Seconds now_ = 0.0;
     Seconds barrier_;            //!< next control barrier; +inf until
                                  //!< setBarrier() caps it
+    /** One engine's progress through the current window. */
+    struct EngineCursor
+    {
+        Seconds clock = 0.0;      //!< earliest instant it can act
+        Seconds head = 0.0;       //!< its next step's start, or +inf
+        std::size_t arrival = 0;  //!< next entry of its bin
+        std::size_t step = 0;     //!< next buffered record (fan-out)
+    };
+    // Window scratch, sized once per run and reused by every window.
+    std::vector<std::vector<Request>> bins_;  //!< arrivals per slot
+    std::vector<EngineCursor> cursors_;       //!< per slot
+    std::vector<WindowBuffer> buffers_;       //!< per slot (fan-out)
+    /** The dispatch grid's load picture: each engine's load() at the
+     * last grid refresh plus the arrivals dispatched to it since. */
+    std::vector<int> dispatchLoad_;
+    Seconds nextRefresh_ = 0.0;  //!< next dispatch-grid point
     // Self-profiling accumulators (real milliseconds).
     double profExecMs_ = 0.0; //!< wall inside executeStep()
     double profStepMs_ = 0.0; //!< wall inside step()

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "comm/collectives.hh"
+#include "core/rng.hh"
 #include "topo/cluster.hh"
 
 namespace laer
@@ -69,6 +71,47 @@ TEST(Collectives, BottleneckZeroTrafficIsFree)
     A2aPortLoads loads;
     loads.reset(4);
     EXPECT_DOUBLE_EQ(a2aBottleneckTimeFromLoads(c, loads), 0.0);
+}
+
+TEST(Collectives, BottleneckIsMonotoneInLoadsAndAntiMonotoneInBandwidth)
+{
+    // Relation: raising any port load never shortens the All-to-All,
+    // and raising either bandwidth never lengthens it, in both
+    // directions (dispatch and the transposed combine).
+    Rng rng(20261019);
+    for (int trial = 0; trial < 400; ++trial) {
+        const int nodes = rng.uniformInt(2, 8);
+        const int per_node = 1 << rng.uniformInt(0, 3);
+        const double intra = rng.uniform(50e9, 600e9);
+        const double inter = rng.uniform(5e9, 50e9);
+        const Cluster c(nodes, per_node, intra, inter, 1e12);
+        const int n = c.numDevices();
+        A2aPortLoads loads;
+        loads.reset(n);
+        for (int k = rng.uniformInt(0, 3 * n); k > 0; --k) {
+            const DeviceId src = rng.uniformInt(0, n - 1);
+            const DeviceId dst = rng.uniformInt(0, n - 1);
+            if (src != dst)
+                loads.add(c, src, dst, rng.uniformInt(0, 1 << 30));
+        }
+        const Cluster faster(nodes, per_node,
+                             intra * rng.uniform(1.0, 4.0),
+                             inter * rng.uniform(1.0, 4.0), 1e12);
+        for (const bool transpose : {false, true}) {
+            SCOPED_TRACE("trial " + std::to_string(trial) +
+                         (transpose ? " combine" : " dispatch"));
+            const Seconds base =
+                a2aBottleneckTimeFromLoads(c, loads, transpose);
+            EXPECT_LE(a2aBottleneckTimeFromLoads(faster, loads, transpose),
+                      base);
+            A2aPortLoads more = loads;
+            std::vector<Bytes> *ports[] = {&more.sendIntra, &more.sendInter,
+                                           &more.recvIntra, &more.recvInter};
+            (*ports[rng.uniformInt(0, 3)])[static_cast<std::size_t>(
+                rng.uniformInt(0, n - 1))] += rng.uniformInt(1, 1 << 30);
+            EXPECT_GE(a2aBottleneckTimeFromLoads(c, more, transpose), base);
+        }
+    }
 }
 
 TEST(Collectives, UniformA2ASplitsByPortClass)

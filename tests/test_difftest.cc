@@ -206,10 +206,10 @@ TEST(StreamInvariants, DetectBrokenConservationAndMonotonicity)
 
 TEST(Lanes, CatalogIsRegisteredAndLookableUp)
 {
-    ASSERT_EQ(equivalenceLanes().size(), 6u);
+    ASSERT_EQ(equivalenceLanes().size(), 5u);
     for (const char *name :
-         {"threads", "serial-vs-parallel-des", "metrics-mode",
-          "control-none", "swap-recompute", "fault-determinism"})
+         {"threads", "metrics-mode", "control-none", "swap-recompute",
+          "fault-determinism"})
         EXPECT_NE(laneByName(name), nullptr) << name;
     EXPECT_EQ(laneByName("no-such-lane"), nullptr);
 }

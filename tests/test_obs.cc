@@ -24,6 +24,7 @@
 #include "core/stats.hh"
 #include "ctrl/control_loop.hh"
 #include "difftest/diff.hh"
+#include "difftest/scenario_gen.hh"
 #include "obs/metrics.hh"
 #include "obs/req_trace.hh"
 #include "obs/trace.hh"
@@ -490,8 +491,8 @@ expectSameSteps(const std::vector<ServingStepResult> &a,
 }
 
 /** Run `cfg` bare and again with a trace, a 0.25 s-snapshot registry
- * and a request recorder sampling every request, both on the serial
- * core, optionally under a control loop; the runs must agree.
+ * and a request recorder sampling every request, optionally under a
+ * control loop; the runs must agree.
  * @return the bare run's report. */
 ServingReport
 expectSinksWriteOnly(const Cluster &cluster, const ServingConfig &cfg,
@@ -569,17 +570,17 @@ TEST(WriteOnlySinks, FaultedDisaggregatedRunIsUnchanged)
     EXPECT_GT(report.migrated, 0);
 }
 
-TEST(WriteOnlySinks, ControlledReplicaRunIsUnchanged)
+/** Two 4-device replicas under enough load to breach the autoscaler's
+ * fixed queue threshold (8 waiting per replica). */
+ServingConfig
+replicaSinkConfig()
 {
-    const Cluster cluster(2, 4, 300e9, 12.5e9, 212e12);
     ServingConfig cfg;
     cfg.model = mixtral8x7bE8K2();
     cfg.capacity = 2;
     cfg.simulatedLayers = 2;
     cfg.horizon = 4.0;
     cfg.arrival.kind = ArrivalKind::Poisson;
-    // Enough load to breach the autoscaler's fixed queue threshold (8
-    // waiting per replica), so the loop acts.
     cfg.arrival.ratePerSec = 160.0;
     cfg.arrival.meanPrefillTokens = 128;
     cfg.arrival.meanDecodeTokens = 16;
@@ -587,8 +588,15 @@ TEST(WriteOnlySinks, ControlledReplicaRunIsUnchanged)
     cfg.batcher.tokenBudget = 8192;
     cfg.batcher.prefillChunk = 512;
     cfg.replicas.replicaDevices = 4;
-    cfg.replicas.initialReplicas = 1;
     cfg.seed = 11;
+    return cfg;
+}
+
+TEST(WriteOnlySinks, ControlledReplicaRunIsUnchanged)
+{
+    const Cluster cluster(2, 4, 300e9, 12.5e9, 212e12);
+    ServingConfig cfg = replicaSinkConfig();
+    cfg.replicas.initialReplicas = 1;
     ControlLoopConfig loop;
     loop.interval = 0.5;
     loop.kind = AutoscalerKind::ThresholdHysteresis;
@@ -596,6 +604,48 @@ TEST(WriteOnlySinks, ControlledReplicaRunIsUnchanged)
     loop.autoscaler.maxReplicas = 2;
     const ServingReport report = expectSinksWriteOnly(cluster, cfg, &loop);
     EXPECT_FALSE(report.scalingEvents.empty());
+}
+
+TEST(WriteOnlySinks, ThreadedReplicaRunIsUnchanged)
+{
+    // Both replicas fan out over four workers. The registry's 0.25 s
+    // snapshots end windows the 1 s dispatch grid does not, which must
+    // move no simulated number.
+    const Cluster cluster(2, 4, 300e9, 12.5e9, 212e12);
+    ServingConfig cfg = replicaSinkConfig();
+    cfg.threads = 4;
+    const ServingReport report = expectSinksWriteOnly(cluster, cfg, nullptr);
+    EXPECT_EQ(report.pools.size(), 2u);
+    EXPECT_GT(report.pools[1].steps, 0);
+}
+
+TEST(FaultPlanRelation, EventsAfterTheLastStepLeaveTheReportUnchanged)
+{
+    // Relation: a fault plan whose events all fall at or after the
+    // run's last step end gives a report bit-identical to an empty
+    // plan, at 1 and 4 threads, over the fuzzed scenarios.
+    for (std::uint64_t i = 0; i < 12; ++i) {
+        const Scenario s = generateScenario(20260808 + i);
+        const Cluster cluster = s.makeCluster();
+        for (const int threads : {1, 4}) {
+            SCOPED_TRACE(s.describe() +
+                         " threads=" + std::to_string(threads));
+            ServingConfig cfg = s.serving;
+            cfg.threads = threads;
+            cfg.faults = FaultConfig{};
+            ServingSimulator bare(cluster, cfg);
+            const ServingReport clean = bare.run();
+            const Seconds end = clean.elapsed;
+            cfg.faults.events = {
+                {end, FaultKind::StragglerStart, 0, 2.0},
+                {end + 0.5, FaultKind::ReplicaFail, 0, 1.0},
+                {1000.0, FaultKind::LinkDown, 0, 1.0},
+            };
+            ServingSimulator late(cluster, cfg);
+            expectSameSimulatedReport(clean, late.run());
+            expectSameSteps(bare.stepResults(), late.stepResults());
+        }
+    }
 }
 
 // ------------------------------------------------------------ ObsSinks

@@ -377,16 +377,15 @@ TEST(ServingSim, ThreadCountDoesNotChangeTheSimulation)
                          b.stepResults()[i].duration);
 }
 
-TEST(ServingSim, WindowedCoreIsEventIdenticalAcrossThreadCounts)
+TEST(ServingSim, ReplicaRunIsStepIdenticalAcrossThreadCounts)
 {
-    // The windowed event core (ServingConfig::desParallel) fans
-    // engine advancement out over the worker pool and merges buffered
-    // emission deterministically: a 2-replica run must be
-    // event-for-event identical at 1 and 8 threads.
+    // The event core fans a multi-engine window out over the worker
+    // pool and applies the buffered steps in (start, engine) order: a
+    // 2-replica run must be step-for-step identical at 1 and 8
+    // threads.
     const Cluster cluster(2, 4, 300e9, 12.5e9, 212e12);
     ServingConfig base = smallServingConfig(ServingPolicy::LaerServe);
     base.replicas.replicaDevices = 4; // 2 replica engines
-    base.desParallel = true;
     base.arrival.ratePerSec = 40.0;
     ServingConfig threaded = base;
     threaded.threads = 8;
@@ -423,20 +422,40 @@ TEST(ServingSim, WindowedCoreIsEventIdenticalAcrossThreadCounts)
     }
 }
 
-TEST(ServingSim, WindowedCoreCompletesEveryRequest)
+TEST(ServingSim, RunEndsAtItsLastStepWhateverSinksAttach)
 {
-    // Same workload through the windowed core on a single
-    // whole-cluster engine: conservation must close and the run must
-    // drain, barriers or not.
-    const Cluster cluster(2, 4, 300e9, 12.5e9, 212e12);
-    ServingConfig cfg = smallServingConfig(ServingPolicy::LaerServe);
-    cfg.desParallel = true;
-    ServingSimulator sim(cluster, cfg);
-    const ServingReport report = sim.run();
-    EXPECT_GT(report.offered, 0);
-    EXPECT_EQ(report.offered, report.completed);
-    EXPECT_GT(report.steps, 0);
-    EXPECT_GT(report.retunes, 0);
+    // Tab. 5's serving configuration on 32 devices (perfbench
+    // scale-256's at the default routing seed): one engine drains past
+    // the horizon. A registry's snapshot grid ends windows but not the
+    // run, which ends at its last step's end, not at a grid point.
+    const Cluster cluster = Cluster::a100(4, 8);
+    ServingConfig cfg;
+    cfg.model = mixtral8x7bE8K2();
+    cfg.capacity = 2;
+    cfg.horizon = 2.5;
+    cfg.arrival.ratePerSec = 40.0;
+    cfg.arrival.meanPrefillTokens = 512;
+    cfg.arrival.meanDecodeTokens = 64;
+    cfg.arrival.seed = 7;
+    cfg.batcher.tokenBudget = 16384;
+    cfg.batcher.maxRunning = 512;
+    cfg.routing.skew = 1.2;
+    cfg.routing.drift = 0.98;
+    cfg.retunePeriod = 4;
+    cfg.tuner.fastScoring = true;
+    ServingSimulator bare(cluster, cfg);
+    const ServingReport plain = bare.run();
+    Seconds last_end = 0.0;
+    for (const ServingStepResult &s : bare.stepResults())
+        last_end = std::max(last_end, s.start + s.duration);
+    EXPECT_EQ(plain.elapsed, last_end);
+    EXPECT_NEAR(plain.elapsed, 3.1427, 1e-4);
+
+    MetricsRegistry registry;
+    cfg.metricsRegistry = &registry;
+    cfg.snapshotInterval = 0.5;
+    ServingSimulator observed(cluster, cfg);
+    EXPECT_EQ(observed.run().elapsed, plain.elapsed);
 }
 
 TEST(ServingSim, RetuneWallTimesAndBudgetOverrunsAreReported)
@@ -469,28 +488,28 @@ TEST(ServingSim, RetuneWallTimesAndBudgetOverrunsAreReported)
               free_report.retunes);
 }
 
-TEST(ServingSim, RetuneMetricsCountOneSamplePerRetuneOnBothCores)
+TEST(ServingSim, RetuneMetricsCountOneSamplePerRetune)
 {
     // planner.retune_wall_ms holds one solver sample per retune (not
-    // per layer), and the over-budget counter matches the report, on
-    // the serial core and on the windowed core alike.
+    // per layer), and the over-budget counter matches the report, with
+    // and without a fan-out of the engines' windows.
     const Cluster cluster(2, 4, 300e9, 12.5e9, 212e12);
-    for (const bool windowed : {false, true}) {
+    for (const int threads : {1, 4}) {
         ServingConfig cfg = smallServingConfig(ServingPolicy::LaerServe);
         cfg.replicas.replicaDevices = 4; // 2 replica engines
-        cfg.desParallel = windowed;
+        cfg.threads = threads;
         cfg.tunerBudgetMs = 1e-9; // every retune overruns
         MetricsRegistry registry;
         cfg.metricsRegistry = &registry;
         ServingSimulator sim(cluster, cfg);
         const ServingReport report = sim.run();
-        ASSERT_GT(report.retunes, 0) << "windowed=" << windowed;
+        ASSERT_GT(report.retunes, 0) << "threads=" << threads;
         EXPECT_EQ(registry.histogram("planner.retune_wall_ms").count(),
                   report.retunes)
-            << "windowed=" << windowed;
+            << "threads=" << threads;
         EXPECT_EQ(registry.counter("planner.retune_over_budget").value(),
                   report.retuneBudgetOverruns)
-            << "windowed=" << windowed;
+            << "threads=" << threads;
         EXPECT_EQ(report.retuneBudgetOverruns, report.retunes);
     }
 }
