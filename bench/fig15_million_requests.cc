@@ -87,7 +87,6 @@ dayConfig(bool quick, int threads)
     cfg.capacity = 2;
     cfg.simulatedLayers = 1;
     cfg.retunePeriod = 64;
-    cfg.tuner.fastScoring = true;
     cfg.threads = threads;
     cfg.seed = 15;
 

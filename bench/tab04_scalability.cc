@@ -95,9 +95,7 @@ main()
             // routing, dispatched with lite routing.
             const laer::LayoutDecision dec = laer::tuneExpertLayout(
                 cluster, scaled.at(it - 1, 0), tc);
-            laer::liteRoutingSparse(
-                cluster, routing, laer::ReplicaIndex(cluster, dec.layout),
-                plan);
+            laer::liteRoutingSparse(cluster, routing, dec.index, plan);
             t_laer += mlpTime(cluster, model, plan);
         }
         table.startRow();

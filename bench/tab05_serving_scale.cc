@@ -16,7 +16,7 @@
  *     tunes): dense serial scoring (timeCost over the materialised
  *     dense plan per scheme, plus the dense winner plan — the
  *     formulation before the fused scorer) vs the sparse+parallel
- *     tuner (scoreLiteRoutingFast + ThreadPool fan-out, no dense
+ *     tuner (scoreLiteRouting + ThreadPool fan-out, no dense
  *     plan).
  *
  * The dense arms run the reference formulations of the test oracle
@@ -375,7 +375,6 @@ try {
             res.retuneDenseMs = msSince(t0);
 
             TunerConfig fast = tuner;
-            fast.fastScoring = true;
             fast.pool = &pool;
             t0 = Clock::now();
             pool.parallelFor(layers, [&](int l) {
@@ -405,7 +404,6 @@ try {
             cfg.routing.drift = 0.98;
             cfg.retunePeriod = 16;
             cfg.tuner = tuner;
-            cfg.tuner.fastScoring = true;
             cfg.threads = threads;
             cfg.tunerBudgetMs = budget_ms;
             cfg.seed = 5;

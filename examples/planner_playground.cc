@@ -86,7 +86,7 @@ main(int argc, char **argv)
 
     // Stage 3: dispatch balance under lite routing.
     const auto recv =
-        scoreLiteRouting(cluster, routing, decision.layout, cfg.cost).recv;
+        scoreLiteRouting(cluster, routing, decision.index, cfg.cost).recv;
     std::vector<double> recvd(recv.begin(), recv.end());
     Table disp("Stage 3 — tokens received per device (lite routing)");
     disp.setHeader({"device", "tokens"});

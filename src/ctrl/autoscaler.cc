@@ -149,10 +149,9 @@ idealPrefillDevices(const TelemetryWindow &window,
                              << "-device cluster");
     const int units = state.totalDevices / step;
     const int min_units = (state.minPoolDevices + step - 1) / step;
-    LAER_CHECK(units >= 2 * min_units,
-               "cluster too small for two pools of "
-                   << state.minPoolDevices << "+ devices at a "
-                   << step << "-device granularity");
+    // Too few units to move one without starving a pool: hold.
+    if (units < 2 * min_units)
+        return state.prefillDevices;
 
     const SplitPressure p = splitPressures(window);
     const PoolSignal &pre = window.pools[0];

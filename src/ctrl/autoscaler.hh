@@ -159,7 +159,9 @@ class TargetUtilizationAutoscaler : public AutoscalerPolicy
  *
  * @param window  Newest telemetry window (split-mode pools).
  * @param state   Topology facts (floors, granularity).
- * @return the ideal prefill-device count, node-regular by construction.
+ * @return the ideal prefill-device count, node-regular by construction;
+ *         the current split when the cluster has too few `step` units
+ *         for two pools at their floors (no split can move).
  */
 int idealPrefillDevices(const TelemetryWindow &window,
                         const ControlState &state);

@@ -44,26 +44,31 @@ tuneExpertLayout(const Cluster &cluster, const RoutingMatrix &routing,
             perturbAllocation(replicas_set[pick], rng, n));
     }
 
-    // Alg. 2 lines 9-15: place, route, score, keep the best. The
-    // inner loop uses the fused route-and-score pass, and no plan is
-    // materialised. Scheme evaluations are independent, so they fan
-    // out over the optional worker pool into per-scheme slots; the
-    // winner is then reduced serially in scheme order (first
-    // strictly-cheaper wins), which makes the decision identical for
-    // any thread count.
+    // Alg. 2 lines 9-15: place, route, score, keep the best. Each
+    // scheme is placed straight into its replica index (Alg. 1) and
+    // scored against it with the fused route-and-score pass; no plan
+    // and no losing layout is materialised. A perturbation that
+    // repeats an earlier allocation costs the same, so the first
+    // strictly-cheaper reduction would never pick it: it is skipped.
+    // Scheme evaluations are independent, so they fan out over the
+    // optional worker pool into per-scheme slots; the winner is then
+    // reduced serially in scheme order, which makes the decision
+    // identical for any thread count.
     const int schemes = static_cast<int>(replicas_set.size());
-    std::vector<ExpertLayout> layouts(replicas_set.size());
+    std::vector<char> repeat(replicas_set.size(), 0);
+    for (std::size_t s = 1; s < replicas_set.size(); ++s)
+        for (std::size_t t = 0; t < s && !repeat[s]; ++t)
+            repeat[s] = replicas_set[s] == replicas_set[t];
+    std::vector<ReplicaIndex> indexes(replicas_set.size());
     std::vector<CostBreakdown> costs(replicas_set.size());
     const auto evaluate = [&](int s) {
         const auto i = static_cast<std::size_t>(s);
-        layouts[i] = expertRelocation(cluster, replicas_set[i], loads,
-                                      config.capacity);
-        costs[i] = (config.fastScoring
-                        ? scoreLiteRoutingFast(cluster, routing,
-                                               layouts[i], config.cost)
-                        : scoreLiteRouting(cluster, routing,
-                                           layouts[i], config.cost))
-                       .cost;
+        if (repeat[i])
+            return;
+        indexes[i] = expertRelocationIndex(cluster, replicas_set[i], loads,
+                                           config.capacity);
+        costs[i] =
+            scoreLiteRouting(cluster, routing, indexes[i], config.cost).cost;
     };
     if (config.pool != nullptr)
         config.pool->parallelFor(schemes, evaluate);
@@ -72,12 +77,13 @@ tuneExpertLayout(const Cluster &cluster, const RoutingMatrix &routing,
             evaluate(s);
 
     std::size_t winner = 0;
-    for (std::size_t s = 1; s < layouts.size(); ++s)
-        if (costs[s].total() < costs[winner].total())
+    for (std::size_t s = 1; s < costs.size(); ++s)
+        if (!repeat[s] && costs[s].total() < costs[winner].total())
             winner = s;
 
     LayoutDecision best;
-    best.layout = std::move(layouts[winner]);
+    best.index = std::move(indexes[winner]);
+    best.layout = best.index.layout();
     best.cost = costs[winner];
     best.schemesTried = schemes;
     best.wallMs = std::chrono::duration<double, std::milli>(

@@ -5,8 +5,9 @@
  *
  * Builds a set of replica-count schemes (priority-queue proportional,
  * even, plus random perturbations up to |epsilon|), places each with
- * expert relocation (Alg. 1), routes with lite routing (Alg. 3),
- * scores with the cost model (Eq. 2) and returns the cheapest layout.
+ * expert relocation (Alg. 1) into its replica index, routes and scores
+ * it with the fused lite-routing scorer (Alg. 3 under Eq. 2) and
+ * returns the cheapest layout with its index.
  * The flags exist for the Fig. 12 ablation ("pq" / "even" only).
  */
 
@@ -45,13 +46,11 @@ struct TunerConfig
      * scheme order either way, so the decision is identical for any
      * thread count. Non-owning. */
     ThreadPool *pool = nullptr;
-    /** Score schemes with the node-aggregated scorer
-     * (scoreLiteRoutingFast), as every run with no older output to
-     * keep does at any scale (tab05's serving arm, fig15, perfbench's
-     * scale-256 and day-replicas). Same costs in exact arithmetic,
-     * tighter rounding: machine-precision scheme ties may resolve
-     * differently than the seed path, so off by default to keep
-     * historical outputs byte-for-byte. */
+    /**
+     * Read by nothing: every scheme is scored by the one scorer,
+     * scoreLiteRouting. Kept only because perfbench still sets it;
+     * delete it once those lines are gone.
+     */
     bool fastScoring = false;
 };
 
@@ -59,8 +58,11 @@ struct TunerConfig
 struct LayoutDecision
 {
     ExpertLayout layout;   //!< A
+    /** Replica lists of A, as Alg. 1 emitted them: callers that route
+     * against A adopt this instead of rebuilding it from the layout. */
+    ReplicaIndex index;
     CostBreakdown cost;    //!< Eq. 2 value of A under lite routing
-    int schemesTried = 0;  //!< size of the evaluated replica set
+    int schemesTried = 0;  //!< size of the replica set (repeats too)
     /** Solver wall-clock time for this invocation, milliseconds.
      * Measured inside tuneExpertLayout so every caller (engine retune
      * spans, planner benches) reports the same quantity. */

@@ -11,14 +11,16 @@
  * collects every remainder.
  *
  * The replica target lists depend only on the layout, not on the
- * source: `ReplicaIndex` precomputes them once per layout (global CSR
- * per expert plus per-(node, expert) intra lists) so the per-rank
- * dispatch is allocation-free. The routing entry points — the sparse
- * builder `liteRoutingSparse` (planner/routing_plan_sparse.hh) that
- * every pricing path uses, the fused scorer `scoreLiteRouting`, and
+ * source: a `ReplicaIndex` (planner/types.hh) holds them once per
+ * layout (global CSR per expert plus per-(node, expert) intra lists),
+ * so the per-rank dispatch is allocation-free. The routing entry
+ * points — the sparse builder `liteRoutingSparse`
+ * (planner/routing_plan_sparse.hh) that every pricing path uses, and
  * dense `liteRouting`, kept for IterationSpec::layerPlans inputs —
  * share this index and the `forEachLiteShare` split rule, which is
- * what keeps them exactly consistent.
+ * what keeps them exactly consistent. The tuner's scorer
+ * `scoreLiteRouting` reads the same index per (node, expert) and
+ * never visits a share.
  */
 
 #ifndef LAER_PLANNER_LITE_ROUTING_HH
@@ -33,102 +35,11 @@ namespace laer
 {
 
 /**
- * Per-layout precompute of Alg. 3's candidate replica sets: for every
- * expert the global replica list, and for every (node, expert) pair
- * the intra-node replica list — both device-ascending with replica
- * multiplicity, the exact order the Alg. 3 remainder rotation is
- * defined over. Devices are numbered node-major, so each intra list
- * is a contiguous sub-range of its expert's global list: one device
- * array, expert-major and device-ascending, with one offset per
- * (expert, node) cell serves both. Flat arrays, so a rebuild on a
- * fresh layout reuses the storage (the serving engine keeps one per
- * layer across steps).
- */
-class ReplicaIndex
-{
-  public:
-    ReplicaIndex() = default;
-
-    /** Build for a layout (equivalent to rebuild on a fresh index). */
-    ReplicaIndex(const Cluster &cluster, const ExpertLayout &layout)
-    {
-        rebuild(cluster, layout);
-    }
-
-    /**
-     * Recompute the lists for a new layout, reusing storage.
-     * @param cluster  Topology (node membership).
-     * @param layout   Expert layout A the lists are drawn from.
-     */
-    void rebuild(const Cluster &cluster, const ExpertLayout &layout);
-
-    int numExperts() const { return numExperts_; }
-    int numNodes() const { return numNodes_; }
-
-    /** Global replica list of expert j (devices, with multiplicity). */
-    const DeviceId *all(ExpertId j) const
-    {
-        return dev_.data() + off_[cell(j, 0)];
-    }
-
-    /** Length of the global replica list of expert j. */
-    std::size_t allCount(ExpertId j) const
-    {
-        return off_[cell(j + 1, 0)] - off_[cell(j, 0)];
-    }
-
-    /** Intra-node replica list of expert j on node m. */
-    const DeviceId *intra(NodeId m, ExpertId j) const
-    {
-        return dev_.data() + off_[cell(j, m)];
-    }
-
-    /** Length of the intra-node replica list of expert j on node m. */
-    std::size_t intraCount(NodeId m, ExpertId j) const
-    {
-        return off_[cell(j, m) + 1] - off_[cell(j, m)];
-    }
-
-    /**
-     * Alg. 3 target set for a source on node m: the intra-node list
-     * when non-empty, otherwise the global list.
-     * @param m      Source node.
-     * @param j      Expert.
-     * @param count  Out: number of targets.
-     * @return pointer to the target devices (with multiplicity).
-     */
-    const DeviceId *targets(NodeId m, ExpertId j,
-                            std::size_t &count) const
-    {
-        const std::size_t ic = intraCount(m, j);
-        if (ic > 0) {
-            count = ic;
-            return intra(m, j);
-        }
-        count = allCount(j);
-        return all(j);
-    }
-
-  private:
-    std::size_t cell(ExpertId j, NodeId m) const
-    {
-        return static_cast<std::size_t>(j) * numNodes_ +
-               static_cast<std::size_t>(m);
-    }
-
-    int numExperts_ = 0;
-    int numNodes_ = 0;
-    std::vector<std::size_t> off_; //!< E * nodes + 1 offsets into dev_
-    std::vector<DeviceId> dev_;    //!< replica lists, expert-major
-};
-
-/**
  * Alg. 3 share split for one (source, expert) pair: tokens divide
  * evenly across the target list, with the integer remainder assigned
  * round-robin from slot (rank % |targets|). Emits (destination,
  * share) for every non-zero share, in rotation order — the common
- * core of the dense plan builder, the sparse plan builder and the
- * fused scorer.
+ * core of the dense and the sparse plan builders.
  *
  * @param targets  Replica target list (ReplicaIndex::targets).
  * @param count    Number of targets; must be > 0.
@@ -182,33 +93,21 @@ struct LiteRoutingScore
 
 /**
  * Fused lite routing + cost evaluation (the "efficient C++ core" of
- * Sec. 4): the same Eq. 2 objective that timeCost() reports on the
- * liteRoutingSparse plan, up to floating-point summation order, but
- * without materialising any plan — the tuner's inner loop runs this
- * once per candidate replica scheme, keeping the solver inside the
- * per-layer time budget even at 1024 devices (Fig. 11). timeCost()
- * adds one term per device pair after folding the experts, so its
- * comm term can differ in the last bits. Shares are visited in the
- * tuner's (source, expert, slot) per-share order, so
- * the pair cost is bit-identical to the seed tuner's own scoring —
- * scheme comparisons (and therefore every fig11-14/tab04 output) are
- * reproduced exactly.
+ * Sec. 4), the tuner's one scorer: the Eq. 2 objective that timeCost()
+ * reports on the liteRoutingSparse plan, without materialising any
+ * plan. It runs once per candidate replica scheme, keeping the solver
+ * inside the per-layer time budget even at 1024 devices (Fig. 11).
  *
- * @param cluster  Topology.
- * @param routing  Routing matrix R.
- * @param layout   Candidate expert layout A.
- * @param params   Cost constants for the Eq. 2 evaluation.
- * @return the Eq. 2 breakdown and per-destination received tokens.
- */
-LiteRoutingScore scoreLiteRouting(const Cluster &cluster,
-                                  const RoutingMatrix &routing,
-                                  const ExpertLayout &layout,
-                                  const CostParams &params);
-
-/**
- * scoreLiteRouting against a prebuilt ReplicaIndex, for callers that
- * already hold one for the layout (the layout overload simply builds
- * a throw-away index and forwards here).
+ * Evaluated per (node, expert) instead of per (source, expert,
+ * replica): every source in a node shares the Alg. 3 target list, so
+ * received tokens accumulate through a difference array over the
+ * remainder rotation, and the wire term reduces to two exact integer
+ * token sums (intra-/inter-node) divided by the two bandwidths —
+ * O(nodes * E * replicas) instead of O(N * E * replicas). recv is
+ * exactly the routed plan's. The pair cost is the mathematically
+ * identical sum with two divisions instead of one per share, so it
+ * matches timeCost() and the per-share oracle in the test suite to
+ * rounding only.
  *
  * @param cluster  Topology.
  * @param routing  Routing matrix R.
@@ -221,37 +120,11 @@ LiteRoutingScore scoreLiteRouting(const Cluster &cluster,
                                   const ReplicaIndex &index,
                                   const CostParams &params);
 
-/**
- * Node-aggregated scorer, opt-in at any scale: the same Eq. 2
- * objective evaluated per (node, expert) instead of per (source,
- * expert, replica). Every source in a node shares the Alg. 3 target
- * list, so received tokens accumulate through a difference array over
- * the remainder rotation and the wire term reduces to two exact
- * integer token sums (intra-/inter-node) divided by the two
- * bandwidths — O(nodes * E * replicas) instead of
- * O(N * E * replicas). recv is exactly the routed plan's; the pair
- * cost is the mathematically identical sum with different
- * floating-point rounding (in fact tighter: two divisions instead of
- * one per share), which can re-order schemes whose costs tie at
- * machine precision — hence opt-in (TunerConfig::fastScoring) rather
- * than the default.
- *
- * @param cluster  Topology.
- * @param routing  Routing matrix R.
- * @param layout   Candidate expert layout A.
- * @param params   Cost constants for the Eq. 2 evaluation.
- * @return the Eq. 2 breakdown and per-destination received tokens.
- */
-LiteRoutingScore scoreLiteRoutingFast(const Cluster &cluster,
-                                      const RoutingMatrix &routing,
-                                      const ExpertLayout &layout,
-                                      const CostParams &params);
-
-/** scoreLiteRoutingFast against a prebuilt ReplicaIndex. */
-LiteRoutingScore scoreLiteRoutingFast(const Cluster &cluster,
-                                      const RoutingMatrix &routing,
-                                      const ReplicaIndex &index,
-                                      const CostParams &params);
+/** scoreLiteRouting on a layout (builds a throw-away index). */
+LiteRoutingScore scoreLiteRouting(const Cluster &cluster,
+                                  const RoutingMatrix &routing,
+                                  const ExpertLayout &layout,
+                                  const CostParams &params);
 
 } // namespace laer
 

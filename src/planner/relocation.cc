@@ -10,18 +10,21 @@
 namespace laer
 {
 
-ExpertLayout
-expertRelocation(const Cluster &cluster, const std::vector<int> &expert_rep,
-                 const std::vector<TokenCount> &expert_loads, int capacity)
+ReplicaIndex
+expertRelocationIndex(const Cluster &cluster,
+                      const std::vector<int> &expert_rep,
+                      const std::vector<TokenCount> &expert_loads,
+                      int capacity)
 {
     const int n = cluster.numDevices();
     const int e = static_cast<int>(expert_rep.size());
     LAER_CHECK(static_cast<int>(expert_loads.size()) == e,
                "replica/load vectors disagree");
-    int total_rep = 0;
+    int total_rep = 0, max_rep = 0;
     for (int r : expert_rep) {
         LAER_CHECK(r >= 1, "every expert needs at least one replica");
         total_rep += r;
+        max_rep = std::max(max_rep, r);
     }
     LAER_CHECK(total_rep == n * capacity,
                "replica budget " << total_rep << " != slots "
@@ -45,7 +48,16 @@ expertRelocation(const Cluster &cluster, const std::vector<int> &expert_rep,
 
     const int nodes = cluster.numNodes();
     const int per_node = cluster.devicesPerNode();
-    ExpertLayout layout(n, e);
+
+    // The placement is written straight into ReplicaIndex's arrays:
+    // expert j's list starts at the sum of the budgets before it
+    // (offset cell (j, 0)), and its per-node offsets follow from cnt[]
+    // once j is placed.
+    std::vector<std::size_t> off(static_cast<std::size_t>(e) * nodes + 1, 0);
+    for (ExpertId j = 0; j < e; ++j)
+        off[static_cast<std::size_t>(j + 1) * nodes] =
+            off[static_cast<std::size_t>(j) * nodes] + expert_rep[j];
+    std::vector<DeviceId> dev(off.back());
     std::vector<int> used(n, 0); // slots taken per device
     std::vector<double> device_loads(n, 0.0);
     std::vector<int> cnt(nodes, 0); // current expert's replicas per node
@@ -62,8 +74,7 @@ expertRelocation(const Cluster &cluster, const std::vector<int> &expert_rep,
     for (DeviceId d = 0; d < n; ++d)
         dev_heap[d] = {0.0, d};
     std::vector<int> heap_size(nodes, per_node);
-    auto push_device = [&](DeviceId d) {
-        const NodeId nd = cluster.node(d);
+    auto push_device = [&](NodeId nd, DeviceId d) {
         const auto first = dev_heap.begin() + nd * per_node;
         first[heap_size[nd]++] = {device_loads[d], d};
         std::push_heap(first, first + heap_size[nd], min_heap);
@@ -87,9 +98,12 @@ expertRelocation(const Cluster &cluster, const std::vector<int> &expert_rep,
         return dev_heap[a * per_node] < dev_heap[b * per_node];
     };
 
-    std::vector<DeviceId> hosts; // devices given the current expert
+    // (node, device) of each placement of the current expert, in
+    // placement order; before any duplicate, these are its hosts.
+    std::vector<std::pair<NodeId, DeviceId>> placed;
+    placed.reserve(static_cast<std::size_t>(max_rep));
     for (const ExpertId x : order) {
-        hosts.clear();
+        placed.clear();
         bool duplicates = false;
         collect_live();
         for (int left = expert_rep[x]; left > 0;) {
@@ -98,9 +112,9 @@ expertRelocation(const Cluster &cluster, const std::vector<int> &expert_rep,
                 // forced, so the hosts become eligible again.
                 LAER_ASSERT(!duplicates, "no device has a free expert slot");
                 duplicates = true;
-                for (DeviceId d : hosts)
+                for (const auto &[nd, d] : placed)
                     if (used[d] < capacity)
-                        push_device(d);
+                        push_device(nd, d);
                 collect_live();
                 continue;
             }
@@ -124,14 +138,12 @@ expertRelocation(const Cluster &cluster, const std::vector<int> &expert_rep,
                 const DeviceId best = first->second;
                 std::pop_heap(first, first + heap_size[nd], min_heap);
                 --heap_size[nd];
-                ++layout.at(best, x);
+                placed.emplace_back(nd, best);
                 device_loads[best] += avg[x];
                 ++used[best];
                 ++cnt[nd];
-                if (!duplicates)
-                    hosts.push_back(best);
-                else if (used[best] < capacity)
-                    push_device(best);
+                if (duplicates && used[best] < capacity)
+                    push_device(nd, best);
             }
             live.erase(std::remove_if(live.begin(), live.end(),
                                       [&heap_size](NodeId nd) {
@@ -139,13 +151,35 @@ expertRelocation(const Cluster &cluster, const std::vector<int> &expert_rep,
                                       }),
                        live.end());
         }
-        for (DeviceId d : hosts) {
-            cnt[cluster.node(d)] = 0;
-            if (!duplicates && used[d] < capacity)
-                push_device(d);
+
+        // Alg. 1's output for x: its per-node offsets from cnt[], then
+        // each placement scattered into its node's bucket (one or two
+        // devices at the usual shapes), kept device-ascending. Buckets
+        // fill from the back, which returns cnt[] to zero.
+        const std::size_t base = static_cast<std::size_t>(x) * nodes;
+        for (NodeId nd = 0; nd + 1 < nodes; ++nd)
+            off[base + nd + 1] = off[base + nd] + cnt[nd];
+        for (const auto &[nd, d] : placed) {
+            const std::size_t last = off[base + nd + 1];
+            std::size_t k = off[base + nd] + --cnt[nd];
+            for (; k + 1 < last && dev[k + 1] < d; ++k)
+                dev[k] = dev[k + 1];
+            dev[k] = d;
         }
+        if (!duplicates)
+            for (const auto &[nd, d] : placed)
+                if (used[d] < capacity)
+                    push_device(nd, d);
     }
-    return layout;
+    return ReplicaIndex(n, nodes, std::move(off), std::move(dev));
+}
+
+ExpertLayout
+expertRelocation(const Cluster &cluster, const std::vector<int> &expert_rep,
+                 const std::vector<TokenCount> &expert_loads, int capacity)
+{
+    return expertRelocationIndex(cluster, expert_rep, expert_loads, capacity)
+        .layout();
 }
 
 ExpertLayout

@@ -46,12 +46,24 @@ namespace laer
  * selects (std::nth_element) the least (load, device) node tops. An
  * expert whose duplicates are forced adds O(nodes) per further level.
  *
+ * The placement comes out as the ReplicaIndex arrays themselves: an
+ * expert's per-node offsets follow from the per-node counts the levels
+ * keep, and each placement is insertion-sorted into its node's bucket.
+ *
  * @param cluster       Topology (node(i) is what the algorithm needs).
  * @param expert_rep    Replicas per expert; must sum to N * capacity.
  * @param expert_loads  Total tokens per expert.
  * @param capacity      Expert slots per device (C).
- * @return feasible layout A.
+ * @return the replica index of a feasible layout A (equal, array for
+ *         array, to ReplicaIndex(cluster, A)).
  */
+ReplicaIndex expertRelocationIndex(const Cluster &cluster,
+                                   const std::vector<int> &expert_rep,
+                                   const std::vector<TokenCount> &expert_loads,
+                                   int capacity);
+
+/** expertRelocationIndex materialised as the N x E layout A, for
+ * callers that keep a layout (evenLayout, SmartMoE, the benches). */
 ExpertLayout expertRelocation(const Cluster &cluster,
                               const std::vector<int> &expert_rep,
                               const std::vector<TokenCount> &expert_loads,

@@ -16,24 +16,6 @@ RoutingPlanSparse::clear(int n_devices, int n_experts)
     entries_.clear();
 }
 
-void
-RoutingPlanSparse::add(DeviceId rank, ExpertId expert, DeviceId dst,
-                       TokenCount tokens)
-{
-    LAER_ASSERT(rank >= 0 && rank < numDevices_ && expert >= 0 &&
-                    expert < numExperts_ && dst >= 0 &&
-                    dst < numDevices_,
-                "sparse plan index out of range");
-    LAER_ASSERT(rank >= curRow_,
-                "sparse plan rows must be appended in rank order");
-    // Ranks skipped since the last append have empty rows starting
-    // (and ending) at the current entry count.
-    for (int r = curRow_ + 1; r <= rank; ++r)
-        rowOff_[static_cast<std::size_t>(r)] = entries_.size();
-    curRow_ = rank;
-    entries_.push_back({expert, dst, tokens});
-}
-
 const RoutingPlanSparse::Entry *
 RoutingPlanSparse::row(DeviceId rank, std::size_t &count) const
 {

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "comm/collectives.hh"
+#include "core/error.hh"
 #include "planner/lite_routing.hh"
 #include "planner/types.hh"
 #include "topo/cluster.hh"
@@ -67,7 +68,21 @@ class RoutingPlanSparse
      * cells within a row are allowed and sum.
      */
     void add(DeviceId rank, ExpertId expert, DeviceId dst,
-             TokenCount tokens);
+             TokenCount tokens)
+    {
+        LAER_ASSERT(rank >= 0 && rank < numDevices_ && expert >= 0 &&
+                        expert < numExperts_ && dst >= 0 &&
+                        dst < numDevices_,
+                    "sparse plan index out of range");
+        LAER_ASSERT(rank >= curRow_,
+                    "sparse plan rows must be appended in rank order");
+        // Ranks skipped since the last append have empty rows starting
+        // (and ending) at the current entry count.
+        for (int r = curRow_ + 1; r <= rank; ++r)
+            rowOff_[static_cast<std::size_t>(r)] = entries_.size();
+        curRow_ = rank;
+        entries_.push_back({expert, dst, tokens});
+    }
 
     /** Entries of one source rank's row. */
     const Entry *row(DeviceId rank, std::size_t &count) const;

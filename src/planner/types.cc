@@ -104,6 +104,52 @@ ExpertLayout::feasible(int capacity) const
     return true;
 }
 
+void
+ReplicaIndex::rebuild(const Cluster &cluster, const ExpertLayout &layout)
+{
+    const int n = layout.numDevices();
+    const int e = layout.numExperts();
+    LAER_ASSERT(cluster.numDevices() == n,
+                "cluster does not match layout");
+    numDevices_ = n;
+    numExperts_ = e;
+    numNodes_ = cluster.numNodes();
+
+    // Counting pass over the layout's non-zero cells.
+    off_.assign(static_cast<std::size_t>(e) * numNodes_ + 1, 0);
+    for (DeviceId d = 0; d < n; ++d) {
+        const NodeId m = cluster.node(d);
+        for (ExpertId j = 0; j < e; ++j)
+            off_[cell(j, m) + 1] += static_cast<std::size_t>(layout.at(d, j));
+    }
+    for (std::size_t c = 0; c + 1 < off_.size(); ++c)
+        off_[c + 1] += off_[c];
+
+    // Fill pass. Devices are visited in ascending order, so every list
+    // comes out device-ascending with multiplicity — the order Alg. 3
+    // defines its remainder rotation over.
+    dev_.resize(off_.back());
+    std::vector<std::size_t> fill(off_.begin(), off_.end() - 1);
+    for (DeviceId d = 0; d < n; ++d) {
+        const NodeId m = cluster.node(d);
+        for (ExpertId j = 0; j < e; ++j)
+            for (int r = 0; r < layout.at(d, j); ++r)
+                dev_[fill[cell(j, m)]++] = d;
+    }
+}
+
+ExpertLayout
+ReplicaIndex::layout() const
+{
+    ExpertLayout a(numDevices_, numExperts_);
+    for (ExpertId j = 0; j < numExperts_; ++j) {
+        const DeviceId *d = all(j);
+        for (const DeviceId *end = d + allCount(j); d != end; ++d)
+            ++a.at(*d, j);
+    }
+    return a;
+}
+
 RoutingPlan::RoutingPlan(int n_devices, int n_experts)
     : numDevices_(n_devices), numExperts_(n_experts),
       data_(static_cast<std::size_t>(n_devices) * n_experts * n_devices, 0)

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <utility>
 
 #include "core/error.hh"
 #include "core/stats.hh"
@@ -55,9 +56,13 @@ TrainingSimulator::TrainingSimulator(const Cluster &cluster,
         rm.tokensPerDevice = config_.tokensPerDevice;
         rm.seed = config_.seed + 1000003ULL * l;
         generators_.emplace_back(rm);
-        currentLayouts_.push_back(evenLayout(
-            cluster_, config_.model.numExperts, config_.capacity));
     }
+    const auto layers = static_cast<std::size_t>(config_.simulatedLayers);
+    currentLayouts_.assign(layers, evenLayout(cluster_,
+                                              config_.model.numExperts,
+                                              config_.capacity));
+    replicaIndex_.resize(layers);
+    plans_.resize(layers);
 
     if (config_.system == SystemKind::FlexMoe) {
         FlexMoeConfig fc;
@@ -96,7 +101,9 @@ TrainingSimulator::step()
     for (int l = 0; l < sim_layers; ++l)
         routing.push_back(generators_[l].next());
 
-    // 2. Expert layouts per the active system.
+    // 2. Expert layouts per the active system. The LAER tuner hands
+    // over each winner's replica index with its layout.
+    bool index_adopted = false;
     if (config_.system == SystemKind::Laer && iteration_ > 0) {
         // Asynchronous tuner: solves from the PREVIOUS iteration's
         // routing (Fig. 7); we measure the real wall-clock it takes.
@@ -108,9 +115,12 @@ TrainingSimulator::step()
         const auto t0 = std::chrono::steady_clock::now();
         for (int l = 0; l < sim_layers; ++l) {
             tc.seed = config_.seed + 7919ULL * iteration_ + l;
-            currentLayouts_[l] =
-                tuneExpertLayout(cluster_, prevRouting_[l], tc).layout;
+            LayoutDecision dec =
+                tuneExpertLayout(cluster_, prevRouting_[l], tc);
+            currentLayouts_[l] = std::move(dec.layout);
+            replicaIndex_[l] = std::move(dec.index);
         }
+        index_adopted = true;
         const auto t1 = std::chrono::steady_clock::now();
         result.plannerWall =
             std::chrono::duration<double>(t1 - t0).count();
@@ -137,8 +147,6 @@ TrainingSimulator::step()
 
     // 3. Token dispatch on the current iteration's routing, straight
     // into the sparse plan: the dense N x E x N plan never exists.
-    replicaIndex_.resize(sim_layers);
-    plans_.resize(sim_layers);
     std::vector<double> layer_imbalance(sim_layers);
     std::vector<TokenCount> recv;
     for (int l = 0; l < sim_layers; ++l) {
@@ -147,7 +155,8 @@ TrainingSimulator::step()
             staticEpRoutingSparse(routing[l], grouping_,
                                   currentLayouts_[l], plans_[l]);
         } else {
-            replicaIndex_[l].rebuild(cluster_, currentLayouts_[l]);
+            if (!index_adopted)
+                replicaIndex_[l].rebuild(cluster_, currentLayouts_[l]);
             liteRoutingSparse(cluster_, routing[l], replicaIndex_[l],
                               plans_[l]);
         }

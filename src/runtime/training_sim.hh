@@ -109,9 +109,9 @@ class TrainingSimulator
     std::vector<ExpertLayout> currentLayouts_; //!< per sim layer
     std::vector<std::unique_ptr<FlexMoePlanner>> flexPlanners_;
     std::vector<std::unique_ptr<SmartMoePlanner>> smartPlanners_;
-    /** Per sim layer, reused across iterations (sized on first step):
-     * the replica lists lite routing reads and the routing plan the
-     * micro-batch timeline prices. */
+    /** Per sim layer, reused across iterations: the replica lists
+     * lite routing reads (the tuner's own after a LAER retune) and the
+     * routing plan the micro-batch timeline prices. */
     std::vector<ReplicaIndex> replicaIndex_;
     std::vector<RoutingPlanSparse> plans_;
     int iteration_ = 0;

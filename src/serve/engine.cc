@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "comm/collectives.hh"
 #include "core/error.hh"
@@ -253,11 +254,13 @@ ServingEngine::updateLayouts(const std::vector<RoutingMatrix> &routing,
             const auto wall_start =
                 std::chrono::steady_clock::now();
             runLayers([&](int l) {
-                layouts_[l] = tuneExpertLayout(slice_.topo, aggRouting_[l],
-                                               config_.tuner)
-                                  .layout;
-                aggRouting_[l].clear();
-                indexDirty_[static_cast<std::size_t>(l)] = 1;
+                const auto li = static_cast<std::size_t>(l);
+                LayoutDecision dec = tuneExpertLayout(
+                    slice_.topo, aggRouting_[li], config_.tuner);
+                layouts_[li] = std::move(dec.layout);
+                replicaIndex_[li] = std::move(dec.index);
+                indexDirty_[li] = 0;
+                aggRouting_[li].clear();
             });
             lastRetune_.simTime = result.start;
             lastRetune_.wallMs =

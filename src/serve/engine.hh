@@ -22,8 +22,8 @@
  *
  * Step pricing for every policy runs on the sparse hot path: a
  * per-layer `RoutingPlanSparse`, built against a cached
- * `ReplicaIndex` (rebuilt only when the layout changes) for the
- * lite-routed policies or by StaticEp's fixed in-group rule, with
+ * `ReplicaIndex` (the tuner's own on a LAER retune, rebuilt only when
+ * any other layout change lands) for the lite-routed policies or by StaticEp's fixed in-group rule, with
  * scratch buffers reused across steps, so neither the dense N x E x N
  * plan nor the dense volume matrices exist at any point — the priced
  * times are bit-identical to the dense formulation. Per-layer tune/route

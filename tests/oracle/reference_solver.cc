@@ -95,6 +95,7 @@ exhaustiveLayoutSearch(const Cluster &cluster, const RoutingMatrix &routing,
             break;
     }
     LAER_CHECK(have_best, "no feasible layout found");
+    best.index.rebuild(cluster, best.layout);
     best.schemesTried = static_cast<int>(visited);
     return best;
 }

@@ -257,6 +257,37 @@ TEST(SplitPolicy, IdealSplitFollowsPressure)
               4);
 }
 
+TEST(SplitPolicy, TooSmallClusterHoldsTheSplit)
+{
+    // One 4-device node split 2/2: whole-node moves cannot shift a
+    // device without emptying a pool, so both policies hold the split
+    // under any pressure.
+    ControlState state;
+    state.splitMode = true;
+    state.prefillDevices = 2;
+    state.totalDevices = 4;
+    state.nodeDevices = 4;
+    state.minPoolDevices = 2;
+    const TelemetryWindow hot_prefill = makeWindow(0, 1, 60, 2, 0.5, 0.5);
+    EXPECT_EQ(idealPrefillDevices(hot_prefill, state), 2);
+
+    AutoscalerConfig cfg;
+    ThresholdHysteresisAutoscaler threshold(cfg);
+    TargetUtilizationAutoscaler target(cfg);
+    AutoscalerPolicy *const policies[] = {&threshold, &target};
+    for (AutoscalerPolicy *policy : policies) {
+        TelemetryBus bus;
+        for (int i = 0; i < 12; ++i) {
+            bus.publish(i < 6
+                            ? makeWindow(i, i + 1.0, 60, 2, 0.5, 0.5)
+                            : makeWindow(i, i + 1.0, 2, 60, 0.5, 0.9, 3.0));
+            EXPECT_EQ(policy->decide(bus, state).kind,
+                      ScalingAction::Kind::None)
+                << policy->name() << " window " << i;
+        }
+    }
+}
+
 // ---- drain lifecycle -------------------------------------------------------
 
 Request

@@ -6,12 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "baselines/static_ep.hh"
 #include "core/error.hh"
 #include "core/rng.hh"
+#include "core/thread_pool.hh"
 #include "planner/layout_tuner.hh"
 #include "oracle/dense_plan.hh"
 #include "oracle/reference_solver.hh"
+#include "oracle/tuner_reference.hh"
 #include "planner/lite_routing.hh"
 
 namespace laer
@@ -154,6 +158,61 @@ TEST(LayoutTuner, NearOptimalOnTinyInstances)
             << "exhaustive must be a lower bound (seed " << seed
             << ")";
     }
+}
+
+TEST(LayoutTuner, MatchesReferenceTunerOnFuzzedInstances)
+{
+    // The tuner places each scheme straight into its replica index,
+    // skips repeated schemes and materialises only the winner's
+    // layout. The oracle relocates every scheme to a layout, rebuilds
+    // its index and scores it. Both must agree bit for bit, at any
+    // thread count.
+    ThreadPool pool2(2), pool4(4), pool8(8);
+    ThreadPool *const pools[] = {nullptr, &pool2, &pool4, &pool8};
+    Rng rng(20261020);
+    int repeats = 0;
+    for (int k = 0; k < 300; ++k) {
+        const int nodes = rng.uniformInt(1, 6);
+        const int per_node = rng.uniformInt(1, 8);
+        const Cluster c(nodes, per_node, 100e9, 10e9, 1e12);
+        const int n = c.numDevices();
+        TunerConfig cfg;
+        cfg.capacity = rng.uniformInt(1, 4);
+        const int e = rng.uniformInt(cfg.capacity,
+                                     std::min(n * cfg.capacity, 3 * n + 1));
+        cfg.setSize = rng.uniformInt(2, 10);
+        cfg.seed = static_cast<std::uint64_t>(rng.uniformInt(1, 1 << 30));
+        cfg.cost = toyCost();
+        RoutingMatrix r(n, e);
+        const auto pop = rng.dirichlet(e, rng.uniform(0.1, 2.0));
+        for (DeviceId d = 0; d < n; ++d) {
+            const auto counts = rng.multinomial(rng.uniformInt(0, 3000), pop);
+            for (ExpertId j = 0; j < e; ++j)
+                r.at(d, j) = counts[j];
+        }
+
+        int case_repeats = 0;
+        const LayoutDecision want =
+            tuneExpertLayoutReference(c, r, cfg, &case_repeats);
+        repeats += case_repeats;
+        ASSERT_TRUE(
+            sameReplicaIndex(want.index, ReplicaIndex(c, want.layout)));
+        for (ThreadPool *pool : pools) {
+            cfg.pool = pool;
+            const LayoutDecision got = tuneExpertLayout(c, r, cfg);
+            const int threads = pool != nullptr ? pool->numThreads() : 1;
+            ASSERT_TRUE(got.layout == want.layout)
+                << "case " << k << " threads " << threads;
+            ASSERT_TRUE(sameReplicaIndex(got.index, want.index))
+                << "case " << k << " threads " << threads;
+            ASSERT_EQ(got.cost.comm, want.cost.comm) << "case " << k;
+            ASSERT_EQ(got.cost.comp, want.cost.comp) << "case " << k;
+            ASSERT_EQ(got.schemesTried, want.schemesTried);
+        }
+    }
+    // Perturbations that repeat an earlier scheme (and so are skipped
+    // by the tuner) occurred.
+    EXPECT_GT(repeats, 0);
 }
 
 TEST(ReferenceSolver, FindsObviousOptimum)

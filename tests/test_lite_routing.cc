@@ -4,6 +4,7 @@
  */
 
 #include <algorithm>
+#include <cmath>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include "core/rng.hh"
 #include "difftest/diff.hh"
 #include "oracle/dense_plan.hh"
+#include "oracle/tuner_reference.hh"
 #include "planner/lite_routing.hh"
 #include "planner/relocation.hh"
 #include "planner/replica_alloc.hh"
@@ -131,25 +133,28 @@ TEST(LiteRouting, DuplicateReplicasOnOneDeviceGetDoubleShare)
     EXPECT_EQ(s.at(0, 0, 1), 30);
 }
 
-// Satellite check: liteRouting and both fused scorers agree on recv
-// sums and pair cost for random feasible layouts.
-class ScorerEquivalence : public ::testing::TestWithParam<bool>
+/** Relative agreement of two comm terms to 1e-12. */
+void
+expectCommNear(Seconds got, Seconds want, const char *what)
 {
-};
+    EXPECT_NEAR(got, want, 1e-12 * std::max(std::abs(got), std::abs(want)))
+        << what;
+}
 
-TEST_P(ScorerEquivalence, MatchesDensePlanOnRandomLayouts)
+// The tuner's scorer against the per-share oracle and the dense plan,
+// on random feasible layouts.
+TEST(ScorerEquivalence, MatchesPerShareOracleOnRandomLayouts)
 {
-    const bool fast = GetParam();
     const Cluster c(3, 4, 100e9, 10e9, 1e12);
     const int n = c.numDevices(), e = 7, capacity = 2;
     CostParams params;
     params.commBytesPerToken = 4096;
     params.compFlopsPerToken = 2.5e8;
 
-    // Equivalence through the diff harness: per seed, one exact
-    // checkpoint (integer recv sums, comp term) on each side. The comm
-    // term, whose summation order differs between the formulations,
-    // is compared to a relative 1e-9.
+    // Equivalence with the dense plan through the diff harness: per
+    // seed, one exact checkpoint (integer recv sums, comp term) on
+    // each side. The comm term, whose summation order differs between
+    // the formulations, is compared to a relative 1e-9.
     SnapshotStream dense_exact, scorer_exact;
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
         Rng rng(seed);
@@ -170,8 +175,15 @@ TEST_P(ScorerEquivalence, MatchesDensePlanOnRandomLayouts)
         const RoutingPlan plan = liteRouting(c, r, layout);
         const CostBreakdown dense = timeCost(c, params, plan);
         const LiteRoutingScore score =
-            fast ? scoreLiteRoutingFast(c, r, layout, params)
-                 : scoreLiteRouting(c, r, layout, params);
+            scoreLiteRouting(c, r, layout, params);
+        const LiteRoutingScore oracle =
+            scoreLiteRoutingPerShare(c, r, layout, params);
+
+        // The per-share oracle: exact recv and comp, comm to rounding.
+        EXPECT_EQ(score.recv, oracle.recv) << "seed " << seed;
+        EXPECT_EQ(score.cost.comp, oracle.cost.comp) << "seed " << seed;
+        expectCommNear(score.cost.comm, oracle.cost.comm, "comm");
+        expectCommNear(score.cost.total(), oracle.cost.total(), "total");
 
         const auto recvCounters =
             [](const std::vector<TokenCount> &recv) {
@@ -197,10 +209,8 @@ TEST_P(ScorerEquivalence, MatchesDensePlanOnRandomLayouts)
         dense_exact.snapshots.push_back(de);
         scorer_exact.snapshots.push_back(se);
 
-        // The fast scorer sums the comm term in a different
-        // (tighter) order; timeCost folds tokens per (i, k) pair
-        // before dividing — mathematically identical, equal only to
-        // rounding.
+        // timeCost folds tokens per (i, k) pair before dividing:
+        // mathematically identical, equal only to rounding.
         EXPECT_NEAR(score.cost.comm, dense.comm,
                     1e-9 * std::max(dense.comm, score.cost.comm))
             << "seed " << seed;
@@ -210,10 +220,7 @@ TEST_P(ScorerEquivalence, MatchesDensePlanOnRandomLayouts)
     EXPECT_TRUE(exact.identical()) << exact.toText();
 }
 
-INSTANTIATE_TEST_SUITE_P(ExactAndFast, ScorerEquivalence,
-                         ::testing::Values(false, true));
-
-TEST(LiteRouting, FastScorerHandlesReplicaMultiplicity)
+TEST(LiteRouting, ScorerHandlesReplicaMultiplicity)
 {
     // Duplicate replicas on one device: the self-share exclusion must
     // subtract every occurrence's share, including its slot in the
@@ -230,19 +237,23 @@ TEST(LiteRouting, FastScorerHandlesReplicaMultiplicity)
     params.compFlopsPerToken = 1e8;
     const RoutingPlan plan = liteRouting(c, r, a);
     const CostBreakdown dense = timeCost(c, params, plan);
-    const LiteRoutingScore fast =
-        scoreLiteRoutingFast(c, r, a, params);
-    EXPECT_EQ(fast.recv, receivedTokens(plan));
-    EXPECT_NEAR(fast.cost.comm, dense.comm, 1e-12 * dense.comm);
-    EXPECT_DOUBLE_EQ(fast.cost.comp, dense.comp);
+    const LiteRoutingScore score = scoreLiteRouting(c, r, a, params);
+    const LiteRoutingScore oracle =
+        scoreLiteRoutingPerShare(c, r, a, params);
+    EXPECT_EQ(score.recv, receivedTokens(plan));
+    EXPECT_EQ(score.recv, oracle.recv);
+    EXPECT_NEAR(score.cost.comm, dense.comm, 1e-12 * dense.comm);
+    expectCommNear(score.cost.comm, oracle.cost.comm, "comm");
+    EXPECT_DOUBLE_EQ(score.cost.comp, dense.comp);
 }
 
 TEST(LiteRouting, ExactScorerIsBitIdenticalToSeedFormulation)
 {
-    // The tuner's default scorer must preserve the seed's summation
-    // order: shares visited per (source, expert, rotated slot), one
-    // divide per off-device share. Recompute that sum here and demand
-    // exact equality of the comm term.
+    // The per-share oracle must preserve the seed's summation order:
+    // shares visited per (source, expert, rotated slot), one divide
+    // per off-device share. Recompute that sum here and demand exact
+    // equality of the comm term; the tuner's scorer agrees with it
+    // exactly on recv and to 1e-12 on the cost.
     const Cluster c(2, 4, 100e9, 10e9, 1e12);
     const int n = c.numDevices(), e = 5;
     Rng rng(99);
@@ -279,11 +290,14 @@ TEST(LiteRouting, ExactScorerIsBitIdenticalToSeedFormulation)
                              });
         }
     }
-    const LiteRoutingScore score =
-        scoreLiteRouting(c, r, layout, params);
-    EXPECT_EQ(score.cost.comm,
+    const LiteRoutingScore oracle =
+        scoreLiteRoutingPerShare(c, r, index, params);
+    EXPECT_EQ(oracle.cost.comm,
               4.0 * static_cast<double>(params.commBytesPerToken) *
                   pair_sum);
+    const LiteRoutingScore score = scoreLiteRouting(c, r, index, params);
+    EXPECT_EQ(score.recv, oracle.recv);
+    expectCommNear(score.cost.total(), oracle.cost.total(), "total");
 }
 
 } // namespace

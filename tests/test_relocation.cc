@@ -15,6 +15,7 @@
 
 #include "core/error.hh"
 #include "core/rng.hh"
+#include "oracle/tuner_reference.hh"
 #include "planner/relocation.hh"
 #include "planner/replica_alloc.hh"
 
@@ -289,10 +290,15 @@ TEST(Relocation, MatchesReferenceOnFuzzedInputs)
         int case_fallbacks = 0;
         const ExpertLayout want =
             referenceRelocation(c, rep, loads, capacity, case_fallbacks);
-        const ExpertLayout got = expertRelocation(c, rep, loads, capacity);
-        ASSERT_TRUE(got == want)
+        // Alg. 1 emits the replica index itself: it must equal the one
+        // rebuilt from the reference layout, and materialise to it.
+        const ReplicaIndex index =
+            expertRelocationIndex(c, rep, loads, capacity);
+        ASSERT_TRUE(sameReplicaIndex(index, ReplicaIndex(c, want)))
             << "case " << cases << ": " << nodes << "x" << per_node
             << " C=" << capacity << " E=" << experts;
+        const ExpertLayout got = index.layout();
+        ASSERT_TRUE(got == want) << "case " << cases;
         ASSERT_TRUE(got.feasible(capacity));
         fallbacks += case_fallbacks;
         for (DeviceId d = 0; d < n; ++d)
@@ -376,11 +382,13 @@ TEST(Relocation, MatchesReferenceAtBenchShapes)
             int fallbacks = 0;
             const ExpertLayout want =
                 referenceRelocation(c, rep, loads, capacity, fallbacks);
-            const ExpertLayout got =
-                expertRelocation(c, rep, loads, capacity);
-            ASSERT_TRUE(got == want) << shape.name << " case " << k << ": "
-                                     << nodes << " nodes, C=" << capacity
-                                     << " E=" << experts;
+            const ReplicaIndex index =
+                expertRelocationIndex(c, rep, loads, capacity);
+            ASSERT_TRUE(sameReplicaIndex(index, ReplicaIndex(c, want)))
+                << shape.name << " case " << k << ": " << nodes
+                << " nodes, C=" << capacity << " E=" << experts;
+            const ExpertLayout got = index.layout();
+            ASSERT_TRUE(got == want) << shape.name << " case " << k;
             for (DeviceId d = 0; d < n; ++d)
                 for (ExpertId j = 0; j < experts; ++j)
                     duplicates += std::max(0, got.at(d, j) - 1);

@@ -12,6 +12,7 @@
 
 #include "core/error.hh"
 #include "core/stats.hh"
+#include "ctrl/control_loop.hh"
 #include "serve/arrival.hh"
 #include "serve/batcher.hh"
 #include "serve/kv_cache.hh"
@@ -442,7 +443,6 @@ TEST(ServingSim, RunEndsAtItsLastStepWhateverSinksAttach)
     cfg.routing.skew = 1.2;
     cfg.routing.drift = 0.98;
     cfg.retunePeriod = 4;
-    cfg.tuner.fastScoring = true;
     ServingSimulator bare(cluster, cfg);
     const ServingReport plain = bare.run();
     Seconds last_end = 0.0;
@@ -621,6 +621,39 @@ TEST(ServingSim, KvDisabledKeepsLegacyMaxRunning)
     EXPECT_EQ(report.preemptions, 0);
     EXPECT_DOUBLE_EQ(report.peakKvUtilization, 0.0);
     EXPECT_EQ(report.offered, report.completed);
+}
+
+TEST(ServingSim, SplitControllerHoldsAnUnsplittableCluster)
+{
+    // One 4-device node split 2/2: the split controller moves whole
+    // nodes, so it cannot shift a device without emptying a pool. It
+    // holds the split under prefill-heavy pressure and the run ends.
+    const Cluster cluster(1, 4, 300e9, 12.5e9, 212e12);
+    ServingConfig cfg;
+    cfg.model = mixtral8x7bE8K2();
+    cfg.policy = ServingPolicy::Disaggregated;
+    cfg.capacity = 4;
+    cfg.simulatedLayers = 1;
+    cfg.horizon = 2.0;
+    cfg.arrival.ratePerSec = 40.0;
+    cfg.arrival.meanPrefillTokens = 1024;
+    cfg.arrival.meanDecodeTokens = 8;
+    cfg.arrival.seed = 3;
+    cfg.batcher.tokenBudget = 2048;
+    cfg.seed = 7;
+    ServingSimulator sim(cluster, cfg);
+    const int split = sim.prefillDevices();
+    ControlLoopConfig loop_cfg;
+    loop_cfg.interval = 0.25;
+    loop_cfg.kind = AutoscalerKind::ThresholdHysteresis;
+    ControlLoop loop(sim, loop_cfg);
+    const ServingReport report = loop.run();
+
+    EXPECT_GT(report.offered, 0);
+    EXPECT_EQ(report.completed, report.offered);
+    EXPECT_EQ(loop.actionsTaken(), 0);
+    EXPECT_TRUE(report.scalingEvents.empty());
+    EXPECT_EQ(sim.prefillDevices(), split);
 }
 
 } // namespace

@@ -161,19 +161,6 @@ TEST(ThreadPool, TunerWinnerIndependentOfThreadCount)
                 << "threads " << threads << " seed " << seed;
             EXPECT_DOUBLE_EQ(dec.cost.total(), base.cost.total());
         }
-        // Same invariance on the fast-scoring (tab05) configuration.
-        TunerConfig fast_serial = serial;
-        fast_serial.fastScoring = true;
-        const LayoutDecision fast_base =
-            tuneExpertLayout(c, r, fast_serial);
-        ThreadPool pool(4);
-        TunerConfig fast_parallel = fast_serial;
-        fast_parallel.pool = &pool;
-        const LayoutDecision fast_dec =
-            tuneExpertLayout(c, r, fast_parallel);
-        EXPECT_TRUE(fast_dec.layout == fast_base.layout);
-        EXPECT_DOUBLE_EQ(fast_dec.cost.total(),
-                         fast_base.cost.total());
     }
 }
 
