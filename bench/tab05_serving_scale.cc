@@ -8,10 +8,10 @@
  *
  *  1. Serving-step pricing: the dense path (liteRouting's N x E x N
  *     plan -> dense dispatch/combine VolumeMatrix ->
- *     a2aBottleneckTime -> receivedTokens) vs the sparse path
- *     (RoutingPlanSparse against a cached ReplicaIndex -> per-device
- *     port loads). The priced times are asserted bit-identical; only
- *     wall time differs.
+ *     a2aBottleneckTime -> receivedTokens) vs the serving engine's
+ *     path (liteRoutingLoads against a cached ReplicaIndex: received
+ *     tokens and per-device port loads, no plan). The priced times
+ *     are asserted bit-identical; only wall time differs.
  *  2. A full per-step retune (simulatedLayers independent layer
  *     tunes): dense serial scoring (timeCost over the materialised
  *     dense plan per scheme, plus the dense winner plan — the
@@ -64,7 +64,6 @@
 #include "planner/lite_routing.hh"
 #include "planner/relocation.hh"
 #include "planner/replica_alloc.hh"
-#include "planner/routing_plan_sparse.hh"
 #include "serve/obs_sinks.hh"
 #include "serve/serving_sim.hh"
 #include "topo/cluster.hh"
@@ -208,12 +207,12 @@ priceLayerSparse(const laer::Cluster &cluster,
                  const laer::RoutingMatrix &routing,
                  const laer::ReplicaIndex &index,
                  laer::Bytes token_bytes,
-                 laer::RoutingPlanSparse &plan_scratch,
+                 laer::LiteRoutingScratch &scratch,
                  laer::A2aPortLoads &load_scratch)
 {
-    laer::liteRoutingSparse(cluster, routing, index, plan_scratch);
-    plan_scratch.portLoads(cluster, token_bytes, load_scratch);
     LayerPrice price;
+    laer::liteRoutingLoads(cluster, routing, index, token_bytes, scratch,
+                           price.recv, load_scratch);
     price.dispatch =
         laer::kCollectiveAlpha +
         laer::a2aBottleneckTimeFromLoads(cluster, load_scratch);
@@ -221,7 +220,6 @@ priceLayerSparse(const laer::Cluster &cluster,
                     laer::a2aBottleneckTimeFromLoads(cluster,
                                                      load_scratch,
                                                      /*transpose=*/true);
-    plan_scratch.receivedTokens(price.recv);
     return price;
 }
 
@@ -309,11 +307,11 @@ try {
             const LayerPrice dense = priceLayerDense(
                 cluster, step_routing, layout, model.tokenBytes());
             const ReplicaIndex index(cluster, layout);
-            RoutingPlanSparse plan_scratch;
+            laer::LiteRoutingScratch scratch;
             A2aPortLoads load_scratch;
             const LayerPrice sparse = priceLayerSparse(
                 cluster, step_routing, index, model.tokenBytes(),
-                plan_scratch, load_scratch);
+                scratch, load_scratch);
             // Bit-identity through the diff harness: a divergence
             // names the first differing quantity with both values.
             laer::SnapshotStream dense_stream, sparse_stream;
@@ -353,7 +351,7 @@ try {
             for (int rep = 0; rep < step_reps; ++rep)
                 for (int l = 0; l < layers; ++l)
                     priceLayerSparse(cluster, step_routing, index,
-                                     model.tokenBytes(), plan_scratch,
+                                     model.tokenBytes(), scratch,
                                      load_scratch);
             res.stepSparseMs = msSince(t0) / step_reps;
         }

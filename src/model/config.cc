@@ -65,20 +65,6 @@ ModelConfig::expertFlopsPerToken() const
     return 6.0 * hiddenDim * intermediateDim;
 }
 
-Flops
-ModelConfig::attnFlopsPerToken(int seq_len) const
-{
-    const std::int64_t q = 1LL * hiddenDim * numHeads * headDim;
-    const std::int64_t kv = 2LL * hiddenDim * numKvHeads * headDim;
-    const std::int64_t o = 1LL * numHeads * headDim * hiddenDim;
-    const double weight_flops = 2.0 * static_cast<double>(q + kv + o);
-    // Scores and value mixing: 2 matmuls of [1, d] x [d, seq] per head;
-    // causal masking halves the average effective context.
-    const double score_flops =
-        2.0 * 2.0 * numHeads * headDim * (seq_len / 2.0);
-    return weight_flops + score_flops;
-}
-
 Bytes
 ModelConfig::tokenBytes() const
 {

@@ -68,8 +68,20 @@ struct ModelConfig
     Flops expertFlopsPerToken() const;
 
     /** Forward FLOPs of one token through one attention layer at the
-     * given context length (weight GEMMs + score/value matmuls). */
-    Flops attnFlopsPerToken(int seq_len) const;
+     * given context length (weight GEMMs + score/value matmuls).
+     * Inline: the serving step calls it once per batch entry. */
+    Flops attnFlopsPerToken(int seq_len) const
+    {
+        const std::int64_t q = 1LL * hiddenDim * numHeads * headDim;
+        const std::int64_t kv = 2LL * hiddenDim * numKvHeads * headDim;
+        const std::int64_t o = 1LL * numHeads * headDim * hiddenDim;
+        const double weight_flops = 2.0 * static_cast<double>(q + kv + o);
+        // Scores and value mixing: 2 matmuls of [1, d] x [d, seq] per
+        // head; causal masking halves the average effective context.
+        const double score_flops =
+            2.0 * 2.0 * numHeads * headDim * (seq_len / 2.0);
+        return weight_flops + score_flops;
+    }
 
     /** Bytes moved per token by one All-to-All hop: H * kBytesPerParam
      * (paper's V_comm per token). */

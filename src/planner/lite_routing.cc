@@ -30,26 +30,27 @@ routeRank(const Cluster &cluster, const RoutingMatrix &routing,
     }
 }
 
-} // namespace
-
-RoutingPlan
-liteRouting(const Cluster &cluster, const RoutingMatrix &routing,
-            const ExpertLayout &layout)
+/** What the aggregate loop writes besides received tokens: the
+ * tuner's two wire sums, or the step's dispatch port loads. */
+struct LiteWire
 {
-    const int n = routing.numDevices();
-    LAER_ASSERT(layout.numDevices() == n &&
-                    layout.numExperts() == routing.numExperts(),
-                "layout does not match routing matrix");
-    RoutingPlan plan(n, routing.numExperts());
-    const ReplicaIndex index(cluster, layout);
-    for (DeviceId rank = 0; rank < n; ++rank)
-        routeRank(cluster, routing, index, rank, plan);
-    return plan;
-}
+    TokenCount intra = 0; //!< scorer: tokens on intra-node wires
+    TokenCount inter = 0; //!< scorer: tokens on inter-node wires
+    A2aPortLoads *ports = nullptr; //!< kernel: per-device byte sums
+    Bytes bytesPerToken = 0;       //!< kernel: per-token payload
+};
 
-LiteRoutingScore
-scoreLiteRouting(const Cluster &cluster, const RoutingMatrix &routing,
-                 const ReplicaIndex &index, const CostParams &params)
+/**
+ * The one Alg. 3 aggregate loop, per (node, expert) cell. kPorts
+ * selects at compile time between the scorer's wire sums and the
+ * kernel's port loads; received tokens are written either way.
+ */
+template <bool kPorts>
+void
+aggregateLiteRouting(const Cluster &cluster, const RoutingMatrix &routing,
+                     const ReplicaIndex &index,
+                     LiteRoutingScratch &scratch,
+                     std::vector<TokenCount> &recv, LiteWire &wire)
 {
     const int n = routing.numDevices();
     const int e = routing.numExperts();
@@ -58,21 +59,17 @@ scoreLiteRouting(const Cluster &cluster, const RoutingMatrix &routing,
     LAER_ASSERT(index.numExperts() == e,
                 "index does not match routing matrix");
 
-    LiteRoutingScore score;
-    score.recv.assign(static_cast<std::size_t>(n), 0);
-
-    // Exact integer token sums crossing intra-node and inter-node
-    // wires; the pair term of Eq. 2 is their weighted sum because the
-    // two-level topology has exactly two bandwidth classes.
-    TokenCount wire_intra = 0;
-    TokenCount wire_inter = 0;
+    recv.assign(static_cast<std::size_t>(n), 0);
+    if constexpr (kPorts)
+        wire.ports->reset(n);
 
     // Difference array over remainder-rotation slots, sized for the
     // longest target list.
     std::size_t max_targets = 0;
     for (ExpertId j = 0; j < e; ++j)
         max_targets = std::max(max_targets, index.allCount(j));
-    std::vector<TokenCount> diff(max_targets + 1, 0);
+    std::vector<TokenCount> &diff = scratch.diff;
+    diff.assign(max_targets + 1, 0);
 
     // Per-source split of the current (node, expert) cell: quotient,
     // remainder and rotation start, indexed by position in the node.
@@ -80,8 +77,13 @@ scoreLiteRouting(const Cluster &cluster, const RoutingMatrix &routing,
     // per source.
     const int nodes = cluster.numNodes();
     const int per_node = cluster.devicesPerNode();
-    std::vector<TokenCount> quot(static_cast<std::size_t>(per_node));
-    std::vector<std::size_t> rems(quot.size()), starts(quot.size());
+    const auto width_max = static_cast<std::size_t>(per_node);
+    scratch.quot.resize(width_max);
+    scratch.rems.resize(width_max);
+    scratch.starts.resize(width_max);
+    TokenCount *const quot = scratch.quot.data();
+    std::size_t *const rems = scratch.rems.data();
+    std::size_t *const starts = scratch.starts.data();
     for (NodeId m = 0; m < nodes; ++m) {
         const DeviceId first = cluster.firstDeviceOf(m);
         const int width = std::min(per_node, n - first);
@@ -116,6 +118,14 @@ scoreLiteRouting(const Cluster &cluster, const RoutingMatrix &routing,
                 starts[i] = start;
                 start = start + 1 == count ? 0 : start + 1;
                 sum_base += q;
+                if constexpr (kPorts) {
+                    // Every token leaves its source; the self-shares
+                    // come back off in the slot pass.
+                    const auto src = static_cast<std::size_t>(first + i);
+                    (intra_case ? wire.ports->sendIntra
+                                : wire.ports->sendInter)[src] +=
+                        tokens * wire.bytesPerToken;
+                }
                 if (rem == 0)
                     continue;
                 const std::size_t end = starts[i] + rem;
@@ -138,26 +148,84 @@ scoreLiteRouting(const Cluster &cluster, const RoutingMatrix &routing,
             for (std::size_t s = 0; s < count; ++s) {
                 extra += diff[s];
                 const DeviceId k = targets[s];
-                score.recv[static_cast<std::size_t>(k)] +=
-                    sum_base + extra;
-                if (!intra_case)
+                const auto dst = static_cast<std::size_t>(k);
+                const TokenCount received = sum_base + extra;
+                recv[dst] += received;
+                if (!intra_case) {
+                    if constexpr (kPorts)
+                        wire.ports->recvInter[dst] +=
+                            received * wire.bytesPerToken;
                     continue;
+                }
                 const auto i = static_cast<std::size_t>(k - first);
                 const std::size_t offset = s >= starts[i]
                                                ? s - starts[i]
                                                : s + count - starts[i];
-                self_tokens += quot[i] + (offset < rems[i] ? 1 : 0);
+                const TokenCount self =
+                    quot[i] + (offset < rems[i] ? 1 : 0);
+                if constexpr (kPorts) {
+                    wire.ports->recvIntra[dst] +=
+                        (received - self) * wire.bytesPerToken;
+                    wire.ports->sendIntra[dst] -=
+                        self * wire.bytesPerToken;
+                } else {
+                    self_tokens += self;
+                }
             }
-            if (intra_case)
-                wire_intra += node_tokens - self_tokens;
-            else
-                wire_inter += node_tokens;
+            if constexpr (!kPorts) {
+                if (intra_case)
+                    wire.intra += node_tokens - self_tokens;
+                else
+                    wire.inter += node_tokens;
+            }
         }
     }
+}
 
+} // namespace
+
+RoutingPlan
+liteRouting(const Cluster &cluster, const RoutingMatrix &routing,
+            const ExpertLayout &layout)
+{
+    const int n = routing.numDevices();
+    LAER_ASSERT(layout.numDevices() == n &&
+                    layout.numExperts() == routing.numExperts(),
+                "layout does not match routing matrix");
+    RoutingPlan plan(n, routing.numExperts());
+    const ReplicaIndex index(cluster, layout);
+    for (DeviceId rank = 0; rank < n; ++rank)
+        routeRank(cluster, routing, index, rank, plan);
+    return plan;
+}
+
+void
+liteRoutingLoads(const Cluster &cluster, const RoutingMatrix &routing,
+                 const ReplicaIndex &index, Bytes bytes_per_token,
+                 LiteRoutingScratch &scratch, std::vector<TokenCount> &recv,
+                 A2aPortLoads &loads)
+{
+    LiteWire wire;
+    wire.ports = &loads;
+    wire.bytesPerToken = bytes_per_token;
+    aggregateLiteRouting<true>(cluster, routing, index, scratch, recv,
+                               wire);
+}
+
+LiteRoutingScore
+scoreLiteRouting(const Cluster &cluster, const RoutingMatrix &routing,
+                 const ReplicaIndex &index, const CostParams &params)
+{
+    // The pair term of Eq. 2 is the weighted sum of the two exact
+    // wire totals: the two-level topology has two bandwidth classes.
+    LiteRoutingScore score;
+    LiteRoutingScratch scratch;
+    LiteWire wire;
+    aggregateLiteRouting<false>(cluster, routing, index, scratch,
+                                score.recv, wire);
     const Seconds pair_sum =
-        static_cast<double>(wire_intra) / cluster.intraBw() +
-        static_cast<double>(wire_inter) / cluster.interBw();
+        static_cast<double>(wire.intra) / cluster.intraBw() +
+        static_cast<double>(wire.inter) / cluster.interBw();
     score.cost =
         timeCostFromSums(cluster, params, score.recv, pair_sum);
     return score;

@@ -13,19 +13,22 @@
  * The replica target lists depend only on the layout, not on the
  * source: a `ReplicaIndex` (planner/types.hh) holds them once per
  * layout (global CSR per expert plus per-(node, expert) intra lists),
- * so the per-rank dispatch is allocation-free. The routing entry
- * points — the sparse builder `liteRoutingSparse`
- * (planner/routing_plan_sparse.hh) that every pricing path uses, and
+ * so the per-rank dispatch is allocation-free. The plan builders —
+ * sparse `liteRoutingSparse` (planner/routing_plan_sparse.hh) and
  * dense `liteRouting`, kept for IterationSpec::layerPlans inputs —
- * share this index and the `forEachLiteShare` split rule, which is
- * what keeps them exactly consistent. The tuner's scorer
- * `scoreLiteRouting` reads the same index per (node, expert) and
- * never visits a share.
+ * share this index and the `forEachLiteShare` split rule. The serving
+ * and training steps' kernel `liteRoutingLoads` and the tuner's scorer
+ * `scoreLiteRouting` read the same index per (node, expert), in one
+ * aggregate loop, and never visit a share; the tests hold the kernel
+ * to the plan exactly.
  */
 
 #ifndef LAER_PLANNER_LITE_ROUTING_HH
 #define LAER_PLANNER_LITE_ROUTING_HH
 
+#include <vector>
+
+#include "comm/collectives.hh"
 #include "core/error.hh"
 #include "planner/cost_model.hh"
 #include "planner/types.hh"
@@ -73,7 +76,7 @@ forEachLiteShare(const DeviceId *targets, std::size_t count,
  * Route every source device's tokens (each row of R) against the
  * global layout: Alg. 3 runs independently per device, against one
  * ReplicaIndex built once and shared across ranks. Dense output for
- * IterationSpec::layerPlans; pricing routes with liteRoutingSparse.
+ * IterationSpec::layerPlans; the steps price with liteRoutingLoads.
  *
  * @param cluster  Topology.
  * @param routing  Routing matrix R.
@@ -83,6 +86,45 @@ forEachLiteShare(const DeviceId *targets, std::size_t count,
 RoutingPlan liteRouting(const Cluster &cluster,
                         const RoutingMatrix &routing,
                         const ExpertLayout &layout);
+
+/** Reusable buffers of the aggregate Alg. 3 loop. One caller at a
+ * time: concurrent callers each own one. */
+struct LiteRoutingScratch
+{
+    std::vector<TokenCount> diff;      //!< remainder-rotation slots
+    std::vector<TokenCount> quot;      //!< per source in the node
+    std::vector<std::size_t> rems;     //!< per source in the node
+    std::vector<std::size_t> starts;   //!< per source in the node
+};
+
+/**
+ * One layer's lite routing priced without a plan: the received tokens
+ * and the dispatch port loads that liteRoutingSparse followed by
+ * RoutingPlanSparse::receivedTokens and RoutingPlanSparse::portLoads
+ * produce, exactly, straight from the (node, expert) totals.
+ *
+ * Per (node, expert) cell every source divides its tokens once
+ * (quotient, remainder, rotation start); a difference array over the
+ * target slots folds the remainders into each slot's received count,
+ * and the self-shares of sources that host their own replica are
+ * taken off the wire, as the scorer does. The work is
+ * O(N * E + nodes * E * |targets|), against one division per share
+ * for the plan. All sums are exact integers, so the loads, and every
+ * time priced from them, are bit-identical to the plan's.
+ *
+ * @param cluster          Topology.
+ * @param routing          Routing matrix R.
+ * @param index            Replica lists of the layout in force.
+ * @param bytes_per_token  Per-token payload.
+ * @param scratch          Loop buffers (grown on demand, reused).
+ * @param recv             Out: tokens per destination device.
+ * @param loads            Out: dispatch port loads (the combine
+ *                         direction is their transpose).
+ */
+void liteRoutingLoads(const Cluster &cluster, const RoutingMatrix &routing,
+                      const ReplicaIndex &index, Bytes bytes_per_token,
+                      LiteRoutingScratch &scratch,
+                      std::vector<TokenCount> &recv, A2aPortLoads &loads);
 
 /** Aggregates produced by the fused route-and-score pass. */
 struct LiteRoutingScore
@@ -99,11 +141,12 @@ struct LiteRoutingScore
  * inside the per-layer time budget even at 1024 devices (Fig. 11).
  *
  * Evaluated per (node, expert) instead of per (source, expert,
- * replica): every source in a node shares the Alg. 3 target list, so
- * received tokens accumulate through a difference array over the
- * remainder rotation, and the wire term reduces to two exact integer
- * token sums (intra-/inter-node) divided by the two bandwidths —
- * O(nodes * E * replicas) instead of O(N * E * replicas). recv is
+ * replica), in liteRoutingLoads' loop: every source in a node shares
+ * the Alg. 3 target list, so received tokens accumulate through a
+ * difference array over the remainder rotation, and the wire term
+ * reduces to two exact integer token sums (intra-/inter-node) divided
+ * by the two bandwidths — O(nodes * E * replicas) instead of
+ * O(N * E * replicas). recv is
  * exactly the routed plan's. The pair cost is the mathematically
  * identical sum with two divisions instead of one per share, so it
  * matches timeCost() and the per-share oracle in the test suite to

@@ -5,9 +5,13 @@
  * The dense RoutingPlan stores N x E x N token counts: 67M entries
  * per layer at 1024 devices x 64 experts, almost all zero, because a
  * source routes each expert's tokens to at most |replica set| (and
- * under lite routing usually to a handful of) destinations. The
- * serving step pricer touches S once per layer per step, so at scale
- * the dense materialisation dominates the planner/serving wall time.
+ * under lite routing usually to a handful of) destinations.
+ *
+ * The serving and training steps build this plan only for the static
+ * EP rules (staticEpRoutingSparse); under lite routing they price from
+ * liteRoutingLoads (planner/lite_routing.hh), which yields the same
+ * received tokens and port loads without a plan. liteRoutingSparse
+ * remains for FlexMoE's Eq. 2 score, the tests and perfbench.
  *
  * RoutingPlanSparse stores, per source rank, a CSR row of
  * (expert, destination, tokens) triples. Everything the pricer needs

@@ -39,6 +39,18 @@ usesFsep(SystemKind kind)
            kind == SystemKind::SmartMoe;
 }
 
+/** Wire-op inflation of the spec's schedule: contention applies
+ * unless prefetch is both relaxed and ordered behind the token
+ * All-to-All (Fig. 5(a)/(c) "slowdown"); Megatron prefetches nothing. */
+double
+channelContention(const IterationSpec &spec)
+{
+    const bool contended =
+        spec.system != SystemKind::Megatron &&
+        !(spec.flags.relaxedPrefetch && spec.flags.prefetchAfterA2A);
+    return contended ? kChannelContention : 1.0;
+}
+
 /** Devices of the node hosting `d` (the FSDP shard group). */
 std::vector<DeviceId>
 nodeGroup(const Cluster &cluster, DeviceId d)
@@ -113,8 +125,54 @@ optimizerStepTime(const ModelConfig &model, int n_devices)
     return bytes / kHbmBandwidth;
 }
 
-MicroBatchResult
-simulateMicroBatch(const Cluster &cluster, const IterationSpec &spec)
+int
+expertTpDegree(const IterationSpec &spec, int n_devices)
+{
+    const int etp = spec.system == SystemKind::Megatron
+                        ? std::max(1, spec.expertTpDegree)
+                        : 1;
+    LAER_CHECK(n_devices % etp == 0,
+               "expert TP degree must divide the device count");
+    return etp;
+}
+
+void
+priceLayer(const Cluster &cluster, const IterationSpec &spec,
+           const std::vector<TokenCount> &recv, const A2aPortLoads &loads,
+           LayerTiming &out)
+{
+    LAER_CHECK(spec.model != nullptr, "spec needs a model");
+    const int n = cluster.numDevices();
+    // Expert TP shares each expert's GEMMs across the contiguous
+    // intra-node block of etp devices: the block's combined token load
+    // is computed jointly, and its receive buffer is striped over the
+    // block (expertTpPortLoads), spreading the hotspot.
+    const int etp = expertTpDegree(spec, n);
+    const double bcomp = cluster.computeFlops();
+    const Flops expert_flops = spec.model->expertFlopsPerToken();
+    out.dispatch = a2aBottleneckTimeFromLoads(cluster, loads) *
+                   channelContention(spec);
+    out.combine = a2aBottleneckTimeFromLoads(cluster, loads,
+                                             /*transpose=*/true);
+    out.expertFwd.resize(static_cast<std::size_t>(n));
+    for (DeviceId d = 0; d < n; ++d) {
+        TokenCount block = 0;
+        const DeviceId base = (d / etp) * etp;
+        for (int p = 0; p < etp; ++p)
+            block += recv[base + p];
+        out.expertFwd[d] =
+            static_cast<double>(block) * expert_flops / (bcomp * etp);
+    }
+}
+
+namespace
+{
+
+/** priceLayer on every layer plan of `spec` (layerSparse, or
+ * layerPlans compressed once). Throws FatalError for a spec without
+ * exactly one of them. */
+std::vector<LayerTiming>
+priceLayers(const Cluster &cluster, const IterationSpec &spec)
 {
     LAER_CHECK(spec.model != nullptr, "spec needs a model");
     LAER_CHECK(spec.layerSparse.empty() != spec.layerPlans.empty(),
@@ -128,21 +186,41 @@ simulateMicroBatch(const Cluster &cluster, const IterationSpec &spec)
             plans.push_back(&compressed.back());
         }
     }
+    const int etp = expertTpDegree(spec, cluster.numDevices());
+    std::vector<LayerTiming> timings(plans.size());
+    A2aPortLoads loads;
+    std::vector<TokenCount> recv;
+    for (std::size_t l = 0; l < plans.size(); ++l) {
+        expertTpPortLoads(cluster, *plans[l], spec.model->tokenBytes(), etp,
+                          loads);
+        plans[l]->receivedTokens(recv);
+        priceLayer(cluster, spec, recv, loads, timings[l]);
+    }
+    return timings;
+}
+
+} // namespace
+
+MicroBatchResult
+simulateMicroBatch(const Cluster &cluster, const IterationSpec &spec)
+{
+    return replayMicroBatch(cluster, spec, priceLayers(cluster, spec));
+}
+
+MicroBatchResult
+replayMicroBatch(const Cluster &cluster, const IterationSpec &spec,
+                 const std::vector<LayerTiming> &timings)
+{
+    LAER_CHECK(spec.model != nullptr, "spec needs a model");
     const ModelConfig &model = *spec.model;
     const int n = cluster.numDevices();
-    const int layers = static_cast<int>(plans.size());
+    const int layers = static_cast<int>(timings.size());
     const double bcomp = cluster.computeFlops();
     const TokenCount s = spec.tokensPerDevice;
     const bool fsep = usesFsep(spec.system);
     const bool is_megatron = spec.system == SystemKind::Megatron;
     const int tp = is_megatron ? std::max(1, spec.tpDegree) : 1;
-
-    // Contention applies unless prefetch is both relaxed and ordered
-    // behind the token All-to-All (Fig. 5(a)/(c) "slowdown").
-    const bool contended =
-        !is_megatron &&
-        !(spec.flags.relaxedPrefetch && spec.flags.prefetchAfterA2A);
-    const double contention = contended ? kChannelContention : 1.0;
+    const double contention = channelContention(spec);
 
     // ---- Fixed durations -------------------------------------------------
     // Attention (+gate) per device; Megatron adds TP activation
@@ -220,38 +298,6 @@ simulateMicroBatch(const Cluster &cluster, const IterationSpec &spec)
                               kBytesPerParam / tp);
     }
 
-    // ---- Per-layer traffic and expert compute --------------------------
-    // Expert TP shares each expert's GEMMs across the contiguous
-    // intra-node block of etp devices: the block's combined token load
-    // is computed jointly, and its receive buffer is striped over the
-    // block, spreading the hotspot.
-    const int etp = is_megatron ? std::max(1, spec.expertTpDegree) : 1;
-    LAER_CHECK(n % etp == 0,
-               "expert TP degree must divide the device count");
-    const Flops expert_flops = model.expertFlopsPerToken();
-    std::vector<Seconds> dispatch_dur(layers), combine_dur(layers);
-    std::vector<std::vector<Seconds>> expert_fwd(layers);
-    A2aPortLoads loads;
-    std::vector<TokenCount> recv;
-    for (int l = 0; l < layers; ++l) {
-        const RoutingPlanSparse &plan = *plans[l];
-        expertTpPortLoads(cluster, plan, model.tokenBytes(), etp, loads);
-        dispatch_dur[l] =
-            a2aBottleneckTimeFromLoads(cluster, loads) * contention;
-        combine_dur[l] = a2aBottleneckTimeFromLoads(cluster, loads,
-                                                    /*transpose=*/true);
-        plan.receivedTokens(recv);
-        expert_fwd[l].resize(n);
-        for (DeviceId d = 0; d < n; ++d) {
-            TokenCount block = 0;
-            const DeviceId base = (d / etp) * etp;
-            for (int p = 0; p < etp; ++p)
-                block += recv[base + p];
-            expert_fwd[l][d] = static_cast<double>(block) *
-                               expert_flops / (bcomp * etp);
-        }
-    }
-
     // ---- Replay the launch order on per-stream clocks -------------------
     // Each device runs in-order streams (Fig. 5): a task starts at
     // max(latest dependency, its stream's tail) and its finish becomes
@@ -263,8 +309,21 @@ simulateMicroBatch(const Cluster &cluster, const IterationSpec &spec)
         gradsync(n, 0.0);
     Seconds a2a = 0.0;
     Seconds a2a_sum = 0.0, expert_sum = 0.0, others_sum = 0.0;
+    // Every busy list's length is known from the layer count: per
+    // device at most attention and expert per forward layer, the head
+    // twice, and expert, attention and an inline gradient sync per
+    // backward layer; n prefetches per layer each way; n syncs per
+    // layer.
     std::vector<std::vector<BusyInterval>> compute_busy(n);
+    for (std::vector<BusyInterval> &busy : compute_busy)
+        busy.reserve(5 * static_cast<std::size_t>(layers) + 2);
     std::vector<BusyInterval> prefetch_busy, gradsync_busy;
+    const auto layer_tasks = static_cast<std::size_t>(layers) *
+                             static_cast<std::size_t>(n);
+    if (prefetch_dur > 0.0)
+        prefetch_busy.reserve(2 * layer_tasks);
+    if (spec.withGradSync && gradsync_dur > 0.0)
+        gradsync_busy.reserve(layer_tasks);
     auto launch = [](Seconds &tail, Seconds ready, Seconds dur) {
         LAER_CHECK(dur >= 0.0, "negative task duration");
         const Seconds start = std::max(ready, tail);
@@ -317,16 +376,16 @@ simulateMicroBatch(const Cluster &cluster, const IterationSpec &spec)
             others_sum += attn_fwd;
             ready = std::max(ready, attn[d]);
         }
-        dispatch = barrier(ready, dispatch_dur[l]);
+        dispatch = barrier(ready, timings[l].dispatch);
 
         ready = 0.0;
         for (DeviceId d = 0; d < n; ++d) {
             ready = std::max(ready,
                              run_compute(d, std::max(dispatch, pf[d]),
-                                         expert_fwd[l][d]));
-            expert_sum += expert_fwd[l][d];
+                                         timings[l].expertFwd[d]));
+            expert_sum += timings[l].expertFwd[d];
         }
-        combine = barrier(ready, combine_dur[l]);
+        combine = barrier(ready, timings[l].combine);
     }
 
     // LM head forward + backward (the turnaround point). From here
@@ -376,17 +435,17 @@ simulateMicroBatch(const Cluster &cluster, const IterationSpec &spec)
         Seconds ready = 0.0;
         for (DeviceId d = 0; d < n; ++d)
             ready = std::max(ready, done[d]);
-        bwd_dispatch = barrier(ready, combine_dur[l]);
+        bwd_dispatch = barrier(ready, timings[l].combine);
 
         // Full recompute re-dispatches the forward tokens before the
         // expert pass can be replayed.
         Seconds expert_ready = bwd_dispatch;
         if (recompute_a2a)
-            expert_ready = barrier(expert_ready, dispatch_dur[l]);
+            expert_ready = barrier(expert_ready, timings[l].dispatch);
 
         ready = 0.0;
         for (DeviceId d = 0; d < n; ++d) {
-            const Seconds dur = bwd_factor * expert_fwd[l][d];
+            const Seconds dur = bwd_factor * timings[l].expertFwd[d];
             done[d] = run_compute(d, std::max(expert_ready, pf[d]), dur);
             expert_sum += dur;
             ready = std::max(ready, done[d]);
@@ -405,7 +464,7 @@ simulateMicroBatch(const Cluster &cluster, const IterationSpec &spec)
             }
         }
 
-        const Seconds bwd_combine = barrier(ready, dispatch_dur[l]);
+        const Seconds bwd_combine = barrier(ready, timings[l].dispatch);
         for (DeviceId d = 0; d < n; ++d) {
             done[d] = run_compute(d, bwd_combine,
                                   attn_bwd_factor * attn_fwd);

@@ -1,8 +1,12 @@
 /**
  * @file
- * Micro-batch timeline: turns per-layer routing plans into the
- * stream/task schedule of Fig. 5 / Fig. 7 and prices it on one clock
- * per (device, stream).
+ * Micro-batch timeline: prices each MoE layer's token traffic once
+ * (priceLayer, from received tokens and dispatch port loads), then
+ * replays the stream/task schedule of Fig. 5 / Fig. 7 over those
+ * durations on one clock per (device, stream) (replayMicroBatch). A
+ * training iteration replays its plain and its gradient-synced
+ * micro-batch from one pricing; simulateMicroBatch prices from routing
+ * plans and replays once.
  */
 
 #ifndef LAER_RUNTIME_ITERATION_HH
@@ -105,12 +109,50 @@ void expertTpPortLoads(const Cluster &cluster,
                        Bytes bytes_per_token, int etp,
                        A2aPortLoads &out);
 
+/** One MoE layer's priced token traffic: what the replay reads. */
+struct LayerTiming
+{
+    Seconds dispatch = 0.0;         //!< token dispatch, contention in
+    Seconds combine = 0.0;          //!< token combine
+    std::vector<Seconds> expertFwd; //!< expert forward, per device
+};
+
 /**
- * Replay the full forward+backward schedule of one micro-batch in
- * launch order on per-(device, stream) clocks and return its timing
- * breakdown. Throws FatalError for an invalid spec or a negative task
- * duration.
+ * Expert TP degree `spec` prices with: its expertTpDegree for
+ * Megatron, 1 for every other system.
+ * @throws FatalError when the degree does not divide n_devices.
  */
+int expertTpDegree(const IterationSpec &spec, int n_devices);
+
+/**
+ * Price one MoE layer of `spec` from its received tokens and its
+ * dispatch port loads (expertTpPortLoads at expertTpDegree(), which
+ * for every system but Megatron is RoutingPlanSparse::portLoads or
+ * liteRoutingLoads). Reads no plan; spec.withGradSync does not enter.
+ *
+ * @param cluster  Topology.
+ * @param spec     The micro-batch (model, system, flags, expert TP).
+ * @param recv     Tokens each device receives.
+ * @param loads    Dispatch port loads of the layer.
+ * @param out      Filled durations (storage reused).
+ */
+void priceLayer(const Cluster &cluster, const IterationSpec &spec,
+                const std::vector<TokenCount> &recv,
+                const A2aPortLoads &loads, LayerTiming &out);
+
+/**
+ * Replay the full forward+backward schedule of one micro-batch over
+ * priced layers, in launch order on per-(device, stream) clocks, and
+ * return its timing breakdown. The spec's plans are not read. Throws
+ * FatalError for an invalid spec or a negative task duration.
+ */
+MicroBatchResult replayMicroBatch(const Cluster &cluster,
+                                  const IterationSpec &spec,
+                                  const std::vector<LayerTiming> &layers);
+
+/** Price the spec's layer plans (layerSparse, or layerPlans
+ * compressed once; exactly one of them) with priceLayer and replay
+ * them once with replayMicroBatch. */
 MicroBatchResult simulateMicroBatch(const Cluster &cluster,
                                     const IterationSpec &spec);
 

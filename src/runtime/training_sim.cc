@@ -145,28 +145,11 @@ TrainingSimulator::step()
             currentLayouts_[l] = staticLayout_;
     }
 
-    // 3. Token dispatch on the current iteration's routing, straight
-    // into the sparse plan: the dense N x E x N plan never exists.
-    std::vector<double> layer_imbalance(sim_layers);
-    std::vector<TokenCount> recv;
-    for (int l = 0; l < sim_layers; ++l) {
-        if (config_.system == SystemKind::FsdpEp ||
-            config_.system == SystemKind::Megatron) {
-            staticEpRoutingSparse(routing[l], grouping_,
-                                  currentLayouts_[l], plans_[l]);
-        } else {
-            if (!index_adopted)
-                replicaIndex_[l].rebuild(cluster_, currentLayouts_[l]);
-            liteRoutingSparse(cluster_, routing[l], replicaIndex_[l],
-                              plans_[l]);
-        }
-        plans_[l].receivedTokens(recv);
-        std::vector<double> loads(recv.begin(), recv.end());
-        layer_imbalance[l] = imbalanceFactor(loads);
-    }
-    result.maxRelTokens = mean(layer_imbalance);
-
-    // 4. Measure the timeline.
+    // 3. Token dispatch on the current iteration's routing, priced
+    // once per layer from received tokens and dispatch port loads: the
+    // lite-routed systems straight from the replica index (no plan),
+    // the static EP systems through their in-group sparse plan. The
+    // dense N x E x N plan never exists.
     IterationSpec spec;
     spec.model = &config_.model;
     spec.system = config_.system;
@@ -178,13 +161,39 @@ TrainingSimulator::step()
     spec.tpDegree = config_.tpDegree;
     spec.expertTpDegree = config_.megatronExpertTp;
     spec.capacityHint = config_.capacity;
-    for (const RoutingPlanSparse &plan : plans_)
-        spec.layerSparse.push_back(&plan);
 
+    const bool static_ep = config_.system == SystemKind::FsdpEp ||
+                           config_.system == SystemKind::Megatron;
+    const Bytes token_bytes = config_.model.tokenBytes();
+    const int etp = expertTpDegree(spec, n);
+    priced_.resize(static_cast<std::size_t>(sim_layers));
+    std::vector<double> layer_imbalance(sim_layers);
+    for (int l = 0; l < sim_layers; ++l) {
+        if (static_ep) {
+            staticEpRoutingSparse(routing[l], grouping_,
+                                  currentLayouts_[l], plans_[l]);
+            expertTpPortLoads(cluster_, plans_[l], token_bytes, etp,
+                              loads_);
+            plans_[l].receivedTokens(recv_);
+        } else {
+            if (!index_adopted)
+                replicaIndex_[l].rebuild(cluster_, currentLayouts_[l]);
+            liteRoutingLoads(cluster_, routing[l], replicaIndex_[l],
+                             token_bytes, liteScratch_, recv_, loads_);
+        }
+        std::vector<double> loads(recv_.begin(), recv_.end());
+        layer_imbalance[l] = imbalanceFactor(loads);
+        priceLayer(cluster_, spec, recv_, loads_, priced_[l]);
+    }
+    result.maxRelTokens = mean(layer_imbalance);
+
+    // 4. Replay the timeline twice from the one pricing: the plain
+    // micro-batches, and the last one with its gradient sync.
     spec.withGradSync = false;
-    const MicroBatchResult plain = simulateMicroBatch(cluster_, spec);
+    const MicroBatchResult plain = replayMicroBatch(cluster_, spec, priced_);
     spec.withGradSync = true;
-    const MicroBatchResult synced = simulateMicroBatch(cluster_, spec);
+    const MicroBatchResult synced =
+        replayMicroBatch(cluster_, spec, priced_);
 
     // Scale the simulated layer block up to the full model depth; the
     // LM head and optimizer are charged once.

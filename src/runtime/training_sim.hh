@@ -8,8 +8,10 @@
  * like the paper's asynchronous CPU-side tuner; FlexMoE adjusts
  * incrementally with penalties; SmartMoE re-places on a long period;
  * the static baselines never move); the token dispatcher routes the
- * CURRENT iteration's tokens onto that layout; the iteration timeline
- * is then priced by simulateMicroBatch on per-stream clocks.
+ * CURRENT iteration's tokens onto that layout, and each layer is
+ * priced once from its received tokens and port loads; the plain and
+ * the gradient-synced micro-batch timelines are then replayed from
+ * those durations on per-stream clocks (replayMicroBatch).
  */
 
 #ifndef LAER_RUNTIME_TRAINING_SIM_HH
@@ -23,6 +25,7 @@
 #include "baselines/static_ep.hh"
 #include "model/config.hh"
 #include "planner/layout_tuner.hh"
+#include "planner/lite_routing.hh"
 #include "runtime/iteration.hh"
 #include "runtime/system.hh"
 #include "trace/routing_generator.hh"
@@ -98,6 +101,18 @@ class TrainingSimulator
 
     const SimulatorConfig &config() const { return config_; }
 
+    /** Per sim layer, the expert layouts the last step() routed onto. */
+    const std::vector<ExpertLayout> &layouts() const
+    {
+        return currentLayouts_;
+    }
+
+    /** Per sim layer, the routing matrices the last step() drew. */
+    const std::vector<RoutingMatrix> &lastRouting() const
+    {
+        return prevRouting_;
+    }
+
   private:
     const Cluster &cluster_;
     SimulatorConfig config_;
@@ -110,10 +125,16 @@ class TrainingSimulator
     std::vector<std::unique_ptr<FlexMoePlanner>> flexPlanners_;
     std::vector<std::unique_ptr<SmartMoePlanner>> smartPlanners_;
     /** Per sim layer, reused across iterations: the replica lists
-     * lite routing reads (the tuner's own after a LAER retune) and the
-     * routing plan the micro-batch timeline prices. */
+     * lite routing reads (the tuner's own after a LAER retune), the
+     * static EP systems' routing plan, and the layer's priced
+     * durations both micro-batch replays read. */
     std::vector<ReplicaIndex> replicaIndex_;
     std::vector<RoutingPlanSparse> plans_;
+    std::vector<LayerTiming> priced_;
+    /** One layer's pricing inputs, reused layer to layer. */
+    LiteRoutingScratch liteScratch_;
+    std::vector<TokenCount> recv_;
+    A2aPortLoads loads_;
     int iteration_ = 0;
 };
 

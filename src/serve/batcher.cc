@@ -330,8 +330,12 @@ ContinuousBatcher::nextBatch()
 
     // Decode first: one token per running sequence past prefill, in
     // admission order, so generation latency never queues behind
-    // prompt processing.
+    // prompt processing. Each entry takes at least one budget token,
+    // so the plan holds at most min(running, budget) entries before
+    // admissions: one allocation instead of a growth series.
     const int running = runningCount();
+    plan.entries.reserve(static_cast<std::size_t>(
+        std::min<TokenCount>(running, config_.tokenBudget) + 1));
     for (int slot = 0; slot < running && budget >= 1; ++slot) {
         if (running_[slot].phase() != RequestPhase::Decode)
             continue;
@@ -398,6 +402,10 @@ ContinuousBatcher::nextBatch()
 void
 ContinuousBatcher::applyStep(const BatchPlan &plan, Seconds finish_time)
 {
+    // Only a request in the plan can finish (the previous commit
+    // retired every other), so the lowest finishing slot bounds the
+    // retire pass, and a step that finishes none makes one pass.
+    int first_finished = runningCount();
     for (const BatchEntry &e : plan.entries) {
         LAER_CHECK(e.slot >= 0 && e.slot < runningCount() &&
                        running_[e.slot].id == e.requestId,
@@ -423,14 +431,19 @@ ContinuousBatcher::applyStep(const BatchPlan &plan, Seconds finish_time)
                         "decode scheduled for a non-decoding request");
             r.decodeDone += e.decodeTokens;
         }
-        if (r.phase() == RequestPhase::Finished)
+        if (r.phase() == RequestPhase::Finished) {
             r.finishTime = finish_time;
+            first_finished = std::min(first_finished, e.slot);
+        }
     }
+    if (first_finished == runningCount())
+        return;
 
-    // Retire finished requests in one stable pass: the survivors keep
-    // their admission order, the finished keep theirs in finished_.
-    auto keep = running_.begin();
-    for (auto it = running_.begin(); it != running_.end(); ++it) {
+    // Retire finished requests in one stable pass from the first of
+    // them: the survivors keep their admission order, the finished
+    // keep theirs in finished_.
+    auto keep = running_.begin() + first_finished;
+    for (auto it = keep; it != running_.end(); ++it) {
         if (it->phase() == RequestPhase::Finished) {
             if (kv_)
                 kv_->release(it->id);

@@ -360,7 +360,7 @@ class ContinuousBatcher
     BatcherConfig config_;
     std::optional<KvCachePool> kv_;
     std::vector<std::deque<Request>> waiting_; //!< FIFO per SLO class
-    std::deque<Request> running_;              //!< admission order
+    std::vector<Request> running_;             //!< admission order
     std::vector<Request> finished_;
     std::vector<PreemptionRecord> preemptedLog_; //!< since last drain
     std::int64_t totalPreemptions_ = 0;

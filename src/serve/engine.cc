@@ -122,6 +122,7 @@ ServingEngine::ServingEngine(const DevicePoolSlice &slice,
     replicaIndex_.resize(layers);
     indexDirty_.assign(layers, 1);
     sparsePlans_.resize(layers);
+    liteScratch_.resize(layers);
     portLoads_.resize(layers);
     recvTokens_.resize(layers);
     recvDouble_.resize(layers);
@@ -307,9 +308,24 @@ ServingEngine::executeStep(const BatchPlan &plan, Seconds start)
 
     ServingStepResult res;
     res.start = start;
-    res.tokens = plan.totalTokens();
-    res.prefill = plan.prefillTokens();
-    res.decode = plan.decodeTokens();
+
+    // One pass over the plan, in entry order: the token counts, and
+    // the attention work of the step (the batch is data parallel; only
+    // expert work is layout dependent). Each scheduled token attends
+    // over its entry's context: the prompt for prefill, the full
+    // running context for decode. Sequences emitting a token this step
+    // also pay one LM-head forward.
+    Flops attn_flops = 0.0;
+    TokenCount sampled = 0;
+    for (const BatchEntry &e : plan.entries) {
+        const TokenCount tokens = e.prefillTokens + e.decodeTokens;
+        res.tokens += tokens;
+        res.prefill += e.prefillTokens;
+        res.decode += e.decodeTokens;
+        attn_flops += static_cast<double>(tokens) *
+                      model.attnFlopsPerToken(static_cast<int>(e.context));
+        sampled += e.emitsToken ? 1 : 0;
+    }
 
     // Data-parallel batch shard: spread tokens over devices, rotating
     // the remainder so no device systematically runs long.
@@ -331,26 +347,29 @@ ServingEngine::executeStep(const BatchPlan &plan, Seconds start)
     res.migration = updateLayouts(routing, res);
 
     // Per-layer route + price fan-out into the reusable scratch
-    // slots. Every policy routes into the sparse plan (the dense S and
-    // volume matrices never exist): lite routing against the layout's
-    // replica index, or StaticEp's fixed in-group rule. All sums are
-    // exact integers, so the priced times are bit-identical to the
-    // dense formulation.
+    // slots: received tokens and dispatch port loads per layer (the
+    // dense S and volume matrices never exist). The lite-routed
+    // policies price straight from the layout's replica index with the
+    // plan-free kernel; StaticEp routes its fixed in-group rule into a
+    // sparse plan. All sums are exact integers, so the priced times
+    // are bit-identical to the dense formulation.
     runLayers([&](int l) {
         const auto li = static_cast<std::size_t>(l);
         if (config_.policy == ServingPolicy::StaticEp) {
             staticEpRoutingSparse(routing[li], grouping_, layouts_[li],
                                   sparsePlans_[li]);
+            sparsePlans_[li].portLoads(topo, model.tokenBytes(),
+                                       portLoads_[li]);
+            sparsePlans_[li].receivedTokens(recvTokens_[li]);
         } else {
             if (indexDirty_[li]) {
                 replicaIndex_[li].rebuild(topo, layouts_[li]);
                 indexDirty_[li] = 0;
             }
-            liteRoutingSparse(topo, routing[li], replicaIndex_[li],
-                              sparsePlans_[li]);
+            liteRoutingLoads(topo, routing[li], replicaIndex_[li],
+                             model.tokenBytes(), liteScratch_[li],
+                             recvTokens_[li], portLoads_[li]);
         }
-        sparsePlans_[li].portLoads(topo, model.tokenBytes(),
-                                   portLoads_[li]);
         // Known defect: the fold already adds kCollectiveAlpha once.
         layerDispatch_[li] =
             kCollectiveAlpha +
@@ -359,25 +378,12 @@ ServingEngine::executeStep(const BatchPlan &plan, Seconds start)
             kCollectiveAlpha +
             a2aBottleneckTimeFromLoads(topo, portLoads_[li],
                                        /*transpose=*/true);
-        sparsePlans_[li].receivedTokens(recvTokens_[li]);
         recvDouble_[li].assign(recvTokens_[li].begin(),
                                recvTokens_[li].end());
         layerImbalance_[li] = imbalanceFactor(recvDouble_[li]);
     });
 
-    // Attention + gate work of the step, sharded evenly (the batch is
-    // data parallel; only expert work is layout dependent). Each
-    // scheduled token attends over its entry's context: the prompt
-    // for prefill, the full running context for decode. Sequences
-    // emitting a token this step also pay one LM-head forward.
-    Flops attn_flops = 0.0;
-    TokenCount sampled = 0;
-    for (const BatchEntry &e : plan.entries) {
-        attn_flops +=
-            static_cast<double>(e.prefillTokens + e.decodeTokens) *
-            model.attnFlopsPerToken(static_cast<int>(e.context));
-        sampled += e.emitsToken ? 1 : 0;
-    }
+    // Attention + gate work of the step, sharded evenly.
     attn_flops += static_cast<double>(res.tokens) * 2.0 *
                   model.numExperts * model.hiddenDim;
     const Seconds attn_dur = attn_flops / n / topo.computeFlops();

@@ -20,15 +20,18 @@
  * step's finish time). Swap-style preemption traffic recorded by the
  * batcher is charged here at the host-link bandwidth.
  *
- * Step pricing for every policy runs on the sparse hot path: a
- * per-layer `RoutingPlanSparse`, built against a cached
+ * Step pricing prices each layer once from its received tokens and
+ * dispatch port loads. The lite-routed policies (LAER, FlexMoE) get
+ * both from the plan-free kernel `liteRoutingLoads`, against a cached
  * `ReplicaIndex` (the tuner's own on a LAER retune, rebuilt only when
- * any other layout change lands) for the lite-routed policies or by StaticEp's fixed in-group rule, with
- * scratch buffers reused across steps, so neither the dense N x E x N
- * plan nor the dense volume matrices exist at any point — the priced
- * times are bit-identical to the dense formulation. Per-layer tune/route
- * work fans out over an optional `ThreadPool`; LAER retunes are
- * wall-clock timed against `tunerBudgetMs`.
+ * any other layout change lands); StaticEp routes its fixed in-group
+ * rule into a per-layer `RoutingPlanSparse`. Scratch lives per layer
+ * and is reused across steps, so neither the dense N x E x N plan nor
+ * the dense volume matrices exist at any point — the priced times are
+ * bit-identical to the dense formulation. Per-layer tune/route work
+ * fans out over an optional `ThreadPool`; LAER retunes are wall-clock
+ * timed against `tunerBudgetMs`. executeStep() folds the plan's
+ * entries in one pass.
  */
 
 #ifndef LAER_SERVE_ENGINE_HH
@@ -350,7 +353,8 @@ class ServingEngine
     // steps so the per-step pricing is allocation-free once warm.
     std::vector<ReplicaIndex> replicaIndex_;  //!< per-layout lists
     std::vector<char> indexDirty_;            //!< rebuild before use
-    std::vector<RoutingPlanSparse> sparsePlans_;
+    std::vector<RoutingPlanSparse> sparsePlans_; //!< StaticEp only
+    std::vector<LiteRoutingScratch> liteScratch_; //!< lite-routed only
     std::vector<A2aPortLoads> portLoads_;
     std::vector<std::vector<TokenCount>> recvTokens_;
     std::vector<std::vector<double>> recvDouble_; //!< imbalance input

@@ -22,18 +22,6 @@ requestPhaseName(RequestPhase phase)
     return "?";
 }
 
-RequestPhase
-Request::phase() const
-{
-    if (!restoring && decodeDone >= decodeTokens)
-        return RequestPhase::Finished;
-    if (prefillDone >= prefillTarget())
-        return RequestPhase::Decode;
-    if (prefillDone > 0)
-        return RequestPhase::Prefill;
-    return RequestPhase::Queued;
-}
-
 Seconds
 Request::ttft() const
 {

@@ -71,8 +71,18 @@ struct Request
     int retries = 0;              //!< fault-recovery re-queues so far
                                   //!< (src/fault/ retry budget)
 
-    /** Current life-cycle stage, derived from progress counters. */
-    RequestPhase phase() const;
+    /** Current life-cycle stage, derived from progress counters.
+     * Inline: the batcher asks it of every running request per step. */
+    RequestPhase phase() const
+    {
+        if (!restoring && decodeDone >= decodeTokens)
+            return RequestPhase::Finished;
+        if (prefillDone >= prefillTarget())
+            return RequestPhase::Decode;
+        if (prefillDone > 0)
+            return RequestPhase::Prefill;
+        return RequestPhase::Queued;
+    }
 
     /** Prompt plus every output token owed, the prefill copy's
      * parked target included: the KV ceiling this request can reach. */

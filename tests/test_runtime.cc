@@ -13,6 +13,7 @@
 #include "comm/collectives.hh"
 #include "core/error.hh"
 #include "core/rng.hh"
+#include "core/stats.hh"
 #include "model/config.hh"
 #include "oracle/dense_plan.hh"
 #include "planner/lite_routing.hh"
@@ -869,6 +870,132 @@ TEST(TrainingSimulator, PinnedDigestPerSystem)
     EXPECT_EQ(trainingDigest(SystemKind::SmartMoe),
               "20.622684181175021 1.6761760165762891 10.447848046740273 "
               "3.4834645268850677 2.0155645331692296 5.4921722412109375");
+}
+
+TEST(TrainingSimulator, PriceOnceReplayTwiceMatchesSimulateMicroBatch)
+{
+    // Each iteration prices its layers once, without a plan for the
+    // lite-routed systems, and replays the plain and the synced
+    // micro-batch from those durations. The reference routes the same
+    // routing onto the same layouts into sparse plans and runs
+    // simulateMicroBatch twice; every field must agree bit for bit.
+    const std::pair<SystemKind, int> systems[] = {
+        {SystemKind::Laer, 1},     {SystemKind::FsdpEp, 1},
+        {SystemKind::Megatron, 1}, {SystemKind::Megatron, 2},
+        {SystemKind::FlexMoe, 1},  {SystemKind::SmartMoe, 1}};
+    const RecomputeMode modes[] = {
+        RecomputeMode::None, RecomputeMode::ExpertOnly,
+        RecomputeMode::AttentionOnly, RecomputeMode::Full};
+    Rng rng(20261020);
+    for (int trial = 0; trial < 24; ++trial) {
+        const auto [system, etp] = systems[trial % 6];
+        const Cluster c = Cluster::a100(rng.uniformInt(1, 2),
+                                        rng.uniformInt(0, 1) ? 8 : 4);
+        const int n = c.numDevices();
+        SimulatorConfig cfg;
+        cfg.model = rng.uniformInt(0, 1) ? mixtral8x7bE16K4()
+                                         : mixtral8x7bE8K2();
+        cfg.system = system;
+        const int bits = rng.uniformInt(0, 7);
+        cfg.flags = {(bits & 1) != 0, (bits & 2) != 0, (bits & 4) != 0};
+        cfg.checkpointing = rng.uniformInt(0, 1) == 1;
+        cfg.recompute = modes[rng.uniformInt(0, 3)];
+        cfg.capacity = rng.uniformInt(0, 1) ? 2 : 4;
+        cfg.seqLen = 4096;
+        cfg.tokensPerDevice = 512 * rng.uniformInt(1, 8);
+        cfg.globalBatchTokens =
+            cfg.tokensPerDevice * n * rng.uniformInt(1, 3);
+        cfg.tpDegree = 2;
+        cfg.megatronExpertTp = etp;
+        cfg.simulatedLayers = rng.uniformInt(1, 4);
+        cfg.smartPeriod = 2;
+        cfg.routing = RoutingModel::wikitext(n, cfg.model.numExperts,
+                                             cfg.model.topK,
+                                             cfg.tokensPerDevice);
+        cfg.seed = rng.nextU64();
+        if (cfg.model.numExperts / cfg.capacity > n)
+            cfg.capacity = cfg.model.numExperts / n;
+        TrainingSimulator sim(c, cfg);
+        const EpGrouping grouping(c, cfg.model.numExperts / cfg.capacity,
+                                  /*span_nodes=*/true);
+        const bool static_ep = system == SystemKind::FsdpEp ||
+                               system == SystemKind::Megatron;
+        const int micro_steps = static_cast<int>(
+            cfg.globalBatchTokens / (cfg.tokensPerDevice * n));
+
+        for (int it = 0; it < 3; ++it) {
+            const IterationResult got = sim.step();
+            std::vector<RoutingPlanSparse> plans(
+                static_cast<std::size_t>(cfg.simulatedLayers));
+            std::vector<double> imbalance;
+            IterationSpec spec;
+            spec.model = &cfg.model;
+            spec.system = system;
+            spec.flags = cfg.flags;
+            spec.checkpointing = cfg.checkpointing;
+            spec.recompute = cfg.recompute;
+            spec.seqLen = cfg.seqLen;
+            spec.tokensPerDevice = cfg.tokensPerDevice;
+            spec.tpDegree = cfg.tpDegree;
+            spec.expertTpDegree = etp;
+            spec.capacityHint = cfg.capacity;
+            for (int l = 0; l < cfg.simulatedLayers; ++l) {
+                const RoutingMatrix &r = sim.lastRouting()[l];
+                const ExpertLayout &layout = sim.layouts()[l];
+                if (static_ep)
+                    staticEpRoutingSparse(r, grouping, layout, plans[l]);
+                else
+                    liteRoutingSparse(c, r, ReplicaIndex(c, layout),
+                                      plans[l]);
+                const std::vector<TokenCount> recv =
+                    plans[l].receivedTokens();
+                imbalance.push_back(imbalanceFactor(
+                    std::vector<double>(recv.begin(), recv.end())));
+                spec.layerSparse.push_back(&plans[l]);
+            }
+            spec.withGradSync = false;
+            const MicroBatchResult plain = simulateMicroBatch(c, spec);
+            spec.withGradSync = true;
+            const MicroBatchResult synced = simulateMicroBatch(c, spec);
+
+            // TrainingSimulator::step's scale-up of the simulated block.
+            const double ratio = static_cast<double>(cfg.model.layers) /
+                                 cfg.simulatedLayers;
+            const Seconds head =
+                3.0 * lmHeadForwardTime(cfg.model, cfg.tokensPerDevice,
+                                        cfg.tpDegree, c.computeFlops());
+            const auto scale_up = [&](Seconds block, Seconds head_part) {
+                return (block - head_part) * ratio + head_part;
+            };
+            const Seconds opt = optimizerStepTime(cfg.model, n);
+            const Seconds time = (micro_steps - 1) *
+                                     scale_up(plain.makespan, head) +
+                                 scale_up(synced.makespan, head) + opt +
+                                 got.migration;
+            const Seconds expert = micro_steps * synced.expertBusy * ratio;
+            const Seconds others =
+                micro_steps * scale_up(synced.othersBusy, head) + opt;
+            const Seconds prefetch =
+                micro_steps * synced.exposedPrefetch * ratio;
+            const Seconds gradsync = synced.exposedGradSync * ratio;
+            const Seconds a2a = std::max(
+                micro_steps * synced.a2aBusy * ratio,
+                time - expert - others - prefetch - gradsync -
+                    got.migration);
+
+            const std::string where =
+                "trial " + std::to_string(trial) + " (" +
+                systemName(system) + " etp " + std::to_string(etp) +
+                ") iteration " + std::to_string(it);
+            EXPECT_EQ(got.time, time) << where;
+            EXPECT_EQ(got.a2a, a2a) << where;
+            EXPECT_EQ(got.expert, expert) << where;
+            EXPECT_EQ(got.others, others) << where;
+            EXPECT_EQ(got.exposedPrefetch, prefetch) << where;
+            EXPECT_EQ(got.exposedGradSync, gradsync) << where;
+            EXPECT_EQ(got.maxRelTokens, mean(imbalance)) << where;
+        }
+    }
 }
 
 } // namespace

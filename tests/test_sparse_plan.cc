@@ -2,8 +2,9 @@
  * @file
  * Tests for RoutingPlanSparse and the sparse step-pricing path
  * against the dense reference formulations (tests/oracle/): dense
- * round-trips, lite-routing and StaticEP-routing equivalence, and
- * bit-identical All-to-All and Eq. 2 pricing.
+ * round-trips, lite-routing and StaticEP-routing equivalence,
+ * bit-identical All-to-All and Eq. 2 pricing, and the plan-free
+ * kernel liteRoutingLoads against the plan it replaces.
  */
 
 #include <gtest/gtest.h>
@@ -233,6 +234,89 @@ TEST(RoutingPlanSparse, PortLoadPricingIsBitIdenticalToDense)
         diffStreams(dense_stream, sparse_stream);
     EXPECT_TRUE(report.identical()) << report.toText();
     EXPECT_EQ(report.comparisons, 4 * dense_stream.snapshots.size());
+}
+
+/**
+ * A layout with replica multiplicity and sparse coverage: every device
+ * takes 1..3 slots drawn over a few popular experts (so one device may
+ * host several replicas of one expert, and many (node, expert) cells
+ * host none and fall back to the global list), then every expert left
+ * without a replica gets one.
+ */
+ExpertLayout
+multiplicityLayout(const Cluster &c, int e, Rng &rng)
+{
+    ExpertLayout layout(c.numDevices(), e);
+    const int popular = rng.uniformInt(1, e);
+    for (DeviceId d = 0; d < c.numDevices(); ++d)
+        for (int slots = rng.uniformInt(1, 3); slots > 0; --slots)
+            ++layout.at(d, rng.uniformInt(0, popular - 1));
+    for (ExpertId j = 0; j < e; ++j)
+        if (layout.replicaCount(j) == 0)
+            ++layout.at(rng.uniformInt(0, c.numDevices() - 1), j);
+    return layout;
+}
+
+/** Routing with zero rows, zero cells and row totals from 0 to 1e5. */
+RoutingMatrix
+fuzzRouting(int n, int e, Rng &rng)
+{
+    RoutingMatrix r(n, e);
+    const auto pop = rng.dirichlet(e, 0.3);
+    for (DeviceId d = 0; d < n; ++d) {
+        const int shape = rng.uniformInt(0, 3);
+        if (shape == 0)
+            continue; // zero row
+        const TokenCount total =
+            shape == 1 ? rng.uniformInt(0, 2 * e)
+            : shape == 2 ? rng.uniformInt(0, 5000)
+                         : rng.uniformInt(0, 100000);
+        const auto counts = rng.multinomial(total, pop);
+        for (ExpertId j = 0; j < e; ++j)
+            r.at(d, j) = counts[j];
+    }
+    return r;
+}
+
+TEST(LiteRoutingLoads, MatchesThePlanOnEveryVectorExactly)
+{
+    // The plan-free kernel against the CSR plan it replaces on the
+    // step path: received tokens and all four port-load vectors, exact.
+    Rng rng(20261020);
+    LiteRoutingScratch scratch; // reused across shapes, like a layer
+    std::vector<TokenCount> recv;
+    A2aPortLoads loads;
+    RoutingPlanSparse plan;
+    A2aPortLoads want;
+    int fallback_cells = 0, multiple = 0;
+    for (int trial = 0; trial < 300; ++trial) {
+        const int nodes = rng.uniformInt(1, 32);
+        const int per_node = rng.uniformInt(1, nodes > 8 ? 4 : 8);
+        const int e = rng.uniformInt(1, 12);
+        const Cluster c(nodes, per_node, 100e9, 10e9, 1e12);
+        const ExpertLayout layout = multiplicityLayout(c, e, rng);
+        const RoutingMatrix r = fuzzRouting(c.numDevices(), e, rng);
+        const ReplicaIndex index(c, layout);
+        const Bytes token_bytes = rng.uniformInt(1, 8192);
+        for (NodeId m = 0; m < nodes; ++m)
+            for (ExpertId j = 0; j < e; ++j)
+                fallback_cells += index.intraCount(m, j) == 0;
+        for (DeviceId d = 0; d < c.numDevices(); ++d)
+            for (ExpertId j = 0; j < e; ++j)
+                multiple += layout.at(d, j) > 1;
+
+        liteRoutingLoads(c, r, index, token_bytes, scratch, recv, loads);
+        liteRoutingSparse(c, r, index, plan);
+        plan.portLoads(c, token_bytes, want);
+        ASSERT_EQ(recv, plan.receivedTokens()) << "trial " << trial;
+        ASSERT_EQ(loads.sendIntra, want.sendIntra) << "trial " << trial;
+        ASSERT_EQ(loads.sendInter, want.sendInter) << "trial " << trial;
+        ASSERT_EQ(loads.recvIntra, want.recvIntra) << "trial " << trial;
+        ASSERT_EQ(loads.recvInter, want.recvInter) << "trial " << trial;
+    }
+    // The fuzz reached the cases it exists for.
+    EXPECT_GT(fallback_cells, 0);
+    EXPECT_GT(multiple, 0);
 }
 
 TEST(RoutingPlanSparse, EmptyRowsAndRankOrderDiscipline)
