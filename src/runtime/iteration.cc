@@ -312,11 +312,9 @@ replayMicroBatch(const Cluster &cluster, const IterationSpec &spec,
     // Every busy list's length is known from the layer count: per
     // device at most attention and expert per forward layer, the head
     // twice, and expert, attention and an inline gradient sync per
-    // backward layer; n prefetches per layer each way; n syncs per
-    // layer.
-    std::vector<std::vector<BusyInterval>> compute_busy(n);
-    for (std::vector<BusyInterval> &busy : compute_busy)
-        busy.reserve(5 * static_cast<std::size_t>(layers) + 2);
+    // backward layer (the stride of the flat compute array); n
+    // prefetches per layer each way; n syncs per layer.
+    DeviceBusy compute_busy(n, 5 * static_cast<std::size_t>(layers) + 2);
     std::vector<BusyInterval> prefetch_busy, gradsync_busy;
     const auto layer_tasks = static_cast<std::size_t>(layers) *
                              static_cast<std::size_t>(n);
@@ -333,7 +331,7 @@ replayMicroBatch(const Cluster &cluster, const IterationSpec &spec,
     auto run_compute = [&](DeviceId d, Seconds ready, Seconds dur) {
         const BusyInterval iv = launch(compute[d], ready, dur);
         if (dur > 0.0)
-            compute_busy[d].push_back(iv);
+            compute_busy.push(d, iv);
         return iv.hi;
     };
     auto run_prefetch = [&](DeviceId d, Seconds ready) {
@@ -460,7 +458,7 @@ replayMicroBatch(const Cluster &cluster, const IterationSpec &spec,
                     launch(own_stream ? gradsync[d] : compute[d], done[d],
                            gradsync_dur));
                 if (!own_stream)
-                    compute_busy[d].push_back(gradsync_busy.back());
+                    compute_busy.push(d, gradsync_busy.back());
             }
         }
 

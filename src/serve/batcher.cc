@@ -1,6 +1,8 @@
 #include "serve/batcher.hh"
 
 #include <algorithm>
+#include <functional>
+#include <iterator>
 #include <utility>
 
 #include "core/error.hh"
@@ -23,10 +25,7 @@ preemptionModeName(PreemptionMode mode)
 TokenCount
 BatchPlan::totalTokens() const
 {
-    TokenCount total = 0;
-    for (const BatchEntry &e : entries)
-        total += e.prefillTokens + e.decodeTokens;
-    return total;
+    return prefillTokens() + decodeTokens();
 }
 
 TokenCount
@@ -41,7 +40,7 @@ BatchPlan::prefillTokens() const
 TokenCount
 BatchPlan::decodeTokens() const
 {
-    TokenCount total = 0;
+    TokenCount total = decoders;
     for (const BatchEntry &e : entries)
         total += e.decodeTokens;
     return total;
@@ -135,7 +134,7 @@ ContinuousBatcher::resizeKvBudget(Bytes budget)
     // Only running sequences hold reservations, so reserved > budget
     // guarantees a victim exists.
     while (kv_->reservedBytes() > budget) {
-        const int victim = pickVictim({}, 0);
+        const int victim = pickVictim(-1, 0);
         LAER_ASSERT(victim >= 0,
                     "KV bytes reserved with nothing running");
         preempt(victim);
@@ -162,55 +161,114 @@ ContinuousBatcher::sweep(
             it = queue.erase(it);
         }
     }
-    for (auto it = running_.begin(); it != running_.end();) {
-        if (servable(*it)) {
-            ++it;
-            continue;
+    for (int s = head_; s >= 0;) {
+        Running &slot = slab_[s];
+        const int next = slot.next;
+        slot.request.decodeDone = decodeDoneOf(slot);
+        if (!servable(slot.request)) {
+            if (kv_)
+                kv_->release(slot.request.id);
+            unservable.push_back(unlink(s));
         }
-        if (kv_)
-            kv_->release(it->id);
-        unservable.push_back(*it);
-        it = running_.erase(it);
+        s = next;
     }
     return unservable;
 }
 
 int
-ContinuousBatcher::pickVictim(const std::vector<int> &protected_ids,
+ContinuousBatcher::link(const Request &request)
+{
+    int s = static_cast<int>(slab_.size());
+    if (freeSlots_.empty()) {
+        slab_.emplace_back();
+    } else {
+        s = freeSlots_.back();
+        freeSlots_.pop_back();
+    }
+    Running &slot = slab_[s];
+    slot.request = request;
+    slot.seq = totalAdmissions_++;
+    slot.held = 0;
+    slot.cohort = false;
+    slot.prev = tail_;
+    slot.next = -1;
+    (tail_ >= 0 ? slab_[tail_].next : head_) = s;
+    tail_ = s;
+    ++running_;
+    return s;
+}
+
+Request
+ContinuousBatcher::unlink(int s)
+{
+    Running &slot = slab_[s];
+    slot.request.decodeDone = decodeDoneOf(slot);
+    if (slot.cohort) {
+        // Its calendar entry goes stale with the slot's sequence.
+        --cohort_;
+        cohortContext_ -= slot.request.contextLength();
+        slot.cohort = false;
+    } else {
+        const auto it =
+            std::find(prefilling_.begin(), prefilling_.end(), s);
+        if (it != prefilling_.end())
+            prefilling_.erase(it);
+    }
+    (slot.prev >= 0 ? slab_[slot.prev].next : head_) = slot.next;
+    (slot.next >= 0 ? slab_[slot.next].prev : tail_) = slot.prev;
+    slot.seq = -1;
+    freeSlots_.push_back(s);
+    --running_;
+    return std::move(slot.request);
+}
+
+void
+ContinuousBatcher::joinCohort(int s)
+{
+    Running &slot = slab_[s];
+    slot.cohort = true;
+    slot.base = tick_ - slot.request.decodeDone;
+    ++cohort_;
+    cohortContext_ += slot.request.contextLength();
+    calendar_.push_back(
+        Finish{slot.base + slot.request.decodeTokens, slot.seq, s});
+    std::push_heap(calendar_.begin(), calendar_.end(),
+                   std::greater<Finish>());
+}
+
+int
+ContinuousBatcher::pickVictim(std::int64_t protect_pass,
                               int grower_class) const
 {
     // Lowest priority = highest SLO class id. Within that class the
     // tie-break depends on the eviction discipline: recompute evicts
-    // the youngest (latest admitted, i.e. furthest back in running_ —
-    // it has the least cache to rebuild so far); swap prefers the
-    // sequence with the FEWEST remaining decode tokens, whose parked
-    // KV comes back for the cheapest remaining work (final ties still
-    // go to the youngest). A grower may only displace requests of its
-    // own or a lower-priority class — when only higher-priority
-    // sequences hold the pool, the grower yields instead (see
-    // secureDecodeGrowth).
+    // the youngest (latest admitted — it has the least cache to
+    // rebuild so far); swap prefers the sequence with the FEWEST
+    // remaining decode tokens, whose parked KV comes back for the
+    // cheapest remaining work (final ties still go to the youngest).
+    // A grower may only displace requests of its own or a
+    // lower-priority class — when only higher-priority sequences hold
+    // the pool, the grower yields instead (see secureDecodeGrowth).
     const bool swap = config_.preemptionMode == PreemptionMode::Swap;
     int best = -1;
     int best_class = -1;
     TokenCount best_remaining = 0;
-    for (int i = 0; i < static_cast<int>(running_.size()); ++i) {
-        const Request &r = running_[i];
-        if (r.sloClass < grower_class)
+    for (int s = head_; s >= 0; s = slab_[s].next) {
+        const Running &slot = slab_[s];
+        const Request &r = slot.request;
+        if (r.sloClass < grower_class || slot.securedIn == protect_pass)
             continue;
-        if (std::find(protected_ids.begin(), protected_ids.end(),
-                      r.id) != protected_ids.end())
-            continue;
+        const TokenCount remaining = r.decodeTokens - decodeDoneOf(slot);
         if (r.sloClass > best_class) {
             best_class = r.sloClass;
-            best = i;
-            best_remaining = r.decodeTokens - r.decodeDone;
+            best = s;
+            best_remaining = remaining;
             continue;
         }
         if (r.sloClass < best_class)
             continue;
-        const TokenCount remaining = r.decodeTokens - r.decodeDone;
         if (!swap || remaining <= best_remaining) {
-            best = i;
+            best = s;
             best_remaining = remaining;
         }
     }
@@ -218,10 +276,9 @@ ContinuousBatcher::pickVictim(const std::vector<int> &protected_ids,
 }
 
 void
-ContinuousBatcher::preempt(int index)
+ContinuousBatcher::preempt(int s)
 {
-    Request victim = running_[static_cast<std::size_t>(index)];
-    running_.erase(running_.begin() + index);
+    Request victim = unlink(s);
     if (config_.preemptionMode == PreemptionMode::Swap) {
         // The reservation moves to host intact: prefill progress (and
         // the cache behind it) survives, and re-admission restores
@@ -243,7 +300,7 @@ ContinuousBatcher::preempt(int index)
     // Front of the class queue: a preempted request resumes before
     // fresh arrivals of its class. Victims are evicted youngest-first,
     // so successive push_fronts restore admission order among them.
-    waiting_[victim.sloClass].push_front(victim);
+    waiting_[victim.sloClass].push_front(std::move(victim));
 }
 
 void
@@ -252,52 +309,53 @@ ContinuousBatcher::secureDecodeGrowth()
     // Grow in scheduling priority order — class first, admission order
     // within a class — so when the pool runs dry the high-priority old
     // sequences keep decoding and the low-priority young ones yield.
-    std::vector<int> growers;
-    for (int c = 0; c < config_.numSloClasses; ++c)
-        for (const Request &r : running_)
-            if (r.sloClass == c && r.phase() == RequestPhase::Decode)
-                growers.push_back(r.id);
-
-    std::vector<int> secured;
-    for (const int id : growers) {
-        const auto self = std::find_if(
-            running_.begin(), running_.end(),
-            [id](const Request &r) { return r.id == id; });
-        if (self == running_.end())
-            continue; // already evicted by an earlier grower
-        const TokenCount target = self->contextLength() + 1;
-        const int grower_class = self->sloClass;
-
-        std::vector<int> protected_ids = secured;
-        protected_ids.push_back(id);
-        while (!kv_->canGrow(id, target)) {
-            const int victim = pickVictim(protected_ids, grower_class);
-            if (victim < 0)
-                break;
-            preempt(victim);
-        }
-        if (kv_->canGrow(id, target)) {
-            kv_->grow(id, target);
-            secured.push_back(id);
-        } else {
-            // No same-or-lower-priority sequence is left to evict and
-            // the growth still does not fit: the grower yields rather
-            // than over-committing or displacing higher priorities.
-            const auto again = std::find_if(
-                running_.begin(), running_.end(),
-                [id](const Request &r) { return r.id == id; });
-            preempt(static_cast<int>(again - running_.begin()));
+    // Every decoder this pass has secured (and the grower itself) is
+    // protected from eviction. The pool is asked only when the next
+    // token crosses a KV block: below that, growth is a no-op.
+    ++growPass_;
+    for (int c = 0; c < config_.numSloClasses; ++c) {
+        for (int s = head_; s >= 0;) {
+            Running &slot = slab_[s];
+            if (!slot.cohort || slot.request.sloClass != c) {
+                s = slot.next;
+                continue;
+            }
+            slot.securedIn = growPass_;
+            const int id = slot.request.id;
+            const TokenCount target =
+                slot.request.prefillTokens + decodeDoneOf(slot) + 1;
+            if (kv_->bytesFor(target) > slot.held) {
+                while (!kv_->canGrow(id, target)) {
+                    const int victim = pickVictim(growPass_, c);
+                    if (victim < 0)
+                        break;
+                    preempt(victim);
+                }
+                if (!kv_->canGrow(id, target)) {
+                    // No same-or-lower-priority sequence is left to
+                    // evict and the growth still does not fit: the
+                    // grower yields rather than over-committing or
+                    // displacing higher priorities.
+                    const int next = slot.next;
+                    preempt(s);
+                    s = next;
+                    continue;
+                }
+                kv_->grow(id, target);
+                slot.held = kv_->bytesFor(target);
+            }
+            s = slot.next;
         }
     }
 }
 
 BatchEntry
-ContinuousBatcher::entryFor(int slot, TokenCount budget) const
+ContinuousBatcher::entryFor(int s, TokenCount budget) const
 {
-    const Request &r = running_[slot];
+    const Request &r = slab_[s].request;
     BatchEntry e;
     e.requestId = r.id;
-    e.slot = slot;
+    e.slot = s;
     if (r.prefillDone >= r.prefillTarget()) {
         e.decodeTokens = 1;
         e.context = r.contextLength();
@@ -322,34 +380,42 @@ ContinuousBatcher::nextBatch()
     TokenCount budget = config_.tokenBudget;
 
     // KV pre-pass: reserve this step's decode growth, evicting victims
-    // (recompute-style) when the pool is exhausted. Every decode-phase
-    // sequence still running afterwards holds a reservation covering
-    // its next token.
+    // (recompute-style) when the pool is exhausted. Every decoder
+    // still running afterwards holds a reservation covering its next
+    // token.
     if (kv_)
         secureDecodeGrowth();
 
-    // Decode first: one token per running sequence past prefill, in
-    // admission order, so generation latency never queues behind
-    // prompt processing. Each entry takes at least one budget token,
-    // so the plan holds at most min(running, budget) entries before
-    // admissions: one allocation instead of a growth series.
-    const int running = runningCount();
-    plan.entries.reserve(static_cast<std::size_t>(
-        std::min<TokenCount>(running, config_.tokenBudget) + 1));
-    for (int slot = 0; slot < running && budget >= 1; ++slot) {
-        if (running_[slot].phase() != RequestPhase::Decode)
-            continue;
-        plan.entries.push_back(entryFor(slot, budget));
-        budget -= 1;
-    }
+    // Decode first: one token per cohort decoder, so generation
+    // latency never queues behind prompt processing. The budget always
+    // covers the whole cohort: every decoder and unfinished prefill
+    // took at least one budget token in the step that admitted it, and
+    // admission needs budget left after all of them, so decoders plus
+    // prefills never outnumber the budget.
+    LAER_ASSERT(cohort_ + static_cast<TokenCount>(prefilling_.size()) <=
+                    budget,
+                cohort_ << " decoders and " << prefilling_.size()
+                        << " prefills outnumber the token budget");
+    plan.decoders = cohort_;
+    plan.decodeContext = cohortContext_;
+    budget -= plan.decoders;
 
     // Continue chunked prefills of already-running requests (after a
     // preemption the target also covers recomputing generated tokens).
-    for (int slot = 0; slot < running && budget >= 1; ++slot) {
-        const Request &r = running_[slot];
-        if (r.prefillDone >= r.prefillTarget())
-            continue;
-        plan.entries.push_back(entryFor(slot, budget));
+    // Admissions are bounded by the waiting requests, the budget and,
+    // without the KV model, the free slots.
+    TokenCount admissible =
+        admissionPaused_ ? 0 : std::min<TokenCount>(waitingCount(), budget);
+    if (!kv_)
+        admissible = std::min<TokenCount>(admissible,
+                                          config_.maxRunning - running_);
+    plan.entries.reserve(prefilling_.size() +
+                         static_cast<std::size_t>(std::max<TokenCount>(
+                             admissible, 0)));
+    for (const int s : prefilling_) {
+        if (budget < 1)
+            break;
+        plan.entries.push_back(entryFor(s, budget));
         budget -= plan.entries.back().prefillTokens;
     }
 
@@ -374,25 +440,28 @@ ContinuousBatcher::nextBatch()
                     break; // strict FIFO: everyone waits for memory
                 }
                 kv_->grow(head.id, head.contextLength());
-            } else if (runningCount() >= config_.maxRunning) {
+            } else if (running_ >= config_.maxRunning) {
                 break;
             }
-            Request r = head;
-            queue.pop_front();
-            if (r.swapped) {
+            if (head.swapped) {
                 // Host restore: the engine charges the PCIe time for
                 // these bytes against this step.
-                swapInBytes_ += r.swappedBytes;
-                r.swappedBytes = 0;
-                r.swapped = false;
+                swapInBytes_ += head.swappedBytes;
+                head.swappedBytes = 0;
+                head.swapped = false;
             }
-            running_.push_back(r);
-            ++totalAdmissions_;
+            const int s = link(head);
+            queue.pop_front();
+            if (kv_)
+                slab_[s].held = kv_->reservedOf(slab_[s].request.id);
             // A context entering with its prefill already done (a
             // swapped-in decoder, or a sequence migrated from a
-            // prefill pool) resumes decoding immediately.
-            const BatchEntry e = entryFor(runningCount() - 1, budget);
+            // prefill pool) decodes at once and joins the cohort at
+            // the commit.
+            const BatchEntry e = entryFor(s, budget);
             budget -= e.prefillTokens + e.decodeTokens;
+            if (e.prefillTokens > 0)
+                prefilling_.push_back(s);
             plan.entries.push_back(e);
         }
     }
@@ -402,66 +471,86 @@ ContinuousBatcher::nextBatch()
 void
 ContinuousBatcher::applyStep(const BatchPlan &plan, Seconds finish_time)
 {
-    // Only a request in the plan can finish (the previous commit
-    // retired every other), so the lowest finishing slot bounds the
-    // retire pass, and a step that finishes none makes one pass.
-    int first_finished = runningCount();
-    for (const BatchEntry &e : plan.entries) {
-        LAER_CHECK(e.slot >= 0 && e.slot < runningCount() &&
-                       running_[e.slot].id == e.requestId,
+    for (const BatchEntry &e : plan.entries)
+        LAER_CHECK(e.slot >= 0 &&
+                       e.slot < static_cast<int>(slab_.size()) &&
+                       slab_[e.slot].seq >= 0 &&
+                       slab_[e.slot].request.id == e.requestId,
                    "stale slot " << e.slot << " for request "
                                  << e.requestId);
-        Request &r = running_[e.slot];
+    LAER_CHECK(plan.decoders == cohort_,
+               "plan schedules " << plan.decoders << " decoders of "
+                                 << cohort_);
+
+    // The cohort advances one token by the tick; its finishes come off
+    // the calendar in admission order.
+    ++tick_;
+    cohortContext_ += cohort_;
+    retiring_.clear();
+    while (!calendar_.empty() && calendar_.front().tick <= tick_) {
+        std::pop_heap(calendar_.begin(), calendar_.end(),
+                      std::greater<Finish>());
+        const Finish f = calendar_.back();
+        calendar_.pop_back();
+        Running &slot = slab_[f.slot];
+        if (slot.seq != f.seq)
+            continue; // left the cohort early
+        LAER_ASSERT(f.tick == tick_, "a decoder overran its output");
+        slot.request.finishTime = finish_time;
+        retiring_.push_back(f.slot);
+    }
+
+    // Explicit entries: prefill chunks and admitted decoders.
+    for (const BatchEntry &e : plan.entries) {
+        Request &r = slab_[e.slot].request;
         if (e.prefillTokens > 0) {
             LAER_ASSERT(e.decodeTokens == 0,
                         "a step schedules prefill or decode, not both");
             r.prefillDone += e.prefillTokens;
             LAER_ASSERT(r.prefillDone <= r.prefillTarget(),
                         "prefill overran its target");
-            // A KV recompute after preemption ends here; the tokens
-            // it replayed were already delivered.
-            if (r.prefillDone == r.prefillTarget())
+            if (r.prefillDone == r.prefillTarget()) {
+                // A KV recompute after preemption ends here; the
+                // tokens it replayed were already delivered.
                 r.restoring = false;
+                prefilling_.erase(std::find(prefilling_.begin(),
+                                            prefilling_.end(), e.slot));
+            }
             if (e.emitsToken) {
                 r.firstTokenTime = finish_time;
                 r.decodeDone = 1;
             }
-        } else if (e.decodeTokens > 0) {
+        } else {
             LAER_ASSERT(r.phase() == RequestPhase::Decode,
                         "decode scheduled for a non-decoding request");
             r.decodeDone += e.decodeTokens;
         }
-        if (r.phase() == RequestPhase::Finished) {
+        const RequestPhase phase = r.phase();
+        if (phase == RequestPhase::Finished) {
             r.finishTime = finish_time;
-            first_finished = std::min(first_finished, e.slot);
+            retiring_.push_back(e.slot);
+        } else if (phase == RequestPhase::Decode) {
+            joinCohort(e.slot);
         }
     }
-    if (first_finished == runningCount())
-        return;
 
-    // Retire finished requests in one stable pass from the first of
-    // them: the survivors keep their admission order, the finished
-    // keep theirs in finished_.
-    auto keep = running_.begin() + first_finished;
-    for (auto it = keep; it != running_.end(); ++it) {
-        if (it->phase() == RequestPhase::Finished) {
-            if (kv_)
-                kv_->release(it->id);
-            finished_.push_back(std::move(*it));
-        } else {
-            if (keep != it)
-                *keep = std::move(*it);
-            ++keep;
-        }
+    // Retire in admission order: the survivors keep theirs, the
+    // finished keep theirs in finished_.
+    std::sort(retiring_.begin(), retiring_.end(), [this](int a, int b) {
+        return slab_[a].seq < slab_[b].seq;
+    });
+    for (const int s : retiring_) {
+        if (kv_)
+            kv_->release(slab_[s].request.id);
+        finished_.push_back(unlink(s));
     }
-    running_.erase(keep, running_.end());
 }
 
 std::vector<Request>
 ContinuousBatcher::drainAll()
 {
     std::vector<Request> out;
-    out.reserve(running_.size() + waitingCount());
+    out.reserve(static_cast<std::size_t>(running_ + waitingCount()));
     const auto evict = [this, &out](Request r) {
         if (kv_)
             kv_->release(r.id);
@@ -478,22 +567,34 @@ ContinuousBatcher::drainAll()
         out.push_back(r);
     };
     for (int c = 0; c < config_.numSloClasses; ++c) {
-        for (const Request &r : running_)
-            if (r.sloClass == c)
-                evict(r);
+        for (int s = head_; s >= 0; s = slab_[s].next) {
+            Running &slot = slab_[s];
+            if (slot.request.sloClass != c)
+                continue;
+            slot.request.decodeDone = decodeDoneOf(slot);
+            evict(slot.request);
+        }
         for (const Request &r : waiting_[c])
             evict(r);
         waiting_[c].clear();
     }
-    running_.clear();
+    slab_.clear();
+    freeSlots_.clear();
+    prefilling_.clear();
+    calendar_.clear();
+    head_ = tail_ = -1;
+    running_ = cohort_ = 0;
+    cohortContext_ = 0;
     return out;
 }
 
 std::vector<Request>
 ContinuousBatcher::takeFinished()
 {
-    std::vector<Request> out;
-    out.swap(finished_);
+    // One exact allocation per call; finished_ keeps its capacity.
+    std::vector<Request> out(std::make_move_iterator(finished_.begin()),
+                             std::make_move_iterator(finished_.end()));
+    finished_.clear();
     return out;
 }
 
@@ -530,8 +631,9 @@ TokenCount
 ContinuousBatcher::maxLiveFullContext() const
 {
     TokenCount max_context = 0;
-    for (const Request &r : running_)
-        max_context = std::max(max_context, r.fullContext());
+    for (int s = head_; s >= 0; s = slab_[s].next)
+        max_context =
+            std::max(max_context, slab_[s].request.fullContext());
     for (const auto &queue : waiting_)
         for (const Request &r : queue)
             max_context = std::max(max_context, r.fullContext());
@@ -560,23 +662,27 @@ ContinuousBatcher::takeSwapInBytes()
     return bytes;
 }
 
-const Request *
+std::optional<Request>
 ContinuousBatcher::find(int id) const
 {
-    for (const Request &r : running_)
-        if (r.id == id)
-            return &r;
+    for (int s = head_; s >= 0; s = slab_[s].next) {
+        if (slab_[s].request.id != id)
+            continue;
+        Request r = slab_[s].request;
+        r.decodeDone = decodeDoneOf(slab_[s]);
+        return r;
+    }
     for (const auto &queue : waiting_)
         for (const Request &r : queue)
             if (r.id == id)
-                return &r;
-    return nullptr;
+                return r;
+    return std::nullopt;
 }
 
 bool
 ContinuousBatcher::hasWork() const
 {
-    return !running_.empty() || waitingCount() > 0;
+    return running_ > 0 || waitingCount() > 0;
 }
 
 int

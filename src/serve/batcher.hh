@@ -4,13 +4,20 @@
  *
  * Implements iteration-level (continuous) batching with a token
  * budget, the scheduling discipline of vLLM/Orca-class engines: every
- * engine step assembles a mixed batch of decode tokens (one per
- * running sequence) and chunked prefill work, bounded by
- * `tokenBudget` scheduled tokens. Decode work is scheduled first so
- * running sequences never starve behind long prompts; remaining
- * budget continues partially-prefilled requests and then admits new
- * ones. Admission is strict FIFO within an SLO class, with lower
- * class ids admitted first.
+ * engine step assembles a mixed batch of decode tokens and chunked
+ * prefill work, bounded by `tokenBudget` scheduled tokens. Decode work
+ * is scheduled first so running sequences never starve behind long
+ * prompts; remaining budget continues partially-prefilled requests and
+ * then admits new ones. Admission is strict FIFO within an SLO class,
+ * with lower class ids admitted first.
+ *
+ * The running decoders advance as one cohort: the batcher keeps a
+ * decode tick, each decoder its progress relative to the tick it
+ * joined at, and a calendar of finish ticks. A step therefore touches
+ * only the requests whose state changes: admissions, prefill chunks
+ * and finishes. A plan names the cohort by two numbers, its size and
+ * the sum of its contexts; prefill continuations and admissions are
+ * explicit entries.
  *
  * Concurrency is bounded one of two ways:
  *
@@ -93,14 +100,15 @@ struct BatcherConfig
     PreemptionMode preemptionMode = PreemptionMode::Recompute;
 };
 
-/** Work scheduled for one request in one engine step. nextBatch()
- * decides every field; pricing, tracing and the commit only read. */
+/** Work scheduled for one prefill continuation or admission in one
+ * engine step. nextBatch() decides every field; pricing, tracing and
+ * the commit only read. */
 struct BatchEntry
 {
     int requestId = 0;
     TokenCount prefillTokens = 0; //!< prompt tokens processed this step
     TokenCount decodeTokens = 0;  //!< output tokens produced (0 or 1)
-    int slot = 0;            //!< index in the running queue
+    int slot = 0;            //!< the request's handle in the batcher
     TokenCount context = 0;  //!< prefill target, or decode's context
     bool emitsToken = false; //!< a decode, or a first prefill's end
     bool restoring = false;  //!< the prefill is a KV recompute
@@ -113,12 +121,15 @@ struct PreemptionRecord
     int requestId = 0;
 };
 
-/** The work of one engine step. */
+/** The work of one engine step: the decode cohort's share, then the
+ * explicit entries (prefill continuations, then admissions). */
 struct BatchPlan
 {
     std::vector<BatchEntry> entries;
+    TokenCount decoders = 0;      //!< cohort decoders, one token each
+    TokenCount decodeContext = 0; //!< sum of their contexts
 
-    bool empty() const { return entries.empty(); }
+    bool empty() const { return decoders == 0 && entries.empty(); }
 
     /** Scheduled tokens (prefill + decode) in this step. */
     TokenCount totalTokens() const;
@@ -187,9 +198,9 @@ class ContinuousBatcher
      * Plan the next engine step. With the KV model enabled this is
      * also where preemption happens: decode growth that no longer
      * fits the pool evicts victims before the plan is assembled.
-     * Entries name their requests by slot: a plan is valid only until
-     * its own applyStep(), with nothing touching the running queue in
-     * between.
+     * Entries name their requests by handle: a non-empty plan must be
+     * committed by its own applyStep() before anything else touches
+     * the batcher.
      * @return the planned step; empty when nothing can run.
      */
     BatchPlan nextBatch();
@@ -199,7 +210,7 @@ class ContinuousBatcher
      * prefill/decode progress, stamp first-token and finish times, and
      * retire completed requests (releasing their KV reservation).
      * @param plan         The plan returned by the last nextBatch();
-     *                     a stale slot is a FatalError.
+     *                     a stale handle is a FatalError.
      * @param finish_time  Simulated time the step completed.
      */
     void applyStep(const BatchPlan &plan, Seconds finish_time);
@@ -286,8 +297,22 @@ class ContinuousBatcher
     /** Drain KV bytes swapped IN from host since the last call. */
     Bytes takeSwapInBytes();
 
-    /** Look a live (waiting or running) request up by id. */
-    const Request *find(int id) const;
+    /** A copy of the live (waiting or running) request `id`, its
+     * progress brought up to date; empty when none is live. */
+    std::optional<Request> find(int id) const;
+
+    /** Call `fn(id)` for each cohort decoder `plan` schedules, in
+     * admission order. Valid between nextBatch() and applyStep(). */
+    template <typename Fn>
+    void forEachScheduledDecoder(const BatchPlan &plan, Fn &&fn) const
+    {
+        TokenCount left = plan.decoders;
+        for (int s = head_; s >= 0 && left > 0; s = slab_[s].next)
+            if (slab_[s].cohort) {
+                fn(slab_[s].request.id);
+                --left;
+            }
+    }
 
     /** True while any request is waiting or running. */
     bool hasWork() const;
@@ -296,10 +321,7 @@ class ContinuousBatcher
     int waitingCount() const;
 
     /** Requests currently running (prefill or decode). */
-    int runningCount() const
-    {
-        return static_cast<int>(running_.size());
-    }
+    int runningCount() const { return running_; }
 
     /** True when admission is bounded by KV bytes, not maxRunning. */
     bool kvEnabled() const { return kv_.has_value(); }
@@ -332,35 +354,92 @@ class ContinuousBatcher
     const BatcherConfig &config() const { return config_; }
 
   private:
+    /** One running sequence. Slots are stable handles: retiring a
+     * request unlinks its slot and touches no other. */
+    struct Running
+    {
+        Request request;  //!< decodeDone is stale while in the cohort
+        std::int64_t seq = -1; //!< admission sequence; -1 when free
+        std::int64_t base = 0; //!< in the cohort, decodeDone is
+                               //!< tick_ - base
+        Bytes held = 0;        //!< KV bytes reserved (KV model only)
+        std::int64_t securedIn = 0; //!< growth pass that secured it
+        int prev = -1;              //!< admission-order neighbours
+        int next = -1;
+        bool cohort = false; //!< decoding, advanced by tick_
+    };
+
+    /** A cohort decoder's last token lands at `tick`; a slot that no
+     * longer holds `seq` (its decoder left early) makes it stale. */
+    struct Finish
+    {
+        std::int64_t tick = 0;
+        std::int64_t seq = 0;
+        int slot = 0;
+
+        bool operator>(const Finish &o) const
+        {
+            return tick != o.tick ? tick > o.tick : seq > o.seq;
+        }
+    };
+
     /** Shared enqueue()/enqueueFront() validation: class and token
      * ranges, and full-context-fits under the KV model. */
     void validateAdmissible(const Request &request) const;
+
+    /** Output tokens running slot `s` has produced. */
+    TokenCount decodeDoneOf(const Running &s) const
+    {
+        return s.cohort ? tick_ - s.base : s.request.decodeDone;
+    }
+
+    /** Append `request` to the running sequences; returns its slot. */
+    int link(const Request &request);
+
+    /** Remove running slot `s` (cohort, prefill list and admission
+     * order) and return its request, progress brought up to date. */
+    Request unlink(int s);
+
+    /** Slot `s` joins the decode cohort at the current tick. */
+    void joinCohort(int s);
 
     /** Reserve decode growth for running sequences, evicting when the
      * pool runs dry. Only called with the KV model enabled. */
     void secureDecodeGrowth();
 
-    /** Index into running_ of the preferred victim (highest class id,
-     * then youngest), skipping `protected_ids` and any request of a
-     * class more urgent than `grower_class` — growth never evicts a
-     * higher-priority sequence; -1 when none qualifies. */
-    int pickVictim(const std::vector<int> &protected_ids,
-                   int grower_class) const;
+    /** Slot of the preferred victim (highest class id, then youngest),
+     * skipping slots secured in growth pass `protect_pass` and any
+     * request of a class more urgent than `grower_class` — growth
+     * never evicts a higher-priority sequence; -1 when none
+     * qualifies. */
+    int pickVictim(std::int64_t protect_pass, int grower_class) const;
 
-    /** Evict running_[index] per the configured PreemptionMode
+    /** Evict running slot `s` per the configured PreemptionMode
      * (recompute: drop KV and reset prefill progress; swap: offload
      * the reservation to host) and re-queue it at the front of its
      * class. */
-    void preempt(int index);
+    void preempt(int s);
 
-    /** The plan entry for running_[slot]: a prefill chunk of at most
+    /** The plan entry for running slot `s`: a prefill chunk of at most
      * `budget` tokens while its prefill is unfinished, else a decode. */
-    BatchEntry entryFor(int slot, TokenCount budget) const;
+    BatchEntry entryFor(int s, TokenCount budget) const;
 
     BatcherConfig config_;
     std::optional<KvCachePool> kv_;
     std::vector<std::deque<Request>> waiting_; //!< FIFO per SLO class
-    std::vector<Request> running_;             //!< admission order
+    std::vector<Running> slab_;     //!< running sequences by slot
+    std::vector<int> freeSlots_;
+    int head_ = -1;                 //!< eldest running slot
+    int tail_ = -1;                 //!< youngest running slot
+    int running_ = 0;
+    std::vector<int> prefilling_;   //!< unfinished prefills, admission
+                                    //!< order
+    int cohort_ = 0;                //!< decoders in the cohort
+    TokenCount cohortContext_ = 0;  //!< their contexts, summed
+    std::int64_t tick_ = 0;         //!< decode steps committed
+    std::vector<Finish> calendar_;  //!< min-heap of cohort finishes
+    std::vector<int> retiring_;     //!< applyStep() scratch
+    std::int64_t growPass_ = 0;
     std::vector<Request> finished_;
     std::vector<PreemptionRecord> preemptedLog_; //!< since last drain
     std::int64_t totalPreemptions_ = 0;

@@ -298,6 +298,31 @@ ServingEngine::updateLayouts(const std::vector<RoutingMatrix> &routing,
     return 0.0;
 }
 
+StepWork
+stepWork(const ModelConfig &model, const BatchPlan &plan)
+{
+    StepWork work;
+    work.decode = plan.decoders;
+    work.sampled = plan.decoders;
+    work.attnFlops =
+        static_cast<double>(plan.decoders) * model.attnFlopsPerToken(0) +
+        2.0 * model.numHeads * model.headDim *
+            static_cast<double>(plan.decodeContext);
+    for (const BatchEntry &e : plan.entries) {
+        work.prefill += e.prefillTokens;
+        work.decode += e.decodeTokens;
+        work.attnFlops +=
+            static_cast<double>(e.prefillTokens + e.decodeTokens) *
+            model.attnFlopsPerToken(static_cast<int>(e.context));
+        work.sampled += e.emitsToken ? 1 : 0;
+    }
+    work.tokens = work.prefill + work.decode;
+    LAER_ASSERT(work.attnFlops < 0x1p53,
+                "attention flops " << work.attnFlops
+                                   << " leave the exact-integer range");
+    return work;
+}
+
 ServingStepResult
 ServingEngine::executeStep(const BatchPlan &plan, Seconds start)
 {
@@ -309,23 +334,15 @@ ServingEngine::executeStep(const BatchPlan &plan, Seconds start)
     ServingStepResult res;
     res.start = start;
 
-    // One pass over the plan, in entry order: the token counts, and
-    // the attention work of the step (the batch is data parallel; only
-    // expert work is layout dependent). Each scheduled token attends
-    // over its entry's context: the prompt for prefill, the full
-    // running context for decode. Sequences emitting a token this step
-    // also pay one LM-head forward.
-    Flops attn_flops = 0.0;
-    TokenCount sampled = 0;
-    for (const BatchEntry &e : plan.entries) {
-        const TokenCount tokens = e.prefillTokens + e.decodeTokens;
-        res.tokens += tokens;
-        res.prefill += e.prefillTokens;
-        res.decode += e.decodeTokens;
-        attn_flops += static_cast<double>(tokens) *
-                      model.attnFlopsPerToken(static_cast<int>(e.context));
-        sampled += e.emitsToken ? 1 : 0;
-    }
+    // The token counts and the attention work of the step (the batch
+    // is data parallel; only expert work is layout dependent).
+    // Sequences emitting a token this step also pay one LM-head
+    // forward.
+    const StepWork work = stepWork(model, plan);
+    res.tokens = work.tokens;
+    res.prefill = work.prefill;
+    res.decode = work.decode;
+    Flops attn_flops = work.attnFlops;
 
     // Data-parallel batch shard: spread tokens over devices, rotating
     // the remainder so no device systematically runs long.
@@ -390,7 +407,7 @@ ServingEngine::executeStep(const BatchPlan &plan, Seconds start)
 
     const double layer_scale =
         static_cast<double>(model.layers) / layers;
-    const Seconds head = lmHeadForwardTime(model, sampled, 1,
+    const Seconds head = lmHeadForwardTime(model, work.sampled, 1,
                                            topo.computeFlops());
     res.duration =
         stepTimelineMakespan(attn_dur, layerDispatch_, layerCombine_,

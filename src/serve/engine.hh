@@ -119,6 +119,26 @@ struct ServingStepResult
     Seconds swapTime = 0.0;     //!< host-link seconds in `duration`
 };
 
+/** The batch-level work of one planned step, before routing. */
+struct StepWork
+{
+    TokenCount tokens = 0;  //!< scheduled tokens (prefill + decode)
+    TokenCount prefill = 0;
+    TokenCount decode = 0;
+    TokenCount sampled = 0; //!< sequences emitting a token (LM head)
+    Flops attnFlops = 0.0;  //!< attention work, gate excluded
+};
+
+/**
+ * Token counts and attention flops of `plan`. Each scheduled token
+ * attends over its context: the prompt for prefill, the running
+ * context for decode. The decode cohort is summed in closed form,
+ * count·weight + 2·heads·headDim·Σcontext; every term and partial sum
+ * is an integer below 2^53 (asserted), so the result equals the
+ * per-token sum bit for bit.
+ */
+StepWork stepWork(const ModelConfig &model, const BatchPlan &plan);
+
 /**
  * Makespan of a forward step's simulated layers: per layer the clock
  * adds attention, the dispatch barrier, the slowest device's expert

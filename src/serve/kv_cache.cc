@@ -52,15 +52,6 @@ KvCachePool::KvCachePool(Bytes budget_bytes, Bytes bytes_per_token,
     LAER_CHECK(blockTokens_ >= 1, "KV block must hold at least one token");
 }
 
-Bytes
-KvCachePool::bytesFor(TokenCount context) const
-{
-    LAER_CHECK(context >= 0, "negative context length");
-    const TokenCount blocks =
-        (context + blockTokens_ - 1) / blockTokens_;
-    return blocks * blockTokens_ * bytesPerToken_;
-}
-
 bool
 KvCachePool::canGrow(int id, TokenCount context) const
 {

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <unordered_map>
 
+#include "core/error.hh"
 #include "core/types.hh"
 #include "model/config.hh"
 #include "model/memory.hh"
@@ -109,7 +110,13 @@ class KvCachePool
      * @param context  Tokens cached (prompt + generated so far).
      * @return bytes of the ceil(context / blockTokens) blocks.
      */
-    Bytes bytesFor(TokenCount context) const;
+    Bytes bytesFor(TokenCount context) const
+    {
+        LAER_CHECK(context >= 0, "negative context length");
+        const TokenCount blocks =
+            (context + blockTokens_ - 1) / blockTokens_;
+        return blocks * blockTokens_ * bytesPerToken_;
+    }
 
     /**
      * Would growing sequence `id` to cover `context` tokens fit?

@@ -38,30 +38,37 @@ ServingObs::slotTrack(std::vector<int> &ids,
 
 void
 ServingObs::captureStepShares(const BatchPlan &plan,
+                              const ContinuousBatcher &batcher,
                               const ServingStepResult &result,
                               int pool_index,
                               std::vector<ReqStepShare> &out) const
 {
     if (reqTrace_ == nullptr)
         return;
-    for (const BatchEntry &entry : plan.entries) {
-        if (sampled(entry.requestId) == nullptr)
-            continue;
+    const auto capture = [&](int id, AttrComponent as, bool first_token) {
+        if (sampled(id) == nullptr)
+            return;
         ReqStepShare share;
-        share.requestId = entry.requestId;
+        share.requestId = id;
         share.pool = pool_index;
         share.start = result.start;
         share.duration = result.duration;
         share.retunePause = result.migration;
         share.swapOverhead = result.swapTime;
-        if (entry.prefillTokens > 0)
-            share.computeAs = entry.restoring
-                                  ? AttrComponent::PreemptRecovery
-                                  : AttrComponent::PrefillCompute;
-        else
-            share.computeAs = AttrComponent::DecodeResidency;
-        share.firstToken = entry.prefillTokens > 0 && entry.emitsToken;
+        share.computeAs = as;
+        share.firstToken = first_token;
         out.push_back(share);
+    };
+    batcher.forEachScheduledDecoder(plan, [&](int id) {
+        capture(id, AttrComponent::DecodeResidency, false);
+    });
+    for (const BatchEntry &entry : plan.entries) {
+        const bool prefill = entry.prefillTokens > 0;
+        capture(entry.requestId,
+                !prefill          ? AttrComponent::DecodeResidency
+                : entry.restoring ? AttrComponent::PreemptRecovery
+                                  : AttrComponent::PrefillCompute,
+                prefill && entry.emitsToken);
     }
 }
 

@@ -95,11 +95,14 @@ class ServingObs
     int faultTrack() { return sharedTrack(faultTrack_, "faults"); }
 
     /** Collect the sampled requests' residency shares of one priced
-     * step (each plan entry says whether it replays a preempted
-     * context and whether it emits the first token). Reads only its
-     * arguments and the recorder's pure sampling predicate, so a
-     * worker may call it; no-op when no recorder is attached. */
+     * step, before its commit: the scheduled decoders (read from
+     * `batcher`, in admission order), then the plan's entries (each
+     * says whether it replays a preempted context and whether it
+     * emits the first token). Reads only its arguments and the
+     * recorder's pure sampling predicate, so a worker may call it;
+     * no-op when no recorder is attached. */
     void captureStepShares(const BatchPlan &plan,
+                           const ContinuousBatcher &batcher,
                            const ServingStepResult &result,
                            int pool_index,
                            std::vector<ReqStepShare> &out) const;

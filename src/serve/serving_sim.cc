@@ -887,7 +887,8 @@ ServingSimulator::produceStep(std::size_t i, Seconds t, Seconds end)
     if (engine.batcher().kvEnabled())
         // Post-plan reservation peak of this step.
         res.kvUtilization = engine.batcher().kvUtilization();
-    obs_.captureStepShares(plan, res, static_cast<int>(i), rec.shares);
+    obs_.captureStepShares(plan, engine.batcher(), res,
+                            static_cast<int>(i), rec.shares);
     engine.commitStep(plan, t + res.duration);
     if (res.retuned)
         rec.retune = engine.lastRetune();

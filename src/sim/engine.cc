@@ -101,10 +101,17 @@ SimEngine::categoryBusyPerDevice() const
     return busy;
 }
 
+DeviceBusy::DeviceBusy(int devices, std::size_t stride)
+    : spans(static_cast<std::size_t>(devices) * stride),
+      end(static_cast<std::size_t>(devices)), stride(stride)
+{
+    for (std::size_t d = 0; d < end.size(); ++d)
+        end[d] = d * stride;
+}
+
 Seconds
 foldExposedTime(std::vector<BusyInterval> &category,
-                const std::vector<std::vector<BusyInterval>> &compute_busy,
-                Seconds end)
+                const DeviceBusy &compute_busy, Seconds end)
 {
     if (category.empty())
         return 0.0;
@@ -125,14 +132,18 @@ foldExposedTime(std::vector<BusyInterval> &category,
     // interval. Both lists are disjoint and sorted, so each walk
     // skips what ended before and stops at what starts after.
     Seconds exposed_total = 0.0;
-    for (const auto &busy : compute_busy) {
+    for (std::size_t d = 0; d < compute_busy.end.size(); ++d) {
+        const BusyInterval *busy =
+            compute_busy.spans.data() + d * compute_busy.stride;
+        const std::size_t size =
+            compute_busy.end[d] - d * compute_busy.stride;
         std::size_t first = 0;
         for (const auto &iv : merged) {
-            while (first < busy.size() && busy[first].hi <= iv.lo)
+            while (first < size && busy[first].hi <= iv.lo)
                 ++first;
             Seconds uncovered = std::min(iv.hi, end) - iv.lo;
-            for (std::size_t k = first;
-                 k < busy.size() && busy[k].lo < iv.hi; ++k) {
+            for (std::size_t k = first; k < size && busy[k].lo < iv.hi;
+                 ++k) {
                 const Seconds lo = std::max(iv.lo, busy[k].lo);
                 const Seconds hi = std::min(iv.hi, busy[k].hi);
                 if (hi > lo)
@@ -142,7 +153,7 @@ foldExposedTime(std::vector<BusyInterval> &category,
                 exposed_total += uncovered;
         }
     }
-    return exposed_total / static_cast<double>(compute_busy.size());
+    return exposed_total / static_cast<double>(compute_busy.end.size());
 }
 
 Seconds
@@ -150,13 +161,18 @@ SimEngine::exposedTime(const std::string &category) const
 {
     LAER_ASSERT(scheduled_, "exposedTime before run()");
     std::vector<BusyInterval> cat;
-    std::vector<std::vector<BusyInterval>> busy(numDevices_);
+    std::vector<std::size_t> per_device(numDevices_, 0);
     for (const auto &task : tasks_) {
         if (task.duration > 0 && task.category == category)
             cat.push_back({task.start, task.finish});
         if (task.duration > 0 && task.stream == StreamKind::Compute)
-            busy[task.device].push_back({task.start, task.finish});
+            ++per_device[task.device];
     }
+    DeviceBusy busy(numDevices_, *std::max_element(per_device.begin(),
+                                                   per_device.end()));
+    for (const auto &task : tasks_)
+        if (task.duration > 0 && task.stream == StreamKind::Compute)
+            busy.push(task.device, {task.start, task.finish});
     return foldExposedTime(cat, busy, makespan());
 }
 

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "core/error.hh"
 #include "core/types.hh"
 
 namespace laer
@@ -47,16 +48,37 @@ struct BusyInterval
 };
 
 /**
+ * Every device's compute busy list in one flat array: device d owns
+ * the `stride` slots from d * stride and has filled them up to
+ * end[d], in launch order (which an in-order stream keeps disjoint
+ * and sorted).
+ */
+struct DeviceBusy
+{
+    std::vector<BusyInterval> spans;
+    std::vector<std::size_t> end;
+    std::size_t stride;
+
+    /** `stride` bounds the intervals any one device records. */
+    DeviceBusy(int devices, std::size_t stride);
+
+    void push(DeviceId d, BusyInterval iv)
+    {
+        std::size_t &e = end[static_cast<std::size_t>(d)];
+        LAER_ASSERT(e < (static_cast<std::size_t>(d) + 1) * stride,
+                    "device " << d << " overran its " << stride
+                              << " busy slots");
+        spans[e++] = iv;
+    }
+};
+
+/**
  * Seconds each device's compute stream sat idle while at least one
  * `category` interval (any order; sorted in place) ran, clipped to
- * `end` and averaged over the devices. `compute_busy[d]` lists device
- * d's compute intervals in launch order, which an in-order stream
- * keeps disjoint and sorted.
+ * `end` and averaged over the devices of `compute_busy`.
  */
-Seconds foldExposedTime(
-    std::vector<BusyInterval> &category,
-    const std::vector<std::vector<BusyInterval>> &compute_busy,
-    Seconds end);
+Seconds foldExposedTime(std::vector<BusyInterval> &category,
+                        const DeviceBusy &compute_busy, Seconds end);
 
 /** Handle to a scheduled task. */
 using TaskId = int;

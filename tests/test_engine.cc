@@ -167,9 +167,12 @@ TEST(Batcher, AdmissionPauseHaltsNewWorkOnly)
     batcher.enqueue(makeRequest(1, 10, 5));
     batcher.setAdmissionPaused(true);
     const BatchPlan paused = batcher.nextBatch();
-    ASSERT_EQ(paused.entries.size(), 1u);
-    EXPECT_EQ(paused.entries[0].requestId, 0);
-    EXPECT_EQ(paused.entries[0].decodeTokens, 1);
+    EXPECT_TRUE(paused.entries.empty());
+    std::vector<int> decoders;
+    batcher.forEachScheduledDecoder(
+        paused, [&](int id) { decoders.push_back(id); });
+    EXPECT_EQ(decoders, std::vector<int>{0});
+    EXPECT_EQ(paused.decodeTokens(), 1);
     EXPECT_EQ(batcher.waitingCount(), 1);
     batcher.applyStep(paused, 2.0);
 

@@ -8,6 +8,7 @@
  */
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -187,10 +188,9 @@ expectEntriesMatchQueue(const ContinuousBatcher &batcher,
                         const BatchPlan &plan)
 {
     for (const BatchEntry &e : plan.entries) {
-        const Request *r = batcher.find(e.requestId);
-        ASSERT_NE(r, nullptr) << "request " << e.requestId;
+        const std::optional<Request> r = batcher.find(e.requestId);
+        ASSERT_TRUE(r.has_value()) << "request " << e.requestId;
         EXPECT_GE(e.slot, 0);
-        EXPECT_LT(e.slot, batcher.runningCount());
         if (e.prefillTokens == 0) {
             EXPECT_EQ(e.decodeTokens, 1);
             EXPECT_EQ(e.context, r->contextLength());
@@ -349,8 +349,8 @@ TEST(KvBatcher, SwapModePrefersVictimWithFewestRemainingDecodeTokens)
     const BatchPlan plan = batcher.nextBatch(); // growth evicts one
     (void)plan;
     ASSERT_EQ(batcher.takePreempted().size(), 1u);
-    const Request *victim = batcher.find(1);
-    ASSERT_NE(victim, nullptr);
+    const std::optional<Request> victim = batcher.find(1);
+    ASSERT_TRUE(victim.has_value());
     EXPECT_EQ(victim->preemptions, 1);
     EXPECT_TRUE(victim->swapped);
     EXPECT_EQ(batcher.find(2)->preemptions, 0);
@@ -371,8 +371,8 @@ TEST(KvBatcher, RecomputeModeStillEvictsTheYoungest)
     const BatchPlan plan = batcher.nextBatch();
     (void)plan;
     ASSERT_EQ(batcher.takePreempted().size(), 1u);
-    const Request *victim = batcher.find(2);
-    ASSERT_NE(victim, nullptr);
+    const std::optional<Request> victim = batcher.find(2);
+    ASSERT_TRUE(victim.has_value());
     EXPECT_EQ(victim->preemptions, 1);
     EXPECT_TRUE(victim->restoring);
     EXPECT_EQ(batcher.find(1)->preemptions, 0);
@@ -541,8 +541,8 @@ TEST(KvBatcher, RestoreReplaysGeneratedTokensWithoutReEmittingThem)
         }
         if (!batcher.takePreempted().empty() &&
             decode_done_at_preempt < 0) {
-            const Request *r1 = batcher.find(1);
-            ASSERT_NE(r1, nullptr);
+            const std::optional<Request> r1 = batcher.find(1);
+            ASSERT_TRUE(r1.has_value());
             EXPECT_TRUE(r1->restoring);
             EXPECT_EQ(r1->prefillDone, 0);
             decode_done_at_preempt = r1->decodeDone;
@@ -594,6 +594,10 @@ TEST(KvBatcher, SwapVictimsResumeAsDecodeEntries)
         ASSERT_FALSE(plan.empty());
         EXPECT_LE(batcher.kvReservedBytes(), batcher.kvBudgetBytes());
         expectEntriesMatchQueue(batcher, plan);
+        // Evictions happen while planning, so a victim may resume in
+        // the very plan that evicted it: park first, then scan.
+        for (const PreemptionRecord &p : batcher.takePreempted())
+            parked.push_back(p.requestId);
         for (const BatchEntry &e : plan.entries) {
             EXPECT_FALSE(e.restoring);
             const auto it =
@@ -605,8 +609,6 @@ TEST(KvBatcher, SwapVictimsResumeAsDecodeEntries)
             parked.erase(it);
             ++resumed;
         }
-        for (const PreemptionRecord &p : batcher.takePreempted())
-            parked.push_back(p.requestId);
         t += 0.1;
         batcher.applyStep(plan, t);
     }
@@ -619,8 +621,8 @@ TEST(KvBatcher, SwapVictimsResumeAsDecodeEntries)
 
 TEST(ContinuousBatcher, ApplyStepRejectsAStaleSlot)
 {
-    // A plan addresses its requests by slot in the running queue; an
-    // entry whose slot does not hold its request is refused. Only the
+    // A plan addresses its requests by slot handle; an entry whose
+    // slot does not hold its request is refused. Only the
     // first entry is tampered with, so nothing is committed before
     // the refusal.
     ContinuousBatcher batcher(kvBatcherConfig(32));

@@ -180,11 +180,14 @@ TEST(Batcher, DecodeSchedulesBeforeNewPrefill)
     const BatchPlan plan = batcher.nextBatch();
     // Request 0's decode token must come first; the remaining budget
     // (9 tokens) partially prefills request 1.
-    ASSERT_EQ(plan.entries.size(), 2u);
-    EXPECT_EQ(plan.entries[0].requestId, 0);
-    EXPECT_EQ(plan.entries[0].decodeTokens, 1);
-    EXPECT_EQ(plan.entries[1].requestId, 1);
-    EXPECT_EQ(plan.entries[1].prefillTokens, 9);
+    std::vector<int> decoders;
+    batcher.forEachScheduledDecoder(
+        plan, [&](int id) { decoders.push_back(id); });
+    EXPECT_EQ(decoders, std::vector<int>{0});
+    EXPECT_EQ(plan.decodeContext, 11);
+    ASSERT_EQ(plan.entries.size(), 1u);
+    EXPECT_EQ(plan.entries[0].requestId, 1);
+    EXPECT_EQ(plan.entries[0].prefillTokens, 9);
     EXPECT_EQ(plan.totalTokens(), 10);
 }
 
